@@ -166,7 +166,10 @@ type Policy struct {
 	cfg Config
 
 	// queues[core][slot]: the per-core cyclic state arrays. Slots are
-	// reused once inactive.
+	// reused once inactive. A core's array stays nil until that core first
+	// records a state, then gets all QueueDepth slots at once and never
+	// grows: *State pointers escape into reclaim entries, the sweep scratch
+	// buffer and gate timers, so the array must not move.
 	queues [][]State
 	// activeCount[core] tracks live states per queue so sweeps skip empty
 	// queues outright — on big topologies most queues are empty most ticks,
@@ -196,8 +199,8 @@ func New(cfg Config) *Policy {
 	return &Policy{cfg: cfg.withDefaults()}
 }
 
-// Attach implements kernel.Attacher: it sizes the per-core queues and
-// starts the background reclaim thread.
+// Attach implements kernel.Attacher: it sets up the per-core queue table
+// and starts the background reclaim thread.
 func (p *Policy) Attach(k *kernel.Kernel) {
 	p.k = k
 	// Policies built by literal (bypassing New) may carry a zero or negative
@@ -209,9 +212,6 @@ func (p *Policy) Attach(k *kernel.Kernel) {
 	}
 	n := k.Spec.NumCores()
 	p.queues = make([][]State, n)
-	for i := range p.queues {
-		p.queues[i] = make([]State, p.cfg.QueueDepth)
-	}
 	p.activeCount = make([]int, n)
 	k.Engine.At(p.cfg.ReclaimPeriod/2, p.reclaimPass)
 	if k.Audit != nil {
@@ -250,6 +250,10 @@ func (p *Policy) targetsMask(c *kernel.Core, mm *kernel.MM) topo.CoreMask {
 // slots are active (the fallback-IPI condition).
 func (p *Policy) record(c *kernel.Core, s State) (*State, bool) {
 	q := p.queues[c.ID]
+	if q == nil {
+		q = make([]State, p.cfg.QueueDepth)
+		p.queues[c.ID] = q
+	}
 	free := -1
 	occupied := 0
 	for i := range q {
@@ -719,6 +723,9 @@ func (p *Policy) auditPass(now sim.Time) {
 	k := p.k
 	defer k.Engine.At(now+p.cfg.ReclaimPeriod, p.auditPass)
 	for coreIdx := range p.queues {
+		if p.activeCount[coreIdx] == 0 {
+			continue
+		}
 		q := p.queues[coreIdx]
 		for i := range q {
 			st := &q[i]

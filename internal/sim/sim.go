@@ -10,10 +10,7 @@
 // free list so steady-state dispatch allocates nothing.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a point in virtual time, in nanoseconds since the start of the run.
 type Time int64
@@ -57,12 +54,25 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 // occupants of the same node so stale Timer handles never act on the wrong
 // event.
 type event struct {
-	when  Time
-	seq   uint64
-	index int // heap index, -1 once popped
-	fn    func(now Time)
-	dead  bool
-	gen   uint32
+	when Time
+	fn   func(now Time)
+	gen  uint32
+	dead bool
+}
+
+// entry is one slot of the event heap: the node's ordering key and its id
+// in the engine's node table. It holds no pointer, so sifting entries costs
+// no garbage-collector write barrier (DESIGN.md §8).
+type entry struct {
+	when Time
+	seq  uint64
+	id   int32
+}
+
+// before orders entries by (when, seq): time first, then scheduling order,
+// so same-instant events fire FIFO.
+func (a entry) before(b entry) bool {
+	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
 }
 
 // Timer is a cancellable handle to a scheduled callback. It is a small
@@ -94,15 +104,20 @@ func (t Timer) When() Time {
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventHeap
+	queue   []entry // binary min-heap by (when, seq)
 	stopped bool
 
+	// nodes is the node table, indexed by entry id. Nodes are allocated
+	// individually and never move, so a Timer may hold a node's address;
+	// the table only grows, and it never holds more nodes than were ever
+	// queued at once.
+	nodes []*event
 	// dead counts cancelled entries still sitting in the queue; once they
 	// outnumber the live ones the heap is compacted.
 	dead int
-	// free recycles event nodes so the schedule/dispatch hot path does not
-	// allocate. Bounded: a burst can still fall back to the allocator.
-	free []*event
+	// free lists the ids of recycled nodes so the schedule/dispatch hot
+	// path does not allocate.
+	free []int32
 
 	// Stats
 	dispatched uint64
@@ -113,11 +128,6 @@ type Engine struct {
 	compactions    uint64
 	compactScanned uint64
 }
-
-// maxFreeEvents bounds the recycled-node pool. Beyond this the nodes are
-// surrendered to the garbage collector; the bound exists only so a single
-// pathological burst cannot pin memory forever.
-const maxFreeEvents = 1 << 14
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
@@ -143,26 +153,25 @@ func (e *Engine) CompactStats() (passes, scanned uint64) {
 	return e.compactions, e.compactScanned
 }
 
-func (e *Engine) newEvent() *event {
+func (e *Engine) newEvent() (int32, *event) {
 	if n := len(e.free) - 1; n >= 0 {
-		ev := e.free[n]
-		e.free[n] = nil
+		id := e.free[n]
 		e.free = e.free[:n]
-		return ev
+		return id, e.nodes[id]
 	}
-	return &event{}
+	ev := &event{}
+	e.nodes = append(e.nodes, ev)
+	return int32(len(e.nodes) - 1), ev
 }
 
 // recycle returns a node to the free list. Bumping gen here invalidates
 // every outstanding Timer for the node's previous occupant.
-func (e *Engine) recycle(ev *event) {
+func (e *Engine) recycle(id int32) {
+	ev := e.nodes[id]
 	ev.gen++
 	ev.fn = nil
 	ev.dead = false
-	ev.index = -1
-	if len(e.free) < maxFreeEvents {
-		e.free = append(e.free, ev)
-	}
+	e.free = append(e.free, id)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past (t <
@@ -175,10 +184,10 @@ func (e *Engine) At(t Time, fn func(now Time)) Timer {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	ev := e.newEvent()
-	ev.when, ev.seq, ev.fn = t, e.seq, fn
+	id, ev := e.newEvent()
+	ev.when, ev.fn = t, fn
+	e.push(entry{when: t, seq: e.seq, id: id})
 	e.seq++
-	heap.Push(&e.queue, ev)
 	return Timer{ev: ev, gen: ev.gen, fn: fn}
 }
 
@@ -210,26 +219,36 @@ func (e *Engine) Cancel(tm Timer) bool {
 }
 
 // compact removes dead entries from the queue and re-establishes the heap
-// property. Ordering is preserved exactly: Less compares (when, seq) and
-// both survive compaction untouched.
+// property. Ordering is preserved exactly: entries compare by (when, seq)
+// and both survive compaction untouched.
 func (e *Engine) compact() {
 	e.compactions++
 	e.compactScanned += uint64(len(e.queue))
 	live := e.queue[:0]
-	for _, ev := range e.queue {
-		if ev.dead {
-			e.recycle(ev)
+	for _, en := range e.queue {
+		if e.nodes[en.id].dead {
+			e.recycle(en.id)
 		} else {
-			ev.index = len(live)
-			live = append(live, ev)
+			live = append(live, en)
 		}
-	}
-	for i := len(live); i < len(e.queue); i++ {
-		e.queue[i] = nil
 	}
 	e.queue = live
 	e.dead = 0
-	heap.Init(&e.queue)
+	for i := len(live)/2 - 1; i >= 0; i-- {
+		e.siftDown(i)
+	}
+}
+
+// dropDeadTop discards the cancelled entry at the top of the queue. When
+// cancelled timers dominate the queue — mass hedging cancellations — one
+// O(n) compaction replaces O(n) sift-downs instead.
+func (e *Engine) dropDeadTop() {
+	if e.dead > 32 && e.dead*2 > len(e.queue) {
+		e.compact()
+		return
+	}
+	e.recycle(e.pop().id)
+	e.dead--
 }
 
 // Reschedule moves a pending timer to a new absolute time, returning the
@@ -251,33 +270,24 @@ func (e *Engine) Reschedule(tm Timer, t Time) Timer {
 // empty or the engine has been stopped.
 func (e *Engine) Step() bool {
 	for {
-		if e.stopped || e.queue.Len() == 0 {
+		if e.stopped || len(e.queue) == 0 {
 			return false
 		}
-		if ev := e.queue[0]; ev.dead {
-			// Dead entries at the top are usually popped one at a time
-			// (O(log n) each), but when cancelled timers dominate the queue
-			// — mass hedging cancellations — one O(n) compaction replaces
-			// O(n) sift-downs.
-			if e.dead > 32 && e.dead*2 > len(e.queue) {
-				e.compact()
-				continue
-			}
-			heap.Pop(&e.queue)
-			e.dead--
-			e.recycle(ev)
+		ev := e.nodes[e.queue[0].id]
+		if ev.dead {
+			e.dropDeadTop()
 			continue
 		}
-		ev := heap.Pop(&e.queue).(*event)
-		if ev.when < e.now {
+		top := e.pop()
+		if top.when < e.now {
 			panic("sim: time went backwards")
 		}
-		when, fn := ev.when, ev.fn
+		fn := ev.fn
 		// Recycle before running fn so nested At calls can reuse the node;
 		// any Timer still pointing here goes stale at the gen bump, exactly
 		// as a fired event should.
-		e.recycle(ev)
-		e.now = when
+		e.recycle(top.id)
+		e.now = top.when
 		e.dispatched++
 		fn(e.now)
 		return true
@@ -297,22 +307,13 @@ func (e *Engine) Run() {
 // the windowed-execution hot loop peeks the top every window, and popping
 // far-future cancelled timers there was pure overhead.
 func (e *Engine) RunUntil(deadline Time) {
-	for {
-		if e.stopped || e.queue.Len() == 0 {
-			break
-		}
+	for !e.stopped && len(e.queue) > 0 {
 		next := e.queue[0]
 		if next.when > deadline {
 			break
 		}
-		if next.dead {
-			if e.dead > 32 && e.dead*2 > len(e.queue) {
-				e.compact()
-				continue
-			}
-			heap.Pop(&e.queue)
-			e.dead--
-			e.recycle(next)
+		if e.nodes[next.id].dead {
+			e.dropDeadTop()
 			continue
 		}
 		e.Step()
@@ -329,22 +330,13 @@ func (e *Engine) RunUntil(deadline Time) {
 // and the messages (always ≥ one lookahead away) land exactly on or past
 // the boundary.
 func (e *Engine) RunBefore(end Time) {
-	for {
-		if e.stopped || e.queue.Len() == 0 {
-			return
-		}
+	for !e.stopped && len(e.queue) > 0 {
 		next := e.queue[0]
 		if next.when >= end {
 			return
 		}
-		if next.dead {
-			if e.dead > 32 && e.dead*2 > len(e.queue) {
-				e.compact()
-				continue
-			}
-			heap.Pop(&e.queue)
-			e.dead--
-			e.recycle(next)
+		if e.nodes[next.id].dead {
+			e.dropDeadTop()
 			continue
 		}
 		e.Step()
@@ -355,22 +347,14 @@ func (e *Engine) RunBefore(end Time) {
 // entries at the top are discarded on the way (bulk-compacted when they
 // dominate), so repeated peeks stay cheap.
 func (e *Engine) NextLive() (Time, bool) {
-	for {
-		if e.stopped || e.queue.Len() == 0 {
-			return 0, false
-		}
+	for !e.stopped && len(e.queue) > 0 {
 		next := e.queue[0]
-		if !next.dead {
+		if !e.nodes[next.id].dead {
 			return next.when, true
 		}
-		if e.dead > 32 && e.dead*2 > len(e.queue) {
-			e.compact()
-			continue
-		}
-		heap.Pop(&e.queue)
-		e.dead--
-		e.recycle(next)
+		e.dropDeadTop()
 	}
+	return 0, false
 }
 
 // AdvanceClock moves the clock forward to t without dispatching anything;
@@ -418,36 +402,53 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // Pending reports the number of live (non-cancelled) queued events.
 func (e *Engine) Pending() int { return len(e.queue) - e.dead }
 
-// eventHeap orders events by (when, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+// push adds an entry to the heap.
+func (e *Engine) push(en entry) {
+	e.queue = append(e.queue, en)
+	q := e.queue
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !en.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = en
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// pop removes and returns the heap's minimum entry.
+func (e *Engine) pop() entry {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	e.queue = q[:n]
+	if n > 1 {
+		e.siftDown(0)
+	}
+	return top
 }
 
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+// siftDown moves the entry at i down to its place below.
+func (e *Engine) siftDown(i int) {
+	q := e.queue
+	n := len(q)
+	en := q[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(en) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = en
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -317,6 +319,100 @@ func TestEngineFreeListReuse(t *testing.T) {
 	}
 	if len(e.free) > 4 {
 		t.Fatalf("free list holds %d nodes after a 1-deep tick chain, want ≤4", len(e.free))
+	}
+}
+
+func TestEngineRandomScheduleMatchesReference(t *testing.T) {
+	// Random At/Cancel/Reschedule traffic interleaved with Step and
+	// RunUntil, with cancel bursts that force compaction, must dispatch in
+	// exactly sorted (when, seq) order — checked against a reference list of
+	// the pending events.
+	type ref struct {
+		when Time
+		seq  uint64
+		id   int
+	}
+	var compactions uint64
+	for seed := uint64(1); seed <= 10; seed++ {
+		r := NewRand(seed)
+		e := NewEngine()
+		var pending []ref // the reference: every live scheduled event
+		timers := map[int]Timer{}
+		var fired []int
+		nextID := 0
+		schedule := func(when Time) {
+			id := nextID
+			nextID++
+			pending = append(pending, ref{when, e.Scheduled(), id})
+			timers[id] = e.At(when, func(Time) { fired = append(fired, id) })
+		}
+		removeAt := func(i int) ref {
+			rf := pending[i]
+			pending = append(pending[:i], pending[i+1:]...)
+			return rf
+		}
+		// expectFired checks the events fired since mark against the
+		// reference events due by deadline (at most max of them), in sorted
+		// (when, seq) order.
+		expectFired := func(mark int, deadline Time, max int) {
+			sort.Slice(pending, func(i, j int) bool {
+				a, b := pending[i], pending[j]
+				return a.when < b.when || (a.when == b.when && a.seq < b.seq)
+			})
+			var want []int
+			for len(pending) > 0 && pending[0].when <= deadline && len(want) < max {
+				want = append(want, removeAt(0).id)
+			}
+			if got := fired[mark:]; !slices.Equal(got, want) {
+				t.Fatalf("seed %d: dispatched %v, want %v", seed, got, want)
+			}
+		}
+		for step := 0; step < 1500; step++ {
+			switch k := r.Intn(10); {
+			case k < 4:
+				schedule(e.Now() + Time(r.Intn(50)))
+			case k < 5 && len(pending) > 0:
+				rf := removeAt(r.Intn(len(pending)))
+				if !e.Cancel(timers[rf.id]) {
+					t.Fatalf("seed %d: Cancel of pending event %d returned false", seed, rf.id)
+				}
+			case k < 6 && len(pending) > 0:
+				i := r.Intn(len(pending))
+				when := e.Now() + Time(r.Intn(50))
+				pending[i].when, pending[i].seq = when, e.Scheduled()
+				timers[pending[i].id] = e.Reschedule(timers[pending[i].id], when)
+			case k < 7:
+				// A burst of far-future timers, nearly all cancelled, so dead
+				// entries dominate the queue and compaction runs.
+				for j := 0; j < 80; j++ {
+					schedule(e.Now() + 1000 + Time(r.Intn(1000)))
+				}
+				for j := 0; j < 72; j++ {
+					rf := removeAt(len(pending) - 1 - r.Intn(8))
+					e.Cancel(timers[rf.id])
+				}
+			case k < 9:
+				mark := len(fired)
+				e.Step()
+				expectFired(mark, 1<<62, 1)
+			default:
+				mark := len(fired)
+				deadline := e.Now() + Time(r.Intn(40))
+				e.RunUntil(deadline)
+				expectFired(mark, deadline, len(pending))
+			}
+			if e.Pending() != len(pending) {
+				t.Fatalf("seed %d step %d: Pending = %d, reference holds %d", seed, step, e.Pending(), len(pending))
+			}
+		}
+		mark := len(fired)
+		e.Run()
+		expectFired(mark, 1<<62, len(pending))
+		passes, _ := e.CompactStats()
+		compactions += passes
+	}
+	if compactions == 0 {
+		t.Fatal("no schedule forced a compaction")
 	}
 }
 

@@ -74,24 +74,6 @@ func (t *TLB) invalidateHugeCovering(tag Tag, vpn pt.VPN) bool {
 	return false
 }
 
-// flushHugeWhere drops huge entries matching pred.
-func (t *TLB) flushHugeWhere(pred func(Line) bool) {
-	if t.huge == nil {
-		return
-	}
-	var victims []Key
-	t.huge.forEach(func(ln Line) {
-		if pred(ln) {
-			victims = append(victims, ln.Key)
-		}
-	})
-	for _, k := range victims {
-		if ln, ok := t.huge.remove(k); ok {
-			t.droppedHuge(ln)
-		}
-	}
-}
-
 // HasHuge reports whether the 2 MB translation covering vpn is cached.
 func (t *TLB) HasHuge(tag Tag, vpn pt.VPN) bool {
 	if t.huge == nil {

@@ -1,29 +1,38 @@
 package tlb
 
-// lru is a fixed-capacity least-recently-used cache of TLB lines,
-// implemented as a hash map over an intrusive doubly-linked list. Real TLBs
-// are set-associative; fully-associative LRU is the standard simulator
+// lru is a bounded least-recently-used cache of TLB lines, implemented as a
+// hash map over a doubly-linked list threaded through a node slab. Real
+// TLBs are set-associative; fully-associative LRU is the standard simulator
 // simplification and is conservative for the coherence questions this model
 // answers (it never caches *fewer* stale entries than hardware would).
+//
+// Capacity is a limit, not an up-front allocation: the index and the slab
+// grow with the lines actually cached, because most machines touch a few
+// pages per core. Nodes hold no pointers — links are slab positions — so
+// the garbage collector never scans the slab and relinking costs no write
+// barrier (DESIGN.md §8).
 type lru struct {
 	cap   int
-	items map[Key]*lruNode
-	head  *lruNode // most recent
-	tail  *lruNode // least recent
-	// free recycles nodes retired by remove/flush, chained through next.
-	// Invalidate-heavy policies (every shootdown removes lines) would
-	// otherwise allocate a node per refill; the list is naturally bounded by
-	// cap, the most nodes ever live at once.
-	free *lruNode
+	items map[Key]int32 // key → slab position
+	nodes []lruNode     // grows by append, up to cap
+	head  int32         // most recent, or nilNode
+	tail  int32         // least recent, or nilNode
+	// free chains slab positions retired by remove/flush through next.
+	// They are reused before the slab grows, so invalidate-heavy policies
+	// (every shootdown removes lines) refill without allocating.
+	free int32
 }
 
 type lruNode struct {
 	line       Line
-	prev, next *lruNode
+	prev, next int32
 }
 
+// nilNode is the null link.
+const nilNode int32 = -1
+
 func newLRU(capacity int) *lru {
-	return &lru{cap: capacity, items: make(map[Key]*lruNode, capacity)}
+	return &lru{cap: capacity, items: make(map[Key]int32), head: nilNode, tail: nilNode, free: nilNode}
 }
 
 func (c *lru) len() int { return len(c.items) }
@@ -35,104 +44,107 @@ func (c *lru) contains(k Key) bool {
 
 // get returns the line and marks it most recently used.
 func (c *lru) get(k Key) (Line, bool) {
-	n, ok := c.items[k]
+	i, ok := c.items[k]
 	if !ok {
 		return Line{}, false
 	}
-	c.moveToFront(n)
-	return n.line, true
+	c.moveToFront(i)
+	return c.nodes[i].line, true
 }
 
 // put inserts a line, returning the evicted victim if the cache was full.
 // Inserting an existing key updates it in place (no eviction).
 func (c *lru) put(ln Line) (victim Line, evicted bool) {
-	if n, ok := c.items[ln.Key]; ok {
-		n.line = ln
-		c.moveToFront(n)
+	if i, ok := c.items[ln.Key]; ok {
+		c.nodes[i].line = ln
+		c.moveToFront(i)
 		return Line{}, false
 	}
 	if len(c.items) >= c.cap {
-		vn := c.tail
-		victim = vn.line
+		victim = c.drop(c.tail)
 		evicted = true
-		c.unlink(vn)
-		delete(c.items, victim.Key)
-		c.recycle(vn)
 	}
-	n := c.newNode(ln)
-	c.items[ln.Key] = n
-	c.pushFront(n)
+	i := c.newNode(ln)
+	c.items[ln.Key] = i
+	c.pushFront(i)
 	return victim, evicted
 }
 
 // remove deletes a key, returning the removed line.
 func (c *lru) remove(k Key) (Line, bool) {
-	n, ok := c.items[k]
+	i, ok := c.items[k]
 	if !ok {
 		return Line{}, false
 	}
-	c.unlink(n)
-	delete(c.items, k)
-	ln := n.line
-	c.recycle(n)
-	return ln, true
+	return c.drop(i), true
 }
 
-func (c *lru) newNode(ln Line) *lruNode {
-	if n := c.free; n != nil {
-		c.free = n.next
-		n.next = nil
-		n.line = ln
-		return n
-	}
-	return &lruNode{line: ln}
-}
-
-func (c *lru) recycle(n *lruNode) {
-	n.line = Line{}
-	n.prev = nil
-	n.next = c.free
-	c.free = n
-}
-
-// forEach visits every line, most recent first. The callback must not
-// mutate the cache.
-func (c *lru) forEach(fn func(Line)) {
-	for n := c.head; n != nil; n = n.next {
-		fn(n.line)
+// removeWhere unlinks every line matching pred in one walk, most recent
+// first, handing each removed line to dropped. Neither callback may mutate
+// the cache.
+func (c *lru) removeWhere(pred func(Line) bool, dropped func(Line)) {
+	for i := c.head; i != nilNode; {
+		n := &c.nodes[i]
+		next := n.next
+		if pred(n.line) {
+			dropped(c.drop(i))
+		}
+		i = next
 	}
 }
 
-func (c *lru) pushFront(n *lruNode) {
-	n.prev = nil
+// drop unlinks node i, removes it from the index and retires it to the
+// free chain, returning the line it held.
+func (c *lru) drop(i int32) Line {
+	ln := c.nodes[i].line
+	c.unlink(i)
+	delete(c.items, ln.Key)
+	c.nodes[i].next = c.free
+	c.free = i
+	return ln
+}
+
+func (c *lru) newNode(ln Line) int32 {
+	if i := c.free; i != nilNode {
+		c.free = c.nodes[i].next
+		c.nodes[i].line = ln
+		return i
+	}
+	c.nodes = append(c.nodes, lruNode{line: ln})
+	return int32(len(c.nodes) - 1)
+}
+
+func (c *lru) pushFront(i int32) {
+	n := &c.nodes[i]
+	n.prev = nilNode
 	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
+	if c.head != nilNode {
+		c.nodes[c.head].prev = i
 	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
+	c.head = i
+	if c.tail == nilNode {
+		c.tail = i
 	}
 }
 
-func (c *lru) unlink(n *lruNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
+func (c *lru) unlink(i int32) {
+	n := &c.nodes[i]
+	if n.prev != nilNode {
+		c.nodes[n.prev].next = n.next
 	} else {
 		c.head = n.next
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if n.next != nilNode {
+		c.nodes[n.next].prev = n.prev
 	} else {
 		c.tail = n.prev
 	}
-	n.prev, n.next = nil, nil
 }
 
-func (c *lru) moveToFront(n *lruNode) {
-	if c.head == n {
+func (c *lru) moveToFront(i int32) {
+	if c.head == i {
 		return
 	}
-	c.unlink(n)
-	c.pushFront(n)
+	c.unlink(i)
+	c.pushFront(i)
 }

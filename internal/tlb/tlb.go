@@ -92,8 +92,7 @@ func (t *TLB) Lookup(tag Tag, vpn pt.VPN) (Line, bool) {
 		return ln, true
 	}
 	if t.l2 != nil {
-		if ln, ok := t.l2.get(k); ok {
-			t.l2.remove(k)
+		if ln, ok := t.l2.remove(k); ok {
 			t.promote(ln)
 			t.Stats.Hits++
 			return ln, true
@@ -193,7 +192,6 @@ func (t *TLB) InvalidateRange(tag Tag, start, end pt.VPN) int {
 func (t *TLB) FlushAll() {
 	t.Stats.FullFlushes++
 	t.flushWhere(func(Line) bool { return true })
-	t.flushHugeWhere(func(Line) bool { return true })
 }
 
 // FlushTag removes all entries with the given (VPID, PCID) tag — one
@@ -201,7 +199,6 @@ func (t *TLB) FlushAll() {
 // (PCID-preserving CR3 write / INVVPID single-address-space).
 func (t *TLB) FlushTag(tag Tag) {
 	t.flushWhere(func(ln Line) bool { return ln.Key.Tag == tag })
-	t.flushHugeWhere(func(ln Line) bool { return ln.Key.Tag == tag })
 }
 
 // FlushVPID removes all entries of one virtual machine regardless of PCID
@@ -209,28 +206,18 @@ func (t *TLB) FlushTag(tag Tag) {
 // preserving all guest translations.
 func (t *TLB) FlushVPID(v VPID) {
 	t.flushWhere(func(ln Line) bool { return ln.Key.Tag.VPID == v })
-	t.flushHugeWhere(func(ln Line) bool { return ln.Key.Tag.VPID == v })
 }
 
+// flushWhere drops the entries matching pred from every array: L1, then
+// L2, then the huge array, each most recent first.
 func (t *TLB) flushWhere(pred func(Line) bool) {
-	drop := func(c *lru) {
-		if c == nil {
-			return
-		}
-		var victims []Key
-		c.forEach(func(ln Line) {
-			if pred(ln) {
-				victims = append(victims, ln.Key)
-			}
-		})
-		for _, k := range victims {
-			if ln, ok := c.remove(k); ok {
-				t.dropped(ln)
-			}
-		}
+	t.l1.removeWhere(pred, t.dropped)
+	if t.l2 != nil {
+		t.l2.removeWhere(pred, t.dropped)
 	}
-	drop(t.l1)
-	drop(t.l2)
+	if t.huge != nil {
+		t.huge.removeWhere(pred, t.droppedHuge)
+	}
 }
 
 // Len returns the number of cached entries across all arrays.

@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -310,24 +311,26 @@ func TestLRUNodeRecycling(t *testing.T) {
 		c.put(Line{Key: Key{VPN: pt.VPN(i)}, PFN: mem.PFN(i)})
 	}
 	// Remove everything, then refill: the refill must reuse the retired
-	// nodes rather than allocate.
+	// slab positions rather than grow the slab or allocate.
 	for i := 0; i < 4; i++ {
 		if _, ok := c.remove(Key{VPN: pt.VPN(i)}); !ok {
 			t.Fatalf("remove(%d) missed", i)
 		}
 	}
-	freed := 0
-	for n := c.free; n != nil; n = n.next {
-		freed++
+	if n := freeNodes(c); n != 4 {
+		t.Fatalf("free list holds %d nodes, want 4", n)
 	}
-	if freed != 4 {
-		t.Fatalf("free list holds %d nodes, want 4", freed)
+	refill := func() {
+		for i := 10; i < 14; i++ {
+			c.put(Line{Key: Key{VPN: pt.VPN(i)}, PFN: mem.PFN(i)})
+		}
 	}
-	for i := 10; i < 14; i++ {
-		c.put(Line{Key: Key{VPN: pt.VPN(i)}, PFN: mem.PFN(i)})
-	}
-	if c.free != nil {
+	refill()
+	if c.free != nilNode {
 		t.Fatal("free list not drained by refill")
+	}
+	if len(c.nodes) != 4 {
+		t.Fatalf("slab grew to %d nodes, want 4", len(c.nodes))
 	}
 	if c.len() != 4 {
 		t.Fatalf("len = %d, want 4", c.len())
@@ -336,6 +339,150 @@ func TestLRUNodeRecycling(t *testing.T) {
 	victim, evicted := c.put(Line{Key: Key{VPN: 99}})
 	if !evicted || victim.Key.VPN != 10 {
 		t.Fatalf("evicted %v (%v), want VPN 10", victim.Key.VPN, evicted)
+	}
+	// Steady-state churn through the free list allocates nothing.
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 10; i < 14; i++ {
+			c.remove(Key{VPN: pt.VPN(i)})
+		}
+		c.remove(Key{VPN: 99})
+		refill()
+	})
+	if allocs != 0 {
+		t.Fatalf("refill allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// freeNodes counts the slab positions on c's free chain.
+func freeNodes(c *lru) int {
+	n := 0
+	for i := c.free; i != nilNode; i = c.nodes[i].next {
+		n++
+	}
+	return n
+}
+
+// lines returns c's lines, most recent first.
+func lines(c *lru) []Line {
+	var out []Line
+	for i := c.head; i != nilNode; i = c.nodes[i].next {
+		out = append(out, c.nodes[i].line)
+	}
+	return out
+}
+
+// refLRU is the reference model for the differential test: a slice kept in
+// recency order, most recent first.
+type refLRU struct {
+	cap   int
+	lines []Line
+}
+
+func (r *refLRU) find(k Key) int {
+	for i, ln := range r.lines {
+		if ln.Key == k {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *refLRU) get(k Key) (Line, bool) {
+	i := r.find(k)
+	if i < 0 {
+		return Line{}, false
+	}
+	ln := r.lines[i]
+	copy(r.lines[1:i+1], r.lines[:i])
+	r.lines[0] = ln
+	return ln, true
+}
+
+func (r *refLRU) remove(k Key) (Line, bool) {
+	i := r.find(k)
+	if i < 0 {
+		return Line{}, false
+	}
+	ln := r.lines[i]
+	r.lines = append(r.lines[:i], r.lines[i+1:]...)
+	return ln, true
+}
+
+func (r *refLRU) put(ln Line) (victim Line, evicted bool) {
+	if _, ok := r.remove(ln.Key); !ok && len(r.lines) >= r.cap {
+		victim, evicted = r.lines[len(r.lines)-1], true
+		r.lines = r.lines[:len(r.lines)-1]
+	}
+	r.lines = append([]Line{ln}, r.lines...)
+	return victim, evicted
+}
+
+func (r *refLRU) removeWhere(pred func(Line) bool) []Line {
+	var kept, dropped []Line
+	for _, ln := range r.lines {
+		if pred(ln) {
+			dropped = append(dropped, ln)
+		} else {
+			kept = append(kept, ln)
+		}
+	}
+	r.lines = kept
+	return dropped
+}
+
+func TestPropertyLRUMatchesReference(t *testing.T) {
+	// Random put/get/remove/flush sequences must produce the same hits,
+	// victims, removed lines and recency order as the reference list.
+	type op struct {
+		Kind uint8
+		VPN  uint8
+		PCID uint8
+		PFN  uint16
+	}
+	if err := quick.Check(func(capRaw uint8, ops []op) bool {
+		capacity := int(capRaw%8) + 1
+		c, ref := newLRU(capacity), &refLRU{cap: capacity}
+		for _, o := range ops {
+			k := Key{Tag{PCID: PCID(o.PCID % 3)}, pt.VPN(o.VPN % 16)}
+			switch o.Kind % 8 {
+			case 0, 1, 2:
+				ln := Line{Key: k, PFN: mem.PFN(o.PFN), Writable: o.PFN%2 == 0}
+				v, ev := c.put(ln)
+				rv, rev := ref.put(ln)
+				if v != rv || ev != rev {
+					return false
+				}
+			case 3, 4:
+				ln, ok := c.get(k)
+				rln, rok := ref.get(k)
+				if ln != rln || ok != rok {
+					return false
+				}
+			case 5:
+				ln, ok := c.remove(k)
+				rln, rok := ref.remove(k)
+				if ln != rln || ok != rok {
+					return false
+				}
+			case 6, 7:
+				pred := func(ln Line) bool { return ln.Key.Tag == k.Tag }
+				if o.Kind%8 == 7 {
+					pred = func(ln Line) bool { return ln.Key.VPN%2 == k.VPN%2 }
+				}
+				var got []Line
+				c.removeWhere(pred, func(ln Line) { got = append(got, ln) })
+				if !slices.Equal(got, ref.removeWhere(pred)) {
+					return false
+				}
+			}
+			if c.len() != len(ref.lines) || len(c.nodes) > capacity ||
+				!slices.Equal(lines(c), ref.lines) || c.len()+freeNodes(c) != len(c.nodes) {
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }
 

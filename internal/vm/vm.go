@@ -6,6 +6,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"latr/internal/pt"
@@ -222,38 +223,36 @@ func (s *Space) Find(vpn pt.VPN) (VMA, bool) {
 
 // RemoveRange deletes [start, end) from the VMA set, splitting VMAs that
 // straddle the boundary (as munmap does). It returns the removed pieces.
+// The overlapping window is found by binary search and replaced in place by
+// at most two remnants, so the set stays sorted without re-sorting.
 func (s *Space) RemoveRange(start, end pt.VPN) []VMA {
 	if end <= start {
 		return nil
 	}
-	var removed []VMA
-	var out []VMA
-	for _, v := range s.vmas {
-		switch {
-		case v.End <= start || v.Start >= end:
-			out = append(out, v)
-		case v.Start >= start && v.End <= end:
-			removed = append(removed, v)
-		default:
-			// Partial overlap: carve the middle out.
-			mid := v
-			if mid.Start < start {
-				left := v
-				left.End = start
-				out = append(out, left)
-				mid.Start = start
-			}
-			if mid.End > end {
-				right := v
-				right.Start = end
-				out = append(out, right)
-				mid.End = end
-			}
-			removed = append(removed, mid)
-		}
+	lo := sort.Search(len(s.vmas), func(i int) bool { return s.vmas[i].End > start })
+	hi := lo + sort.Search(len(s.vmas)-lo, func(i int) bool { return s.vmas[lo+i].Start >= end })
+	if lo == hi {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	s.vmas = out
+	var remnants [2]VMA
+	n := 0
+	if first := s.vmas[lo]; first.Start < start {
+		first.End = start
+		remnants[n] = first
+		n++
+	}
+	if last := s.vmas[hi-1]; last.End > end {
+		last.Start = end
+		remnants[n] = last
+		n++
+	}
+	removed := make([]VMA, hi-lo)
+	for i, v := range s.vmas[lo:hi] {
+		v.Start = max(v.Start, start)
+		v.End = min(v.End, end)
+		removed[i] = v
+	}
+	s.vmas = slices.Replace(s.vmas, lo, hi, remnants[:n]...)
 	return removed
 }
 

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -219,6 +221,75 @@ func TestPropertySpaceNeverDoubleAllocates(t *testing.T) {
 		}
 		return true
 	}, &quick.Config{MaxCount: 250}); err != nil {
+		t.Error(err)
+	}
+}
+
+// removeRangeRef is the original RemoveRange — rebuild the whole VMA list,
+// then sort it — kept as the reference for the in-place splice.
+func removeRangeRef(vmas []VMA, start, end pt.VPN) (out, removed []VMA) {
+	if end <= start {
+		return vmas, nil
+	}
+	for _, v := range vmas {
+		switch {
+		case v.End <= start || v.Start >= end:
+			out = append(out, v)
+		case v.Start >= start && v.End <= end:
+			removed = append(removed, v)
+		default:
+			mid := v
+			if mid.Start < start {
+				left := v
+				left.End = start
+				out = append(out, left)
+				mid.Start = start
+			}
+			if mid.End > end {
+				right := v
+				right.Start = end
+				out = append(out, right)
+				mid.End = end
+			}
+			removed = append(removed, mid)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	return out, removed
+}
+
+func TestPropertyRemoveRangeMatchesReference(t *testing.T) {
+	// Random Insert/RemoveRange sequences: the spliced VMA list and the
+	// removed pieces must match the rebuild-and-sort reference exactly.
+	type op struct {
+		Remove     bool
+		Start, Len uint8
+		Writable   bool
+		Kind       uint8
+	}
+	if err := quick.Check(func(ops []op) bool {
+		s := NewSpace()
+		var ref []VMA
+		for _, o := range ops {
+			start := pt.VPN(o.Start % 128)
+			end := start + pt.VPN(o.Len%32)
+			if o.Remove {
+				removed := s.RemoveRange(start, end)
+				var want []VMA
+				ref, want = removeRangeRef(ref, start, end)
+				if !slices.Equal(removed, want) {
+					return false
+				}
+			} else if s.Insert(VMA{Start: start, End: end, Writable: o.Writable, Kind: Kind(o.Kind % 3)}) == nil {
+				ref = append(ref, VMA{Start: start, End: end, Writable: o.Writable, Kind: Kind(o.Kind % 3)})
+				sort.Slice(ref, func(i, j int) bool { return ref[i].Start < ref[j].Start })
+			}
+			if !slices.Equal(s.VMAs(), ref) {
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
