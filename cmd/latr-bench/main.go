@@ -11,6 +11,9 @@
 //	latr-bench -parallel 8          # fan each experiment's runs across 8 workers
 //	latr-bench -exp remote -json    # also write BENCH_remote.json
 //
+// Stdout carries only the tables, so it is byte-identical at any -parallel;
+// each experiment's wall time goes to stderr.
+//
 // Regression gate: -compare re-runs each committed baseline's experiment
 // with the baseline's recorded options and fails when any result cell
 // drifts out of tolerance. The simulator is deterministic, so identical
@@ -217,8 +220,8 @@ func run(stdout, stderr io.Writer, args []string) int {
 			return 1
 		}
 		wall := time.Since(start).Seconds()
-		fmt.Fprintln(stdout, tbl)
-		fmt.Fprintf(stdout, "(wall time %.1fs)\n\n", wall)
+		fmt.Fprintf(stdout, "%v\n\n", tbl)
+		fmt.Fprintf(stderr, "(wall time %.1fs)\n", wall)
 		if *emitJSON {
 			if err := writeJSON(tbl, o, wall); err != nil {
 				fmt.Fprintln(stderr, err)

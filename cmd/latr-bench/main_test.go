@@ -43,6 +43,29 @@ func TestRunExperimentJSON(t *testing.T) {
 	}
 }
 
+// TestStdoutIndependentOfWorkers pins what lets CI cmp runs at different
+// worker counts: stdout carries only the table, byte-identical at 1 and 4
+// workers, and the host-dependent wall time goes to stderr.
+func TestStdoutIndependentOfWorkers(t *testing.T) {
+	var outs []string
+	for _, workers := range []string{"1", "4"} {
+		var out, errb strings.Builder
+		if code := run(&out, &errb, []string{"-quick", "-exp", "fig6", "-parallel", workers}); code != 0 {
+			t.Fatalf("-parallel %s exited %d: %s", workers, code, errb.String())
+		}
+		if !strings.HasPrefix(out.String(), "== fig6:") || !strings.HasSuffix(out.String(), "\n\n") {
+			t.Errorf("-parallel %s stdout is not one table and a blank line:\n%s", workers, out.String())
+		}
+		if !strings.Contains(errb.String(), "(wall time ") {
+			t.Errorf("-parallel %s stderr lacks the wall time: %q", workers, errb.String())
+		}
+		outs = append(outs, out.String())
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("stdout differs between 1 and 4 workers:\n%s\n---\n%s", outs[0], outs[1])
+	}
+}
+
 // TestRunUnknownExperiment exits non-zero with a diagnostic.
 func TestRunUnknownExperiment(t *testing.T) {
 	var out, errb strings.Builder

@@ -11,7 +11,7 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"sync"
 
 	"latr"
@@ -40,7 +40,7 @@ type clusterCell struct {
 
 // runCluster executes the sweep and prints per-cell result lines in
 // deterministic sweep order. Exit status 2 flags coherence violations.
-func runCluster(f clusterFlags) int {
+func runCluster(stdout, stderr io.Writer, f clusterFlags) int {
 	policies := splitList(f.policies)
 	if len(policies) == 0 {
 		policies = []string{"linux", "latr"}
@@ -67,12 +67,12 @@ func runCluster(f clusterFlags) int {
 	for _, c := range cells {
 		prof, err := latr.ClusterFaultProfileByName(c.profile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		cfg := clusterConfig(f, c, prof)
 		if err := cfg.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 	}
@@ -103,7 +103,7 @@ func runCluster(f clusterFlags) int {
 	violations := 0
 	for i, c := range cells {
 		r := results[i]
-		fmt.Printf("cluster policy=%s router=%s profile=%s seed=%d nodes=%d "+
+		fmt.Fprintf(stdout, "cluster policy=%s router=%s profile=%s seed=%d nodes=%d "+
 			"offered=%d completed=%d failed=%d rejected=%d retries=%d hedges=%d timeouts=%d shed=%d "+
 			"goodput=%.0f/s p50=%v p99=%v violations=%d digest=%016x\n",
 			c.policy, c.router, c.profile, f.seed, nodes,
@@ -111,10 +111,10 @@ func runCluster(f clusterFlags) int {
 			r.GoodputPerSec, r.Latency.P50(), r.Latency.P99(), r.Violations, r.Digest)
 		violations += r.Violations
 		if f.dump {
-			fmt.Printf("latency %v\n", r.Latency)
+			fmt.Fprintf(stdout, "latency %v\n", r.Latency)
 		}
 	}
-	fmt.Printf("cluster: %d cells, %d violation(s)\n", len(cells), violations)
+	fmt.Fprintf(stdout, "cluster: %d cells, %d violation(s)\n", len(cells), violations)
 	if violations > 0 {
 		return 2
 	}

@@ -40,36 +40,26 @@
 //	latr-sim -cluster -policies latr -cluster-routers affinity -cluster-profiles flaky-fleet
 //	latr-sim -cluster -parallel 8 -seed 7
 //
-// Virt mode renders the virtualized two-level coherence table: the guest
-// munmap microbenchmark plus a host balloon under every nested policy
-// (linux, latr, guest-latr, host-latr, hatric) on both reference machines:
+// Counterfactual mode re-runs one recorded seed of a policy auto-tuner cell
+// with a single knob perturbed and diffs the resulting coherence spans
+// (-quick shrinks the runs):
 //
-//	latr-sim -virt
-//	latr-sim -virt -quick -parallel 4
+//	latr-sim -tune-cf QueueDepth=4 -seed 7
+//	latr-sim -tune-cf ReclaimDelay=8ms -tune-cell churn@8x15
 //
-// Ptrepl mode renders the page-table replication table: the numaPTE-style
-// replication-policy axis (none, replicate-all, adaptive) crossed with
-// eager vs LATR-lazy replica maintenance on both reference machines:
-//
-//	latr-sim -ptrepl
-//	latr-sim -ptrepl -quick -parallel 4
-//
-// Tune mode runs the policy auto-tuner: a seeded evolutionary search over
-// LATR's parameter space plus a knob-sensitivity sweep, or — with
-// -tune-cf — a counterfactual replay that re-runs one recorded seed with a
-// single knob perturbed and diffs the resulting coherence spans:
-//
-//	latr-sim -tune -quick
-//	latr-sim -tune -quick -parallel 4 -seed 7
-//	latr-sim -tune -tune-cf QueueDepth=4 -seed 7
-//	latr-sim -tune -tune-cf ReclaimDelay=8ms -tune-cell churn@8x15
+// The experiment tables — the paper's tables and figures, its ablations
+// and the extensions — are run by latr-bench -exp <id>; latr-bench -list
+// prints the ids.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -77,101 +67,85 @@ import (
 	"latr"
 )
 
-func parseMachine(s string) (latr.MachineSpec, error) {
-	switch s {
-	case "2x8", "small":
-		return latr.TwoSocket16, nil
-	case "8x15", "large":
-		return latr.EightSocket120, nil
-	}
-	parts := strings.SplitN(s, "x", 2)
-	if len(parts) == 2 {
-		sockets, err1 := strconv.Atoi(parts[0])
-		per, err2 := strconv.Atoi(parts[1])
-		if err1 == nil && err2 == nil {
-			return latr.CustomMachine(sockets, per), nil
-		}
-	}
-	return latr.MachineSpec{}, fmt.Errorf("bad machine %q (want 2x8, 8x15, or NxM)", s)
+func main() {
+	os.Exit(run(os.Stdout, os.Stderr, os.Args[1:]))
 }
 
-func main() {
+// run is the testable body of the command. Audit violations, cluster
+// violations and malformed -tune-cf/-tune-cell values exit 2; every other
+// error exits 1.
+func run(stdout, stderr io.Writer, args []string) int {
+	fs := flag.NewFlagSet("latr-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		machine   = flag.String("machine", "2x8", "machine: 2x8, 8x15, or NxM sockets x cores")
-		policy    = flag.String("policy", "latr", "coherence policy: linux, latr, abis, barrelfish, instant")
-		wl        = flag.String("workload", "apache", "workload: micro, apache, nginx, parsec:<name>, graph500, pbzip2, metis, ocean, fluidanimate")
-		cores     = flag.Int("cores", 12, "worker cores")
-		pages     = flag.Int("pages", 1, "pages per op (micro)")
-		iters     = flag.Int("iters", 200, "iterations (micro)")
-		duration  = flag.Duration("duration", 500*time.Millisecond, "simulated duration for server workloads")
-		numaOn    = flag.Bool("numa", false, "enable AutoNUMA balancing")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		check     = flag.Bool("check", false, "enable the TLB reuse-invariant checker")
-		dump      = flag.Bool("dump", true, "dump all metrics at the end")
-		audit     = flag.Bool("audit", false, "enable the coherence auditor (structured violations instead of panics)")
-		traceOut  = flag.String("trace-out", "", "write the run's coherence spans as Chrome trace-event JSON to this file (load in ui.perfetto.dev)")
-		chaosProf = flag.String("chaos-profile", "", "inject faults from this chaos profile (implies -audit); one of: "+strings.Join(latr.ChaosProfiles(), ", "))
-		chaosSeed = flag.Uint64("chaos-seed", 0, "seed for the chaos fault schedule (default: -seed)")
+		machine   = fs.String("machine", "2x8", "machine: 2x8, 8x15, or NxM sockets x cores")
+		policy    = fs.String("policy", "latr", "coherence policy: "+strings.Join(latr.PolicyNames(), ", "))
+		wl        = fs.String("workload", "apache", "workload: micro, apache, nginx, parsec:<name>, graph500, pbzip2, metis, ocean, fluidanimate")
+		cores     = fs.Int("cores", 12, "worker cores")
+		pages     = fs.Int("pages", 1, "pages per op (micro)")
+		iters     = fs.Int("iters", 200, "iterations (micro)")
+		duration  = fs.Duration("duration", 500*time.Millisecond, "simulated duration for server workloads")
+		numaOn    = fs.Bool("numa", false, "enable AutoNUMA balancing")
+		seed      = fs.Uint64("seed", 1, "simulation seed")
+		check     = fs.Bool("check", false, "enable the TLB reuse-invariant checker")
+		dump      = fs.Bool("dump", true, "dump all metrics at the end")
+		audit     = fs.Bool("audit", false, "enable the coherence auditor (structured violations instead of panics)")
+		traceOut  = fs.String("trace-out", "", "write the run's coherence spans as Chrome trace-event JSON to this file (load in ui.perfetto.dev)")
+		chaosProf = fs.String("chaos-profile", "", "inject faults from this chaos profile (implies -audit); one of: "+strings.Join(latr.ChaosProfiles(), ", "))
+		chaosSeed = fs.Uint64("chaos-seed", 0, "seed for the chaos fault schedule (default: -seed)")
 
-		matrix    = flag.Bool("matrix", false, "run a (policy x workload x seed x machine) matrix instead of a single scenario")
-		parallel  = flag.Int("parallel", runtime.NumCPU(), "matrix worker pool size (each run is fully isolated)")
-		policies  = flag.String("policies", "", "matrix: comma-separated policies (default: all)")
-		workloads = flag.String("workloads", "micro,apache,nginx,parsec:dedup", "matrix: comma-separated workloads")
-		machines  = flag.String("machines", "2x8", "matrix: comma-separated machine shapes")
-		seeds     = flag.String("seeds", "1,2", "matrix: comma-separated seeds")
-		verifySeq = flag.Bool("verify-seq", false, "matrix: re-run sequentially and fail unless all fingerprints are byte-identical")
+		matrix    = fs.Bool("matrix", false, "run a (policy x workload x seed x machine) matrix instead of a single scenario")
+		parallel  = fs.Int("parallel", runtime.NumCPU(), "matrix worker pool size (each run is fully isolated)")
+		policies  = fs.String("policies", "", "matrix: comma-separated policies (default: all)")
+		workloads = fs.String("workloads", "micro,apache,nginx,parsec:dedup", "matrix: comma-separated workloads")
+		machines  = fs.String("machines", "2x8", "matrix: comma-separated machine shapes")
+		seeds     = fs.String("seeds", "1,2", "matrix: comma-separated seeds")
+		verifySeq = fs.Bool("verify-seq", false, "matrix: re-run sequentially and fail unless all fingerprints are byte-identical")
 
-		remoteOn = flag.Bool("remote", false, "run the remote-memory paging case study (memcached over the RDMA backend) instead of a plain workload")
-		remoteFr = flag.Int64("remote-frames", 0, "remote: cap the remote node's frame pool (0 = unbounded)")
+		remoteOn = fs.Bool("remote", false, "run the remote-memory paging case study (memcached over the RDMA backend) instead of a plain workload")
+		remoteFr = fs.Int64("remote-frames", 0, "remote: cap the remote node's frame pool (0 = unbounded)")
 
-		clusterOn   = flag.Bool("cluster", false, "run the fault-tolerant multi-machine cluster sweep (policy x router x fault profile) instead of a single-machine workload")
-		clusterN    = flag.Int("cluster-nodes", 0, "cluster: fleet size (0 = default 3)")
-		clusterRt   = flag.String("cluster-routers", "", "cluster: comma-separated routers (default: all of "+strings.Join(latr.ClusterRouters(), ", ")+")")
-		clusterProf = flag.String("cluster-profiles", "none,node-crash", "cluster: comma-separated fault profiles; one of none, "+strings.Join(latr.ClusterFaultProfiles(), ", "))
-		clusterMach = flag.String("cluster-machine", "", "cluster: per-node machine shape NxM (default: 2x4)")
-		clusterHdg  = flag.Duration("cluster-hedge", time.Millisecond, "cluster: hedge delay for a duplicate attempt (0 disables hedging)")
-		clusterSh   = flag.Int("cluster-shards", 0, "cluster: event-engine shards per cell (0 = sequential; results are byte-identical at any count)")
+		clusterOn   = fs.Bool("cluster", false, "run the fault-tolerant multi-machine cluster sweep (policy x router x fault profile) instead of a single-machine workload")
+		clusterN    = fs.Int("cluster-nodes", 0, "cluster: fleet size (0 = default 3)")
+		clusterRt   = fs.String("cluster-routers", "", "cluster: comma-separated routers (default: all of "+strings.Join(latr.ClusterRouters(), ", ")+")")
+		clusterProf = fs.String("cluster-profiles", "none,node-crash", "cluster: comma-separated fault profiles; one of none, "+strings.Join(latr.ClusterFaultProfiles(), ", "))
+		clusterMach = fs.String("cluster-machine", "", "cluster: per-node machine shape NxM (default: 2x4)")
+		clusterHdg  = fs.Duration("cluster-hedge", time.Millisecond, "cluster: hedge delay for a duplicate attempt (0 disables hedging)")
+		clusterSh   = fs.Int("cluster-shards", 0, "cluster: event-engine shards per cell (0 = sequential; results are byte-identical at any count)")
 
-		tuneOn   = flag.Bool("tune", false, "run the policy auto-tuner (evolutionary search + knob sensitivity) instead of a workload")
-		tuneCf   = flag.String("tune-cf", "", "tune: render a counterfactual span diff for one knob perturbation instead of searching, as Knob=value (durations accept Go syntax, e.g. ReclaimDelay=8ms)")
-		tuneCell = flag.String("tune-cell", "churn@2x8", "tune: counterfactual cell, workload@machine (workloads churn, memcached; machines 2x8, 8x15)")
+		tuneCf   = fs.String("tune-cf", "", "render a counterfactual span diff for one knob perturbation of a recorded seed, as Knob=value (durations accept Go syntax, e.g. ReclaimDelay=8ms)")
+		tuneCell = fs.String("tune-cell", "churn@2x8", "tune-cf: counterfactual cell, workload@machine (workloads churn, memcached; machines 2x8, 8x15)")
+		quick    = fs.Bool("quick", false, "tune-cf: smaller runs, same shapes")
 
-		virtOn   = flag.Bool("virt", false, "run the virtualized two-level coherence table (guest munmap + host balloon per policy x machine) instead of a workload")
-		ptreplOn = flag.Bool("ptrepl", false, "run the page-table replication table (policy x replication mode x machine) instead of a workload")
-		tblQuick = flag.Bool("quick", false, "virt/ptrepl: smaller runs, same shapes")
-
-		litmusOn   = flag.Bool("litmus", false, "run the litmus corpus through the differential oracle instead of a workload")
-		litmusGen  = flag.Int("litmus-gen", 0, "litmus: also run this many generated scenarios")
-		litmusVGen = flag.Int("litmus-virt-gen", 0, "litmus: also run this many generated two-level (guest/host) scenarios")
-		litmusSeed = flag.Uint64("litmus-seed", 1000, "litmus: first seed for generated scenarios")
-		litmusRun  = flag.String("litmus-run", "", "litmus: run only this named handwritten scenario")
-		litmusCh   = flag.String("litmus-chaos", "", "litmus: comma-separated chaos profiles to cross in (safety checks only)")
-		verbose    = flag.Bool("v", false, "litmus: print one line per run")
+		litmusOn   = fs.Bool("litmus", false, "run the litmus corpus through the differential oracle instead of a workload")
+		litmusGen  = fs.Int("litmus-gen", 0, "litmus: also run this many generated scenarios")
+		litmusVGen = fs.Int("litmus-virt-gen", 0, "litmus: also run this many generated two-level (guest/host) scenarios")
+		litmusSeed = fs.Uint64("litmus-seed", 1000, "litmus: first seed for generated scenarios")
+		litmusRun  = fs.String("litmus-run", "", "litmus: run only this named handwritten scenario")
+		litmusCh   = fs.String("litmus-chaos", "", "litmus: comma-separated chaos profiles to cross in (safety checks only)")
+		verbose    = fs.Bool("v", false, "litmus: print one line per run")
 	)
-	flag.Parse()
-
-	if *tuneOn {
-		os.Exit(runTune(*tuneCf, *tuneCell, *tblQuick, *seed, *parallel))
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
 
-	if *virtOn {
-		os.Exit(runVirt(*tblQuick, *seed, *parallel))
-	}
-
-	if *ptreplOn {
-		os.Exit(runPtrepl(*tblQuick, *seed, *parallel))
+	if *tuneCf != "" {
+		return runCounterfactual(stdout, stderr, *tuneCf, *tuneCell, *quick, *seed)
 	}
 
 	if *litmusOn {
 		// -machines defaults to "2x8" for matrix mode; litmus mode crosses
 		// both reference topologies unless the flag was given explicitly.
 		litmusMachines := ""
-		flag.Visit(func(f *flag.Flag) {
+		fs.Visit(func(f *flag.Flag) {
 			if f.Name == "machines" {
 				litmusMachines = *machines
 			}
 		})
-		os.Exit(runLitmus(litmusFlags{
+		return runLitmus(stdout, stderr, litmusFlags{
 			gen:      *litmusGen,
 			virtGen:  *litmusVGen,
 			genSeed:  *litmusSeed,
@@ -182,11 +156,11 @@ func main() {
 			seed:     *seed,
 			parallel: *parallel,
 			verbose:  *verbose,
-		}))
+		})
 	}
 
 	if *clusterOn {
-		os.Exit(runCluster(clusterFlags{
+		return runCluster(stdout, stderr, clusterFlags{
 			policies: *policies,
 			routers:  *clusterRt,
 			profiles: *clusterProf,
@@ -199,11 +173,11 @@ func main() {
 			parallel: *parallel,
 			check:    *check,
 			dump:     false,
-		}))
+		})
 	}
 
 	if *remoteOn {
-		os.Exit(runRemote(remoteFlags{
+		return runRemote(stdout, stderr, remoteFlags{
 			machine:      *machine,
 			policy:       *policy,
 			cores:        *cores,
@@ -212,11 +186,11 @@ func main() {
 			check:        *check,
 			dump:         *dump,
 			remoteFrames: *remoteFr,
-		}))
+		})
 	}
 
 	if *matrix {
-		os.Exit(runMatrix(matrixFlags{
+		return runMatrix(stdout, stderr, matrixFlags{
 			parallel:  *parallel,
 			policies:  *policies,
 			workloads: *workloads,
@@ -229,13 +203,13 @@ func main() {
 			numa:      *numaOn,
 			check:     *check,
 			verifySeq: *verifySeq,
-		}))
+		})
 	}
 
-	spec, err := parseMachine(*machine)
+	spec, err := machineFor(*machine, *policy, *cores)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	cfg := latr.Config{
 		Machine:         spec,
@@ -255,8 +229,8 @@ func main() {
 	if *chaosProf != "" {
 		prof, err := latr.ChaosProfileByName(*chaosProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		cs := *chaosSeed
 		if cs == 0 {
@@ -280,8 +254,8 @@ func main() {
 		name := strings.TrimPrefix(*wl, "parsec:")
 		prof, ok := latr.ParsecProfileByName(name)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown parsec benchmark %q\n", name)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "unknown parsec benchmark %q\n", name)
+			return 1
 		}
 		w := latr.NewParsec(prof, cl)
 		w.Setup(k)
@@ -307,8 +281,8 @@ func main() {
 		w.Setup(k)
 		done = w.Done
 	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wl)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "unknown workload %q\n", *wl)
+		return 1
 	}
 
 	limit := latr.Time(duration.Nanoseconds())
@@ -321,13 +295,13 @@ func main() {
 		sys.Run(next)
 	}
 
-	fmt.Printf("machine=%s policy=%s workload=%s simulated=%v\n",
+	fmt.Fprintf(stdout, "machine=%s policy=%s workload=%s simulated=%v\n",
 		spec.Name, *policy, *wl, sys.Now())
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		if err := sys.WritePerfetto(f); err == nil {
 			err = f.Close()
@@ -335,23 +309,40 @@ func main() {
 			f.Close()
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		fmt.Printf("trace: wrote %d spans to %s\n", len(sys.Spans().Retained()), *traceOut)
+		fmt.Fprintf(stdout, "trace: wrote %d spans to %s\n", len(sys.Spans().Retained()), *traceOut)
 	}
 	if *dump {
-		fmt.Print(sys.Metrics().Dump())
+		fmt.Fprint(stdout, sys.Metrics().Dump())
 	}
 	if a := sys.Audit(); a != nil {
 		if a.Len() == 0 {
-			fmt.Println("audit: no coherence violations")
+			fmt.Fprintln(stdout, "audit: no coherence violations")
 		} else {
-			fmt.Printf("audit: %d distinct violation(s), %d total occurrence(s)\n%s",
+			fmt.Fprintf(stdout, "audit: %d distinct violation(s), %d total occurrence(s)\n%s",
 				a.Len(), a.Total(), a.Render())
-			os.Exit(2)
+			return 2
 		}
 	}
+	return 0
+}
+
+// machineFor resolves -machine and rejects a -policy or -cores value the
+// single-machine modes cannot run, before anything is built.
+func machineFor(machine, policy string, cores int) (latr.MachineSpec, error) {
+	spec, err := latr.MachineByName(machine)
+	if err != nil {
+		return spec, err
+	}
+	if names := latr.PolicyNames(); !slices.Contains(names, policy) {
+		return spec, fmt.Errorf("unknown policy %q (want one of %s)", policy, strings.Join(names, ", "))
+	}
+	if cores < 1 || cores > spec.NumCores() {
+		return spec, fmt.Errorf("-cores %d out of range for %s (want 1..%d)", cores, spec.Name, spec.NumCores())
+	}
+	return spec, nil
 }
 
 // matrixFlags carries the -matrix mode configuration.
@@ -375,7 +366,7 @@ func splitList(s string) []string {
 
 // runMatrix executes the experiment matrix across the worker pool and
 // prints one fingerprint line per run, in deterministic matrix order.
-func runMatrix(f matrixFlags) int {
+func runMatrix(stdout, stderr io.Writer, f matrixFlags) int {
 	m := latr.ExperimentMatrix{
 		Policies:  splitList(f.policies),
 		Workloads: splitList(f.workloads),
@@ -392,7 +383,7 @@ func runMatrix(f matrixFlags) int {
 	for _, s := range splitList(f.seeds) {
 		v, err := strconv.ParseUint(s, 10, 64)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad seed %q: %v\n", s, err)
+			fmt.Fprintf(stderr, "bad seed %q: %v\n", s, err)
 			return 1
 		}
 		m.Seeds = append(m.Seeds, v)
@@ -409,14 +400,14 @@ func runMatrix(f matrixFlags) int {
 
 	failed := 0
 	for _, r := range results {
-		fmt.Println(r.Fingerprint())
+		fmt.Fprintln(stdout, r.Fingerprint())
 		if r.Err != "" {
 			failed++
 		}
 	}
-	fmt.Printf("matrix: %d runs, %d workers, wall %.2fs\n", len(results), f.parallel, parWall.Seconds())
+	fmt.Fprintf(stdout, "matrix: %d runs, %d workers, wall %.2fs\n", len(results), f.parallel, parWall.Seconds())
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "matrix: %d run(s) failed\n", failed)
+		fmt.Fprintf(stderr, "matrix: %d run(s) failed\n", failed)
 		return 1
 	}
 
@@ -428,12 +419,12 @@ func runMatrix(f matrixFlags) int {
 		for i := range results {
 			if results[i].Fingerprint() != seq[i].Fingerprint() {
 				mismatches++
-				fmt.Fprintf(os.Stderr, "DIVERGED run %d:\n  par: %s\n  seq: %s\n",
+				fmt.Fprintf(stderr, "DIVERGED run %d:\n  par: %s\n  seq: %s\n",
 					i, results[i].Fingerprint(), seq[i].Fingerprint())
 			}
 		}
 		speedup := seqWall.Seconds() / parWall.Seconds()
-		fmt.Printf("verify-seq: sequential wall %.2fs, speedup %.2fx, mismatches %d\n",
+		fmt.Fprintf(stdout, "verify-seq: sequential wall %.2fs, speedup %.2fx, mismatches %d\n",
 			seqWall.Seconds(), speedup, mismatches)
 		if mismatches > 0 {
 			return 1
@@ -489,16 +480,16 @@ const remoteMemFrames = 1500
 
 // runRemote executes the §6.2 Infiniswap case study once and prints the
 // request-latency percentiles.
-func runRemote(f remoteFlags) int {
-	spec, err := parseMachine(f.machine)
+func runRemote(stdout, stderr io.Writer, f remoteFlags) int {
+	spec, err := machineFor(f.machine, f.policy, f.cores)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	spec.MemPerNodeBytes = remoteMemFrames * 4096
 	cores, err := remoteCores(spec, f.cores)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	sys := latr.NewSystem(latr.Config{
@@ -521,54 +512,45 @@ func runRemote(f remoteFlags) int {
 	sys.RegisterAllForNUMA()
 	sys.Run(f.duration)
 	if !w.Loaded() {
-		fmt.Fprintln(os.Stderr, "remote: KV warm-up never finished; raise -duration")
+		fmt.Fprintln(stderr, "remote: KV warm-up never finished; raise -duration")
 		return 1
 	}
 	m := sys.Metrics()
 	lat := w.Latency()
-	fmt.Printf("machine=%s policy=%s workload=memcached/remote simulated=%v\n",
+	fmt.Fprintf(stdout, "machine=%s policy=%s workload=memcached/remote simulated=%v\n",
 		spec.Name, f.policy, sys.Now())
-	fmt.Printf("requests=%d req/s=%.0f\n", w.Requests(), float64(w.Requests())/f.duration.Seconds())
-	fmt.Printf("latency p50=%v p90=%v p99=%v p99.9=%v\n", lat.P50(), lat.P90(), lat.P99(), lat.P999())
-	fmt.Printf("swap out=%d in=%d dropped=%d\n",
+	fmt.Fprintf(stdout, "requests=%d req/s=%.0f\n", w.Requests(), float64(w.Requests())/f.duration.Seconds())
+	fmt.Fprintf(stdout, "latency p50=%v p90=%v p99=%v p99.9=%v\n", lat.P50(), lat.P90(), lat.P99(), lat.P999())
+	fmt.Fprintf(stdout, "swap out=%d in=%d dropped=%d\n",
 		m.Counter("swap.out"), m.Counter("swap.in"), m.Counter("swap.dropped"))
-	fmt.Printf("remote pool_full=%d inflight_waits=%d\n",
+	fmt.Fprintf(stdout, "remote pool_full=%d inflight_waits=%d\n",
 		m.Counter("remote.pool_full"), m.Counter("remote.inflight_waits"))
 	if f.dump {
-		fmt.Print(m.Dump())
+		fmt.Fprint(stdout, m.Dump())
 	}
 	return 0
 }
 
-// runTune runs the policy auto-tuner: the search + sensitivity table, or
-// a counterfactual span diff when -tune-cf names a knob perturbation.
-func runTune(cf, cell string, quick bool, seed uint64, parallel int) int {
-	if cf == "" {
-		tbl := latr.RunTuneExperiment(latr.ExperimentOptions{
-			Quick:   quick,
-			Seed:    seed,
-			Workers: parallel,
-		})
-		fmt.Println(tbl)
-		return 0
-	}
+// runCounterfactual re-runs one recorded seed with the knob perturbation
+// cf names (Knob=value) and prints the coherence-span diff.
+func runCounterfactual(stdout, stderr io.Writer, cf, cell string, quick bool, seed uint64) int {
 	knob, raw, ok := strings.Cut(cf, "=")
 	if !ok {
-		fmt.Fprintf(os.Stderr, "latr-sim: -tune-cf wants Knob=value, got %q\n", cf)
+		fmt.Fprintf(stderr, "latr-sim: -tune-cf wants Knob=value, got %q\n", cf)
 		return 2
 	}
 	value, err := strconv.ParseInt(raw, 10, 64)
 	if err != nil {
 		d, derr := time.ParseDuration(raw)
 		if derr != nil {
-			fmt.Fprintf(os.Stderr, "latr-sim: -tune-cf value %q is neither an integer nor a duration\n", raw)
+			fmt.Fprintf(stderr, "latr-sim: -tune-cf value %q is neither an integer nor a duration\n", raw)
 			return 2
 		}
 		value = d.Nanoseconds()
 	}
 	wl, machine, ok := strings.Cut(cell, "@")
 	if !ok {
-		fmt.Fprintf(os.Stderr, "latr-sim: -tune-cell wants workload@machine, got %q\n", cell)
+		fmt.Fprintf(stderr, "latr-sim: -tune-cell wants workload@machine, got %q\n", cell)
 		return 2
 	}
 	diff, err := latr.RunCounterfactual(latr.CounterfactualConfig{
@@ -579,39 +561,10 @@ func runTune(cf, cell string, quick bool, seed uint64, parallel int) int {
 		Value: value,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	fmt.Print(diff.Render())
-	return 0
-}
-
-// runVirt renders the virtualized two-level coherence table: the guest
-// munmap microbenchmark plus a host balloon under every virt policy on
-// both reference machines.
-func runVirt(quick bool, seed uint64, parallel int) int {
-	tbl, err := latr.RunExperiment("virt", latr.ExperimentOptions{
-		Quick:   quick,
-		Seed:    seed,
-		Workers: parallel,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Println(tbl)
-	return 0
-}
-
-// runPtrepl renders the page-table replication table: the replication
-// policy axis crossed with eager vs LATR-lazy replica maintenance on both
-// reference machines.
-func runPtrepl(quick bool, seed uint64, parallel int) int {
-	fmt.Println(latr.RunPtreplExperiment(latr.ExperimentOptions{
-		Quick:   quick,
-		Seed:    seed,
-		Workers: parallel,
-	}))
+	fmt.Fprint(stdout, diff.Render())
 	return 0
 }
 
@@ -626,12 +579,12 @@ type litmusFlags struct {
 
 // runLitmus executes the handwritten (and optionally generated) litmus
 // corpus through the differential oracle and reports PASS/FAIL.
-func runLitmus(f litmusFlags) int {
+func runLitmus(stdout, stderr io.Writer, f litmusFlags) int {
 	var scs []*latr.LitmusScenario
 	if f.only != "" {
 		sc := latr.LitmusScenarioByName(f.only)
 		if sc == nil {
-			fmt.Fprintf(os.Stderr, "unknown litmus scenario %q\n", f.only)
+			fmt.Fprintf(stderr, "unknown litmus scenario %q\n", f.only)
 			return 1
 		}
 		scs = []*latr.LitmusScenario{sc}
@@ -656,17 +609,17 @@ func runLitmus(f litmusFlags) int {
 			o := &rep.Outcomes[i]
 			switch {
 			case o.Skipped:
-				fmt.Printf("SKIP %s\n", o.Key())
+				fmt.Fprintf(stdout, "SKIP %s\n", o.Key())
 			case len(o.Failures) > 0:
-				fmt.Printf("FAIL %s (%d failure(s))\n", o.Key(), len(o.Failures))
+				fmt.Fprintf(stdout, "FAIL %s (%d failure(s))\n", o.Key(), len(o.Failures))
 			default:
-				fmt.Printf("ok   %s\n", o.Key())
+				fmt.Fprintf(stdout, "ok   %s\n", o.Key())
 			}
 		}
 	}
-	fmt.Println(rep.Summary())
+	fmt.Fprintln(stdout, rep.Summary())
 	if rep.Failed() {
-		fmt.Print(rep.RenderFailures(20))
+		fmt.Fprint(stdout, rep.RenderFailures(20))
 		return 1
 	}
 	return 0

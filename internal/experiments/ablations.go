@@ -236,100 +236,3 @@ func AblationTHP(o Options) *Table {
 	t.Note("one PMD entry replaces 512 PTE clears and 512 invalidations; LATR's range states cover huge mappings without a new state format (§7)")
 	return t
 }
-
-// Ablations runs all ablation studies.
-func Ablations(o Options) []*Table {
-	return []*Table{
-		AblationQueueDepth(o),
-		AblationSweepTriggers(o),
-		AblationReclaimDelay(o),
-		AblationTransport(o),
-		AblationPCIDAndTickless(o),
-		AblationTHP(o),
-	}
-}
-
-// All runs every figure and table in paper order.
-func All(o Options) []*Table {
-	return []*Table{
-		Table1(), Table2(), Table3(),
-		Fig6(o), Fig7(o), Fig8(o), Fig9(o), Fig10(o), Fig11(o), Fig12(o),
-		Table4(o), Table5(o), MemOverhead(o), IPITable(o), RemoteMemory(o),
-	}
-}
-
-// ByID returns a single experiment runner keyed by its table ID.
-func ByID(id string, o Options) (*Table, error) {
-	switch id {
-	case "table1":
-		return Table1(), nil
-	case "table2":
-		return Table2(), nil
-	case "table3":
-		return Table3(), nil
-	case "table4":
-		return Table4(o), nil
-	case "table5":
-		return Table5(o), nil
-	case "fig6":
-		return Fig6(o), nil
-	case "fig7":
-		return Fig7(o), nil
-	case "fig8":
-		return Fig8(o), nil
-	case "fig9":
-		return Fig9(o), nil
-	case "fig10":
-		return Fig10(o), nil
-	case "fig11":
-		return Fig11(o), nil
-	case "fig12":
-		return Fig12(o), nil
-	case "mem":
-		return MemOverhead(o), nil
-	case "ipi":
-		return IPITable(o), nil
-	case "remote":
-		return RemoteMemory(o), nil
-	case "abl-depth":
-		return AblationQueueDepth(o), nil
-	case "abl-sweep":
-		return AblationSweepTriggers(o), nil
-	case "abl-delay":
-		return AblationReclaimDelay(o), nil
-	case "abl-transport":
-		return AblationTransport(o), nil
-	case "abl-variants":
-		return AblationPCIDAndTickless(o), nil
-	case "abl-thp":
-		return AblationTHP(o), nil
-	case "cluster":
-		return Cluster(o), nil
-	case "virt":
-		return Virt(o), nil
-	case "ptrepl":
-		return Ptrepl(o), nil
-	case "tune":
-		return Tune(o), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q", id)
-	}
-}
-
-// PaperIDs lists the paper's figure/table experiments (no ablations) in
-// paper order.
-func PaperIDs() []string {
-	return []string{
-		"table1", "table2", "table3",
-		"fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-		"table4", "table5", "mem", "ipi", "remote",
-	}
-}
-
-// IDs lists all experiment identifiers in paper order.
-func IDs() []string {
-	return append(PaperIDs(),
-		"abl-depth", "abl-sweep", "abl-delay", "abl-transport", "abl-variants",
-		"abl-thp", "cluster", "virt", "ptrepl", "tune",
-	)
-}

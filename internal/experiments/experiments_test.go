@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -24,13 +25,13 @@ func num(t *testing.T, cell string) float64 {
 var quick = Options{Quick: true, Seed: 1}
 
 func TestStaticTables(t *testing.T) {
-	if got := len(Table1().Rows); got != 9 {
+	if got := len(Table1(quick).Rows); got != 9 {
 		t.Errorf("table1 rows = %d", got)
 	}
-	if got := len(Table2().Rows); got != 10 {
+	if got := len(Table2(quick).Rows); got != 10 {
 		t.Errorf("table2 rows = %d (paper's 9 approaches + tuned LATR)", got)
 	}
-	t3 := Table3()
+	t3 := Table3(quick)
 	if t3.Rows[1][1] != "16 (2x8)" || t3.Rows[1][2] != "120 (8x15)" {
 		t.Errorf("table3 cores row = %v", t3.Rows[1])
 	}
@@ -205,7 +206,15 @@ func TestVirtTableShape(t *testing.T) {
 }
 
 func TestByIDAndIDsAgree(t *testing.T) {
+	seen := map[string]bool{}
 	for _, id := range IDs() {
+		if seen[id] {
+			t.Errorf("id %q registered twice", id)
+		}
+		seen[id] = true
+		if s, ok := lookup(id); !ok || s.ID != id || s.Run == nil {
+			t.Errorf("lookup(%s) = %+v, %v", id, s, ok)
+		}
 		switch id {
 		case "table1", "table2", "table3":
 			tb, err := ByID(id, quick)
@@ -214,14 +223,18 @@ func TestByIDAndIDsAgree(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ByID("bogus", quick); err == nil {
-		t.Error("ByID accepted bogus id")
+	if _, err := ByID("bogus", quick); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Errorf("ByID(bogus) error = %v, want one naming the id", err)
 	}
-	if len(IDs()) != 25 {
-		t.Errorf("IDs() = %d entries", len(IDs()))
+	ids, paper := IDs(), PaperIDs()
+	if len(ids) != 25 {
+		t.Errorf("IDs() = %d entries", len(ids))
 	}
-	if len(PaperIDs()) != 15 {
-		t.Errorf("PaperIDs() = %d entries", len(PaperIDs()))
+	if len(paper) != 15 {
+		t.Errorf("PaperIDs() = %d entries", len(paper))
+	}
+	if len(paper) > len(ids) || !slices.Equal(paper, ids[:len(paper)]) {
+		t.Errorf("PaperIDs() %v is not a prefix of IDs() %v", paper, ids)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // Table is one experiment's result: titled columns, formatted rows, and
 // notes stating the paper's expectation next to what was measured.
 type Table struct {
-	ID      string // e.g. "fig6", "table5"
+	ID      string // the id the experiment is registered under
 	Title   string
 	Columns []string
 	Rows    [][]string

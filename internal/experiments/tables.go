@@ -16,7 +16,7 @@ import (
 // Table1 reproduces Table 1: which virtual-address operations admit a lazy
 // shootdown. The matrix is asserted against the implementation: lazy-capable
 // operations route through LATR states, the rest through the sync IPI path.
-func Table1() *Table {
+func Table1(Options) *Table {
 	t := &Table{
 		ID:      "table1",
 		Title:   "Lazy-shootdown capability by operation",
@@ -37,7 +37,7 @@ func Table1() *Table {
 
 // Table2 reproduces Table 2: property comparison of TLB-coherence
 // approaches. The four software rows are implemented in this repository.
-func Table2() *Table {
+func Table2(Options) *Table {
 	t := &Table{
 		ID:      "table2",
 		Title:   "Approach comparison (✓ = has property)",
@@ -57,7 +57,7 @@ func Table2() *Table {
 }
 
 // Table3 reproduces Table 3: the two machine configurations.
-func Table3() *Table {
+func Table3(Options) *Table {
 	t := &Table{
 		ID:      "table3",
 		Title:   "Evaluation machines",

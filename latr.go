@@ -28,9 +28,10 @@
 //	sys.Run(10 * latr.Millisecond)
 //	fmt.Println(sys.Metrics().Hist("munmap.latency").Mean())
 //
-// The experiment runners that regenerate every table and figure of the
-// paper's evaluation are exposed through RunExperiment and Experiments;
-// the cmd/latr-bench binary wraps them.
+// Every table and figure of the paper's evaluation, and every ablation and
+// extension, is one registered experiment: Experiments lists the ids,
+// PaperExperiments the paper's own, and RunExperiment runs one by id. The
+// cmd/latr-bench binary wraps them.
 package latr
 
 import (
@@ -96,6 +97,10 @@ var (
 func CustomMachine(sockets, coresPerSocket int) MachineSpec {
 	return topo.Custom(sockets, coresPerSocket)
 }
+
+// MachineByName resolves a machine shape: "2x8" (or "small"), "8x15" (or
+// "large"), or "NxM" sockets x cores per socket with N, M > 0.
+func MachineByName(name string) (MachineSpec, error) { return experiments.MachineByName(name) }
 
 // PolicyKind selects a TLB-coherence mechanism.
 type PolicyKind string
@@ -536,33 +541,22 @@ type ExperimentTable = experiments.Table
 // ExperimentOptions sizes experiment runs.
 type ExperimentOptions = experiments.Options
 
-// Experiments lists every reproducible table/figure identifier.
+// Experiments lists every registered experiment id: the paper's tables,
+// figures and case studies in paper order, then the ablations and
+// extensions.
 func Experiments() []string { return experiments.IDs() }
 
 // PaperExperiments lists the identifiers of the paper's own tables,
-// figures and case studies, without the ablations.
+// figures and case studies, without the ablations and extensions.
 func PaperExperiments() []string { return experiments.PaperIDs() }
 
-// RunExperiment regenerates one table or figure by id (e.g. "fig6",
-// "table5", "abl-transport").
+// RunExperiment runs one registered experiment by its id.
 func RunExperiment(id string, o ExperimentOptions) (*ExperimentTable, error) {
 	return experiments.ByID(id, o)
 }
 
-// RunAllExperiments regenerates the full evaluation in paper order.
-func RunAllExperiments(o ExperimentOptions) []*ExperimentTable {
-	return experiments.All(o)
-}
-
 // PolicyNames lists the available coherence policies.
 func PolicyNames() []string { return experiments.PolicyNames() }
-
-// RunPtreplExperiment regenerates the page-table replication table
-// (experiment id "ptrepl"): the replication-policy axis crossed with eager
-// vs LATR-lazy replica maintenance on both reference machines.
-func RunPtreplExperiment(o ExperimentOptions) *ExperimentTable {
-	return experiments.Ptrepl(o)
-}
 
 // Policy auto-tuning (internal/tune, DESIGN.md §16): a typed parameter
 // space over the kernel's validated knob set, a seeded evolutionary search
@@ -600,12 +594,6 @@ func RunTuneSearch(cfg TuneSearchConfig) *TuneResult { return tune.Search(cfg) }
 // diffs the resulting coherence spans.
 func RunCounterfactual(cfg CounterfactualConfig) (*CounterfactualDiff, error) {
 	return tune.Counterfactual(cfg)
-}
-
-// RunTuneExperiment regenerates the auto-tuning table (experiment id
-// "tune"): search result plus the knob-sensitivity sweep.
-func RunTuneExperiment(o ExperimentOptions) *ExperimentTable {
-	return experiments.Tune(o)
 }
 
 // ExperimentRunSpec identifies one cell of the experiment matrix.

@@ -158,7 +158,10 @@ func TestRunPtreplExperimentShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tbl := latr.RunPtreplExperiment(latr.ExperimentOptions{Quick: true, Seed: 1, Workers: -1})
+	tbl, err := latr.RunExperiment("ptrepl", latr.ExperimentOptions{Quick: true, Seed: 1, Workers: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tbl.ID != "ptrepl" || len(tbl.Rows) != 16 {
 		t.Fatalf("ptrepl table = id %q, %d rows", tbl.ID, len(tbl.Rows))
 	}
