@@ -47,6 +47,10 @@ type Core struct {
 	// execution segment, and materializing the bound method there was 21%
 	// of all allocations in the full-reproduction profile.
 	segDone func(now sim.Time)
+	// Continuations bound once per core, on first use (see then): the op
+	// step runner, the two halves of a context switch, and the tick.
+	stepFn, dispatchFn, dispatch2Fn func()
+	tickFn                          func(now sim.Time)
 
 	pendingIRQ []IRQHandler
 	// irqBusyUntil serializes interrupt handlers on the core: an IPI that

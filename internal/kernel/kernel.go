@@ -237,6 +237,11 @@ type Thread struct {
 	// resume continues an in-flight operation after a block; nil when the
 	// thread is at an op boundary.
 	resume func()
+	// op holds the in-flight op's operands for the kernel continuations.
+	// It is allocated on the thread's first op rather than held inline:
+	// set-up spawns many threads, and inline it would more than double
+	// each one's size.
+	op *opState
 
 	// Bookkeeping for preemption.
 	scheduledAt sim.Time

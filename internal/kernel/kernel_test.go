@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"errors"
 	"testing"
 
 	"latr/internal/cost"
@@ -375,6 +376,42 @@ func TestBadSyscallArgs(t *testing.T) {
 	run(k, 10*sim.Millisecond)
 	if len(errs) != 2 || errs[0] == nil || errs[1] == nil {
 		t.Fatalf("errors = %v, want two non-nil", errs)
+	}
+}
+
+// TestBadOpArgsFailTheOp checks that negative durations and page counts
+// fail the op with ErrBadArg, without panicking, and that the thread goes
+// on to its next op; zero stays a valid (empty) op.
+func TestBadOpArgsFailTheOp(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   Op
+		want error
+	}{
+		{"compute -5", OpCompute{D: -5}, ErrBadArg},
+		{"sleep -1", OpSleep{D: -1}, ErrBadArg},
+		{"touch range -1 pages", OpTouchRange{Start: 0x1000, Pages: -1}, ErrBadArg},
+		{"compute 0", OpCompute{D: 0}, nil},
+		{"sleep 0", OpSleep{D: 0}, nil},
+		{"touch range 0 pages", OpTouchRange{Start: 0x1000, Pages: 0}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := testKernel()
+			var err error
+			ranNext := false
+			th := k.NewProcess().Spawn(0, &script{steps: []func(*Thread) Op{
+				func(*Thread) Op { return tc.op },
+				func(th *Thread) Op { err = th.LastErr; return OpCompute{D: sim.Microsecond} },
+				func(*Thread) Op { ranNext = true; return nil },
+			}})
+			run(k, sim.Millisecond)
+			if !errors.Is(err, tc.want) {
+				t.Errorf("LastErr = %v, want %v", err, tc.want)
+			}
+			if !ranNext || th.State != Done {
+				t.Errorf("thread did not continue past the op (ran next op: %v, state %d)", ranNext, th.State)
+			}
+		})
 	}
 }
 

@@ -120,27 +120,38 @@ func (OpMremap) isOp()     {}
 func (c *Core) execOp(th *Thread, op Op) {
 	th.LastErr = nil
 	th.LastFault = 0
+	if th.op == nil {
+		th.op = new(opState)
+	}
 	switch o := op.(type) {
 	case OpCall:
-		o.Fn(c, th, c.opBoundary)
+		o.Fn(c, th, c.then(stepOpBoundary))
 	case OpCompute:
-		c.computeChunk(th, o.D)
+		if o.D < 0 {
+			c.failSyscall(th, ErrBadArg)
+			return
+		}
+		th.op.remaining = o.D
+		c.computeChunk(th)
 	case OpSleep:
 		c.doSleep(th, o.D)
 	case OpYield:
 		c.doYield(th)
 	case OpTouch:
-		c.touchPages(th, o.Pages, o.Write, max(1, o.Accesses), 0, 0)
+		th.op.pages, th.op.n = o.Pages, len(o.Pages)
+		c.startTouch(th, o.Write, o.Accesses)
 	case OpTouchRange:
+		if o.Pages < 0 {
+			c.failSyscall(th, ErrBadArg)
+			return
+		}
 		stride := o.Stride
 		if stride == 0 {
 			stride = 1
 		}
-		pages := make([]pt.VPN, o.Pages)
-		for i := range pages {
-			pages[i] = o.Start + pt.VPN(i*stride)
-		}
-		c.touchPages(th, pages, o.Write, max(1, o.Accesses), 0, 0)
+		th.op.pages, th.op.n = nil, o.Pages
+		th.op.start, th.op.stride = o.Start, stride
+		c.startTouch(th, o.Write, o.Accesses)
 	case OpMmap:
 		c.doMmap(th, o)
 	case OpMunmap:
@@ -158,25 +169,26 @@ func (c *Core) execOp(th *Thread, op Op) {
 	}
 }
 
-// computeChunk burns CPU in tick-sized chunks so preemption latency stays
-// bounded for long computations.
-func (c *Core) computeChunk(th *Thread, remaining sim.Time) {
-	chunk := remaining
-	if max := c.k.Cost.SchedTickPeriod; chunk > max {
-		chunk = max
-	}
-	c.busy(chunk, false, func() {
-		if rem := remaining - chunk; rem > 0 {
-			th.resume = func() { c.computeChunk(th, rem) }
-		}
-		c.opBoundary()
-	})
+// computeChunk burns the next tick-sized chunk of th.op.remaining, so
+// preemption latency stays bounded for long computations; the remainder
+// resumes after the op boundary (stepComputeDone).
+func (c *Core) computeChunk(th *Thread) {
+	chunk := min(th.op.remaining, c.k.Cost.SchedTickPeriod)
+	th.op.remaining -= chunk
+	c.busy(chunk, false, c.then(stepComputeDone))
 }
 
 func (c *Core) doSleep(th *Thread, d sim.Time) {
+	if d < 0 {
+		c.failSyscall(th, ErrBadArg)
+		return
+	}
 	k := c.k
-	c.block(th, c.opBoundary)
-	k.Engine.After(d, func(sim.Time) { k.wake(th) })
+	if th.op.wake == nil {
+		th.op.wake = func(sim.Time) { k.wake(th) }
+	}
+	c.block(th, c.then(stepOpBoundary))
+	k.Engine.After(d, th.op.wake)
 }
 
 func (c *Core) doYield(th *Thread) {
@@ -187,19 +199,28 @@ func (c *Core) doYield(th *Thread) {
 	c.maybeDispatch()
 }
 
+// startTouch begins a touch op whose pages are already in th.op.
+func (c *Core) startTouch(th *Thread, write bool, accesses int) {
+	th.op.next, th.op.write, th.op.accesses = 0, write, max(1, accesses)
+	c.touchPages(th)
+}
+
 // touchPages is the memory-access engine: per page it models the TLB
 // lookup, hardware walk on miss, DRAM access at NUMA-dependent latency,
 // and fault handling. Costs accumulate and are paid in one busy segment
-// per fault-free run of pages.
-func (c *Core) touchPages(th *Thread, pages []pt.VPN, write bool, accesses int, idx int, acc sim.Time) {
+// per fault-free run of pages. It touches th.op's pages from th.op.next.
+func (c *Core) touchPages(th *Thread) {
 	k := c.k
 	m := &k.Cost
 	mm := th.Proc.MM
 	pcid := c.pcid(mm)
 	myNode := k.Spec.NodeOf(c.ID)
+	op := th.op
+	write, accesses := op.write, op.accesses
+	var acc sim.Time
 
-	for i := idx; i < len(pages); i++ {
-		vpn := pages[i]
+	for i := op.next; i < op.n; i++ {
+		vpn := op.page(i)
 		if line, hit := c.TLB.LookupHuge(pcid, vpn); hit && (!write || line.Writable) {
 			off := mem.PFN(vpn - pt.HugeBase(vpn))
 			acc += m.TLBHit + sim.Time(accesses)*c.dramCost(myNode, line.PFN+off)
@@ -301,15 +322,11 @@ func (c *Core) touchPages(th *Thread, pages []pt.VPN, write bool, accesses int, 
 		}
 		// Fault. Pay the accumulated access cost plus fault entry, then
 		// run the handler; the touch resumes at the next page after.
-		i := i
-		c.busy(acc+m.PageFaultEntry, false, func() {
-			c.handleFault(th, vpn, write, e, func() {
-				c.touchPages(th, pages, write, accesses, i+1, 0)
-			})
-		})
+		op.next, op.faultVPN, op.faultEntry = i+1, vpn, e
+		c.busy(acc+m.PageFaultEntry, false, c.then(stepFault))
 		return
 	}
-	c.busy(acc, false, c.opBoundary)
+	c.busy(acc, false, c.then(stepOpBoundary))
 }
 
 // dramCost returns the access latency to a frame from the given node.

@@ -1,5 +1,7 @@
 package kernel
 
+import "slices"
+
 // RWSem is a reader-writer semaphore with FIFO handoff in virtual time —
 // the model of mmap_sem. Writers exclude everyone; readers share. A thread
 // that fails to acquire blocks (yielding its core) and resumes, lock in
@@ -101,13 +103,13 @@ func (s *RWSem) admit() {
 				return
 			}
 			s.writer = true
-			s.waiters = s.waiters[1:]
+			s.waiters = slices.Delete(s.waiters, 0, 1)
 			w.th.resume = w.grant
 			s.k.wake(w.th)
 			return
 		}
 		s.readers++
-		s.waiters = s.waiters[1:]
+		s.waiters = slices.Delete(s.waiters, 0, 1)
 		w.th.resume = w.grant
 		s.k.wake(w.th)
 	}

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"slices"
+
 	"latr/internal/sim"
 )
 
@@ -12,7 +14,7 @@ import (
 func (c *Core) enqueue(th *Thread) {
 	th.State = Ready
 	if th.kernelThread {
-		c.runq = append([]*Thread{th}, c.runq...)
+		c.runq = slices.Insert(c.runq, 0, th)
 		if c.cur != nil {
 			c.needResched = true
 		}
@@ -32,16 +34,19 @@ func (c *Core) maybeDispatch() {
 		c.IdleTime += c.k.Now() - c.idleSince
 		c.idleSince = -1
 	}
-	next := c.runq[0]
-	c.runq = c.runq[1:]
-	c.cur = next
+	c.cur = c.runq[0]
+	// Pop in place, so the queue keeps reusing one backing array.
+	c.runq = slices.Delete(c.runq, 0, 1)
+	if c.dispatchFn == nil {
+		c.dispatchFn = c.dispatch
+	}
 	// The context switch itself runs with interrupts disabled.
-	c.busy(c.k.Cost.ContextSwitch, true, func() { c.dispatch(next) })
+	c.busy(c.k.Cost.ContextSwitch, true, c.dispatchFn)
 }
 
-// dispatch completes a context switch: address-space change, policy hook,
-// then thread execution.
-func (c *Core) dispatch(th *Thread) {
+// dispatch completes a context switch to the current thread: policy hook,
+// then address-space change and thread execution.
+func (c *Core) dispatch() {
 	k := c.k
 	k.Metrics.Inc("sched.context_switches", 1)
 
@@ -49,13 +54,17 @@ func (c *Core) dispatch(th *Thread) {
 	// of the outgoing address space are covered (§4.5).
 	if hook := c.ctxSwitchHook(); hook > 0 {
 		k.Metrics.Observe("policy.ctxswitch_hook", hook)
-		c.busy(hook, false, func() { c.dispatch2(th) })
+		if c.dispatch2Fn == nil {
+			c.dispatch2Fn = c.dispatch2
+		}
+		c.busy(hook, false, c.dispatch2Fn)
 		return
 	}
-	c.dispatch2(th)
+	c.dispatch2()
 }
 
-func (c *Core) dispatch2(th *Thread) {
+func (c *Core) dispatch2() {
+	th := c.mustCurrent()
 	if !th.kernelThread {
 		c.setMM(th.Proc.MM)
 	}
@@ -92,11 +101,7 @@ func (c *Core) runCurrent() {
 // opBoundary runs between ops: it honours preemption requests, otherwise
 // continues with the next op.
 func (c *Core) opBoundary() {
-	th := c.cur
-	if th == nil {
-		c.goIdleOrDispatch()
-		return
-	}
+	th := c.mustCurrent()
 	th.cpuTime += c.k.Now() - th.scheduledAt
 	th.scheduledAt = c.k.Now()
 	if c.needResched && len(c.runq) > 0 {
@@ -172,7 +177,8 @@ func (c *Core) goIdleOrDispatch() {
 func (c *Core) startTicks() {
 	period := c.k.Cost.SchedTickPeriod
 	phase := period * sim.Time(int(c.ID)+1) / sim.Time(c.k.Spec.NumCores()+1)
-	c.k.Engine.At(c.k.Now()+phase, c.tick)
+	c.tickFn = c.tick
+	c.k.Engine.At(c.k.Now()+phase, c.tickFn)
 }
 
 // ctxSwitchHook runs the policy's context-switch hook unless the chaos
@@ -194,16 +200,16 @@ func (c *Core) tick(now sim.Time) {
 		// sweep for this period — the delayed-invalidation scenario.
 		if drop, delay := inj.TickFault(c); drop {
 			k.Metrics.Inc("chaos.tick_dropped", 1)
-			k.Engine.At(now+k.Cost.SchedTickPeriod, c.tick)
+			k.Engine.At(now+k.Cost.SchedTickPeriod, c.tickFn)
 			return
 		} else if delay > 0 {
 			k.Metrics.Inc("chaos.tick_delayed", 1)
 			k.Metrics.Observe("chaos.tick_delay", delay)
-			k.Engine.At(now+delay, c.tick)
+			k.Engine.At(now+delay, c.tickFn)
 			return
 		}
 	}
-	defer k.Engine.At(now+k.Cost.SchedTickPeriod, c.tick)
+	defer k.Engine.At(now+k.Cost.SchedTickPeriod, c.tickFn)
 
 	if k.Opts.Tickless && c.idle() && len(c.runq) == 0 {
 		// Tickless kernels skip the tick on idle cores entirely (§7).

@@ -39,8 +39,6 @@ func (c *Core) internalErr(op string, err error) error {
 }
 
 func (c *Core) doMmap(th *Thread, o OpMmap) {
-	k := c.k
-	m := &k.Cost
 	mm := th.Proc.MM
 	if o.Pages <= 0 {
 		c.failSyscall(th, ErrBadArg)
@@ -56,178 +54,206 @@ func (c *Core) doMmap(th *Thread, o OpMmap) {
 		c.failSyscall(th, ErrBadArg)
 		return
 	}
-	mm.Sem.AcquireWrite(c, th, func() {
-		var start pt.VPN
-		var err error
-		if o.Huge {
-			start, err = mm.Space.ReserveAligned(o.Pages, pt.HugePages)
-		} else {
-			start, err = mm.Space.Reserve(o.Pages)
-		}
-		if err != nil {
-			mm.Sem.ReleaseWrite()
-			c.failSyscall(th, err)
-			return
-		}
-		if err := mm.Space.Insert(vm.VMA{Start: start, End: start + pt.VPN(o.Pages), Writable: o.Writable, Kind: o.Kind}); err != nil {
-			// Reserve handed out an overlapping range.
-			mm.Sem.ReleaseWrite()
-			c.failSyscall(th, c.internalErr("mmap.insert", err))
-			return
-		}
-		cost := m.SyscallEntry + m.VMAOp
-		node := k.Spec.NodeOf(c.ID)
-		if o.Node >= 0 {
-			node = topo.NodeID(o.Node)
-		}
-		switch {
-		case o.Huge:
-			for i := 0; i < o.Pages/pt.HugePages; i++ {
-				base := start + pt.VPN(i*pt.HugePages)
-				pfn, err := k.allocHugeFrame(node)
-				if err != nil {
-					mm.Sem.ReleaseWrite()
-					c.failSyscall(th, err)
-					return
-				}
-				if err := mm.PT.MapHuge(base, pfn, o.Writable); err != nil {
-					mm.Sem.ReleaseWrite()
-					c.failSyscall(th, c.internalErr("mmap.map_huge", err))
-					return
-				}
+	th.op.mmap = o
+	mm.Sem.AcquireWrite(c, th, c.then(stepMmapGrant))
+}
+
+// mmapGrant maps th.op.mmap with mmap_sem held exclusive.
+func (c *Core) mmapGrant(th *Thread) {
+	k := c.k
+	m := &k.Cost
+	mm := th.Proc.MM
+	o := &th.op.mmap
+	var start pt.VPN
+	var err error
+	if o.Huge {
+		start, err = mm.Space.ReserveAligned(o.Pages, pt.HugePages)
+	} else {
+		start, err = mm.Space.Reserve(o.Pages)
+	}
+	if err != nil {
+		mm.Sem.ReleaseWrite()
+		c.failSyscall(th, err)
+		return
+	}
+	if err := mm.Space.Insert(vm.VMA{Start: start, End: start + pt.VPN(o.Pages), Writable: o.Writable, Kind: o.Kind}); err != nil {
+		// Reserve handed out an overlapping range.
+		mm.Sem.ReleaseWrite()
+		c.failSyscall(th, c.internalErr("mmap.insert", err))
+		return
+	}
+	cost := m.SyscallEntry + m.VMAOp
+	node := k.Spec.NodeOf(c.ID)
+	if o.Node >= 0 {
+		node = topo.NodeID(o.Node)
+	}
+	switch {
+	case o.Huge:
+		for i := 0; i < o.Pages/pt.HugePages; i++ {
+			base := start + pt.VPN(i*pt.HugePages)
+			pfn, err := k.allocHugeFrame(node)
+			if err != nil {
+				mm.Sem.ReleaseWrite()
+				c.failSyscall(th, err)
+				return
 			}
-			// Wiring one 2 MB mapping costs roughly one PMD entry plus the
-			// (cheap, contiguous) frame clear amortisation.
-			cost += sim.Time(o.Pages/pt.HugePages) * 8 * m.MmapSetupPerPage
-			cost += k.ReplUpdateRange(c, mm, start, o.Pages)
-			k.Metrics.Inc("sys.mmap_huge", 1)
-		case o.Populate:
-			for i := 0; i < o.Pages; i++ {
-				pfn, err := k.allocFrameFor(mm, node)
-				if err != nil {
-					mm.Sem.ReleaseWrite()
-					c.failSyscall(th, err)
-					return
-				}
-				if err := mm.PT.Map(start+pt.VPN(i), pfn, o.Writable); err != nil {
-					mm.Sem.ReleaseWrite()
-					c.failSyscall(th, c.internalErr("mmap.map", err))
-					return
-				}
+			if err := mm.PT.MapHuge(base, pfn, o.Writable); err != nil {
+				mm.Sem.ReleaseWrite()
+				c.failSyscall(th, c.internalErr("mmap.map_huge", err))
+				return
 			}
-			cost += sim.Time(o.Pages) * m.MmapSetupPerPage
-			cost += k.ReplUpdateRange(c, mm, start, o.Pages)
 		}
-		c.busy(cost, false, func() {
-			mm.Sem.ReleaseWrite()
-			th.LastAddr = start
-			k.Metrics.Inc("sys.mmap", 1)
-			c.opBoundary()
-		})
-	})
+		// Wiring one 2 MB mapping costs roughly one PMD entry plus the
+		// (cheap, contiguous) frame clear amortisation.
+		cost += sim.Time(o.Pages/pt.HugePages) * 8 * m.MmapSetupPerPage
+		cost += k.ReplUpdateRange(c, mm, start, o.Pages)
+		k.Metrics.Inc("sys.mmap_huge", 1)
+	case o.Populate:
+		for i := 0; i < o.Pages; i++ {
+			pfn, err := k.allocFrameFor(mm, node)
+			if err != nil {
+				mm.Sem.ReleaseWrite()
+				c.failSyscall(th, err)
+				return
+			}
+			if err := mm.PT.Map(start+pt.VPN(i), pfn, o.Writable); err != nil {
+				mm.Sem.ReleaseWrite()
+				c.failSyscall(th, c.internalErr("mmap.map", err))
+				return
+			}
+		}
+		cost += sim.Time(o.Pages) * m.MmapSetupPerPage
+		cost += k.ReplUpdateRange(c, mm, start, o.Pages)
+	}
+	th.op.addr = start
+	c.busy(cost, false, c.then(stepMmapDone))
 }
 
 // doMunmap implements munmap (keepVMA=false) and madvise-style frees
 // (keepVMA=true). The flow mirrors Fig 2: clear PTEs, invalidate the local
 // TLB, then hand remote coherence and memory release to the policy.
 func (c *Core) doMunmap(th *Thread, addr pt.VPN, pages int, keepVMA, forceSync bool) {
-	k := c.k
-	m := &k.Cost
-	mm := th.Proc.MM
 	if pages <= 0 {
 		c.failSyscall(th, ErrBadArg)
 		return
 	}
-	t0 := k.Now()
-	mm.Sem.AcquireWrite(c, th, func() {
-		if !keepVMA {
-			removed := mm.Space.RemoveRange(addr, addr+pt.VPN(pages))
-			if len(removed) == 0 {
-				mm.Sem.ReleaseWrite()
-				c.failSyscall(th, ErrNoVMA)
-				return
-			}
-			k.notifySwapUnmap(mm, addr, pages)
+	op := th.op
+	op.addr, op.npages, op.keepVMA, op.forceSync = addr, pages, keepVMA, forceSync
+	op.t0 = c.k.Now()
+	th.Proc.MM.Sem.AcquireWrite(c, th, c.then(stepMunmapGrant))
+}
+
+// munmapGrant clears the PTEs of th.op's range and invalidates the local
+// TLB, with mmap_sem held exclusive.
+func (c *Core) munmapGrant(th *Thread) {
+	k := c.k
+	m := &k.Cost
+	mm := th.Proc.MM
+	op := th.op
+	addr, pages, keepVMA := op.addr, op.npages, op.keepVMA
+	if !keepVMA {
+		removed := mm.Space.RemoveRange(addr, addr+pt.VPN(pages))
+		if len(removed) == 0 {
+			mm.Sem.ReleaseWrite()
+			c.failSyscall(th, ErrNoVMA)
+			return
 		}
-		var frames []FrameRef
-		var replCost sim.Time
-		hugeEntries := 0
-		for i := 0; i < pages; i++ {
-			vpn := addr + pt.VPN(i)
-			if vpn == pt.HugeBase(vpn) {
-				if he, ok := mm.PT.GetHuge(vpn); ok {
-					if i+pt.HugePages > pages {
-						// Partial unmap of a huge mapping: splitting is not
-						// modelled (real THP would split the PMD first).
-						mm.Sem.ReleaseWrite()
-						c.failSyscall(th, ErrBadArg)
-						return
-					}
-					mm.PT.UnmapHuge(vpn)
-					hugeEntries++
-					for j := 0; j < pt.HugePages; j++ {
-						frames = append(frames, FrameRef{VPN: vpn + pt.VPN(j), PFN: he.PFN + mem.PFN(j)})
-						replCost += k.ReplUnmapPTE(c, mm, vpn+pt.VPN(j),
-							pt.Entry{PFN: he.PFN + mem.PFN(j), Present: true, Writable: he.Writable})
-					}
-					i += pt.HugePages - 1
-					continue
+		k.notifySwapUnmap(mm, addr, pages)
+	}
+	// The policy keeps the frame list until the frames are reclaimed, so
+	// each unmap gets its own, sized once.
+	frames := make([]FrameRef, 0, pages)
+	var replCost sim.Time
+	hugeEntries := 0
+	for i := 0; i < pages; i++ {
+		vpn := addr + pt.VPN(i)
+		if vpn == pt.HugeBase(vpn) {
+			if he, ok := mm.PT.GetHuge(vpn); ok {
+				if i+pt.HugePages > pages {
+					// Partial unmap of a huge mapping: splitting is not
+					// modelled (real THP would split the PMD first).
+					mm.Sem.ReleaseWrite()
+					c.failSyscall(th, ErrBadArg)
+					return
 				}
-			}
-			if old, ok := mm.PT.Unmap(vpn); ok {
-				frames = append(frames, FrameRef{VPN: vpn, PFN: old.PFN, vm: mm.VM})
-				replCost += k.ReplUnmapPTE(c, mm, vpn, old)
-			}
-		}
-		// A huge mapping clears one PMD entry, not 512 PTEs.
-		pteEntries := pages - hugeEntries*(pt.HugePages-1)
-		// Local invalidation, mirroring the remote rule: full flush past
-		// the 33-page threshold (scoped to the mm's VPID — a guest's full
-		// flush cannot reach host or sibling-VM entries).
-		pcid := c.pcid(mm)
-		if pages > m.FullFlushThreshold {
-			c.flushMM(mm)
-		} else {
-			c.TLB.InvalidateRange(pcid, addr, addr+pt.VPN(pages))
-		}
-		cost := m.SyscallEntry + m.VMAOp +
-			sim.Time(pteEntries)*m.PTEClearPerPage +
-			m.InvalidateCost(pteEntries) +
-			sim.Time(mm.CPUMask.Count())*m.MunmapContentionPerCore +
-			replCost
-		kind := obs.KindMunmap
-		if keepVMA {
-			kind = obs.KindMadvise
-		}
-		sp := k.Spans.Begin(kind, c.ID, addr, pages, t0)
-		if mm.VM != nil {
-			sp.SetLevel(1)
-		}
-		tB := k.Now()
-		// The PTE/TLB phase runs with the page-table lock held and
-		// interrupts off; incoming shootdown IPIs queue behind it.
-		c.busy(cost, true, func() {
-			t1 := k.Now()
-			sp.Mark(obs.PhaseInitiate, c.ID, tB, t1-tB)
-			u := Unmap{MM: mm, Start: addr, Pages: pages, Frames: frames, KeepVMA: keepVMA, ForceSync: forceSync, Span: sp}
-			c.SetSpan(sp)
-			k.policy.Munmap(c, u, func() {
-				t2 := k.Now()
-				c.SetSpan(nil)
-				sp.Release(t2)
-				mm.Sem.ReleaseWrite()
-				th.LastAddr = addr
-				if keepVMA {
-					k.Metrics.Inc("sys.madvise", 1)
-				} else {
-					k.Metrics.Inc("sys.munmap", 1)
+				mm.PT.UnmapHuge(vpn)
+				hugeEntries++
+				for j := 0; j < pt.HugePages; j++ {
+					frames = append(frames, FrameRef{VPN: vpn + pt.VPN(j), PFN: he.PFN + mem.PFN(j)})
+					replCost += k.ReplUnmapPTE(c, mm, vpn+pt.VPN(j),
+						pt.Entry{PFN: he.PFN + mem.PFN(j), Present: true, Writable: he.Writable})
 				}
-				k.Metrics.Observe("munmap.latency", t2-t0)
-				k.Metrics.Observe("munmap.shootdown", t2-t1)
-				c.opBoundary()
-			})
-		})
-	})
+				i += pt.HugePages - 1
+				continue
+			}
+		}
+		if old, ok := mm.PT.Unmap(vpn); ok {
+			frames = append(frames, FrameRef{VPN: vpn, PFN: old.PFN, vm: mm.VM})
+			replCost += k.ReplUnmapPTE(c, mm, vpn, old)
+		}
+	}
+	// A huge mapping clears one PMD entry, not 512 PTEs.
+	pteEntries := pages - hugeEntries*(pt.HugePages-1)
+	// Local invalidation, mirroring the remote rule: full flush past the
+	// 33-page threshold (scoped to the mm's VPID — a guest's full flush
+	// cannot reach host or sibling-VM entries).
+	pcid := c.pcid(mm)
+	if pages > m.FullFlushThreshold {
+		c.flushMM(mm)
+	} else {
+		c.TLB.InvalidateRange(pcid, addr, addr+pt.VPN(pages))
+	}
+	cost := m.SyscallEntry + m.VMAOp +
+		sim.Time(pteEntries)*m.PTEClearPerPage +
+		m.InvalidateCost(pteEntries) +
+		sim.Time(mm.CPUMask.Count())*m.MunmapContentionPerCore +
+		replCost
+	kind := obs.KindMunmap
+	if keepVMA {
+		kind = obs.KindMadvise
+	}
+	sp := k.Spans.Begin(kind, c.ID, addr, pages, op.t0)
+	if mm.VM != nil {
+		sp.SetLevel(1)
+	}
+	op.frames, op.span, op.tB = frames, sp, k.Now()
+	// The PTE/TLB phase runs with the page-table lock held and interrupts
+	// off; incoming shootdown IPIs queue behind it.
+	c.busy(cost, true, c.then(stepMunmapCleared))
+}
+
+// munmapCleared hands remote coherence and memory release for th.op's
+// range to the policy once the PTE/TLB phase is paid.
+func (c *Core) munmapCleared(th *Thread) {
+	k := c.k
+	op := th.op
+	op.t1 = k.Now()
+	sp := op.span
+	sp.Mark(obs.PhaseInitiate, c.ID, op.tB, op.t1-op.tB)
+	u := Unmap{MM: th.Proc.MM, Start: op.addr, Pages: op.npages, Frames: op.frames, KeepVMA: op.keepVMA, ForceSync: op.forceSync, Span: sp}
+	op.frames = nil
+	c.SetSpan(sp)
+	k.policy.Munmap(c, u, c.then(stepMunmapDone))
+}
+
+// munmapDone completes munmap/madvise once the policy is done.
+func (c *Core) munmapDone(th *Thread) {
+	k := c.k
+	op := th.op
+	t2 := k.Now()
+	c.SetSpan(nil)
+	op.span.Release(t2)
+	op.span = nil
+	th.Proc.MM.Sem.ReleaseWrite()
+	th.LastAddr = op.addr
+	if op.keepVMA {
+		k.Metrics.Inc("sys.madvise", 1)
+	} else {
+		k.Metrics.Inc("sys.munmap", 1)
+	}
+	k.Metrics.Observe("munmap.latency", t2-op.t0)
+	k.Metrics.Observe("munmap.shootdown", t2-op.t1)
+	c.opBoundary()
 }
 
 func (c *Core) doMprotect(th *Thread, o OpMprotect) {
@@ -361,5 +387,5 @@ func (c *Core) doMremap(th *Thread, o OpMremap) {
 // failSyscall records the error and completes the op with a nominal cost.
 func (c *Core) failSyscall(th *Thread, err error) {
 	th.LastErr = err
-	c.busy(c.k.Cost.SyscallEntry, false, c.opBoundary)
+	c.busy(c.k.Cost.SyscallEntry, false, c.then(stepOpBoundary))
 }

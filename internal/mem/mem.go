@@ -37,9 +37,11 @@ type nodePool struct {
 
 // Allocator manages all nodes' physical memory.
 type Allocator struct {
-	spec   topo.Spec
-	pools  []nodePool
-	frames map[PFN]*frameState
+	spec  topo.Spec
+	pools []nodePool
+	// frames holds each allocated frame's state by value, so handing out
+	// a frame creates no heap object.
+	frames map[PFN]frameState
 
 	// peakInUse tracks the high-water mark of allocated frames, for the
 	// §6.4 memory-overhead experiment.
@@ -52,7 +54,7 @@ func NewAllocator(spec topo.Spec) *Allocator {
 	framesPerNode := PFN(spec.MemPerNodeBytes / PageSize)
 	a := &Allocator{
 		spec:   spec,
-		frames: make(map[PFN]*frameState),
+		frames: make(map[PFN]frameState),
 	}
 	for n := 0; n < spec.NumNodes(); n++ {
 		lo := PFN(n) * framesPerNode
@@ -86,7 +88,7 @@ func (a *Allocator) Alloc(node topo.NodeID) (PFN, error) {
 	if _, dup := a.frames[pfn]; dup {
 		panic(fmt.Sprintf("mem: frame %d handed out twice", pfn))
 	}
-	a.frames[pfn] = &frameState{refs: 1, node: node}
+	a.frames[pfn] = frameState{refs: 1, node: node}
 	p.inUse++
 	a.totalIn++
 	if a.totalIn > a.peakInUse {
@@ -114,7 +116,7 @@ func (a *Allocator) AllocContig(node topo.NodeID, n int) (PFN, error) {
 		if _, dup := a.frames[pfn]; dup {
 			panic(fmt.Sprintf("mem: frame %d handed out twice", pfn))
 		}
-		a.frames[pfn] = &frameState{refs: 1, node: node}
+		a.frames[pfn] = frameState{refs: 1, node: node}
 	}
 	p.inUse += int64(n)
 	a.totalIn += int64(n)
@@ -128,6 +130,7 @@ func (a *Allocator) AllocContig(node topo.NodeID, n int) (PFN, error) {
 func (a *Allocator) Get(pfn PFN) {
 	f := a.mustFrame(pfn, "Get")
 	f.refs++
+	a.frames[pfn] = f
 }
 
 // Put decrements the refcount; at zero the frame returns to its node's free
@@ -136,6 +139,7 @@ func (a *Allocator) Put(pfn PFN) {
 	f := a.mustFrame(pfn, "Put")
 	f.refs--
 	if f.refs > 0 {
+		a.frames[pfn] = f
 		return
 	}
 	if f.refs < 0 {
@@ -186,7 +190,7 @@ func (a *Allocator) PeakInUse() int64 { return a.peakInUse }
 // ResetPeak restarts high-water-mark tracking from the current usage.
 func (a *Allocator) ResetPeak() { a.peakInUse = a.totalIn }
 
-func (a *Allocator) mustFrame(pfn PFN, op string) *frameState {
+func (a *Allocator) mustFrame(pfn PFN, op string) frameState {
 	f, ok := a.frames[pfn]
 	if !ok {
 		panic(fmt.Sprintf("mem: %s on unallocated frame %d", op, pfn))

@@ -122,6 +122,38 @@ func TestPutUnallocatedPanics(t *testing.T) {
 	a.Put(12345)
 }
 
+// TestGetPutReleasedFramePanics checks that frame state goes with the last
+// Put: Get and Put on a released frame panic like on one never allocated.
+func TestGetPutReleasedFramePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(a *Allocator, pfn PFN)
+	}{
+		{"Get", (*Allocator).Get},
+		{"Put", (*Allocator).Put},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newTestAlloc()
+			pfn, err := a.Alloc(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Get(pfn)
+			a.Put(pfn)
+			a.Put(pfn)
+			if got := a.Refs(pfn); got != 0 {
+				t.Fatalf("Refs after the last Put = %d, want 0", got)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s on a released frame should panic", tc.name)
+				}
+			}()
+			tc.op(a, pfn)
+		})
+	}
+}
+
 func TestPeakTracking(t *testing.T) {
 	a := newTestAlloc()
 	var pfns []PFN
