@@ -4,10 +4,8 @@ package main
 // (policy × router × fault-profile) sweep and print one digest line per
 // cell. Cells are isolated simulations, so the fan-out worker count only
 // changes wall-clock — the printed lines are byte-identical at any
-// -parallel AND at any -cluster-shards count (each cell's event engine
-// shards per machine under a conservative lookahead window), which is
-// exactly what the CI determinism sweeps assert. Nothing host-dependent
-// (wall time, worker count, shard count) goes to stdout.
+// -parallel, which is exactly what the CI determinism sweep asserts.
+// Nothing host-dependent (wall time, worker count) goes to stdout.
 
 import (
 	"fmt"
@@ -24,7 +22,6 @@ type clusterFlags struct {
 	profiles string
 	nodes    int
 	machine  string
-	shards   int
 	duration latr.Time
 	hedge    latr.Time
 	seed     uint64
@@ -130,7 +127,6 @@ func clusterConfig(f clusterFlags, c clusterCell, prof latr.ClusterFaultProfile)
 	cfg.Profile = prof
 	cfg.Nodes = f.nodes
 	cfg.Machine = f.machine
-	cfg.Shards = f.shards
 	cfg.Duration = f.duration
 	cfg.HedgeDelay = f.hedge
 	cfg.Audit = true

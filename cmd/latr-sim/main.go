@@ -111,7 +111,6 @@ func run(stdout, stderr io.Writer, args []string) int {
 		clusterProf = fs.String("cluster-profiles", "none,node-crash", "cluster: comma-separated fault profiles; one of none, "+strings.Join(latr.ClusterFaultProfiles(), ", "))
 		clusterMach = fs.String("cluster-machine", "", "cluster: per-node machine shape NxM (default: 2x4)")
 		clusterHdg  = fs.Duration("cluster-hedge", time.Millisecond, "cluster: hedge delay for a duplicate attempt (0 disables hedging)")
-		clusterSh   = fs.Int("cluster-shards", 0, "cluster: event-engine shards per cell (0 = sequential; results are byte-identical at any count)")
 
 		tuneCf   = fs.String("tune-cf", "", "render a counterfactual span diff for one knob perturbation of a recorded seed, as Knob=value (durations accept Go syntax, e.g. ReclaimDelay=8ms)")
 		tuneCell = fs.String("tune-cell", "churn@2x8", "tune-cf: counterfactual cell, workload@machine (workloads churn, memcached; machines 2x8, 8x15)")
@@ -166,7 +165,6 @@ func run(stdout, stderr io.Writer, args []string) int {
 			profiles: *clusterProf,
 			nodes:    *clusterN,
 			machine:  *clusterMach,
-			shards:   *clusterSh,
 			duration: latr.Time(duration.Nanoseconds()),
 			hedge:    latr.Time(clusterHdg.Nanoseconds()),
 			seed:     *seed,

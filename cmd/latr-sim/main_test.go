@@ -40,6 +40,7 @@ func TestBadInputIsAnError(t *testing.T) {
 		{[]string{"-cores", "500"}, "-cores 500", 1},
 		{[]string{"-remote", "-cores", "0"}, "-cores 0", 1},
 		{[]string{"-workload", "bogus"}, "bogus", 1},
+		{[]string{"-cluster", "-cluster-machine", "2x2"}, "2x2", 1},
 		{[]string{"-tune-cf", "QueueDepth"}, "QueueDepth", 2},
 		{[]string{"-tune-cf", "QueueDepth=many"}, "many", 2},
 		{[]string{"-tune-cf", "QueueDepth=4", "-tune-cell", "churn"}, "churn", 2},

@@ -12,18 +12,15 @@
 // chaos cluster fault family (node crash/restart, slow nodes, partition
 // windows, queue-overflow shedding) makes the fleet unreliable.
 //
-// The fleet runs on a sim.Sharded engine: the front-end is one endpoint,
-// every node is another, and the one-sided wire delay (netDelay) is the
-// conservative lookahead bound, so with Shards > 1 the machines simulate
-// in parallel between window barriers. A cluster run is byte-deterministic
-// per seed at ANY shard count — the front-end never reads node state
-// directly (it routes on a per-node mirror fed by scheduled fault windows
-// and its own attempt accounting), every front↔node interaction crosses
-// the wire as a barrier-ordered message, and the fault schedule is drawn
-// up front and applied to both sides at the same virtual instants. The
-// experiment layer additionally fans isolated (policy × router × fault
-// profile) cells across internal/fan workers, again without changing any
-// byte of output.
+// The front-end and every node run on one sim.Engine. Every front↔node
+// interaction crosses the wire (wire.go) as a message that takes netDelay
+// and is delivered at a window barrier; the front-end never reads node
+// state directly (it routes on a per-node mirror fed by the fault
+// schedule and its own attempt accounting), and the fault schedule is
+// drawn up front and applied to both sides at the same virtual instants.
+// A cluster run is byte-deterministic per seed. The experiment layer fans
+// isolated (policy × router × fault profile) cells across internal/fan
+// workers without changing any byte of output.
 package cluster
 
 import (
@@ -75,11 +72,6 @@ type Config struct {
 	// Router selects the routing policy: round-robin, least-loaded or
 	// affinity (default "round-robin").
 	Router string
-	// Shards is the number of event-engine shards the fleet simulates on
-	// (default 1: the sequential reference). Results are byte-identical at
-	// every value; more shards only buys wall-clock parallelism, up to one
-	// shard per node plus one for the front-end.
-	Shards int
 	// Profile is the cluster fault schedule (zero value: fault-free).
 	Profile chaos.ClusterProfile
 	// Seed drives every random stream in the run.
@@ -176,18 +168,14 @@ func DefaultConfig() Config {
 
 // Validate rejects configurations that could never have been intended,
 // mirroring swap.Config.Validate: zero fields mean "default" and are
-// legal, negative fields and inverted pairs are errors.
+// legal; negative fields, inverted pairs and a machine with too few cores
+// for WorkersPerNode are errors.
 func (c Config) Validate() error {
 	if c.Nodes < 0 {
 		return fmt.Errorf("cluster: Nodes %d is negative", c.Nodes)
 	}
 	if c.Nodes > maxNodes {
 		return fmt.Errorf("cluster: Nodes %d exceeds the maximum %d", c.Nodes, maxNodes)
-	}
-	if c.Machine != "" {
-		if _, err := machineByName(c.Machine); err != nil {
-			return err
-		}
 	}
 	if c.Policy != "" {
 		if _, err := newPolicy(c.Policy); err != nil {
@@ -198,12 +186,6 @@ func (c Config) Validate() error {
 		if !knownRouter(c.Router) {
 			return fmt.Errorf("cluster: unknown router %q (have %v)", c.Router, RouterNames())
 		}
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("cluster: Shards %d is negative", c.Shards)
-	}
-	if c.Shards > maxNodes+1 {
-		return fmt.Errorf("cluster: Shards %d exceeds the maximum %d", c.Shards, maxNodes+1)
 	}
 	if c.Keys < 0 {
 		return fmt.Errorf("cluster: Keys %d is negative", c.Keys)
@@ -282,6 +264,16 @@ func (c Config) Validate() error {
 	if c.Duration < 0 {
 		return fmt.Errorf("cluster: Duration %v is negative", c.Duration)
 	}
+	// The machine is checked after defaults, together with the worker
+	// count, so a small machine fails against the default WorkersPerNode.
+	d := c.withDefaults()
+	spec, err := machineByName(d.Machine)
+	if err != nil {
+		return err
+	}
+	if _, err := workerCores(spec, d.WorkersPerNode); err != nil {
+		return fmt.Errorf("cluster: machine %q: %w", d.Machine, err)
+	}
 	return nil
 }
 
@@ -298,9 +290,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Router == "" {
 		c.Router = d.Router
-	}
-	if c.Shards == 0 {
-		c.Shards = 1
 	}
 	if c.Keys == 0 {
 		c.Keys = d.Keys
@@ -396,9 +385,8 @@ func newPolicy(name string) (kernel.Policy, error) {
 // Cluster is one assembled fleet. Build with New, run once with Run.
 type Cluster struct {
 	cfg    Config
-	sh     *sim.Sharded
-	front  *sim.Endpoint
-	eng    *sim.Engine // the front-end's shard engine: all front-side state lives here
+	eng    *sim.Engine // the one engine every node and the front-end run on
+	wire   wire
 	met    *metrics.Registry
 	tracer *trace.Tracer
 	spans  *obs.Collector
@@ -409,8 +397,8 @@ type Cluster struct {
 	// peers is the front-end's mirror of each node — health flags derived
 	// from the scheduled fault windows plus the front's own attempt
 	// accounting. Routing and probing consult ONLY this view, never the
-	// node itself, so the front-end shard shares no mutable state with the
-	// node shards.
+	// node itself: the front-end knows a node only through the wire and
+	// the fault schedule.
 	peers []*peerView
 
 	queueDepth  int
@@ -420,30 +408,20 @@ type Cluster struct {
 	ran         bool
 }
 
-// New assembles a cluster: the sharded engine, N kernels (each on its own
-// endpoint, so with Shards > 1 they spread across shards), and the
-// front-end on endpoint 0. It panics on a Validate error, like swap.New.
+// New assembles a cluster: the engine, the wire, N kernels and the
+// front-end. It panics on a Validate error, like swap.New.
 func New(cfg Config) *Cluster {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	cfg = cfg.withDefaults()
-	shards := cfg.Shards
-	if shards > cfg.Nodes+1 {
-		shards = cfg.Nodes + 1
-	}
 	c := &Cluster{
 		cfg: cfg,
-		sh: sim.NewSharded(sim.ShardedConfig{
-			Shards:    shards,
-			Lookahead: netDelay,
-			Parallel:  shards > 1,
-		}),
+		eng: sim.NewEngine(),
 		met: metrics.NewRegistry(),
 		rng: sim.NewRand(cfg.Seed ^ 0xc1057e2f3a4b5c6d),
 	}
-	c.front = c.sh.NewEndpoint(0)
-	c.eng = c.front.Engine()
+	c.wire.eng = c.eng
 	if cfg.TraceLimit > 0 {
 		c.tracer = trace.New(cfg.TraceLimit)
 	}
@@ -496,33 +474,30 @@ func (c *Cluster) Run() Result {
 		panic("cluster: Run called twice")
 	}
 	c.ran = true
-	defer c.sh.Close()
 
-	// Between RunUntil calls no window is in flight, so reading node state
-	// (n.loaded, c.outstanding) from here is ordered after all shard work.
 	for {
-		now := c.sh.Now()
+		now := c.eng.Now()
 		if c.loaded() {
 			break
 		}
 		if now >= warmLimit {
 			panic("cluster: warm-up did not finish; arena too large for the machine")
 		}
-		c.sh.RunUntil(now + 5*sim.Millisecond)
+		c.wire.runUntil(now + 5*sim.Millisecond)
 	}
 
-	start := c.sh.Now()
+	start := c.eng.Now()
 	c.trafficEnd = start + c.cfg.Duration
 	c.startFaults(start)
 	c.scheduleArrival()
-	c.sh.RunUntil(c.trafficEnd)
+	c.wire.runUntil(c.trafficEnd)
 
 	// Drain: the engine never empties (scheduler ticks), so run in chunks
 	// until the last admitted request resolves. The request deadline
 	// bounds this at one RequestDeadline past the traffic window.
 	drainLimit := c.trafficEnd + c.cfg.RequestDeadline + 10*sim.Millisecond
-	for c.outstanding > 0 && c.sh.Now() < drainLimit {
-		c.sh.RunUntil(c.sh.Now() + sim.Millisecond)
+	for c.outstanding > 0 && c.eng.Now() < drainLimit {
+		c.wire.runUntil(c.eng.Now() + sim.Millisecond)
 	}
 	if c.outstanding > 0 {
 		panic(fmt.Sprintf("cluster: %d requests still outstanding after drain", c.outstanding))
@@ -572,12 +547,12 @@ func (c *Cluster) result() Result {
 		Refused:       c.met.Counter("cluster.refused"),
 		Latency:       c.met.Perc("cluster.req_latency"),
 		GoodputPerSec: float64(c.met.Counter("cluster.completed")) / c.cfg.Duration.Seconds(),
-		SimTime:       c.sh.Now(),
+		SimTime:       c.eng.Now(),
 		Digest:        c.Digest(),
 	}
 	for _, n := range c.nodes {
 		// Node-side accounting (orphans, served, partition drops) lives in
-		// each node's registry so no shard ever writes another's metrics.
+		// each node's registry, apart from the front-end's.
 		r.Orphans += n.k.Metrics.Counter("cluster.orphans")
 		if n.k.Audit != nil {
 			r.Violations += n.k.Audit.Len()
@@ -588,9 +563,7 @@ func (c *Cluster) result() Result {
 
 // Digest folds the engine's event history, the front-end metrics and
 // every node's metrics into one comparable value. Two runs of the same
-// seeded configuration — at any fan worker count AND any shard count —
-// must digest equal: the sharded fingerprint is built from shard-count
-// invariants, and every other input is per-node or front-end state.
+// seeded configuration, at any fan worker count, must digest equal.
 func (c *Cluster) Digest() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -600,7 +573,7 @@ func (c *Cluster) Digest() uint64 {
 		}
 		h.Write(buf[:])
 	}
-	w(c.sh.Fingerprint())
+	w(c.eng.Fingerprint())
 	w(c.met.Fingerprint())
 	w(c.spans.Digest())
 	for _, n := range c.nodes {

@@ -10,11 +10,10 @@ import "latr/internal/sim"
 // previous window, matching the old lazy self-rescheduling chains. The
 // schedule is then applied twice at the same absolute virtual times: to
 // the node itself (connection resets, service-time stretch, silent
-// drops) on the node's shard, and to the front-end's peer mirror (health
-// edges, routing view) on the front shard. Neither side ever reads the
-// other's state, which is what keeps fault runs byte-identical at every
-// shard count; it also mirrors reality, where a fault hits the machine
-// and the load balancer's picture of it through separate channels.
+// drops), and to the front-end's peer mirror (health edges, routing
+// view). Neither side ever reads the other's state, which mirrors
+// reality, where a fault hits the machine and the load balancer's
+// picture of it through separate channels.
 //
 // Fault schedules start when traffic opens (a fleet that crashes during
 // warm-up tests the loader, not the robustness pipeline).
@@ -92,11 +91,11 @@ func (c *Cluster) drawSchedule(start, horizon sim.Time) [][3][]window {
 	}
 }
 
-// startFaults draws and applies the fault schedule. Called between
-// engine windows (nothing in flight), so scheduling events directly on
-// node shards is ordered before all subsequent simulation. The horizon
-// covers the drain window: a node may crash while the last admitted
-// requests are still settling, exactly as the lazy chains allowed.
+// startFaults draws and applies the fault schedule. It runs between wire
+// windows, when no message is held, just before traffic opens. The
+// horizon covers the drain window: a node may crash while the last
+// admitted requests are still settling, exactly as the lazy chains
+// allowed.
 func (c *Cluster) startFaults(start sim.Time) {
 	horizon := c.trafficEnd + c.cfg.RequestDeadline + 10*sim.Millisecond
 	sched := c.drawSchedule(start, horizon)
@@ -132,7 +131,7 @@ func (c *Cluster) applyCrash(n *node, pv *peerView, w window) {
 		n.queue = nil
 		for _, at := range q {
 			at := at
-			n.sendFront(netDelay, func(now sim.Time) { c.attemptFailed(at, "reset", now) })
+			n.sendFront(func(now sim.Time) { c.attemptFailed(at, "reset", now) })
 		}
 	})
 	n.k.Engine.At(w.end, func(now sim.Time) {

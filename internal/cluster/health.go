@@ -41,8 +41,8 @@ func (h Health) String() string {
 }
 
 // peerView is the front-end's mirror of one node: everything routing,
-// probing and health accounting need, maintained entirely on the
-// front-end shard. The fault-window flags are applied by the precomputed
+// probing and health accounting need, maintained entirely by front-end
+// code. The fault-window flags are applied by the precomputed
 // schedule at the same virtual instants the node applies them to itself;
 // suspicion and load come from the front's own attempt accounting. This
 // is also the honest model: a real load balancer routes on what it has

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+
 	"latr/internal/cost"
 	"latr/internal/kernel"
 	"latr/internal/pt"
@@ -32,7 +34,6 @@ func nodeLane(i int) topo.CoreID { return topo.CoreID(1 + i) }
 type node struct {
 	id      int
 	cl      *Cluster
-	ep      *sim.Endpoint // the node's shard endpoint; all node state lives on its shard
 	k       *kernel.Kernel
 	backend *remote.Backend
 	swapper *swap.Swapper
@@ -47,9 +48,9 @@ type node struct {
 	inflight int // attempts dequeued and in service
 
 	// Fault condition flags, node-side: applied by the precomputed fault
-	// schedule at absolute times, read only by code running on this node's
-	// shard. The front-end's routing view is the peerView mirror, fed by
-	// the same schedule — never these fields.
+	// schedule at absolute times, read only by the node's own code. The
+	// front-end's routing view is the peerView mirror, fed by the same
+	// schedule — never these fields.
 	epoch      uint64 // bumped per crash; stale-epoch completions are orphans
 	crashed    bool
 	slowUntil  sim.Time
@@ -57,9 +58,8 @@ type node struct {
 	partUntil  sim.Time
 }
 
-// newNode builds node id on its own endpoint of the cluster's sharded
-// engine and spawns its loader and worker threads. Nothing runs until
-// Cluster.Run drives the engine.
+// newNode builds node id on the cluster's engine and spawns its loader
+// and worker threads. Nothing runs until Cluster.Run drives the engine.
 func newNode(c *Cluster, id int) *node {
 	cfg := c.cfg
 	spec, err := machineByName(cfg.Machine)
@@ -71,14 +71,13 @@ func newNode(c *Cluster, id int) *node {
 	if err != nil {
 		panic(err)
 	}
-	ep := c.sh.NewEndpoint(1 + id)
 	k := kernel.New(spec, cost.Default(spec), pol, kernel.Options{
 		Seed:            cfg.Seed ^ (uint64(id+1) * 0x9e3779b97f4a7c15),
-		Engine:          ep.Engine(),
+		Engine:          c.eng,
 		Audit:           cfg.Audit,
 		CheckInvariants: cfg.CheckInvariants,
 	})
-	n := &node{id: id, cl: c, ep: ep, k: k}
+	n := &node{id: id, cl: c, k: k}
 
 	// Watermarks scale with the shrunken per-node memory so the swapper
 	// keeps pressure on while the hot set stays resident.
@@ -93,7 +92,10 @@ func newNode(c *Cluster, id int) *node {
 
 	n.gate = workload.NewGate(k)
 	n.proc = k.NewProcess()
-	cores := workerCores(spec, cfg.WorkersPerNode)
+	cores, err := workerCores(spec, cfg.WorkersPerNode)
+	if err != nil {
+		panic(err)
+	}
 	n.setupLoader(cores[0])
 	for _, core := range cores {
 		n.spawnWorker(core)
@@ -103,15 +105,17 @@ func newNode(c *Cluster, id int) *node {
 }
 
 // workerCores picks n worker cores round-robin across NUMA nodes,
-// skipping core 0 (the swapper's).
-func workerCores(spec topo.Spec, n int) []topo.CoreID {
+// skipping core 0 (the swapper's). It fails when the machine runs out of
+// cores first, which Config.Validate reports.
+func workerCores(spec topo.Spec, n int) ([]topo.CoreID, error) {
 	var out []topo.CoreID
 	for i := 0; len(out) < n; i++ {
 		nodeID := i % spec.NumNodes()
 		idx := i / spec.NumNodes()
 		cores := spec.CoresOnNode(topo.NodeID(nodeID))
 		if idx >= len(cores) {
-			panic("cluster: machine too small for WorkersPerNode")
+			return nil, fmt.Errorf("%d cores are too few for WorkersPerNode %d (core 0 is the swapper's)",
+				spec.NumCores(), n)
 		}
 		c := cores[idx]
 		if c == 0 {
@@ -119,7 +123,7 @@ func workerCores(spec topo.Spec, n int) []topo.CoreID {
 		}
 		out = append(out, c)
 	}
-	return out
+	return out, nil
 }
 
 // setupLoader spawns the warm-up thread: map the arena, touch it end to
@@ -243,10 +247,10 @@ func (n *node) enqueue(at *attempt) bool {
 	return true
 }
 
-// sendFront delivers fn to the front-end shard after the wire delay —
-// the only way node-side code ever reaches front-end state.
-func (n *node) sendFront(delay sim.Time, fn func(now sim.Time)) {
-	n.ep.Send(n.cl.front, delay, fn)
+// sendFront sends fn to the front-end over the wire — the only way
+// node-side code ever reaches front-end state.
+func (n *node) sendFront(fn func(now sim.Time)) {
+	n.cl.wire.send(1+n.id, fn)
 }
 
 // finish is the node-side end of one serviced attempt: suppress the reply
@@ -265,5 +269,5 @@ func (n *node) finish(at *attempt, now sim.Time) {
 		n.k.Metrics.Inc("cluster.part_dropped", 1)
 		return
 	}
-	n.sendFront(netDelay, func(now sim.Time) { cl.attemptDone(at, now) })
+	n.sendFront(func(now sim.Time) { cl.attemptDone(at, now) })
 }

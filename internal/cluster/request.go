@@ -113,20 +113,20 @@ func (c *Cluster) dispatch(req *request, exclude int, hedge bool, now sim.Time) 
 	}
 	n := c.nodes[nodeID]
 	at.timer = c.eng.After(c.cfg.RequestTimeout, func(now sim.Time) { c.attemptTimeout(at, now) })
-	// The attempt crosses the wire to the node's shard and meets the
-	// node's condition there; fast failures cross back the same way.
-	c.front.Send(n.ep, netDelay, func(now sim.Time) {
+	// The attempt crosses the wire to the node and meets the node's
+	// condition there; fast failures cross back the same way.
+	c.wire.send(0, func(now sim.Time) {
 		if now < n.partUntil {
 			n.k.Metrics.Inc("cluster.part_dropped", 1)
 			return
 		}
 		if n.crashed {
-			n.sendFront(netDelay, func(now sim.Time) { c.attemptFailed(at, "refused", now) })
+			n.sendFront(func(now sim.Time) { c.attemptFailed(at, "refused", now) })
 			return
 		}
 		at.epoch = n.epoch
 		if !n.enqueue(at) {
-			n.sendFront(netDelay, func(now sim.Time) { c.attemptFailed(at, "shed", now) })
+			n.sendFront(func(now sim.Time) { c.attemptFailed(at, "shed", now) })
 		}
 	})
 	// Hedge: if the sole first attempt is still unresolved after

@@ -31,6 +31,8 @@ func TestValidateRejectsEachField(t *testing.T) {
 		{"set pct low", func(c *Config) { c.SetPct = -1 }, "SetPct"},
 		{"negative think", func(c *Config) { c.Think = -1 }, "Think"},
 		{"negative workers", func(c *Config) { c.WorkersPerNode = -1 }, "WorkersPerNode"},
+		{"machine too small for workers", func(c *Config) { c.Machine = "2x2" }, "WorkersPerNode"},
+		{"workers exceed machine", func(c *Config) { c.WorkersPerNode = 8 }, "WorkersPerNode"},
 		{"negative frames", func(c *Config) { c.MemFramesPerNode = -1 }, "MemFramesPerNode"},
 		{"negative arrival rate", func(c *Config) { c.ArrivalRate = -1 }, "ArrivalRate"},
 		{"negative rate limit", func(c *Config) { c.RateLimit = -1 }, "RateLimit"},

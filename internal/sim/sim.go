@@ -141,8 +141,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
 // Scheduled reports how many events have ever been scheduled (the running
-// sequence counter). Together with Dispatched it is the shard-count
-// invariant the sharded engine folds into its fingerprint.
+// sequence counter, which Fingerprint folds in with Dispatched).
 func (e *Engine) Scheduled() uint64 { return e.seq }
 
 // CompactStats reports how many compaction passes have run and how many
@@ -304,7 +303,7 @@ func (e *Engine) Run() {
 // the deadline (if it is ahead) and returns. Events scheduled beyond the
 // deadline remain queued. Dead entries beyond the deadline are left in
 // place for compaction to reclaim in bulk rather than popped one by one —
-// the windowed-execution hot loop peeks the top every window, and popping
+// the cluster's wire runs one short RunUntil per window, and popping
 // far-future cancelled timers there was pure overhead.
 func (e *Engine) RunUntil(deadline Time) {
 	for !e.stopped && len(e.queue) > 0 {
@@ -323,29 +322,10 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-// RunBefore dispatches events with time strictly < end without advancing
-// the clock to the boundary: the clock is left at the last dispatched
-// event. This is the shard-window primitive — the sharded engine runs every
-// shard to a window boundary, delivers cross-shard messages at the barrier,
-// and the messages (always ≥ one lookahead away) land exactly on or past
-// the boundary.
-func (e *Engine) RunBefore(end Time) {
-	for !e.stopped && len(e.queue) > 0 {
-		next := e.queue[0]
-		if next.when >= end {
-			return
-		}
-		if e.nodes[next.id].dead {
-			e.dropDeadTop()
-			continue
-		}
-		e.Step()
-	}
-}
-
-// NextLive peeks the earliest live (non-cancelled) event time. Dead
-// entries at the top are discarded on the way (bulk-compacted when they
-// dominate), so repeated peeks stay cheap.
+// NextLive peeks the earliest live (non-cancelled) event time; the
+// cluster's wire starts each window there. Dead entries at the top are
+// discarded on the way (bulk-compacted when they dominate), so repeated
+// peeks stay cheap.
 func (e *Engine) NextLive() (Time, bool) {
 	for !e.stopped && len(e.queue) > 0 {
 		next := e.queue[0]
@@ -355,17 +335,6 @@ func (e *Engine) NextLive() (Time, bool) {
 		e.dropDeadTop()
 	}
 	return 0, false
-}
-
-// AdvanceClock moves the clock forward to t without dispatching anything;
-// events already queued before t must have been dispatched (the sharded
-// engine advances shard clocks to a common deadline after a window sweep).
-// Moving backwards panics.
-func (e *Engine) AdvanceClock(t Time) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: AdvanceClock to %v before now %v", t, e.now))
-	}
-	e.now = t
 }
 
 // Fingerprint summarises the engine's dynamic history — current time,

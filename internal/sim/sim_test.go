@@ -274,6 +274,62 @@ func TestEngineCompactionPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestMassCancellationCompactionLinear is the heap-compaction regression
+// test: schedule n far-future timers, cancel them all (the cluster
+// hedging pattern — losers of every hedge race get cancelled), and
+// assert the total compaction scan work stays linear in n. Before the
+// domination-threshold tuning a dead-dominated queue could be popped
+// entry by entry, O(n log n) sift-downs, and a compaction pass per
+// cancellation batch made the scan work quadratic.
+func TestMassCancellationCompactionLinear(t *testing.T) {
+	const n = 100_000
+	e := NewEngine()
+	timers := make([]Timer, 0, n)
+	for i := 0; i < n; i++ {
+		timers = append(timers, e.After(Time(1000+i), func(Time) {}))
+	}
+	// One live sentinel beyond them all so the queue never empties.
+	e.At(Time(10_000_000), func(Time) {})
+	for _, tm := range timers {
+		e.Cancel(tm)
+	}
+	_, scanned := e.CompactStats()
+	// Each compaction pass fires only once dead entries dominate and
+	// removes all of them, so total scanned work is a small constant
+	// multiple of n. 8n is generous; the quadratic regime is ~n²/2.
+	if scanned > 8*n {
+		t.Fatalf("compaction scanned %d entries for %d cancels — super-linear", scanned, n)
+	}
+	e.Run()
+	if got := e.Dispatched(); got != 1 {
+		t.Fatalf("dispatched %d events, want 1 (the sentinel)", got)
+	}
+}
+
+// TestDeadDominatedStepCompacts: Step on a dead-dominated queue bulk
+// compacts instead of popping one dead entry per iteration.
+func TestDeadDominatedStepCompacts(t *testing.T) {
+	e := NewEngine()
+	var timers []Timer
+	for i := 0; i < 1000; i++ {
+		timers = append(timers, e.After(Time(i+1), func(Time) {}))
+	}
+	e.At(2000, func(Time) {})
+	// Cancel back-to-front so the heap top stays live until the last
+	// moment and the dead entries pile up below the threshold trigger.
+	for i := len(timers) - 1; i >= 0; i-- {
+		e.Cancel(timers[i])
+	}
+	p0, _ := e.CompactStats()
+	if p0 == 0 {
+		t.Fatal("mass cancellation never triggered a compaction pass")
+	}
+	e.Run()
+	if e.Pending() != 0 {
+		t.Fatalf("queue not drained: %d pending", e.Pending())
+	}
+}
+
 func TestEngineStaleTimerAfterRecycle(t *testing.T) {
 	e := NewEngine()
 	fired := 0
