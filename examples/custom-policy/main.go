@@ -22,11 +22,12 @@ import (
 // then releases the batch's memory. Correctness argument: memory of a
 // batch is only reused after the flush that closes the batch, exactly like
 // LATR's invariant but with an IPI instead of a sweep as the closer.
+// The kernel's ShootdownTargets, Shootdown and MarkNUMAHints supply the
+// synchronous protocol, so the policy holds only its batching.
 type batching struct {
 	k         *kernel.Kernel
 	batchSize int
 	pending   []kernel.Unmap
-	waiters   []func()
 }
 
 var _ kernel.Policy = (*batching)(nil)
@@ -38,14 +39,13 @@ func (b *batching) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 	b.pending = append(b.pending, u)
 	if len(b.pending) < b.batchSize {
 		// Defer: the frames/VA stay held until the batch closes.
-		b.waiters = append(b.waiters, func() {})
 		done()
 		return
 	}
 	batch := b.pending
 	b.pending = nil
-	targets := b.k.ShootdownTargets(c, u.MM)
-	finish := func() {
+	// pages=0 → full flush on the targets: one IPI burst covers the batch.
+	b.k.Shootdown(c, u.MM, 0, 0, b.k.ShootdownTargets(c, u.MM), func() {
 		for _, bu := range batch {
 			b.k.ReleaseFrames(bu.Frames)
 			if !bu.KeepVMA {
@@ -53,31 +53,17 @@ func (b *batching) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 			}
 		}
 		done()
-	}
-	if len(targets) == 0 {
-		finish()
-		return
-	}
-	b.k.Metrics.Inc("shootdown.initiated", 1)
-	// pages=0 → full flush on the targets: one IPI burst covers the batch.
-	b.k.SendShootdownIPIs(c, u.MM, 0, 0, targets, finish)
+	})
 }
 
 func (b *batching) SyncChange(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
-	targets := b.k.ShootdownTargets(c, mm)
-	if len(targets) == 0 {
-		done()
-		return
-	}
-	b.k.SendShootdownIPIs(c, mm, start, pages, targets, done)
+	b.k.Shootdown(c, mm, start, pages, b.k.ShootdownTargets(c, mm), done)
 }
 
 func (b *batching) NUMAUnmap(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
-	for i := 0; i < pages; i++ {
-		mm.PT.SetNUMAHint(start+pt.VPN(i), true)
-	}
-	c.TLB.InvalidateRange(c.PCIDOf(mm), start, start+pt.VPN(pages))
-	b.SyncChange(c, mm, start, pages, done)
+	c.Busy(b.k.MarkNUMAHints(c, mm, start, pages), true, func() {
+		b.SyncChange(c, mm, start, pages, done)
+	})
 }
 
 func (b *batching) OnTick(*kernel.Core) sim.Time                          { return 0 }

@@ -239,13 +239,6 @@ func (p *Policy) Config() Config { return p.cfg }
 // make ptrepl degrade lazy configurations to eager updates.
 func (p *Policy) LazyReplicaSweeps() bool { return true }
 
-// targetsMask computes the shootdown target set as a bitmask. LATR only
-// needs set membership, so it uses the kernel's allocation-free mask variant
-// (same semantics as ShootdownTargets, including the lazy-TLB skip).
-func (p *Policy) targetsMask(c *kernel.Core, mm *kernel.MM) topo.CoreMask {
-	return p.k.ShootdownTargetMask(c, mm)
-}
-
 // record claims a free slot in core c's state array. ok is false when all
 // slots are active (the fallback-IPI condition).
 func (p *Policy) record(c *kernel.Core, s State) (*State, bool) {
@@ -288,7 +281,7 @@ func (p *Policy) record(c *kernel.Core, s State) (*State, bool) {
 // state, park memory on the lazy lists, return immediately.
 func (p *Policy) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 	k := p.k
-	mask := p.targetsMask(c, u.MM)
+	mask := k.ShootdownTargets(c, u.MM)
 
 	var st *State
 	if !mask.Empty() || u.ForceSync {
@@ -313,19 +306,14 @@ func (p *Policy) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 			// form (chaos may stretch the wait, not wedge it).
 			t0 := k.Now()
 			k.Metrics.GaugeAdd("latr.fallback_inflight", 1)
+			// A second target computation (mask was the first): it counts
+			// shootdown.lazy_skipped and flushes skipped idle cores again,
+			// as perfbench's committed digests expect. The IPIs always go
+			// out: an empty ForceSync target set still pays the setup.
 			targets := k.ShootdownTargets(c, u.MM)
 			k.Metrics.Inc("shootdown.initiated", 1)
 			k.SendShootdownIPIs(c, u.MM, u.Start, u.Pages, targets, func() {
-				freeCost := sim.Time(len(u.Frames)) * k.Cost.FreePerPage
-				u.Span.Mark(obs.PhaseReclaim, c.ID, k.Now(), freeCost)
-				c.Busy(freeCost, false, func() {
-					// Replica invalidations parked for this range ride the
-					// sync fallback: drain them before the frames free.
-					k.ReplComplete(u.MM, u.Start, u.Pages)
-					k.ReleaseFrames(u.Frames)
-					if !u.KeepVMA {
-						k.ReleaseVA(u.MM, u.Start, u.Pages)
-					}
+				k.FreeUnmapped(c, u, func() {
 					k.Metrics.GaugeAdd("latr.fallback_inflight", -1)
 					k.Metrics.Observe("latr.fallback_latency", k.Now()-t0)
 					done()
@@ -361,11 +349,7 @@ func (p *Policy) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 			deadline:  k.Now() + p.cfg.ReclaimDelay,
 			initiator: c,
 		})
-		if u.Span != nil {
-			u.Span.MarkLazy(obs.PhaseSend, c.ID, tS, k.Now()-tS)
-		} else {
-			k.Trace(c.ID, "latr", "state saved [%#x,+%d) mask=%v", uint64(u.Start.Addr()), u.Pages, mask)
-		}
+		u.Span.MarkLazy(obs.PhaseSend, c.ID, tS, k.Now()-tS)
 		done()
 	})
 }
@@ -373,13 +357,7 @@ func (p *Policy) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 // SyncChange implements kernel.Policy: permission/remap changes cannot be
 // lazy (Table 1), so LATR uses the stock IPI path.
 func (p *Policy) SyncChange(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
-	targets := p.k.ShootdownTargets(c, mm)
-	if len(targets) == 0 {
-		done()
-		return
-	}
-	p.k.Metrics.Inc("shootdown.initiated", 1)
-	p.k.SendShootdownIPIs(c, mm, start, pages, targets, done)
+	p.k.Shootdown(c, mm, start, pages, p.k.ShootdownTargets(c, mm), done)
 }
 
 // NUMAUnmap implements kernel.Policy — the lazy migration path of Fig 3b:
@@ -388,29 +366,18 @@ func (p *Policy) SyncChange(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages i
 // locally; faults gate on the state clearing (§4.3, §4.4).
 func (p *Policy) NUMAUnmap(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
 	k := p.k
-	mask := p.targetsMask(c, mm)
+	mask := k.ShootdownTargets(c, mm)
 	mask.Set(c.ID) // the initiator also sweeps (Fig 3b: core 2 clears the PTE at its tick)
 
 	st, ok := p.record(c, State{MM: mm, Start: start, Pages: pages, Mask: mask, Migration: true})
 	if !ok {
-		// Fallback: do what Linux does, synchronously.
+		// Fallback: do what Linux does, synchronously. Like Linux it
+		// computes the targets after the hint prologue, so this is a
+		// second target computation (mask was the first) at a later
+		// instant: it repeats the lazy-TLB skip's count and flushes.
 		k.Metrics.Inc("latr.fallback_ipi", 1)
-		for i := 0; i < pages; i++ {
-			mm.PT.SetNUMAHint(start+pt.VPN(i), true)
-		}
-		if pages > k.Cost.FullFlushThreshold {
-			c.TLB.FlushAll()
-		} else {
-			c.TLB.InvalidateRange(c.PCIDOf(mm), start, start+pt.VPN(pages))
-		}
-		c.Busy(sim.Time(pages)*k.Cost.PTEClearPerPage+k.Cost.InvalidateCost(pages), true, func() {
-			targets := k.ShootdownTargets(c, mm)
-			if len(targets) == 0 {
-				done()
-				return
-			}
-			k.Metrics.Inc("shootdown.initiated", 1)
-			k.SendShootdownIPIs(c, mm, start, pages, targets, done)
+		c.Busy(k.MarkNUMAHints(c, mm, start, pages), true, func() {
+			k.Shootdown(c, mm, start, pages, k.ShootdownTargets(c, mm), done)
 		})
 		return
 	}
@@ -516,11 +483,7 @@ func (p *Policy) sweep(c *kernel.Core) sim.Time {
 		// the sweep instead of eager remote stores).
 		cost += k.ReplSweepApply(c, st.MM, st.Start, st.Pages)
 		k.Metrics.Observe("latr.sweep_visit", m.LATRSweepPerEntry)
-		if st.span != nil {
-			st.span.MarkLazy(obs.PhaseInvalidate, c.ID, visitBegin, k.Now()+cost-visitBegin)
-		} else {
-			k.Trace(c.ID, "sweep", "invalidate [%#x,+%d), clear bit", uint64(st.Start.Addr()), st.Pages)
-		}
+		st.span.MarkLazy(obs.PhaseInvalidate, c.ID, visitBegin, k.Now()+cost-visitBegin)
 		st.Mask.Clear(c.ID)
 		if st.Mask.Empty() {
 			p.completeState(st, c.ID, k.Now()+cost)
@@ -623,11 +586,7 @@ func (p *Policy) forceSweep(st *State) {
 		c.TLB.InvalidateRange(c.PCIDOf(st.MM), st.Start, st.Start+pt.VPN(st.Pages))
 		c.Inject(forcedCost)
 		st.Mask.Clear(id)
-		if st.span != nil {
-			st.span.MarkLazy(obs.PhaseInvalidate, id, k.Now(), forcedCost)
-		} else {
-			k.Trace(id, "sweep", "forced invalidate [%#x,+%d) (gate timeout)", uint64(st.Start.Addr()), st.Pages)
-		}
+		st.span.MarkLazy(obs.PhaseInvalidate, id, k.Now(), forcedCost)
 		last = id
 	}
 	if st.Mask.Empty() {
@@ -696,12 +655,8 @@ func (p *Policy) reclaimPass(now sim.Time) {
 		k.Metrics.GaugeAdd("latr.lazy_frames", -int64(len(e.u.Frames)))
 		k.Metrics.GaugeAdd("latr.lazy_bytes", -int64(e.u.Pages)*4096)
 		k.Metrics.Inc("latr.reclaimed", 1)
-		if e.u.Span != nil {
-			e.u.Span.MarkLazy(obs.PhaseReclaim, e.initiator.ID, now, k.Cost.LATRReclaimPerEntry)
-			e.u.Span.Release(now)
-		} else {
-			k.Trace(e.initiator.ID, "reclaim", "freed [%#x,+%d) after %v", uint64(e.u.Start.Addr()), e.u.Pages, now-(e.deadline-p.cfg.ReclaimDelay))
-		}
+		e.u.Span.MarkLazy(obs.PhaseReclaim, e.initiator.ID, now, k.Cost.LATRReclaimPerEntry)
+		e.u.Span.Release(now)
 		// The reclaim work steals CPU on the initiating core, like the
 		// kernel thread would.
 		e.initiator.Inject(k.Cost.LATRReclaimPerEntry)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"testing"
+
+	"latr/internal/sim"
 )
 
 func TestFanPreservesOrder(t *testing.T) {
@@ -87,6 +89,45 @@ func TestMatrixParallelDeterminism(t *testing.T) {
 				t.Errorf("workers=%d: run %d diverged from sequential:\n  seq: %s\n  par: %s",
 					workers, i, want, have)
 			}
+		}
+	}
+}
+
+// TestPinnedRunFingerprints pins the engine, metric and trace
+// fingerprints of every policy on a small AutoNUMA matrix. Refactors of
+// the coherence paths must leave every simulated byte where it was; a
+// line here moves when one does.
+func TestPinnedRunFingerprints(t *testing.T) {
+	m := Matrix{
+		Policies:  PolicyNames(),
+		Workloads: []string{"micro", "apache"},
+		Machines:  []string{"2x8"},
+		Cores:     12,
+		Pages:     1,
+		Iters:     200,
+		Seeds:     []uint64{1},
+		Duration:  50 * sim.Millisecond,
+		AutoNUMA:  true,
+	}
+	want := []string{
+		"2x8/micro/linux/c12/seed1: sim=20000000 dispatched=16563 engine=2cb0502769838dca metrics=01e26e385cfe34a5 trace=d4e4395e0a304990 done=true",
+		"2x8/micro/latr/c12/seed1: sim=20000000 dispatched=18615 engine=f9a8346d1a32b672 metrics=6ae0be21e584faba trace=50ea6836236e3dd8 done=true",
+		"2x8/micro/abis/c12/seed1: sim=20000000 dispatched=16763 engine=8b38a4ce7a13ded2 metrics=b76745f5791f5df2 trace=3e4283c85f7fd339 done=true",
+		"2x8/micro/barrelfish/c12/seed1: sim=20000000 dispatched=16562 engine=5696fb78a8c47c03 metrics=c7b5005117e95bea trace=54a088c1e8a51cb4 done=true",
+		"2x8/micro/instant/c12/seed1: sim=20000000 dispatched=11763 engine=241374c2863aa931 metrics=86bc3d73f72304c0 trace=5264ed591bfd72c9 done=true",
+		"2x8/apache/linux/c12/seed1: sim=50000000 dispatched=144414 engine=8ac1f4f68798db9e metrics=89005d8d30370e2a trace=05d9080f6e461399 done=false",
+		"2x8/apache/latr/c12/seed1: sim=50000000 dispatched=163899 engine=9b9cf6179f89c9a1 metrics=0b6c025917820d99 trace=05853884c43a42dd done=false",
+		"2x8/apache/abis/c12/seed1: sim=50000000 dispatched=139268 engine=2e9c97d7fdee9f98 metrics=0253699550b82c47 trace=2e26f4a26515c06d done=false",
+		"2x8/apache/barrelfish/c12/seed1: sim=50000000 dispatched=183527 engine=0ae3ce7223c060b2 metrics=2ac066a9ae0fd365 trace=a3230dcaa14ba504 done=false",
+		"2x8/apache/instant/c12/seed1: sim=50000000 dispatched=137818 engine=d3ab2bb9df5f0930 metrics=5046ed0ebd756aa8 trace=fccec89bbfe48aaa done=false",
+	}
+	got := RunMatrix(m.Specs(), 2, Options{})
+	if len(got) != len(want) {
+		t.Fatalf("matrix ran %d specs, want %d", len(got), len(want))
+	}
+	for i, r := range got {
+		if fp := r.Fingerprint(); fp != want[i] {
+			t.Errorf("run %d moved:\n  got:  %s\n  want: %s", i, fp, want[i])
 		}
 	}
 }

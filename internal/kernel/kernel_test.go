@@ -247,8 +247,7 @@ func TestSendShootdownIPIs(t *testing.T) {
 	k.Cores[2].TLB.Insert(tlb.Tag{}, 100, 1000, true)
 	var doneAt sim.Time
 	k.Engine.At(0, func(sim.Time) {
-		targets := []*Core{k.Cores[1], k.Cores[2]}
-		k.SendShootdownIPIs(k.Cores[0], mm, 100, 1, targets, func() { doneAt = k.Now() })
+		k.SendShootdownIPIs(k.Cores[0], mm, 100, 1, topo.MaskOf(1, 2), func() { doneAt = k.Now() })
 	})
 	k.Run(sim.Millisecond)
 	if doneAt == 0 {
@@ -273,7 +272,7 @@ func TestShootdownFullFlushOverThreshold(t *testing.T) {
 	p := k.NewProcess()
 	k.Cores[1].TLB.Insert(tlb.Tag{}, 5000, 77, true) // unrelated entry
 	k.Engine.At(0, func(sim.Time) {
-		k.SendShootdownIPIs(k.Cores[0], p.MM, 0, 64, []*Core{k.Cores[1]}, func() {})
+		k.SendShootdownIPIs(k.Cores[0], p.MM, 0, 64, topo.MaskOf(1), func() {})
 	})
 	k.Run(sim.Millisecond)
 	if k.Cores[1].TLB.Len() != 0 {
@@ -293,15 +292,13 @@ func TestLazyTLBModeSkipsIdleCores(t *testing.T) {
 	if !p.MM.CPUMask.Has(1) {
 		t.Fatal("idle core should keep the mm in its cpumask (lazy TLB)")
 	}
-	var targets []*Core
+	var targets topo.CoreMask
 	k.Engine.At(k.Now(), func(sim.Time) {
 		targets = k.ShootdownTargets(k.Cores[0], p.MM)
 	})
 	k.Run(k.Now() + sim.Microsecond)
-	for _, c := range targets {
-		if c.ID == 1 {
-			t.Fatal("lazy-TLB idle core included in shootdown targets")
-		}
+	if targets.Has(1) {
+		t.Fatal("lazy-TLB idle core included in shootdown targets")
 	}
 	if !k.Cores[1].deferredFlush {
 		t.Fatal("skipped core not marked for deferred flush")
@@ -511,7 +508,7 @@ func TestIRQOffWindowDelaysIPI(t *testing.T) {
 		k.Cores[1].busy(100*sim.Microsecond, true, func() {})
 	})
 	k.Engine.At(10, func(sim.Time) {
-		k.SendShootdownIPIs(k.Cores[0], mm, 1, 1, []*Core{k.Cores[1]}, func() { ackAt = k.Now() })
+		k.SendShootdownIPIs(k.Cores[0], mm, 1, 1, topo.MaskOf(1), func() { ackAt = k.Now() })
 	})
 	k.Run(sim.Millisecond)
 	if ackAt < 100*sim.Microsecond {

@@ -226,7 +226,7 @@ func (k *Kernel) putFrame(mm *MM, pfn mem.PFN) {
 func (k *Kernel) vmCoreMask(v *VM) topo.CoreMask {
 	var mask topo.CoreMask
 	for _, mm := range v.mms {
-		mm.CPUMask.ForEach(func(id topo.CoreID) { mask.Set(id) })
+		mask = mask.Or(mm.CPUMask)
 	}
 	return mask
 }
@@ -349,66 +349,15 @@ func (k *Kernel) BalloonReclaim(c *Core, v *VM, n int, done func()) {
 func (k *Kernel) hostSyncInvalidate(c *Core, v *VM, sp *obs.Span, done func()) {
 	m := &k.Cost
 	c.TLB.FlushVPID(v.VPID)
-	var targets []*Core
-	k.vmCoreMask(v).ForEach(func(id topo.CoreID) {
-		if id != c.ID {
-			targets = append(targets, k.Cores[id])
-		}
-	})
-	if len(targets) == 0 {
-		sp.Mark(obs.PhaseSend, c.ID, k.Now(), m.IPISendBase+m.VPIDFlush)
-		c.busy(m.IPISendBase+m.VPIDFlush, false, done)
-		return
+	targets := k.vmCoreMask(v)
+	targets.Clear(c.ID)
+	if n := targets.Count(); n > 0 {
+		k.Metrics.Inc("virt.host_quiesce_ipis", uint64(n))
 	}
-	var targetMask topo.CoreMask
-	for _, t := range targets {
-		targetMask.Set(t.ID)
-	}
-	sp.SetTargets(targetMask)
-	k.Metrics.Inc("virt.host_quiesce_ipis", uint64(len(targets)))
-
-	sendCost := m.VPIDFlush + m.IPISendBase
-	type delivery struct {
-		core *Core
-		at   sim.Time
-	}
-	deliveries := make([]delivery, 0, len(targets))
-	for _, t := range targets {
-		hops := k.Spec.Hops(c.ID, t.ID)
-		sendCost += m.IPISend(hops)
-		deliveries = append(deliveries, delivery{t, k.Now() + sendCost + m.IPIDeliverLatency(hops) + k.chaosIPIDelay(c.ID, t.ID)})
-	}
-	pending := len(targets)
-	spinStart := sim.Time(0)
-	ackDone := func(now sim.Time) {
-		pending--
-		if pending == 0 {
-			sp.Mark(obs.PhaseAck, c.ID, spinStart, now-spinStart)
-			c.endSpin(done)
-		}
-	}
-	c.busy(sendCost, false, func() {
-		spinStart = k.Now()
-		c.beginSpin()
-		for _, d := range deliveries {
-			d := d
-			at := d.at
-			if at < k.Now() {
-				at = k.Now()
-			}
-			k.Engine.At(at, func(sim.Time) {
-				t := d.core
-				t.interrupt(func(now sim.Time) sim.Time {
-					t.TLB.FlushVPID(v.VPID)
-					total := m.IPIHandlerEntry + m.VPIDFlush + m.IPIAckWrite
-					sp.Mark(obs.PhaseInvalidate, t.ID, now, total)
-					k.Engine.At(now+total, func(n sim.Time) { ackDone(n) })
-					return total + m.IPIHandlerPollution
-				})
-			})
-		}
-	})
-	sp.Mark(obs.PhaseSend, c.ID, k.Now(), sendCost)
+	k.sendIPIs(c, sp, targets, m.VPIDFlush+m.IPISendBase, 0, func(t *Core) sim.Time {
+		t.TLB.FlushVPID(v.VPID)
+		return m.IPIHandlerEntry + m.VPIDFlush + m.IPIAckWrite
+	}, false, done)
 }
 
 // hatricInvalidateFrame posts precise invalidations for every TLB entry

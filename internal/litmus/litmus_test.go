@@ -55,6 +55,11 @@ func TestHandwrittenSuite(t *testing.T) {
 	if rep.Runs == 0 || rep.Skipped == 0 {
 		t.Fatalf("suite ran %d, skipped %d; want both non-zero (wide scenario must skip on 2x8)", rep.Runs, rep.Skipped)
 	}
+	// The outcome digest pins every run's simulated result: a refactor of
+	// the coherence paths must not move it.
+	if rep.Digest != 0x732fea23648495cf {
+		t.Fatalf("suite digest %016x, want 732fea23648495cf", rep.Digest)
+	}
 }
 
 // TestSuiteDeterminism runs the suite twice and demands byte-identical

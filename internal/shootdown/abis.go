@@ -2,7 +2,6 @@ package shootdown
 
 import (
 	"latr/internal/kernel"
-	"latr/internal/obs"
 	"latr/internal/pt"
 	"latr/internal/sim"
 	"latr/internal/topo"
@@ -84,7 +83,7 @@ func (p *ABIS) OnPageTouch(c *kernel.Core, mm *kernel.MM, vpn pt.VPN) sim.Time {
 // the union of per-page sharer masks, intersected with live cpumask
 // targets, minus the initiator. Consumed entries are dropped (the
 // shootdown resets the tracking epoch).
-func (p *ABIS) sharerTargets(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int) []*kernel.Core {
+func (p *ABIS) sharerTargets(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int) topo.CoreMask {
 	perMM := p.sharers[mm]
 	var union topo.CoreMask
 	for i := 0; i < pages; i++ {
@@ -95,14 +94,8 @@ func (p *ABIS) sharerTargets(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages 
 			p.putMask(mask)
 		}
 	}
-	var out []*kernel.Core
-	for _, t := range p.k.ShootdownTargets(c, mm) {
-		if union.Has(t.ID) {
-			out = append(out, t)
-		}
-	}
-	saved := mm.CPUMask.Count() - 1 - len(out)
-	if saved > 0 {
+	out := p.k.ShootdownTargets(c, mm).And(union)
+	if saved := mm.CPUMask.Count() - 1 - out.Count(); saved > 0 {
 		p.k.Metrics.Inc("abis.ipis_saved", uint64(saved))
 	}
 	return out
@@ -116,26 +109,15 @@ func (p *ABIS) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 		p.unmaps++
 		targets := p.sharerTargets(c, u.MM, u.Start, u.Pages)
 		if p.unmaps%conservativeEvery == 0 {
+			// A second target computation (sharerTargets ran the first):
+			// it counts shootdown.lazy_skipped and flushes skipped idle
+			// cores again, as perfbench's committed digests expect.
 			targets = k.ShootdownTargets(c, u.MM)
 			k.Metrics.Inc("abis.conservative", 1)
 		}
-		finish := func() {
-			freeCost := sim.Time(len(u.Frames)) * k.Cost.FreePerPage
-			u.Span.Mark(obs.PhaseReclaim, c.ID, k.Now(), freeCost)
-			c.Busy(freeCost, false, func() {
-				k.ReleaseFrames(u.Frames)
-				if !u.KeepVMA {
-					k.ReleaseVA(u.MM, u.Start, u.Pages)
-				}
-				done()
-			})
-		}
-		if len(targets) == 0 {
-			finish()
-			return
-		}
-		k.Metrics.Inc("shootdown.initiated", 1)
-		k.SendShootdownIPIs(c, u.MM, u.Start, u.Pages, targets, finish)
+		k.Shootdown(c, u.MM, u.Start, u.Pages, targets, func() {
+			k.FreeUnmapped(c, u, done)
+		})
 	})
 }
 
@@ -143,36 +125,17 @@ func (p *ABIS) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 func (p *ABIS) SyncChange(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
 	scan := sim.Time(pages) * p.k.Cost.ABISScanPerPage
 	c.Busy(scan, false, func() {
-		targets := p.sharerTargets(c, mm, start, pages)
-		if len(targets) == 0 {
-			done()
-			return
-		}
-		p.k.Metrics.Inc("shootdown.initiated", 1)
-		p.k.SendShootdownIPIs(c, mm, start, pages, targets, done)
+		p.k.Shootdown(c, mm, start, pages, p.sharerTargets(c, mm, start, pages), done)
 	})
 }
 
-// NUMAUnmap implements kernel.Policy: like Linux but with narrowed targets.
+// NUMAUnmap implements kernel.Policy: like Linux but with narrowed targets
+// and the access-bit scan on top of the hint prologue.
 func (p *ABIS) NUMAUnmap(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
 	k := p.k
-	for i := 0; i < pages; i++ {
-		mm.PT.SetNUMAHint(start+pt.VPN(i), true)
-	}
-	if pages > k.Cost.FullFlushThreshold {
-		c.TLB.FlushAll()
-	} else {
-		c.TLB.InvalidateRange(c.PCIDOf(mm), start, start+pt.VPN(pages))
-	}
-	cost := sim.Time(pages)*(k.Cost.PTEClearPerPage+k.Cost.ABISScanPerPage) + k.Cost.InvalidateCost(pages)
+	cost := k.MarkNUMAHints(c, mm, start, pages) + sim.Time(pages)*k.Cost.ABISScanPerPage
 	c.Busy(cost, true, func() {
-		targets := p.sharerTargets(c, mm, start, pages)
-		if len(targets) == 0 {
-			done()
-			return
-		}
-		k.Metrics.Inc("shootdown.initiated", 1)
-		k.SendShootdownIPIs(c, mm, start, pages, targets, done)
+		k.Shootdown(c, mm, start, pages, p.sharerTargets(c, mm, start, pages), done)
 	})
 }
 

@@ -38,32 +38,31 @@ func (p *Barrelfish) shoot(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages in
 	k := p.k
 	sp := c.Span()
 	targets := k.ShootdownTargets(c, mm)
-	if len(targets) == 0 {
+	n := targets.Count()
+	if n == 0 {
 		done()
 		return
 	}
-	var targetMask topo.CoreMask
-	for _, t := range targets {
-		targetMask.Set(t.ID)
-	}
-	sp.SetTargets(targetMask)
+	sp.SetTargets(targets)
 	k.Metrics.Inc("shootdown.initiated", 1)
-	k.Metrics.Inc("shootdown.msg_targets", uint64(len(targets)))
+	k.Metrics.Inc("shootdown.msg_targets", uint64(n))
 
 	m := &k.Cost
-	sendCost := sim.Time(len(targets)) * m.MsgSendPerTarget
+	sendCost := sim.Time(n) * m.MsgSendPerTarget
 	sp.Mark(obs.PhaseSend, c.ID, k.Now(), sendCost)
-	pending := len(targets)
+	pending := n
 	c.Busy(sendCost, false, func() {
 		c.BeginSpin()
 		now := k.Now()
 		spinStart := now
-		for i, t := range targets {
-			t := t
+		i := 0 // the target's position in the send order
+		targets.ForEach(func(id topo.CoreID) {
+			t := k.Cores[id]
 			// The remote core notices the message at its next poll point;
 			// polls are phase-shifted per core.
 			phase := m.MsgPollPeriod * sim.Time(int(t.ID)+1) / sim.Time(k.Spec.NumCores()+1)
 			wait := m.MsgPollPeriod - ((now+sim.Time(i)-phase)%m.MsgPollPeriod+m.MsgPollPeriod)%m.MsgPollPeriod
+			i++
 			handleAt := now + wait
 			k.Engine.At(handleAt, func(hnow sim.Time) {
 				var inval sim.Time
@@ -86,24 +85,13 @@ func (p *Barrelfish) shoot(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages in
 					}
 				})
 			})
-		}
+		})
 	})
 }
 
 // Munmap implements kernel.Policy.
 func (p *Barrelfish) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
-	k := p.k
-	p.shoot(c, u.MM, u.Start, u.Pages, func() {
-		freeCost := sim.Time(len(u.Frames)) * k.Cost.FreePerPage
-		u.Span.Mark(obs.PhaseReclaim, c.ID, k.Now(), freeCost)
-		c.Busy(freeCost, false, func() {
-			k.ReleaseFrames(u.Frames)
-			if !u.KeepVMA {
-				k.ReleaseVA(u.MM, u.Start, u.Pages)
-			}
-			done()
-		})
-	})
+	p.shoot(c, u.MM, u.Start, u.Pages, func() { p.k.FreeUnmapped(c, u, done) })
 }
 
 // SyncChange implements kernel.Policy.
@@ -113,15 +101,7 @@ func (p *Barrelfish) SyncChange(c *kernel.Core, mm *kernel.MM, start pt.VPN, pag
 
 // NUMAUnmap implements kernel.Policy.
 func (p *Barrelfish) NUMAUnmap(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
-	for i := 0; i < pages; i++ {
-		mm.PT.SetNUMAHint(start+pt.VPN(i), true)
-	}
-	if pages > p.k.Cost.FullFlushThreshold {
-		c.TLB.FlushAll()
-	} else {
-		c.TLB.InvalidateRange(c.PCIDOf(mm), start, start+pt.VPN(pages))
-	}
-	c.Busy(sim.Time(pages)*p.k.Cost.PTEClearPerPage+p.k.Cost.InvalidateCost(pages), true, func() {
+	c.Busy(p.k.MarkNUMAHints(c, mm, start, pages), true, func() {
 		p.shoot(c, mm, start, pages, done)
 	})
 }

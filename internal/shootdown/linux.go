@@ -7,7 +7,6 @@ package shootdown
 
 import (
 	"latr/internal/kernel"
-	"latr/internal/obs"
 	"latr/internal/pt"
 	"latr/internal/sim"
 )
@@ -39,35 +38,14 @@ func (p *Linux) Name() string { return "linux" }
 // Fig 2a. Frames and VA are released only after the last ACK.
 func (p *Linux) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 	k := p.k
-	finish := func() {
-		freeCost := sim.Time(len(u.Frames)) * k.Cost.FreePerPage
-		u.Span.Mark(obs.PhaseReclaim, c.ID, k.Now(), freeCost)
-		c.Busy(freeCost, false, func() {
-			k.ReleaseFrames(u.Frames)
-			if !u.KeepVMA {
-				k.ReleaseVA(u.MM, u.Start, u.Pages)
-			}
-			done()
-		})
-	}
-	targets := k.ShootdownTargets(c, u.MM)
-	if len(targets) == 0 {
-		finish()
-		return
-	}
-	k.Metrics.Inc("shootdown.initiated", 1)
-	k.SendShootdownIPIs(c, u.MM, u.Start, u.Pages, targets, finish)
+	k.Shootdown(c, u.MM, u.Start, u.Pages, k.ShootdownTargets(c, u.MM), func() {
+		k.FreeUnmapped(c, u, done)
+	})
 }
 
 // SyncChange implements kernel.Policy (mprotect/mremap path).
 func (p *Linux) SyncChange(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
-	targets := p.k.ShootdownTargets(c, mm)
-	if len(targets) == 0 {
-		done()
-		return
-	}
-	p.k.Metrics.Inc("shootdown.initiated", 1)
-	p.k.SendShootdownIPIs(c, mm, start, pages, targets, done)
+	p.k.Shootdown(c, mm, start, pages, p.k.ShootdownTargets(c, mm), done)
 }
 
 // NUMAUnmap implements kernel.Policy: Linux's change_prot_numa marks the
@@ -75,23 +53,8 @@ func (p *Linux) SyncChange(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages in
 // paid even when the later faults decide not to migrate.
 func (p *Linux) NUMAUnmap(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
 	k := p.k
-	for i := 0; i < pages; i++ {
-		mm.PT.SetNUMAHint(start+pt.VPN(i), true)
-	}
-	if pages > k.Cost.FullFlushThreshold {
-		c.TLB.FlushAll()
-	} else {
-		c.TLB.InvalidateRange(c.PCIDOf(mm), start, start+pt.VPN(pages))
-	}
-	cost := sim.Time(pages)*k.Cost.PTEClearPerPage + k.Cost.InvalidateCost(pages)
-	c.Busy(cost, true, func() {
-		targets := k.ShootdownTargets(c, mm)
-		if len(targets) == 0 {
-			done()
-			return
-		}
-		k.Metrics.Inc("shootdown.initiated", 1)
-		k.SendShootdownIPIs(c, mm, start, pages, targets, done)
+	c.Busy(k.MarkNUMAHints(c, mm, start, pages), true, func() {
+		k.Shootdown(c, mm, start, pages, k.ShootdownTargets(c, mm), done)
 	})
 }
 

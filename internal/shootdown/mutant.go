@@ -7,7 +7,7 @@ import (
 	"latr/internal/kernel"
 	"latr/internal/obs"
 	"latr/internal/pt"
-	"latr/internal/sim"
+	"latr/internal/topo"
 )
 
 // Mutant is a deliberately broken variant of the Linux baseline used to
@@ -108,30 +108,11 @@ func (p *Mutant) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 		done()
 	case MutLeakFrames:
 		// Correct coherence, but the frames and VA are never released.
-		targets := k.ShootdownTargets(c, u.MM)
-		if len(targets) == 0 {
-			done()
-			return
-		}
-		k.SendShootdownIPIs(c, u.MM, u.Start, u.Pages, targets, done)
+		k.Shootdown(c, u.MM, u.Start, u.Pages, k.ShootdownTargets(c, u.MM), done)
 	case MutSkipOneTarget:
-		finish := func() {
-			freeCost := sim.Time(len(u.Frames)) * k.Cost.FreePerPage
-			u.Span.Mark(obs.PhaseReclaim, c.ID, k.Now(), freeCost)
-			c.Busy(freeCost, false, func() {
-				k.ReleaseFrames(u.Frames)
-				if !u.KeepVMA {
-					k.ReleaseVA(u.MM, u.Start, u.Pages)
-				}
-				done()
-			})
-		}
-		targets := dropHighestCore(k.ShootdownTargets(c, u.MM))
-		if len(targets) == 0 {
-			finish()
-			return
-		}
-		k.SendShootdownIPIs(c, u.MM, u.Start, u.Pages, targets, finish)
+		k.Shootdown(c, u.MM, u.Start, u.Pages, dropHighestCore(k.ShootdownTargets(c, u.MM)), func() {
+			k.FreeUnmapped(c, u, done)
+		})
 	default:
 		p.Linux.Munmap(c, u, done)
 	}
@@ -144,12 +125,7 @@ func (p *Mutant) SyncChange(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages i
 		// Pretend the remote TLBs were invalidated.
 		done()
 	case MutSkipOneTarget:
-		targets := dropHighestCore(p.k.ShootdownTargets(c, mm))
-		if len(targets) == 0 {
-			done()
-			return
-		}
-		p.k.SendShootdownIPIs(c, mm, start, pages, targets, done)
+		p.k.Shootdown(c, mm, start, pages, dropHighestCore(p.k.ShootdownTargets(c, mm)), done)
 	default:
 		p.Linux.SyncChange(c, mm, start, pages, done)
 	}
@@ -157,15 +133,11 @@ func (p *Mutant) SyncChange(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages i
 
 // dropHighestCore removes the highest-numbered core from the target set —
 // a deterministic "forgot one CPU" bug.
-func dropHighestCore(targets []*kernel.Core) []*kernel.Core {
-	if len(targets) == 0 {
-		return targets
+func dropHighestCore(targets topo.CoreMask) topo.CoreMask {
+	highest := topo.CoreID(-1)
+	targets.ForEach(func(id topo.CoreID) { highest = id })
+	if highest >= 0 {
+		targets.Clear(highest)
 	}
-	hi := 0
-	for i, t := range targets {
-		if t.ID > targets[hi].ID {
-			hi = i
-		}
-	}
-	return append(targets[:hi], targets[hi+1:]...)
+	return targets
 }

@@ -108,23 +108,18 @@ func (p *HATRIC) quiesce(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int,
 	k := p.k
 	m := &k.Cost
 	sp := c.Span()
-	var mask topo.CoreMask
-	var targets []*kernel.Core
-	for _, t := range k.Cores {
-		if t.ID != c.ID && mm.CPUMask.Has(t.ID) {
-			targets = append(targets, t)
-			mask.Set(t.ID)
-		}
-	}
-	if len(targets) == 0 {
+	targets := mm.CPUMask
+	targets.Clear(c.ID)
+	if targets.Empty() {
 		done()
 		return
 	}
-	sp.SetTargets(mask)
+	sp.SetTargets(targets)
 	k.Metrics.Inc("shootdown.initiated", 1)
 	k.Metrics.Inc("hatric.batches", 1)
 	now := k.Now()
-	for _, t := range targets {
+	targets.ForEach(func(id topo.CoreID) {
+		t := k.Cores[id]
 		var inval sim.Time
 		if pages <= 0 || pages > m.FullFlushThreshold {
 			// Past the threshold the batch degenerates to a context-wide
@@ -138,7 +133,7 @@ func (p *HATRIC) quiesce(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int,
 		t.Inject(inval)
 		k.Metrics.Inc("hatric.invals", uint64(max(1, min(pages, m.FullFlushThreshold))))
 		sp.Mark(obs.PhaseInvalidate, t.ID, now, inval)
-	}
+	})
 	c.BeginSpin()
 	k.Engine.After(m.HATRICPropagation, func(anow sim.Time) {
 		sp.Mark(obs.PhaseAck, c.ID, now, anow-now)
@@ -149,18 +144,7 @@ func (p *HATRIC) quiesce(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int,
 // Munmap implements kernel.Policy: frames become reusable one propagation
 // delay after the PTE clear — the fabric guarantees no stale copy survives.
 func (p *HATRIC) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
-	k := p.k
-	p.quiesce(c, u.MM, u.Start, u.Pages, func() {
-		freeCost := sim.Time(len(u.Frames)) * k.Cost.FreePerPage
-		u.Span.Mark(obs.PhaseReclaim, c.ID, k.Now(), freeCost)
-		c.Busy(freeCost, false, func() {
-			k.ReleaseFrames(u.Frames)
-			if !u.KeepVMA {
-				k.ReleaseVA(u.MM, u.Start, u.Pages)
-			}
-			done()
-		})
-	})
+	p.quiesce(c, u.MM, u.Start, u.Pages, func() { p.k.FreeUnmapped(c, u, done) })
 }
 
 // SyncChange implements kernel.Policy.
@@ -170,17 +154,7 @@ func (p *HATRIC) SyncChange(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages i
 
 // NUMAUnmap implements kernel.Policy.
 func (p *HATRIC) NUMAUnmap(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
-	k := p.k
-	for i := 0; i < pages; i++ {
-		mm.PT.SetNUMAHint(start+pt.VPN(i), true)
-	}
-	if pages > k.Cost.FullFlushThreshold {
-		c.TLB.FlushAll()
-	} else {
-		c.TLB.InvalidateRange(c.PCIDOf(mm), start, start+pt.VPN(pages))
-	}
-	cost := sim.Time(pages)*k.Cost.PTEClearPerPage + k.Cost.InvalidateCost(pages)
-	c.Busy(cost, true, func() {
+	c.Busy(p.k.MarkNUMAHints(c, mm, start, pages), true, func() {
 		p.quiesce(c, mm, start, pages, done)
 	})
 }
