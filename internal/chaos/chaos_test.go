@@ -3,7 +3,6 @@ package chaos
 import (
 	"testing"
 
-	"latr/internal/core"
 	"latr/internal/sim"
 )
 
@@ -54,13 +53,24 @@ func TestChaosSweep(t *testing.T) {
 
 // TestChaosDeterminism re-runs one config per profile and requires the
 // full determinism triple — trace digest, metrics fingerprint, engine
-// fingerprint — to match exactly (satellite: identical trace digests and
-// metric snapshots from the same workload and chaos seed).
+// fingerprint — to match exactly, and to match the pinned values: a knob
+// that stops reaching the kernel (overflow-pressure's QueueDepth,
+// unsafe-reclaim's ReclaimDelay) moves its profile's triple.
 func TestChaosDeterminism(t *testing.T) {
+	pins := map[string][3]uint64{
+		"jitter":            {0x221fb7f765a6bcfb, 0xf37b90ce0d953e1f, 0xd5122837f360d306},
+		"overflow-pressure": {0xb2c030a293980f73, 0xdf3fd78302f780ab, 0x076db2d43163ab46},
+		"reclaim-stall":     {0xe8fd132d3a3e3ff0, 0x63e25dacf151b2ad, 0x2b1e80347ffecb7e},
+		"tick-drop":         {0x449f8a9f1f432463, 0x0eac5214d4979a08, 0x16ad7cb49ac1db71},
+		"unsafe-reclaim":    {0xe8e406410404459a, 0x41cb35d2374a9567, 0x435a7e276f1959ae},
+	}
 	for _, name := range Profiles() {
 		prof, _ := ProfileByName(name)
 		a := sweepRun(77, prof)
 		b := sweepRun(77, prof)
+		if got := [3]uint64{a.TraceDigest, a.MetricsFP, a.EngineFP}; got != pins[name] {
+			t.Errorf("%s: determinism triple %#x, pinned %#x", name, got, pins[name])
+		}
 		if a.TraceDigest != b.TraceDigest {
 			t.Errorf("%s: trace digests differ: %#x vs %#x", name, a.TraceDigest, b.TraceDigest)
 		}
@@ -111,26 +121,30 @@ func TestUnsafeReclaimCaught(t *testing.T) {
 }
 
 // TestTinyQueueNoDeadlock is the regression for the overflow degradation
-// path (satellite): QueueDepth=2 saturated by concurrent munmap bursts on
-// every core must complete with no deadlock, no violation, and the
-// shootdown fallback counters incrementing.
+// path: QueueDepth=2 saturated by concurrent munmap bursts on every core
+// must complete with no deadlock, no violation, and more fallback IPIs
+// than the paper's 64-deep queue takes on the same workload (which
+// overflows too, so a bare nonzero count would not show the depth
+// reached the kernel).
 func TestTinyQueueNoDeadlock(t *testing.T) {
-	r := Run(RunConfig{
-		Seed:           3,
-		Profile:        Profile{Name: "none"}, // pure workload pressure, no injected faults
-		Sockets:        2,
-		CoresPerSocket: 2,
-		Duration:       20 * sim.Millisecond,
-		LATR:           core.Config{QueueDepth: 2},
-	})
+	run := func(depth int) Result {
+		return Run(RunConfig{
+			Seed:           3,
+			Profile:        Profile{Name: "none", QueueDepth: depth}, // pure workload pressure, no injected faults
+			Sockets:        2,
+			CoresPerSocket: 2,
+			Duration:       20 * sim.Millisecond,
+		})
+	}
+	r, paper := run(2), run(0)
 	if r.Deadlocked {
 		t.Fatalf("%v", r)
 	}
 	if len(r.Violations) != 0 {
 		t.Fatalf("violations under queue saturation:\n%s", r.Report)
 	}
-	if r.FallbackIPIs == 0 {
-		t.Fatal("QueueDepth=2 burst never overflowed into the fallback-IPI path")
+	if r.FallbackIPIs <= paper.FallbackIPIs {
+		t.Fatalf("QueueDepth=2 burst took %d fallback IPIs, the paper depth %d", r.FallbackIPIs, paper.FallbackIPIs)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"latr/internal/kernel"
 	"latr/internal/sim"
 )
 
@@ -37,13 +38,15 @@ type Profile struct {
 	QuiesceMin  sim.Time
 	QuiesceMax  sim.Time
 
-	// QueueDepth, when > 0, shrinks the LATR state array to force
+	// QueueDepth, when set, shrinks the LATR state array to force
 	// queue-overflow pressure (the fallback-IPI path) under bursty munmap.
+	// It reaches the kernel as Tunables.QueueDepth.
 	QueueDepth int
 
-	// ReclaimDelay, when > 0, overrides LATR's lazy-list parking time —
+	// ReclaimDelay, when set, overrides LATR's lazy-list parking time —
 	// the negative profile shortens it so the unsafe free races states
-	// that are genuinely still active.
+	// that are genuinely still active. It reaches the kernel as
+	// Tunables.ReclaimDelay.
 	ReclaimDelay sim.Time
 
 	// UnsafeReclaimProb makes the reclaim thread free lazy memory while
@@ -55,6 +58,17 @@ type Profile struct {
 
 // String renders the profile name.
 func (p Profile) String() string { return p.Name }
+
+// Tunables returns the kernel knobs the profile sets, for
+// kernel.Options.Tunables: zero fields keep the paper defaults, and
+// kernel.New validates the rest. It is nil when the profile sets none,
+// so a fault-free run builds its kernel exactly as a plain one does.
+func (p Profile) Tunables() *kernel.Tunables {
+	if p.QueueDepth == 0 && p.ReclaimDelay == 0 {
+		return nil
+	}
+	return &kernel.Tunables{QueueDepth: p.QueueDepth, ReclaimDelay: p.ReclaimDelay}
+}
 
 // The standard profiles: each stresses one degradation path hard while
 // keeping the others quiet, so a sweep failure points at its trigger.

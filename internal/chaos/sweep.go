@@ -29,10 +29,6 @@ type RunConfig struct {
 	Duration sim.Time
 	Deadline sim.Time
 
-	// LATR overrides the mechanism config; the profile's QueueDepth (when
-	// set) takes precedence over LATR.QueueDepth.
-	LATR core.Config
-
 	// TraceLimit bounds the trace used for the determinism digest
 	// (default 20000 events).
 	TraceLimit int
@@ -53,12 +49,6 @@ func (cfg RunConfig) withDefaults() RunConfig {
 	}
 	if cfg.TraceLimit == 0 {
 		cfg.TraceLimit = 20000
-	}
-	if cfg.Profile.QueueDepth > 0 {
-		cfg.LATR.QueueDepth = cfg.Profile.QueueDepth
-	}
-	if cfg.Profile.ReclaimDelay > 0 {
-		cfg.LATR.ReclaimDelay = cfg.Profile.ReclaimDelay
 	}
 	return cfg
 }
@@ -117,11 +107,11 @@ func Run(cfg RunConfig) Result {
 	spec := topo.Custom(cfg.Sockets, cfg.CoresPerSocket)
 	spec.MemPerNodeBytes = 64 << 20
 
-	pol := core.New(cfg.LATR)
-	k := kernel.New(spec, cost.Default(spec), pol, kernel.Options{
+	k := kernel.New(spec, cost.Default(spec), core.New(core.Config{}), kernel.Options{
 		Audit:      true,
 		Seed:       cfg.Seed,
 		TraceLimit: cfg.TraceLimit,
+		Tunables:   cfg.Profile.Tunables(),
 	})
 	inj := NewInjector(cfg.Seed, cfg.Profile)
 	inj.Install(k)

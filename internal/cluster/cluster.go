@@ -28,7 +28,6 @@ import (
 	"hash/fnv"
 
 	"latr/internal/chaos"
-	latrcore "latr/internal/core"
 	"latr/internal/kernel"
 	"latr/internal/metrics"
 	"latr/internal/obs"
@@ -66,8 +65,8 @@ type Config struct {
 	// Machine is the per-node topology shape, "NxM" sockets×cores
 	// (default "2x4").
 	Machine string
-	// Policy is the per-node TLB-coherence policy: linux, latr, abis,
-	// barrelfish or instant (default "latr").
+	// Policy is the per-node TLB-coherence policy, any shootdown.Names
+	// entry (default "latr").
 	Policy string
 	// Router selects the routing policy: round-robin, least-loaded or
 	// affinity (default "round-robin").
@@ -178,7 +177,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: Nodes %d exceeds the maximum %d", c.Nodes, maxNodes)
 	}
 	if c.Policy != "" {
-		if _, err := newPolicy(c.Policy); err != nil {
+		if _, err := shootdown.ByName(c.Policy); err != nil {
 			return err
 		}
 	}
@@ -354,32 +353,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// machineByName parses the per-node topology shape ("NxM" sockets×cores;
-// "2x8" is the paper's small reference machine).
+// machineByName parses the per-node topology shape ("NxM" sockets×cores)
+// as topo.Custom, whatever the shape. It does not resolve the paper's
+// machines the way experiments.MachineByName does: "8x15" gets
+// topo.Custom's 1024-entry L2 TLB, not the 512-entry L2 of
+// topo.EightSocket120. (Node memory comes from MemFramesPerNode either
+// way, so "2x8" does match topo.TwoSocket16.)
 func machineByName(name string) (topo.Spec, error) {
 	var sockets, per int
 	if n, err := fmt.Sscanf(name, "%dx%d", &sockets, &per); n == 2 && err == nil && sockets > 0 && per > 0 {
 		return topo.Custom(sockets, per), nil
 	}
 	return topo.Spec{}, fmt.Errorf("cluster: bad machine %q (want NxM)", name)
-}
-
-// newPolicy builds a fresh per-node coherence policy by name (the same
-// vocabulary the experiment harness uses).
-func newPolicy(name string) (kernel.Policy, error) {
-	switch name {
-	case "linux":
-		return shootdown.NewLinux(), nil
-	case "latr":
-		return latrcore.New(latrcore.Config{}), nil
-	case "abis":
-		return shootdown.NewABIS(), nil
-	case "barrelfish":
-		return shootdown.NewBarrelfish(), nil
-	case "instant":
-		return kernel.NewInstantPolicy(), nil
-	}
-	return nil, fmt.Errorf("cluster: unknown policy %q", name)
 }
 
 // Cluster is one assembled fleet. Build with New, run once with Run.

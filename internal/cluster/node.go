@@ -7,6 +7,7 @@ import (
 	"latr/internal/kernel"
 	"latr/internal/pt"
 	"latr/internal/remote"
+	"latr/internal/shootdown"
 	"latr/internal/sim"
 	"latr/internal/swap"
 	"latr/internal/topo"
@@ -67,7 +68,7 @@ func newNode(c *Cluster, id int) *node {
 		panic(err)
 	}
 	spec.MemPerNodeBytes = cfg.MemFramesPerNode * 4096
-	pol, err := newPolicy(cfg.Policy)
+	pol, err := shootdown.ByName(cfg.Policy)
 	if err != nil {
 		panic(err)
 	}

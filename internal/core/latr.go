@@ -21,113 +21,30 @@ import (
 	"latr/internal/topo"
 )
 
-// Config tunes the LATR mechanism; zero fields take paper defaults.
+// Config selects LATR's sweep trigger points; the zero value is the
+// paper's design. The mechanism's knobs (queue depth, fallback occupancy,
+// reclaim delay and period) are not configured here: Attach copies them
+// from the kernel's Tunables.
 type Config struct {
-	// QueueDepth is the number of LATR states per core (64 in the paper;
-	// overflowing falls back to IPIs — §4.2, §8).
-	QueueDepth int
-	// ReclaimDelay is how long freed memory parks on the lazy lists (twice
-	// the scheduler tick, 2 ms, in the paper — §4.2).
-	ReclaimDelay sim.Time
-	// ReclaimPeriod is how often the background reclaim thread runs.
-	ReclaimPeriod sim.Time
-	// GateTimeout bounds how long a migration-gated fault (§4.4) may wait
-	// for its state to clear. Past the timeout the state is force-swept on
-	// behalf of the laggard cores — the escape hatch that keeps faults
-	// from hanging forever when sweeps stop arriving (quiesced cores,
-	// dropped ticks). Zero takes the 10 ms default.
-	GateTimeout sim.Time
-	// AuditLeakAge is the state age past which the coherence auditor (when
-	// the kernel runs with Options.Audit) flags an active state as leaked
-	// and its waiters as lost. Zero takes the 50 ms default — far beyond
-	// any legitimate sweep horizon (two tick periods).
-	AuditLeakAge sim.Time
-	// FallbackOccupancy is the queue occupancy at or above which a new
-	// operation takes the synchronous IPI path even when a slot is still
-	// free. The paper's behaviour is FallbackOccupancy == QueueDepth
-	// (fall back only when the array is full); the auto-tuner explores
-	// earlier fallback as a way to bound sweep work under bursts.
-	FallbackOccupancy int
 	// DisableTickSweep and DisableContextSwitchSweep turn off the sweep
 	// trigger points (both on in the paper; ablation knobs here).
 	DisableTickSweep          bool
 	DisableContextSwitchSweep bool
 }
 
-// DefaultConfig returns the paper's parameters.
-func DefaultConfig() Config {
-	return Config{
-		QueueDepth:        64,
-		ReclaimDelay:      2 * sim.Millisecond,
-		ReclaimPeriod:     sim.Millisecond,
-		GateTimeout:       10 * sim.Millisecond,
-		AuditLeakAge:      50 * sim.Millisecond,
-		FallbackOccupancy: 64,
-	}
-}
-
-// Validate rejects nonsensical configurations. Zero fields are fine (they
-// take defaults); negative depths or durations have no meaning and, before
-// this check existed, silently broke the reclaim thread's self-scheduling.
-func (c Config) Validate() error {
-	if c.QueueDepth < 0 {
-		return fmt.Errorf("latr: QueueDepth %d is negative", c.QueueDepth)
-	}
-	if c.ReclaimDelay < 0 {
-		return fmt.Errorf("latr: ReclaimDelay %v is negative", c.ReclaimDelay)
-	}
-	if c.ReclaimPeriod < 0 {
-		return fmt.Errorf("latr: ReclaimPeriod %v is negative", c.ReclaimPeriod)
-	}
-	if c.GateTimeout < 0 {
-		return fmt.Errorf("latr: GateTimeout %v is negative", c.GateTimeout)
-	}
-	if c.AuditLeakAge < 0 {
-		return fmt.Errorf("latr: AuditLeakAge %v is negative", c.AuditLeakAge)
-	}
-	if c.FallbackOccupancy < 0 {
-		return fmt.Errorf("latr: FallbackOccupancy %d is negative", c.FallbackOccupancy)
-	}
-	return nil
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = d.QueueDepth
-	}
-	if c.ReclaimDelay <= 0 {
-		c.ReclaimDelay = d.ReclaimDelay
-	}
-	if c.ReclaimPeriod <= 0 {
-		c.ReclaimPeriod = d.ReclaimPeriod
-	}
-	if c.GateTimeout <= 0 {
-		c.GateTimeout = d.GateTimeout
-	}
-	if c.AuditLeakAge <= 0 {
-		c.AuditLeakAge = d.AuditLeakAge
-	}
-	if c.FallbackOccupancy <= 0 || c.FallbackOccupancy > c.QueueDepth {
-		c.FallbackOccupancy = c.QueueDepth
-	}
-	return c
-}
-
-// ConfigFromTunables projects the kernel-wide knob struct onto the LATR
-// policy config. The cost-model knobs (sweep cadence, full-flush cutoff)
-// are applied separately by kernel.New via Options.Tunables; the fields
-// Tunables does not cover (gate timeout, audit age, sweep-trigger gates)
-// keep their defaults.
-func ConfigFromTunables(t kernel.Tunables) Config {
-	t = t.WithDefaults()
-	return Config{
-		QueueDepth:        t.QueueDepth,
-		ReclaimDelay:      t.ReclaimDelay,
-		ReclaimPeriod:     t.ReclaimPeriod,
-		FallbackOccupancy: t.FallbackOccupancy,
-	}
-}
+const (
+	// gateTimeout bounds how long a migration-gated fault (§4.4) may wait
+	// for its state to clear. Past the timeout the state is force-swept on
+	// behalf of the laggard cores — the escape hatch that keeps faults
+	// from hanging forever when sweeps stop arriving (quiesced cores,
+	// dropped ticks).
+	gateTimeout = 10 * sim.Millisecond
+	// auditLeakAge is the state age past which the coherence auditor (when
+	// the kernel runs with Options.Audit) flags an active state as leaked
+	// and its waiters as lost — far beyond any legitimate sweep horizon
+	// (two tick periods).
+	auditLeakAge = 50 * sim.Millisecond
+)
 
 // State is one LATR state entry (Fig 4): 68 bytes in the paper's kernel.
 type State struct {
@@ -164,6 +81,9 @@ type State struct {
 type Policy struct {
 	k   *kernel.Kernel
 	cfg Config
+	// tun holds the knobs Attach copied from Kernel.Tunables: QueueDepth,
+	// FallbackOccupancy, ReclaimDelay and ReclaimPeriod.
+	tun kernel.Tunables
 
 	// queues[core][slot]: the per-core cyclic state arrays. Slots are
 	// reused once inactive. A core's array stays nil until that core first
@@ -194,28 +114,23 @@ var (
 	_ kernel.Attacher = (*Policy)(nil)
 )
 
-// New returns a LATR policy with cfg (zero-value fields take defaults).
+// New returns a LATR policy with the given sweep triggers.
 func New(cfg Config) *Policy {
-	return &Policy{cfg: cfg.withDefaults()}
+	return &Policy{cfg: cfg}
 }
 
-// Attach implements kernel.Attacher: it sets up the per-core queue table
-// and starts the background reclaim thread.
+// Attach implements kernel.Attacher: it copies the knobs from the
+// kernel's Tunables, sets up the per-core queue table and starts the
+// background reclaim thread.
 func (p *Policy) Attach(k *kernel.Kernel) {
 	p.k = k
-	// Policies built by literal (bypassing New) may carry a zero or negative
-	// ReclaimPeriod; before this guard the reclaim thread either rescheduled
-	// itself at the same instant forever (period 0 — the engine never
-	// advanced past the first pass) or panicked in Engine.At (negative).
-	if p.cfg.ReclaimPeriod <= 0 || p.cfg.QueueDepth <= 0 {
-		p.cfg = p.cfg.withDefaults()
-	}
+	p.tun = k.Tunables
 	n := k.Spec.NumCores()
 	p.queues = make([][]State, n)
 	p.activeCount = make([]int, n)
-	k.Engine.At(p.cfg.ReclaimPeriod/2, p.reclaimPass)
+	k.Engine.At(p.tun.ReclaimPeriod/2, p.reclaimPass)
 	if k.Audit != nil {
-		k.Engine.At(p.cfg.ReclaimPeriod, p.auditPass)
+		k.Engine.At(p.tun.ReclaimPeriod, p.auditPass)
 	}
 }
 
@@ -227,9 +142,6 @@ func (p *Policy) Name() string { return "latr" }
 // backings park until a deferred tagged flush instead of a synchronous
 // quiesce of every vCPU.
 func (p *Policy) HostMode() kernel.HostMode { return kernel.HostLazy }
-
-// Config returns the active configuration.
-func (p *Policy) Config() Config { return p.cfg }
 
 // LazyReplicaSweeps marks LATR as a lazy-capable driver for page-table
 // replica maintenance (internal/ptrepl): parked replica invalidations are
@@ -244,7 +156,7 @@ func (p *Policy) LazyReplicaSweeps() bool { return true }
 func (p *Policy) record(c *kernel.Core, s State) (*State, bool) {
 	q := p.queues[c.ID]
 	if q == nil {
-		q = make([]State, p.cfg.QueueDepth)
+		q = make([]State, p.tun.QueueDepth)
 		p.queues[c.ID] = q
 	}
 	free := -1
@@ -257,13 +169,7 @@ func (p *Policy) record(c *kernel.Core, s State) (*State, bool) {
 		}
 	}
 	p.k.Metrics.Observe("latr.queue_occupancy", sim.Time(occupied))
-	// Policies built by literal may carry a zero or out-of-range fallback
-	// threshold; treat both as the paper behaviour (full queue only).
-	limit := p.cfg.FallbackOccupancy
-	if limit <= 0 || limit > len(q) {
-		limit = len(q)
-	}
-	if free < 0 || occupied >= limit {
+	if free < 0 || occupied >= p.tun.FallbackOccupancy {
 		p.k.Metrics.Inc("latr.queue_full", 1)
 		return nil, false
 	}
@@ -346,7 +252,7 @@ func (p *Policy) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 		p.reclaim = append(p.reclaim, reclaimEntry{
 			u:         u,
 			state:     st,
-			deadline:  k.Now() + p.cfg.ReclaimDelay,
+			deadline:  k.Now() + p.tun.ReclaimDelay,
 			initiator: c,
 		})
 		u.Span.MarkLazy(obs.PhaseSend, c.ID, tS, k.Now()-tS)
@@ -546,7 +452,7 @@ func (p *Policy) GateMigration(mm *kernel.MM, vpn pt.VPN, cont func()) bool {
 }
 
 // armGateTimeout schedules the escape hatch for a gated fault: if the
-// state is still active (same occupancy, by generation) when GateTimeout
+// state is still active (same occupancy, by generation) when gateTimeout
 // elapses, the laggard cores' sweeps are performed on their behalf so the
 // waiters run. Without this, a quiesced or tick-starved core wedges every
 // fault gated on its bit forever.
@@ -556,7 +462,7 @@ func (p *Policy) armGateTimeout(st *State) {
 	}
 	st.gateArmed = true
 	gen := st.gen
-	p.k.Engine.After(p.cfg.GateTimeout, func(sim.Time) {
+	p.k.Engine.After(gateTimeout, func(sim.Time) {
 		if !st.Active || st.gen != gen {
 			return
 		}
@@ -614,7 +520,7 @@ func (p *Policy) reclaimPass(now sim.Time) {
 			return
 		}
 	}
-	defer k.Engine.At(now+p.cfg.ReclaimPeriod, p.reclaimPass)
+	defer k.Engine.At(now+p.tun.ReclaimPeriod, p.reclaimPass)
 
 	keep := p.reclaim[:0]
 	var freed int
@@ -640,7 +546,7 @@ func (p *Policy) reclaimPass(now sim.Time) {
 				}
 			} else {
 				k.Metrics.Inc("latr.reclaim_deferred", 1)
-				e.deadline = now + p.cfg.ReclaimPeriod
+				e.deadline = now + p.tun.ReclaimPeriod
 				keep = append(keep, e)
 				continue
 			}
@@ -676,7 +582,7 @@ func (p *Policy) reclaimPass(now sim.Time) {
 // with its first-occurrence time and then counts occurrences.
 func (p *Policy) auditPass(now sim.Time) {
 	k := p.k
-	defer k.Engine.At(now+p.cfg.ReclaimPeriod, p.auditPass)
+	defer k.Engine.At(now+p.tun.ReclaimPeriod, p.auditPass)
 	for coreIdx := range p.queues {
 		if p.activeCount[coreIdx] == 0 {
 			continue
@@ -688,7 +594,7 @@ func (p *Policy) auditPass(now sim.Time) {
 				continue
 			}
 			age := now - st.recordedAt
-			if age <= p.cfg.AuditLeakAge {
+			if age <= auditLeakAge {
 				continue
 			}
 			k.Metrics.Inc("audit.leaked_state", 1)
@@ -754,5 +660,5 @@ func (p *Policy) PendingReclaim() int { return len(p.reclaim) }
 
 // String describes the policy configuration.
 func (p *Policy) String() string {
-	return fmt.Sprintf("latr(depth=%d, delay=%v)", p.cfg.QueueDepth, p.cfg.ReclaimDelay)
+	return fmt.Sprintf("latr(depth=%d, delay=%v)", p.tun.QueueDepth, p.tun.ReclaimDelay)
 }

@@ -12,10 +12,15 @@ import (
 )
 
 func latrKernel(cfg Config) (*kernel.Kernel, *Policy) {
+	return latrKernelTuned(cfg, nil)
+}
+
+// latrKernelTuned builds the test machine with the given kernel knobs.
+func latrKernelTuned(cfg Config, tun *kernel.Tunables) (*kernel.Kernel, *Policy) {
 	spec := topo.Custom(2, 2)
 	spec.MemPerNodeBytes = 64 << 20
 	p := New(cfg)
-	k := kernel.New(spec, cost.Default(spec), p, kernel.Options{CheckInvariants: true, Seed: 7})
+	k := kernel.New(spec, cost.Default(spec), p, kernel.Options{CheckInvariants: true, Seed: 7, Tunables: tun})
 	return k, p
 }
 
@@ -187,7 +192,7 @@ func TestStaleAccessWindowThenSegfault(t *testing.T) {
 }
 
 func TestQueueOverflowFallsBackToIPIs(t *testing.T) {
-	k, _ := latrKernel(Config{QueueDepth: 4})
+	k, _ := latrKernelTuned(Config{}, &kernel.Tunables{QueueDepth: 4})
 	p := k.NewProcess()
 	// A second thread keeps another core in the mask so states are needed.
 	p.Spawn(1, spin(50*sim.Millisecond))
@@ -359,85 +364,34 @@ func TestInvariantHoldsUnderChurn(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	p := New(Config{})
-	cfg := p.Config()
-	if cfg.QueueDepth != 64 || cfg.ReclaimDelay != 2*sim.Millisecond {
-		t.Fatalf("defaults = %+v", cfg)
+	// Attach copies the knobs from the kernel's Tunables: the paper's
+	// values when Options.Tunables is nil, the given ones otherwise.
+	_, p := latrKernel(Config{})
+	if got := p.String(); got != "latr(depth=64, delay=2.000ms)" {
+		t.Fatalf("default knobs = %s", got)
 	}
-	if p.Name() != "latr" || p.String() == "" {
+	if p.Name() != "latr" {
 		t.Fatal("identity methods broken")
 	}
-	d := DefaultConfig()
-	if d.DisableTickSweep || d.DisableContextSwitchSweep {
-		t.Fatal("default sweep triggers should be on")
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	if err := (Config{}).Validate(); err != nil {
-		t.Fatalf("zero config should validate: %v", err)
-	}
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config should validate: %v", err)
-	}
-	bad := []Config{
-		{QueueDepth: -1},
-		{ReclaimDelay: -sim.Millisecond},
-		{ReclaimPeriod: -sim.Millisecond},
-		{GateTimeout: -sim.Millisecond},
-		{AuditLeakAge: -sim.Millisecond},
-	}
-	for _, c := range bad {
-		if c.Validate() == nil {
-			t.Errorf("Validate accepted %+v", c)
-		}
-	}
-}
-
-// TestAttachSurvivesBadReclaimPeriod regresses the reclaim-thread
-// scheduling fix: a Policy built by literal (bypassing New's defaulting)
-// with a zero or negative ReclaimPeriod used to wedge the event loop at
-// time zero or panic in Engine.At. Attach must clamp and the mechanism
-// must still reclaim.
-func TestAttachSurvivesBadReclaimPeriod(t *testing.T) {
-	for _, period := range []sim.Time{0, -sim.Millisecond} {
-		pol := &Policy{cfg: Config{ReclaimPeriod: period}}
-		spec := topo.Custom(2, 2)
-		spec.MemPerNodeBytes = 64 << 20
-		k := kernel.New(spec, cost.Default(spec), pol, kernel.Options{CheckInvariants: true, Seed: 7})
-		p := k.NewProcess()
-		p.Spawn(1, spin(8*sim.Millisecond))
-		p.Spawn(0, kernel.Script(
-			func(*kernel.Thread) kernel.Op {
-				return kernel.OpMmap{Pages: 2, Writable: true, Populate: true, Node: -1}
-			},
-			func(th *kernel.Thread) kernel.Op {
-				return kernel.OpMunmap{Addr: th.LastAddr, Pages: 2}
-			},
-		))
-		k.Run(20 * sim.Millisecond)
-		if got := pol.Config().ReclaimPeriod; got <= 0 {
-			t.Fatalf("period %v: Attach did not clamp ReclaimPeriod (got %v)", period, got)
-		}
-		if k.Metrics.Counter("latr.reclaimed") == 0 {
-			t.Fatalf("period %v: nothing reclaimed", period)
-		}
+	_, p = latrKernelTuned(Config{}, &kernel.Tunables{QueueDepth: 8, ReclaimDelay: 4 * sim.Millisecond})
+	if got := p.String(); got != "latr(depth=8, delay=4.000ms)" {
+		t.Fatalf("tuned knobs = %s", got)
 	}
 }
 
 // TestGateTimeoutForcesSweep pins the migration-gate escape hatch: with
 // every sweep trigger disabled, a gated fault would wait forever — the
-// gate timeout must force the sweep, complete the state and release the
-// waiter.
+// 10 ms gate timeout must force the sweep, complete the state and release
+// the waiter.
 func TestGateTimeoutForcesSweep(t *testing.T) {
 	k, pol := latrKernel(Config{
 		DisableTickSweep:          true,
 		DisableContextSwitchSweep: true,
-		GateTimeout:               500 * sim.Microsecond,
 	})
 	p := k.NewProcess()
 	mm := p.MM
 	released := false
+	var gatedAt, releasedAt sim.Time
 	var base pt.VPN
 	p.Spawn(1, spin(20*sim.Millisecond))
 	p.Spawn(0, kernel.Script(
@@ -451,7 +405,8 @@ func TestGateTimeoutForcesSweep(t *testing.T) {
 			}}
 		},
 		func(*kernel.Thread) kernel.Op {
-			if !pol.GateMigration(mm, base, func() { released = true }) {
+			gatedAt = k.Now()
+			if !pol.GateMigration(mm, base, func() { released, releasedAt = true, k.Now() }) {
 				t.Error("GateMigration should defer while the state is active")
 			}
 			return kernel.OpCompute{D: 20 * sim.Millisecond}
@@ -460,6 +415,9 @@ func TestGateTimeoutForcesSweep(t *testing.T) {
 	k.Run(30 * sim.Millisecond)
 	if !released {
 		t.Fatal("gate timeout never released the waiter")
+	}
+	if releasedAt-gatedAt < gateTimeout {
+		t.Fatalf("waiter released %v after gating, before the %v timeout", releasedAt-gatedAt, gateTimeout)
 	}
 	if k.Metrics.Counter("latr.gate_timeout_forced") == 0 {
 		t.Fatal("forced sweep not accounted")

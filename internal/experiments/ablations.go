@@ -11,11 +11,11 @@ import (
 	"latr/internal/workload"
 )
 
-// runMicroWithLATR runs the microbenchmark with a custom LATR config.
-func runMicroWithLATR(cfg latrcore.Config, cores, pages, iters int, o Options) (*kernel.Kernel, microResult) {
+// runMicroWithLATR runs the microbenchmark under LATR with custom knobs.
+func runMicroWithLATR(t kernel.Tunables, cores, pages, iters int, o Options) (*kernel.Kernel, microResult) {
 	spec := topo.TwoSocket16()
-	k := kernel.New(spec, cost.Default(spec), latrcore.New(cfg), kernel.Options{
-		Seed: o.Seed, CheckInvariants: o.CheckInvariants,
+	k := kernel.New(spec, cost.Default(spec), latrcore.New(latrcore.Config{}), kernel.Options{
+		Seed: o.Seed, CheckInvariants: o.CheckInvariants, Tunables: &t,
 	})
 	m := workload.NewMicro(workload.MicroConfig{Cores: cores, Pages: pages, Iters: iters})
 	m.Setup(k)
@@ -47,8 +47,8 @@ func AblationQueueDepth(o Options) *Table {
 	}
 	rows := fan(o.workers(), depths, func(_ int, depth int) row {
 		spec := topo.TwoSocket16()
-		k := kernel.New(spec, cost.Default(spec), latrcore.New(latrcore.Config{QueueDepth: depth}),
-			kernel.Options{Seed: o.Seed})
+		k := kernel.New(spec, cost.Default(spec), latrcore.New(latrcore.Config{}),
+			kernel.Options{Seed: o.Seed, Tunables: &kernel.Tunables{QueueDepth: depth}})
 		p := k.NewProcess()
 		for c := 1; c < 16; c++ {
 			c := c
@@ -130,7 +130,7 @@ func AblationReclaimDelay(o Options) *Table {
 	}
 	iters := o.scale(300, 50)
 	for _, delay := range []sim.Time{sim.Millisecond, 2 * sim.Millisecond, 4 * sim.Millisecond, 8 * sim.Millisecond} {
-		k, _ := runMicroWithLATR(latrcore.Config{ReclaimDelay: delay}, 16, 64, iters, o)
+		k, _ := runMicroWithLATR(kernel.Tunables{ReclaimDelay: delay}, 16, 64, iters, o)
 		t.AddRow(delay.String(),
 			fmt.Sprintf("%.2f MB", float64(k.Metrics.GaugePeak("latr.lazy_bytes"))/(1<<20)),
 			fmt.Sprintf("%d", k.Metrics.Counter("latr.reclaim_deferred")))

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -14,10 +15,18 @@ import (
 // TestByIDQuick runs, through the ByID dispatcher, every experiment the
 // rest of the suite does not already exercise directly.
 func TestByIDQuick(t *testing.T) {
+	// The knob ablations are pinned by the FNV-64a of their rendered
+	// table: each routes its knob into the LATR policy, so a knob that
+	// stops arriving changes the table.
+	pins := map[string]uint64{
+		"abl-depth": 0x720d9590f06a4110,
+		"abl-delay": 0x176fc8d208c133a9,
+		"abl-sweep": 0x99b578c9255a3d88,
+	}
 	for _, id := range []string{
 		"table1", "table2", "table3", "table4",
 		"fig10", "fig11", "fig12", "ipi",
-		"abl-sweep", "abl-delay", "abl-variants", "abl-thp",
+		"abl-depth", "abl-sweep", "abl-delay", "abl-variants", "abl-thp",
 	} {
 		tb, err := ByID(id, quick)
 		if err != nil {
@@ -36,6 +45,13 @@ func TestByIDQuick(t *testing.T) {
 		}
 		if tb.String() == "" {
 			t.Errorf("%s: table renders empty", id)
+		}
+		if want, ok := pins[id]; ok {
+			h := fnv.New64a()
+			h.Write([]byte(tb.String()))
+			if got := h.Sum64(); got != want {
+				t.Errorf("%s: table digest %#x, pinned %#x", id, got, want)
+			}
 		}
 	}
 }

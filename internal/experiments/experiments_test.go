@@ -238,18 +238,6 @@ func TestByIDAndIDsAgree(t *testing.T) {
 	}
 }
 
-func TestNewPolicyNames(t *testing.T) {
-	for _, name := range append(PolicyNames(), VirtPolicyNames()...) {
-		p, err := NewPolicy(name)
-		if err != nil || p.Name() != name {
-			t.Errorf("NewPolicy(%s) = %v, %v", name, p, err)
-		}
-	}
-	if _, err := NewPolicy("nope"); err == nil {
-		t.Error("NewPolicy accepted unknown name")
-	}
-}
-
 func TestTimelinesRender(t *testing.T) {
 	out := Fig2Timeline(quick)
 	for _, want := range []string{"Fig 2 (linux)", "Fig 2 (latr)", "state saved", "shootdown sent"} {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"latr/internal/cache"
-	latrcore "latr/internal/core"
 	"latr/internal/cost"
 	"latr/internal/kernel"
 	"latr/internal/numa"
@@ -58,7 +57,8 @@ func (o Options) scaleT(full, quick sim.Time) sim.Time {
 	return full
 }
 
-// PolicyNames lists the available coherence policies.
+// PolicyNames lists the bare-metal policies the single-machine modes
+// offer; NewPolicy also accepts the virtualized ones (shootdown.Names).
 func PolicyNames() []string {
 	return []string{"linux", "latr", "abis", "barrelfish", "instant"}
 }
@@ -70,29 +70,8 @@ func VirtPolicyNames() []string {
 	return []string{"linux", "latr", "guest-latr", "host-latr", "hatric"}
 }
 
-// NewPolicy builds a fresh policy instance by name.
-func NewPolicy(name string) (kernel.Policy, error) {
-	switch name {
-	case "linux":
-		return shootdown.NewLinux(), nil
-	case "latr":
-		return latrcore.New(latrcore.Config{}), nil
-	case "abis":
-		return shootdown.NewABIS(), nil
-	case "barrelfish":
-		return shootdown.NewBarrelfish(), nil
-	case "instant":
-		return kernel.NewInstantPolicy(), nil
-	case "guest-latr":
-		return shootdown.NewGuestLATR(latrcore.Config{}), nil
-	case "host-latr":
-		return shootdown.NewHostLATR(), nil
-	case "hatric":
-		return shootdown.NewHATRIC(), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown policy %q (have %v)", name, PolicyNames())
-	}
-}
+// NewPolicy builds a fresh policy instance by name (shootdown.ByName).
+func NewPolicy(name string) (kernel.Policy, error) { return shootdown.ByName(name) }
 
 func mustPolicy(name string) kernel.Policy {
 	p, err := NewPolicy(name)

@@ -45,12 +45,14 @@ type Options struct {
 	SpanLimit int
 	// Seed feeds all kernel-side randomness.
 	Seed uint64
-	// Tunables, when non-nil, overlays the validated knob struct onto the
-	// cost model before the machine is built (sweep cadence, full-flush
-	// cutoff). New panics if the struct fails Validate — a tunables bug is
-	// a programming error, like an invalid topology. The policy- and
-	// ptrepl-owned knobs travel separately through their configs; nil
-	// keeps the paper defaults byte-for-byte.
+	// Tunables, when non-nil, sets the machine's knobs: zero fields take
+	// the paper defaults, the sweep cadence and full-flush cutoff overlay
+	// the cost model, and the result is stored as Kernel.Tunables, where
+	// the LATR policy and ptrepl read their knobs when they attach. New
+	// panics if the struct fails Validate — a tunables bug is a
+	// programming error, like an invalid topology. Nil stores
+	// DefaultTunables and leaves the cost model untouched, so a custom
+	// cost model keeps its tick.
 	Tunables *Tunables
 	// Engine, when non-nil, is the event engine the kernel schedules on
 	// instead of a private one. The cluster layer uses this to run N
@@ -74,6 +76,9 @@ type Kernel struct {
 	Spans   *obs.Collector
 	Rand    *sim.Rand
 	Opts    Options
+	// Tunables is the defaulted, validated knob set of this machine
+	// (Options.Tunables, or DefaultTunables when that is nil).
+	Tunables Tunables
 
 	policy Policy
 
@@ -106,11 +111,13 @@ func New(spec topo.Spec, model cost.Model, pol Policy, opts Options) *Kernel {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
+	tun := DefaultTunables()
 	if opts.Tunables != nil {
 		if err := opts.Tunables.Validate(); err != nil {
 			panic(err)
 		}
-		opts.Tunables.ApplyCost(&model)
+		tun = opts.Tunables.WithDefaults()
+		tun.ApplyCost(&model)
 	}
 	eng := opts.Engine
 	if eng == nil {
@@ -124,6 +131,7 @@ func New(spec topo.Spec, model cost.Model, pol Policy, opts Options) *Kernel {
 		Metrics:  metrics.NewRegistry(),
 		Rand:     sim.NewRand(opts.Seed ^ 0x1a7b2c3d4e5f6071),
 		Opts:     opts,
+		Tunables: tun,
 		policy:   pol,
 		nextPCID: 1,
 	}

@@ -7,13 +7,14 @@ import (
 	"latr/internal/sim"
 )
 
-// Tunables is the validated home of every knob the LATR paper fixes by
-// hand. Before this struct existed the values were scattered as literals:
-// the state-queue depth and reclaim timing in the LATR policy config, the
-// sweep cadence and full-flush cutoff in the cost model, and the
-// replication thresholds in ptrepl. Collecting them here gives the policy
-// auto-tuner (internal/tune) one typed surface to search over, and gives
-// every consumer the same bounds-checked defaults.
+// Tunables is the one validated home of every knob the LATR paper fixes
+// by hand: the state-queue depth, fallback occupancy and reclaim timing of
+// the LATR policy, the sweep cadence and full-flush cutoff of the cost
+// model, and the replication thresholds of ptrepl. No other struct holds a
+// default, a bound or a value for them: New stores the defaulted struct as
+// Kernel.Tunables, and the LATR policy and ptrepl copy their knobs from it
+// when they attach. The policy auto-tuner (internal/tune) searches over
+// this one typed surface.
 //
 // A zero field means "paper default"; Validate rejects anything set
 // outside its bound with an error naming the field.
@@ -161,9 +162,8 @@ func (t Tunables) Validate() error {
 }
 
 // ApplyCost overlays the cost-model-owned knobs (sweep cadence, full-flush
-// cutoff) onto m. The policy- and ptrepl-owned knobs are picked up where
-// those configs are built (core.ConfigFromTunables, ptrepl
-// Config.WithTunables).
+// cutoff) onto m. The other knobs are read from Kernel.Tunables by the
+// LATR policy and ptrepl when they attach.
 func (t Tunables) ApplyCost(m *cost.Model) {
 	t = t.WithDefaults()
 	m.SchedTickPeriod = t.SweepPeriod

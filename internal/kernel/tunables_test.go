@@ -116,3 +116,29 @@ func TestOptionsTunablesPanicsOnInvalid(t *testing.T) {
 	bad := Tunables{QueueDepth: -5}
 	New(spec, cost.Default(spec), NewInstantPolicy(), Options{Tunables: &bad})
 }
+
+// TestNewStoresTunables: New keeps the defaulted knob set on the kernel,
+// where policies read it at attach. Nil Options.Tunables stores the paper
+// defaults and leaves a custom cost model's tick alone; a given struct is
+// defaulted field by field and overlays the cost model.
+func TestNewStoresTunables(t *testing.T) {
+	spec := topo.TwoSocket16()
+	m := cost.Default(spec)
+	m.SchedTickPeriod = 4 * sim.Millisecond
+	k := New(spec, m, NewInstantPolicy(), Options{})
+	if k.Tunables != DefaultTunables() {
+		t.Fatalf("nil Options.Tunables stored %+v", k.Tunables)
+	}
+	if k.Cost.SchedTickPeriod != 4*sim.Millisecond {
+		t.Fatalf("nil Options.Tunables moved the custom tick to %v", k.Cost.SchedTickPeriod)
+	}
+	k = New(spec, m, NewInstantPolicy(), Options{Tunables: &Tunables{QueueDepth: 8}})
+	want := DefaultTunables()
+	want.QueueDepth, want.FallbackOccupancy = 8, 8
+	if k.Tunables != want {
+		t.Fatalf("stored %+v, want %+v", k.Tunables, want)
+	}
+	if k.Cost.SchedTickPeriod != sim.Millisecond {
+		t.Fatalf("given Tunables left the tick at %v", k.Cost.SchedTickPeriod)
+	}
+}

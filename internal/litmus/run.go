@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"latr/internal/chaos"
-	latrcore "latr/internal/core"
 	"latr/internal/cost"
 	"latr/internal/kernel"
 	"latr/internal/pt"
@@ -40,39 +39,14 @@ func topoByName(name string) (topo.Spec, error) {
 	return topo.Spec{}, fmt.Errorf("litmus: unknown topology %q (want 2x8 or 8x15)", name)
 }
 
-// newPolicy builds a fresh policy by name. Beyond the standard set it
-// resolves "mutant:<m>" to a deliberately broken Linux variant
-// (shootdown.NewMutant) for the oracle-sensitivity tests, and applies a
-// chaos profile's LATR config overrides (queue depth, reclaim delay).
-func newPolicy(name string, prof chaos.Profile) (kernel.Policy, error) {
-	switch name {
-	case "linux":
-		return shootdown.NewLinux(), nil
-	case "latr":
-		return latrcore.New(latrcore.Config{
-			QueueDepth:   prof.QueueDepth,
-			ReclaimDelay: prof.ReclaimDelay,
-		}), nil
-	case "abis":
-		return shootdown.NewABIS(), nil
-	case "barrelfish":
-		return shootdown.NewBarrelfish(), nil
-	case "guest-latr":
-		return shootdown.NewGuestLATR(latrcore.Config{
-			QueueDepth:   prof.QueueDepth,
-			ReclaimDelay: prof.ReclaimDelay,
-		}), nil
-	case "host-latr":
-		return shootdown.NewHostLATR(), nil
-	case "hatric":
-		return shootdown.NewHATRIC(), nil
-	case "instant":
-		return kernel.NewInstantPolicy(), nil
-	}
+// newPolicy builds a fresh policy by name: a registry name
+// (shootdown.ByName), or "mutant:<m>" for a deliberately broken Linux
+// variant (shootdown.NewMutant) used by the oracle-sensitivity tests.
+func newPolicy(name string) (kernel.Policy, error) {
 	if m, ok := strings.CutPrefix(name, "mutant:"); ok {
 		return shootdown.NewMutant(shootdown.Mutation(m))
 	}
-	return nil, fmt.Errorf("litmus: unknown policy %q", name)
+	return shootdown.ByName(name)
 }
 
 // RunConfig selects one execution of a scenario.
@@ -491,7 +465,7 @@ func RunScenario(sc *Scenario, cfg RunConfig) Outcome {
 			return out
 		}
 	}
-	pol, err := newPolicy(cfg.Policy, prof)
+	pol, err := newPolicy(cfg.Policy)
 	if err != nil {
 		out.Failures = append(out.Failures, err.Error())
 		return out
@@ -500,8 +474,9 @@ func RunScenario(sc *Scenario, cfg RunConfig) Outcome {
 		spec.MemPerNodeBytes = swapMemFrames * 4096
 	}
 	k := kernel.New(spec, cost.Default(spec), pol, kernel.Options{
-		Seed:  cfg.Seed ^ 0x11d7c0de,
-		Audit: true,
+		Seed:     cfg.Seed ^ 0x11d7c0de,
+		Audit:    true,
+		Tunables: prof.Tunables(),
 	})
 	if cfg.Chaos != "" {
 		chaos.NewInjector(cfg.Seed^0xc4a05, prof).Install(k)

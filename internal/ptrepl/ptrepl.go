@@ -13,8 +13,8 @@
 //   - Replication policy: PolicyNone keeps one master table (the Linux
 //     baseline — first-touch placement, every remote socket pays);
 //     PolicyAll replicates to every socket up front; PolicyAdaptive
-//     replicates a socket after ReplicateThreshold remote walks and
-//     migrates the master towards the dominant writer socket.
+//     replicates a socket after kernel.Tunables.ReplicateThreshold remote
+//     walks and migrates the master towards the dominant writer socket.
 //   - Coherent updates: installs and permission changes propagate eagerly
 //     (Table 1 allows laziness only for frees). Unmaps propagate eagerly
 //     too — unless Lazy is set under a lazy-capable policy (LATR), in
@@ -73,7 +73,9 @@ const (
 // Mutations lists the available sensitivity probes.
 func Mutations() []Mutation { return []Mutation{MutSkipReplica, MutLeakReplica} }
 
-// Config tunes the replication subsystem.
+// Config tunes the replication subsystem. PolicyAdaptive's thresholds
+// are not configured here: Install copies them from the kernel's Tunables
+// (ReplicateThreshold, MigrateThreshold).
 type Config struct {
 	Policy Policy
 	// Lazy parks remote-socket replica invalidations on the LATR sweep
@@ -82,13 +84,6 @@ type Config struct {
 	// whose frame frees are fenced by kernel.ReplComplete); under any
 	// other policy the configuration degrades to eager updates.
 	Lazy bool
-	// ReplicateThreshold is how many remote walks a socket takes before
-	// PolicyAdaptive replicates there. Zero takes the default (16).
-	ReplicateThreshold int
-	// MigrateThreshold is how many PTE stores a non-master socket issues
-	// (and must exceed the master's) before PolicyAdaptive migrates the
-	// master there. Zero takes the default (256).
-	MigrateThreshold int
 	// Mutation enables a deliberate defect (tests only).
 	Mutation Mutation
 }
@@ -103,38 +98,12 @@ func (c Config) Validate() error {
 	if c.Policy == PolicyNone && c.Lazy {
 		return fmt.Errorf("ptrepl: Lazy requires replicas (policy %q has none)", c.Policy)
 	}
-	if c.ReplicateThreshold < 0 {
-		return fmt.Errorf("ptrepl: ReplicateThreshold %d is negative", c.ReplicateThreshold)
-	}
-	if c.MigrateThreshold < 0 {
-		return fmt.Errorf("ptrepl: MigrateThreshold %d is negative", c.MigrateThreshold)
-	}
 	switch c.Mutation {
 	case "", MutSkipReplica, MutLeakReplica:
 	default:
 		return fmt.Errorf("ptrepl: unknown mutation %q", c.Mutation)
 	}
 	return nil
-}
-
-func (c Config) withDefaults() Config {
-	if c.ReplicateThreshold <= 0 {
-		c.ReplicateThreshold = 16
-	}
-	if c.MigrateThreshold <= 0 {
-		c.MigrateThreshold = 256
-	}
-	return c
-}
-
-// WithTunables overlays the search-tunable replication thresholds from the
-// kernel-wide knob struct; policy, laziness and mutation are not tunable
-// and stay as configured.
-func (c Config) WithTunables(t kernel.Tunables) Config {
-	t = t.WithDefaults()
-	c.ReplicateThreshold = t.ReplicateThreshold
-	c.MigrateThreshold = t.MigrateThreshold
-	return c
 }
 
 // ModeNames lists the litmus/experiment mode names ModeByName accepts.
@@ -188,6 +157,9 @@ type mmState struct {
 type Manager struct {
 	k   *kernel.Kernel
 	cfg Config
+	// replicateThreshold and migrateThreshold are PolicyAdaptive's
+	// triggers, copied from Kernel.Tunables at Install.
+	replicateThreshold, migrateThreshold int
 	// lazy is the effective maintenance mode: Config.Lazy gated on the
 	// installed coherence policy advertising LazyReplicaSweeps.
 	lazy bool
@@ -200,7 +172,8 @@ var _ kernel.ReplHandler = (*Manager)(nil)
 // and reclaim machinery drives parked replica invalidations (LATR).
 type lazyDriver interface{ LazyReplicaSweeps() bool }
 
-// Install validates cfg, builds a Manager and registers it with k. When
+// Install validates cfg, builds a Manager with the adaptive thresholds of
+// k.Tunables and registers it with k. When
 // cfg.Lazy is set under a policy that cannot drive the parked
 // invalidations, the manager degrades to eager updates (recorded in the
 // ptrepl.lazy_degraded counter) — parked state under such a policy would
@@ -209,7 +182,13 @@ func Install(k *kernel.Kernel, cfg Config) (*Manager, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Manager{k: k, cfg: cfg.withDefaults(), mms: make(map[*kernel.MM]*mmState)}
+	m := &Manager{
+		k:                  k,
+		cfg:                cfg,
+		replicateThreshold: k.Tunables.ReplicateThreshold,
+		migrateThreshold:   k.Tunables.MigrateThreshold,
+		mms:                make(map[*kernel.MM]*mmState),
+	}
 	if cfg.Lazy {
 		if ld, ok := k.Policy().(lazyDriver); ok && ld.LazyReplicaSweeps() {
 			m.lazy = true
@@ -221,7 +200,7 @@ func Install(k *kernel.Kernel, cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// Config returns the validated, defaulted configuration.
+// Config returns the validated configuration.
 func (m *Manager) Config() Config { return m.cfg }
 
 // LazyEffective reports whether parked (lazy) replica maintenance is
@@ -340,7 +319,7 @@ func (m *Manager) WalkCost(c *kernel.Core, mm *kernel.MM, vpn pt.VPN) sim.Time {
 		k.Metrics.Inc("ptrepl.remote_walks", 1)
 		if m.cfg.Policy == PolicyAdaptive {
 			s.remoteWalks[sock]++
-			if s.remoteWalks[sock] >= m.cfg.ReplicateThreshold {
+			if s.remoteWalks[sock] >= m.replicateThreshold {
 				cost += m.createReplica(mm, s, sock)
 			}
 		}
@@ -431,7 +410,7 @@ func (m *Manager) Update(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int)
 	}
 	if m.cfg.Policy == PolicyAdaptive {
 		s.updates[sock] += pages
-		if sock != s.master && s.updates[sock] >= m.cfg.MigrateThreshold && s.updates[sock] > s.updates[s.master] {
+		if sock != s.master && s.updates[sock] >= m.migrateThreshold && s.updates[sock] > s.updates[s.master] {
 			cost += m.migrateMaster(mm, s, sock)
 		}
 	}

@@ -15,9 +15,15 @@ import (
 
 func replKernel(t *testing.T, pol kernel.Policy, cfg Config) (*kernel.Kernel, *Manager) {
 	t.Helper()
+	return replKernelTuned(t, pol, cfg, nil)
+}
+
+// replKernelTuned builds the test machine with the given kernel knobs.
+func replKernelTuned(t *testing.T, pol kernel.Policy, cfg Config, tun *kernel.Tunables) (*kernel.Kernel, *Manager) {
+	t.Helper()
 	spec := topo.Custom(2, 2)
 	spec.MemPerNodeBytes = 64 << 20
-	k := kernel.New(spec, cost.Default(spec), pol, kernel.Options{CheckInvariants: true, Seed: 7})
+	k := kernel.New(spec, cost.Default(spec), pol, kernel.Options{CheckInvariants: true, Seed: 7, Tunables: tun})
 	m, err := Install(k, cfg)
 	if err != nil {
 		t.Fatalf("Install: %v", err)
@@ -29,8 +35,6 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Policy: "bogus"},
 		{Policy: PolicyNone, Lazy: true},
-		{Policy: PolicyAll, ReplicateThreshold: -1},
-		{Policy: PolicyAll, MigrateThreshold: -2},
 		{Policy: PolicyAll, Mutation: "explode"},
 	}
 	for _, c := range bad {
@@ -132,7 +136,7 @@ func TestReplicateAllEliminatesRemoteWalks(t *testing.T) {
 }
 
 func TestAdaptiveReplicatesOnRemoteWalkPressure(t *testing.T) {
-	k, _ := replKernel(t, shootdown.NewLinux(), Config{Policy: PolicyAdaptive, ReplicateThreshold: 4})
+	k, _ := replKernelTuned(t, shootdown.NewLinux(), Config{Policy: PolicyAdaptive}, &kernel.Tunables{ReplicateThreshold: 4})
 	crossSocketWorkload(k, 8, false)
 	k.Run(20 * sim.Millisecond)
 	if got := k.Metrics.Counter("ptrepl.remote_walks"); got == 0 {
@@ -144,7 +148,7 @@ func TestAdaptiveReplicatesOnRemoteWalkPressure(t *testing.T) {
 }
 
 func TestAdaptiveMigratesTowardsWriterSocket(t *testing.T) {
-	k, m := replKernel(t, shootdown.NewLinux(), Config{Policy: PolicyAdaptive, MigrateThreshold: 8})
+	k, m := replKernelTuned(t, shootdown.NewLinux(), Config{Policy: PolicyAdaptive}, &kernel.Tunables{MigrateThreshold: 8})
 	p := k.NewProcess()
 	started := false
 	p.Spawn(0, kernel.Script(
@@ -430,9 +434,17 @@ func TestManagerAccessors(t *testing.T) {
 	if !m.LazyEffective() {
 		t.Fatal("lazy maintenance not effective under the LATR policy")
 	}
-	cfg := m.Config()
-	if cfg.Policy != PolicyAll || cfg.ReplicateThreshold != 16 || cfg.MigrateThreshold != 256 {
-		t.Fatalf("defaulted config = %+v", cfg)
+	if cfg := m.Config(); cfg.Policy != PolicyAll || !cfg.Lazy {
+		t.Fatalf("config = %+v", cfg)
+	}
+	// The adaptive thresholds come from the kernel's Tunables: the paper
+	// defaults here, the given values on a tuned kernel.
+	if m.replicateThreshold != 16 || m.migrateThreshold != 256 {
+		t.Fatalf("default thresholds = %d/%d, want 16/256", m.replicateThreshold, m.migrateThreshold)
+	}
+	if _, tm := replKernelTuned(t, shootdown.NewLinux(), Config{Policy: PolicyAdaptive},
+		&kernel.Tunables{ReplicateThreshold: 3, MigrateThreshold: 5}); tm.replicateThreshold != 3 || tm.migrateThreshold != 5 {
+		t.Fatalf("tuned thresholds = %d/%d, want 3/5", tm.replicateThreshold, tm.migrateThreshold)
 	}
 	if got := m.String(); got != "ptrepl(replicate-all, lazy)" {
 		t.Fatalf("String() = %q", got)

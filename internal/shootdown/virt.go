@@ -39,8 +39,8 @@ var (
 )
 
 // NewGuestLATR returns the lazy-guest / sync-host policy.
-func NewGuestLATR(cfg latrcore.Config) *GuestLATR {
-	return &GuestLATR{Policy: latrcore.New(cfg)}
+func NewGuestLATR() *GuestLATR {
+	return &GuestLATR{Policy: latrcore.New(latrcore.Config{})}
 }
 
 // Name implements kernel.Policy.

@@ -47,7 +47,7 @@ func TestVirtPolicyContracts(t *testing.T) {
 		name string
 		mode kernel.HostMode
 	}{
-		{NewGuestLATR(latrcore.Config{}), "guest-latr", kernel.HostSync},
+		{NewGuestLATR(), "guest-latr", kernel.HostSync},
 		{NewHostLATR(), "host-latr", kernel.HostLazy},
 		{NewHATRIC(), "hatric", kernel.HostHardware},
 	}
@@ -102,7 +102,7 @@ func TestVirtShootdownAmplifiedLatency(t *testing.T) {
 // therefore no VM exits) on the guest munmap path, and still drains to
 // zero live frames once the sweeps run.
 func TestGuestLATRKeepsGuestLevelLazy(t *testing.T) {
-	k := virtMapTouchUnmap(NewGuestLATR(latrcore.Config{}), 2, []topo.CoreID{1, 2})
+	k := virtMapTouchUnmap(NewGuestLATR(), 2, []topo.CoreID{1, 2})
 	if got := k.Metrics.Counter("shootdown.ipi_targets"); got != 0 {
 		t.Errorf("guest-latr sent %d shootdown IPIs, want 0", got)
 	}
@@ -217,7 +217,7 @@ func TestAllPoliciesReachSameGuestMemoryState(t *testing.T) {
 	ref := runOne(NewLinux())
 	pols := []kernel.Policy{
 		NewABIS(), NewBarrelfish(), latrcore.New(latrcore.Config{}),
-		NewGuestLATR(latrcore.Config{}), NewHostLATR(), NewHATRIC(),
+		NewGuestLATR(), NewHostLATR(), NewHATRIC(),
 	}
 	for _, pol := range pols {
 		if got := runOne(pol); got != ref {

@@ -167,17 +167,16 @@ func (e *Evaluator) measure(c Cell, t kernel.Tunables) Measurement {
 	return m
 }
 
-// newTunedKernel assembles a machine whose every tunable comes from t:
-// the LATR policy config, the cost-model knobs (via kernel.Options), and
-// the adaptive page-table replication thresholds.
+// newTunedKernel assembles a LATR machine with adaptive page-table
+// replication whose every tunable comes from t through
+// kernel.Options.Tunables.
 func newTunedKernel(spec topo.Spec, t kernel.Tunables, seed uint64, spanLimit int) *kernel.Kernel {
-	tt := t.WithDefaults()
-	k := kernel.New(spec, cost.Default(spec), latrcore.New(latrcore.ConfigFromTunables(tt)), kernel.Options{
+	k := kernel.New(spec, cost.Default(spec), latrcore.New(latrcore.Config{}), kernel.Options{
 		Seed:      seed ^ 0x9e3779b9,
-		Tunables:  &tt,
+		Tunables:  &t,
 		SpanLimit: spanLimit,
 	})
-	if _, err := ptrepl.Install(k, ptrepl.Config{Policy: ptrepl.PolicyAdaptive}.WithTunables(tt)); err != nil {
+	if _, err := ptrepl.Install(k, ptrepl.Config{Policy: ptrepl.PolicyAdaptive}); err != nil {
 		panic(err)
 	}
 	return k
@@ -257,7 +256,7 @@ func runChurn(spec topo.Spec, t kernel.Tunables, quick bool, seed uint64, spanLi
 	}
 	// Drain: let the last states quiesce and the lazy lists empty, so
 	// span-complete counts and fallback totals are stable.
-	tt := t.WithDefaults()
+	tt := k.Tunables
 	k.Run(k.Now() + 2*tt.SweepPeriod + 2*tt.ReclaimDelay + 2*tt.ReclaimPeriod)
 	return k, Measurement{
 		MunmapNS:     float64(k.Metrics.Hist("munmap.latency").Mean()),

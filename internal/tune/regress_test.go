@@ -10,21 +10,6 @@ import (
 	"latr/internal/topo"
 )
 
-// TestConfigFromTunablesRoundTrips: the paper-default Tunables projected
-// into a core.Config and passed through the policy's own defaulting land
-// on exactly core.DefaultConfig() — the constants-to-struct refactor
-// changed the plumbing, not a single value.
-func TestConfigFromTunablesRoundTrips(t *testing.T) {
-	viaTunables := latrcore.New(latrcore.ConfigFromTunables(kernel.DefaultTunables())).Config()
-	direct := latrcore.New(latrcore.DefaultConfig()).Config()
-	if viaTunables != direct {
-		t.Fatalf("ConfigFromTunables(defaults) diverges:\n got %+v\nwant %+v", viaTunables, direct)
-	}
-	if err := latrcore.ConfigFromTunables(kernel.DefaultTunables()).Validate(); err != nil {
-		t.Fatalf("projected config invalid: %v", err)
-	}
-}
-
 // driveChurn runs a short fixed munmap-churn scenario on k and returns
 // its engine and metrics fingerprints.
 func driveChurn(k *kernel.Kernel) (engineFP, metricsFP uint64) {
@@ -50,11 +35,10 @@ func driveChurn(k *kernel.Kernel) (engineFP, metricsFP uint64) {
 	return k.Engine.Fingerprint(), k.Metrics.Fingerprint()
 }
 
-// TestDefaultTunablesAreByteIdentical is the satellite digest-regression
-// test: a kernel built the pre-refactor way (nil Options.Tunables, zero
-// core.Config) and one routed through the full Tunables plumbing with
-// paper defaults must produce identical engine and metrics fingerprints
-// on the same scenario — the refactor is invisible at defaults.
+// TestDefaultTunablesAreByteIdentical is the digest-regression test for
+// the knob route: a kernel built with nil Options.Tunables and one given
+// the paper defaults explicitly must produce identical engine and metrics
+// fingerprints on the same scenario — the route is invisible at defaults.
 func TestDefaultTunablesAreByteIdentical(t *testing.T) {
 	spec := topo.TwoSocket16()
 	const seed = 41
@@ -63,7 +47,7 @@ func TestDefaultTunablesAreByteIdentical(t *testing.T) {
 	oldEng, oldMet := driveChurn(old)
 
 	def := kernel.DefaultTunables()
-	nu := kernel.New(spec, cost.Default(spec), latrcore.New(latrcore.ConfigFromTunables(def)), kernel.Options{
+	nu := kernel.New(spec, cost.Default(spec), latrcore.New(latrcore.Config{}), kernel.Options{
 		Seed:     seed,
 		Tunables: &def,
 	})

@@ -39,7 +39,6 @@ import (
 
 	"latr/internal/chaos"
 	"latr/internal/cluster"
-	latrcore "latr/internal/core"
 	"latr/internal/cost"
 	"latr/internal/experiments"
 	"latr/internal/kernel"
@@ -202,11 +201,6 @@ func Script(steps ...func(th *Thread) Op) Program { return kernel.Script(steps..
 // Loop builds a Program that repeats body until it returns nil.
 func Loop(body func(th *Thread) Op) Program { return kernel.Loop(body) }
 
-// LATRConfig tunes the LATR mechanism (zero values take paper defaults:
-// 64 states per core, 2 ms reclamation delay, sweeps at ticks and context
-// switches).
-type LATRConfig = latrcore.Config
-
 // Coherence auditing and deterministic fault injection, re-exported.
 type (
 	// Auditor collects structured coherence violations in audit mode.
@@ -297,8 +291,8 @@ type AutoNUMAConfig = numa.Config
 // re-exported.
 type (
 	// PtreplConfig tunes the page-table replication subsystem: the
-	// replication policy, lazy vs eager replica maintenance, and the
-	// adaptive thresholds.
+	// replication policy and lazy vs eager replica maintenance. The
+	// adaptive thresholds come from Config.Tunables.
 	PtreplConfig = ptrepl.Config
 	// PtreplPolicy selects which address spaces get per-socket replicas.
 	PtreplPolicy = ptrepl.Policy
@@ -353,12 +347,19 @@ type PercentileHist = metrics.PercentileHist
 type Config struct {
 	// Machine selects the topology (default TwoSocket16).
 	Machine MachineSpec
-	// Policy selects the coherence mechanism (default PolicyLinux).
+	// Policy selects the coherence mechanism (default PolicyLinux). Besides
+	// the PolicyKind constants it accepts the virtualized policies
+	// "guest-latr", "host-latr" and "hatric".
 	Policy PolicyKind
 	// CustomPolicy overrides Policy with a user implementation.
 	CustomPolicy Policy
-	// LATR tunes the LATR policy when Policy == PolicyLATR.
-	LATR LATRConfig
+	// Tunables, when non-nil, sets the machine's hand-fixed knobs (zero
+	// fields take the paper defaults: 64 LATR states per core, 2 ms
+	// reclamation delay, 1 ms ticks). The LATR policy and page-table
+	// replication read their knobs from it when they attach; the sweep
+	// cadence and full-flush cutoff overlay the cost model, a custom Cost
+	// too. NewSystem panics if it fails Tunables.Validate.
+	Tunables *Tunables
 	// AutoNUMA, when non-nil, installs NUMA balancing with this config.
 	AutoNUMA *AutoNUMAConfig
 	// Swap, when non-nil, installs the LRU page swapper with this config.
@@ -406,22 +407,15 @@ func NewSystem(cfg Config) *System {
 	if spec.NumCores() == 0 {
 		spec = topo.TwoSocket16()
 	}
-	var pol kernel.Policy
-	switch {
-	case cfg.CustomPolicy != nil:
-		pol = cfg.CustomPolicy
-	case cfg.Policy == "" || cfg.Policy == PolicyLinux:
-		pol = shootdown.NewLinux()
-	case cfg.Policy == PolicyLATR:
-		pol = latrcore.New(cfg.LATR)
-	case cfg.Policy == PolicyABIS:
-		pol = shootdown.NewABIS()
-	case cfg.Policy == PolicyBarrelfish:
-		pol = shootdown.NewBarrelfish()
-	case cfg.Policy == PolicyInstant:
-		pol = kernel.NewInstantPolicy()
-	default:
-		panic("latr: unknown policy " + string(cfg.Policy))
+	pol := cfg.CustomPolicy
+	if pol == nil {
+		if cfg.Policy == "" {
+			cfg.Policy = PolicyLinux
+		}
+		var err error
+		if pol, err = shootdown.ByName(string(cfg.Policy)); err != nil {
+			panic("latr: invalid Config.Policy: " + err.Error())
+		}
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -439,6 +433,7 @@ func NewSystem(cfg Config) *System {
 		TraceLimit:      cfg.TraceLimit,
 		SpanLimit:       cfg.SpanLimit,
 		Seed:            seed,
+		Tunables:        cfg.Tunables,
 	})
 	s := &System{k: k}
 	if cfg.AutoNUMA != nil {
@@ -555,7 +550,8 @@ func RunExperiment(id string, o ExperimentOptions) (*ExperimentTable, error) {
 	return experiments.ByID(id, o)
 }
 
-// PolicyNames lists the available coherence policies.
+// PolicyNames lists the bare-metal policies the single-machine modes
+// offer; Config.Policy also accepts the virtualized ones.
 func PolicyNames() []string { return experiments.PolicyNames() }
 
 // Policy auto-tuning (internal/tune, DESIGN.md §16): a typed parameter
@@ -564,7 +560,7 @@ func PolicyNames() []string { return experiments.PolicyNames() }
 // re-runs a recorded seed with one knob perturbed.
 type (
 	// Tunables is the validated home of every hand-fixed LATR knob; the
-	// zero value means paper defaults.
+	// zero value means paper defaults. Pass it as Config.Tunables.
 	Tunables = kernel.Tunables
 	// TuneParamSpace is the typed search space over Tunables.
 	TuneParamSpace = tune.ParamSpace

@@ -1,6 +1,7 @@
 package latr_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -59,6 +60,44 @@ func TestUnknownPolicyPanics(t *testing.T) {
 		}
 	}()
 	latr.NewSystem(latr.Config{Policy: "bogus"})
+}
+
+// TestTunablesThroughConfig: Config.Tunables reaches the LATR policy. A
+// munmap burst fits the paper's 64-state queue, but overflows a 2-state
+// one onto the fallback IPIs; a knob outside its bound panics naming it.
+func TestTunablesThroughConfig(t *testing.T) {
+	burst := func(tun *latr.Tunables) uint64 {
+		sys := latr.NewSystem(latr.Config{Policy: latr.PolicyLATR, Tunables: tun})
+		p := sys.NewProcess()
+		for c := latr.CoreID(1); c <= 3; c++ {
+			p.Spawn(c, latr.Script(func(*latr.Thread) latr.Op { return latr.OpCompute{D: 20 * latr.Millisecond} }))
+		}
+		n := 0
+		p.Spawn(0, latr.Loop(func(th *latr.Thread) latr.Op {
+			if n >= 40 {
+				return nil
+			}
+			n++
+			if n%2 == 1 {
+				return latr.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+			}
+			return latr.OpMunmap{Addr: th.LastAddr, Pages: 1}
+		}))
+		sys.Run(5 * latr.Millisecond)
+		return sys.Metrics().Counter("latr.fallback_ipi")
+	}
+	if got := burst(nil); got != 0 {
+		t.Fatalf("default queue: %d fallback IPIs, want 0", got)
+	}
+	if got := burst(&latr.Tunables{QueueDepth: 2}); got == 0 {
+		t.Fatal("QueueDepth 2: the munmap burst never fell back to IPIs")
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Tunables.QueueDepth") {
+			t.Fatalf("panic = %v, want the Tunables.QueueDepth bound error", r)
+		}
+	}()
+	latr.NewSystem(latr.Config{Policy: latr.PolicyLATR, Tunables: &latr.Tunables{QueueDepth: -1}})
 }
 
 func TestWorkloadThroughPublicAPI(t *testing.T) {
