@@ -62,8 +62,9 @@ const (
 type Config struct {
 	// Nodes is the number of simulated machines (default 3, max 64).
 	Nodes int
-	// Machine is the per-node topology shape, "NxM" sockets×cores
-	// (default "2x4").
+	// Machine is the per-node topology shape, as topo.ByName reads it:
+	// "2x8" and "8x15" are the paper's machines, any other "NxM" is N
+	// sockets of M cores (default "2x4").
 	Machine string
 	// Policy is the per-node TLB-coherence policy, any shootdown.Names
 	// entry (default "latr").
@@ -266,12 +267,13 @@ func (c Config) Validate() error {
 	// The machine is checked after defaults, together with the worker
 	// count, so a small machine fails against the default WorkersPerNode.
 	d := c.withDefaults()
-	spec, err := machineByName(d.Machine)
+	spec, err := topo.ByName(d.Machine)
 	if err != nil {
-		return err
+		return fmt.Errorf("cluster: %w", err)
 	}
-	if _, err := workerCores(spec, d.WorkersPerNode); err != nil {
-		return fmt.Errorf("cluster: machine %q: %w", d.Machine, err)
+	if _, err := spec.SpreadCores(d.WorkersPerNode); err != nil {
+		return fmt.Errorf("cluster: machine %q is too small for WorkersPerNode %d (core 0 is the swapper's): %w",
+			d.Machine, d.WorkersPerNode, err)
 	}
 	return nil
 }
@@ -351,20 +353,6 @@ func (c Config) withDefaults() Config {
 		c.Duration = d.Duration
 	}
 	return c
-}
-
-// machineByName parses the per-node topology shape ("NxM" sockets×cores)
-// as topo.Custom, whatever the shape. It does not resolve the paper's
-// machines the way experiments.MachineByName does: "8x15" gets
-// topo.Custom's 1024-entry L2 TLB, not the 512-entry L2 of
-// topo.EightSocket120. (Node memory comes from MemFramesPerNode either
-// way, so "2x8" does match topo.TwoSocket16.)
-func machineByName(name string) (topo.Spec, error) {
-	var sockets, per int
-	if n, err := fmt.Sscanf(name, "%dx%d", &sockets, &per); n == 2 && err == nil && sockets > 0 && per > 0 {
-		return topo.Custom(sockets, per), nil
-	}
-	return topo.Spec{}, fmt.Errorf("cluster: bad machine %q (want NxM)", name)
 }
 
 // Cluster is one assembled fleet. Build with New, run once with Run.

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"latr/internal/cost"
 	"latr/internal/kernel"
 	"latr/internal/pt"
@@ -63,7 +61,7 @@ type node struct {
 // and worker threads. Nothing runs until Cluster.Run drives the engine.
 func newNode(c *Cluster, id int) *node {
 	cfg := c.cfg
-	spec, err := machineByName(cfg.Machine)
+	spec, err := topo.ByName(cfg.Machine)
 	if err != nil {
 		panic(err)
 	}
@@ -93,7 +91,7 @@ func newNode(c *Cluster, id int) *node {
 
 	n.gate = workload.NewGate(k)
 	n.proc = k.NewProcess()
-	cores, err := workerCores(spec, cfg.WorkersPerNode)
+	cores, err := spec.SpreadCores(cfg.WorkersPerNode)
 	if err != nil {
 		panic(err)
 	}
@@ -103,28 +101,6 @@ func newNode(c *Cluster, id int) *node {
 	}
 	n.swapper.Register(n.proc)
 	return n
-}
-
-// workerCores picks n worker cores round-robin across NUMA nodes,
-// skipping core 0 (the swapper's). It fails when the machine runs out of
-// cores first, which Config.Validate reports.
-func workerCores(spec topo.Spec, n int) ([]topo.CoreID, error) {
-	var out []topo.CoreID
-	for i := 0; len(out) < n; i++ {
-		nodeID := i % spec.NumNodes()
-		idx := i / spec.NumNodes()
-		cores := spec.CoresOnNode(topo.NodeID(nodeID))
-		if idx >= len(cores) {
-			return nil, fmt.Errorf("%d cores are too few for WorkersPerNode %d (core 0 is the swapper's)",
-				spec.NumCores(), n)
-		}
-		c := cores[idx]
-		if c == 0 {
-			continue
-		}
-		out = append(out, c)
-	}
-	return out, nil
 }
 
 // setupLoader spawns the warm-up thread: map the arena, touch it end to

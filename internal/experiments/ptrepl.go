@@ -166,12 +166,12 @@ func Ptrepl(o Options) *Table {
 
 	var jobs []ptreplJob
 	for _, row := range ptreplRows {
-		for _, mach := range virtMachines() {
+		for _, mach := range topo.PaperNames() {
 			jobs = append(jobs, ptreplJob{row.policy, row.mode, mach})
 		}
 	}
 	res := fan(o.workers(), jobs, func(_ int, j ptreplJob) ptreplResult {
-		return runPtreplCell(virtSpec(j.machine), j.policy, j.mode, o)
+		return runPtreplCell(mustMachine(j.machine), j.policy, j.mode, o)
 	})
 
 	byJob := map[ptreplJob]ptreplResult{}
@@ -189,7 +189,7 @@ func Ptrepl(o Options) *Table {
 			fmt.Sprintf("%d", res[i].parked))
 	}
 
-	for _, mach := range virtMachines() {
+	for _, mach := range topo.PaperNames() {
 		none := byJob[ptreplJob{"latr", "none", mach}]
 		adap := byJob[ptreplJob{"latr", "adaptive", mach}]
 		eager := byJob[ptreplJob{"latr", "replicate-all", mach}]

@@ -30,33 +30,14 @@ type remoteResult struct {
 	SwapIns        uint64
 }
 
-// remoteWorkerCores picks n worker cores round-robin across nodes,
-// skipping core 0 (the swapper's).
-func remoteWorkerCores(spec topo.Spec, n int) []topo.CoreID {
-	var out []topo.CoreID
-	for i := 0; len(out) < n; i++ {
-		node := i % spec.NumNodes()
-		idx := i / spec.NumNodes()
-		cores := spec.CoresOnNode(topo.NodeID(node))
-		if idx >= len(cores) {
-			panic("experiments: not enough cores for remote workers")
-		}
-		c := cores[idx]
-		if c == 0 {
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
 // runRemoteMemory executes the §6.2 Infiniswap case study: the memcached
 // server's slab arena exceeds local memory, cold GETs swap in over RDMA,
 // and the swapper concurrently evicts — with the coherence policy's
 // shootdown either on (Linux/ABIS) or off (LATR) the eviction critical
 // path.
 func runRemoteMemory(machine, policy string, dur sim.Time, o Options) remoteResult {
-	spec, err := MachineByName(machine)
+	spec := mustMachine(machine)
+	workers, err := spec.SpreadCores(remoteWorkerCount)
 	if err != nil {
 		panic(err)
 	}
@@ -74,7 +55,7 @@ func runRemoteMemory(machine, policy string, dur sim.Time, o Options) remoteResu
 	}, remote.New(remote.Config{}))
 	s.Install(k)
 
-	cfg := workload.DefaultMemcachedConfig(remoteWorkerCores(spec, remoteWorkerCount))
+	cfg := workload.DefaultMemcachedConfig(workers)
 	cfg.Seed = o.Seed + 1
 	w := workload.NewMemcached(cfg)
 	w.Setup(k)
@@ -109,7 +90,7 @@ func RemoteMemory(o Options) *Table {
 		Columns: []string{"machine", "policy", "req/s", "p50", "p99", "p99.9", "swap-out", "swap-in"},
 	}
 	dur := o.scaleT(500*sim.Millisecond, 150*sim.Millisecond)
-	machines := MachineNames()
+	machines := topo.PaperNames()
 	policies := []string{"linux", "abis", "latr"}
 	type job struct {
 		machine string

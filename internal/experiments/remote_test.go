@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"latr/internal/sim"
+	"latr/internal/topo"
 )
 
 // TestRemoteMemoryLATRBeatsLinuxP99 is the case-study acceptance check:
@@ -12,7 +13,7 @@ import (
 // direction must hold across seeds.
 func TestRemoteMemoryLATRBeatsLinuxP99(t *testing.T) {
 	dur := 150 * sim.Millisecond
-	for _, machine := range MachineNames() {
+	for _, machine := range topo.PaperNames() {
 		for _, seed := range []uint64{1, 2, 3} {
 			o := Options{Quick: true, Seed: seed}
 			lin := runRemoteMemory(machine, "linux", dur, o)

@@ -81,6 +81,15 @@ func mustPolicy(name string) kernel.Policy {
 	return p
 }
 
+// mustMachine resolves a machine shape the tables name themselves.
+func mustMachine(name string) topo.Spec {
+	spec, err := topo.ByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return spec
+}
+
 // newKernel assembles a machine with a fresh policy.
 func newKernel(spec topo.Spec, policy string, o Options) *kernel.Kernel {
 	return kernel.New(spec, cost.Default(spec), mustPolicy(policy), kernel.Options{
@@ -194,8 +203,7 @@ func runParsec(policy string, prof workload.ParsecProfile, cores int, o Options)
 
 // numaRunnable is the shared surface of the Fig 11 workloads.
 type numaRunnable interface {
-	Setup(k *kernel.Kernel)
-	Done() bool
+	workload.Workload
 	FinishTime() sim.Time
 }
 

@@ -17,19 +17,6 @@ import (
 	"latr/internal/workload"
 )
 
-// virtMachines maps the table's machine-shape names to specs.
-func virtMachines() []string { return []string{"2x8", "8x15"} }
-
-func virtSpec(name string) topo.Spec {
-	switch name {
-	case "2x8":
-		return topo.TwoSocket16()
-	case "8x15":
-		return topo.EightSocket120()
-	}
-	panic(fmt.Sprintf("experiments: unknown virt machine %q", name))
-}
-
 // virtJob is one cell of the table: a policy on a machine, either inside
 // the guest or natively (the native linux rows anchor the amplification
 // notes).
@@ -116,16 +103,16 @@ func Virt(o Options) *Table {
 	iters := o.scale(60, 12)
 
 	var jobs []virtJob
-	for _, mach := range virtMachines() {
+	for _, mach := range topo.PaperNames() {
 		jobs = append(jobs, virtJob{"linux", mach, true})
 	}
 	for _, pol := range VirtPolicyNames() {
-		for _, mach := range virtMachines() {
+		for _, mach := range topo.PaperNames() {
 			jobs = append(jobs, virtJob{pol, mach, false})
 		}
 	}
 	res := fan(o.workers(), jobs, func(_ int, j virtJob) virtResult {
-		spec := virtSpec(j.machine)
+		spec := mustMachine(j.machine)
 		if j.native {
 			return virtResult{micro: runMicro(spec, j.policy, spec.NumCores(), pages, iters, o)}
 		}
@@ -147,7 +134,7 @@ func Virt(o Options) *Table {
 			fmt.Sprintf("%d", r.leaked))
 	}
 
-	for _, mach := range virtMachines() {
+	for _, mach := range topo.PaperNames() {
 		nat := byJob[virtJob{"linux", mach, true}]
 		lin := byJob[virtJob{"linux", mach, false}]
 		glt := byJob[virtJob{"guest-latr", mach, false}]

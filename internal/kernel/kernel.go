@@ -105,8 +105,10 @@ type Kernel struct {
 }
 
 // New builds a kernel for the given machine with the given coherence
-// policy. The policy may need the kernel; call policy.Attach afterwards if
-// it implements Attacher (NewWithPolicy does this for you).
+// policy. A policy that implements Attacher is attached here, after the
+// cores exist and before their first tick is scheduled, so callers never
+// call Attach themselves. New panics on an invalid spec or
+// Options.Tunables.
 func New(spec topo.Spec, model cost.Model, pol Policy, opts Options) *Kernel {
 	if err := spec.Validate(); err != nil {
 		panic(err)

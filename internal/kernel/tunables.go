@@ -11,10 +11,11 @@ import (
 // by hand: the state-queue depth, fallback occupancy and reclaim timing of
 // the LATR policy, the sweep cadence and full-flush cutoff of the cost
 // model, and the replication thresholds of ptrepl. No other struct holds a
-// default, a bound or a value for them: New stores the defaulted struct as
-// Kernel.Tunables, and the LATR policy and ptrepl copy their knobs from it
-// when they attach. The policy auto-tuner (internal/tune) searches over
-// this one typed surface.
+// default, a validation bound or a value for them: New stores the
+// defaulted struct as Kernel.Tunables, and the LATR policy and ptrepl copy
+// their knobs from it when they attach. The policy auto-tuner
+// (internal/tune) searches over this one typed surface, within a narrower
+// search region of its own.
 //
 // A zero field means "paper default"; Validate rejects anything set
 // outside its bound with an error naming the field.

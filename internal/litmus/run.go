@@ -28,17 +28,6 @@ var DefaultPolicies = []string{"linux", "latr", "abis", "barrelfish", "guest-lat
 // does not say otherwise (or that exists from the beginning of the run).
 const defaultGuestFrames = 4096
 
-// Topologies maps the suite's machine-shape names to specs.
-func topoByName(name string) (topo.Spec, error) {
-	switch name {
-	case "2x8", "small":
-		return topo.TwoSocket16(), nil
-	case "8x15", "large":
-		return topo.EightSocket120(), nil
-	}
-	return topo.Spec{}, fmt.Errorf("litmus: unknown topology %q (want 2x8 or 8x15)", name)
-}
-
 // newPolicy builds a fresh policy by name: a registry name
 // (shootdown.ByName), or "mutant:<m>" for a deliberately broken Linux
 // variant (shootdown.NewMutant) used by the oracle-sensitivity tests.
@@ -52,7 +41,7 @@ func newPolicy(name string) (kernel.Policy, error) {
 // RunConfig selects one execution of a scenario.
 type RunConfig struct {
 	Policy string
-	Topo   string // "2x8" or "8x15"
+	Topo   string // "2x8" or "8x15" (topo.PaperByName)
 	Chaos  string // chaos profile name, "" = none
 	Seed   uint64
 	// ReplMutant names a ptrepl mutation ("skip-one-replica",
@@ -444,7 +433,7 @@ func (r *runner) spawn(wi int) {
 // cross-policy comparator.
 func RunScenario(sc *Scenario, cfg RunConfig) Outcome {
 	out := Outcome{Scenario: sc.Name, Policy: cfg.Policy, Topo: cfg.Topo, Chaos: cfg.Chaos}
-	spec, err := topoByName(cfg.Topo)
+	spec, err := topo.PaperByName(cfg.Topo)
 	if err != nil {
 		out.Failures = append(out.Failures, err.Error())
 		return out

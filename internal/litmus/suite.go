@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"latr/internal/fan"
+	"latr/internal/topo"
 )
 
 // SuiteConfig shapes a suite run: which policies, topologies and chaos
@@ -23,7 +24,7 @@ func (c SuiteConfig) withDefaults() SuiteConfig {
 		c.Policies = DefaultPolicies
 	}
 	if len(c.Topos) == 0 {
-		c.Topos = []string{"2x8", "8x15"}
+		c.Topos = topo.PaperNames()
 	}
 	if len(c.Chaos) == 0 {
 		c.Chaos = []string{""}

@@ -5,12 +5,16 @@ import (
 	"strings"
 )
 
+// MaxCores is the largest machine a CoreMask covers; Spec.Validate
+// rejects larger ones.
+const MaxCores = 256
+
 // CoreMask is a CPU bitmask, as used in mm_cpumask and in the CPU-list
-// field of a LATR state. It supports machines up to 256 cores, which covers
-// both evaluation machines with room to spare. The words are unexported so
-// that a mask can only be read through its methods: len() or range on a
-// mask does not compile.
-type CoreMask struct{ w [4]uint64 }
+// field of a LATR state. It supports machines up to MaxCores cores, which
+// covers both evaluation machines with room to spare. The words are
+// unexported so that a mask can only be read through its methods: len() or
+// range on a mask does not compile.
+type CoreMask struct{ w [MaxCores / 64]uint64 }
 
 // MaskOf builds a mask from the listed cores.
 func MaskOf(cores ...CoreID) CoreMask {

@@ -122,6 +122,9 @@ func Counterfactual(cfg CounterfactualConfig) (*Diff, error) {
 	if cfg.Cell.Workload == "" && cfg.Cell.Machine == "" {
 		cfg.Cell = Cell{Workload: "churn", Machine: "2x8"}
 	}
+	if _, _, err := cfg.Cell.resolve(); err != nil {
+		return nil, err
+	}
 	space := Space()
 	param, ok := space.ByName(cfg.Knob)
 	if !ok {

@@ -94,3 +94,19 @@ func TestCounterfactualRejectsBadKnobs(t *testing.T) {
 		t.Fatalf("out-of-bounds value not rejected: %v", err)
 	}
 }
+
+// TestCounterfactualRejectsBadCells checks that a cell naming an unknown
+// workload or a machine other than the paper's two is an error before
+// anything runs.
+func TestCounterfactualRejectsBadCells(t *testing.T) {
+	for _, c := range []Cell{
+		{Workload: "nope", Machine: "2x8"},
+		{Workload: "churn", Machine: "9x9"},
+		{Workload: "memcached", Machine: ""},
+	} {
+		_, err := Counterfactual(CounterfactualConfig{Cell: c, Seed: 7, Quick: true, Knob: "QueueDepth", Value: 4})
+		if err == nil || !strings.Contains(err.Error(), c.String()) {
+			t.Errorf("cell %s: error = %v, want one naming the cell", c, err)
+		}
+	}
+}

@@ -14,8 +14,11 @@ import (
 // its engine and metrics fingerprints.
 func driveChurn(k *kernel.Kernel) (engineFP, metricsFP uint64) {
 	p := k.NewProcess()
-	spec := k.Spec
-	for _, c := range churnCores(spec, 6) {
+	targets, err := k.Spec.SpreadCores(6)
+	if err != nil {
+		panic(err)
+	}
+	for _, c := range targets {
 		p.Spawn(c, kernel.Loop(func(*kernel.Thread) kernel.Op {
 			return kernel.OpCompute{D: sim.Millisecond}
 		}))

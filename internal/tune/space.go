@@ -35,13 +35,13 @@ const (
 )
 
 // Param describes one tunable dimension of kernel.Tunables: its canonical
-// name, value kind, inclusive bounds and paper default. Durations are
-// carried as int64 nanoseconds so the search arithmetic is uniform.
+// name, value kind and inclusive bounds. The paper default is the field's
+// value in kernel.DefaultTunables. Durations are carried as int64
+// nanoseconds so the search arithmetic is uniform.
 type Param struct {
 	Name     string
 	Kind     Kind
 	Min, Max int64
-	Default  int64
 
 	get func(kernel.Tunables) int64
 	set func(*kernel.Tunables, int64)
@@ -100,48 +100,45 @@ type ParamSpace struct {
 func Space() ParamSpace {
 	return ParamSpace{params: []Param{
 		{
-			Name: "QueueDepth", Kind: KindInt, Min: 4, Max: 512, Default: 64,
+			Name: "QueueDepth", Kind: KindInt, Min: 4, Max: 512,
 			get: func(t kernel.Tunables) int64 { return int64(t.QueueDepth) },
 			set: func(t *kernel.Tunables, v int64) { t.QueueDepth = int(v) },
 		},
 		{
 			Name: "ReclaimDelay", Kind: KindDuration,
 			Min: int64(100 * sim.Microsecond), Max: int64(16 * sim.Millisecond),
-			Default: int64(2 * sim.Millisecond),
-			get:     func(t kernel.Tunables) int64 { return int64(t.ReclaimDelay) },
-			set:     func(t *kernel.Tunables, v int64) { t.ReclaimDelay = sim.Time(v) },
+			get: func(t kernel.Tunables) int64 { return int64(t.ReclaimDelay) },
+			set: func(t *kernel.Tunables, v int64) { t.ReclaimDelay = sim.Time(v) },
 		},
 		{
 			Name: "ReclaimPeriod", Kind: KindDuration,
 			Min: int64(100 * sim.Microsecond), Max: int64(8 * sim.Millisecond),
-			Default: int64(sim.Millisecond),
-			get:     func(t kernel.Tunables) int64 { return int64(t.ReclaimPeriod) },
-			set:     func(t *kernel.Tunables, v int64) { t.ReclaimPeriod = sim.Time(v) },
+			get: func(t kernel.Tunables) int64 { return int64(t.ReclaimPeriod) },
+			set: func(t *kernel.Tunables, v int64) { t.ReclaimPeriod = sim.Time(v) },
 		},
 		{
 			Name: "SweepPeriod", Kind: KindDuration,
 			Min: int64(250 * sim.Microsecond), Max: int64(4 * sim.Millisecond),
-			Default: int64(sim.Millisecond),
-			get:     func(t kernel.Tunables) int64 { return int64(t.SweepPeriod) },
-			set:     func(t *kernel.Tunables, v int64) { t.SweepPeriod = sim.Time(v) },
+			get: func(t kernel.Tunables) int64 { return int64(t.SweepPeriod) },
+			set: func(t *kernel.Tunables, v int64) { t.SweepPeriod = sim.Time(v) },
 		},
 		{
-			Name: "FallbackOccupancy", Kind: KindInt, Min: 1, Max: 512, Default: 64,
+			Name: "FallbackOccupancy", Kind: KindInt, Min: 1, Max: 512,
 			get: func(t kernel.Tunables) int64 { return int64(t.FallbackOccupancy) },
 			set: func(t *kernel.Tunables, v int64) { t.FallbackOccupancy = int(v) },
 		},
 		{
-			Name: "FullFlushThreshold", Kind: KindInt, Min: 1, Max: 1024, Default: 33,
+			Name: "FullFlushThreshold", Kind: KindInt, Min: 1, Max: 1024,
 			get: func(t kernel.Tunables) int64 { return int64(t.FullFlushThreshold) },
 			set: func(t *kernel.Tunables, v int64) { t.FullFlushThreshold = int(v) },
 		},
 		{
-			Name: "ReplicateThreshold", Kind: KindInt, Min: 1, Max: 256, Default: 16,
+			Name: "ReplicateThreshold", Kind: KindInt, Min: 1, Max: 256,
 			get: func(t kernel.Tunables) int64 { return int64(t.ReplicateThreshold) },
 			set: func(t *kernel.Tunables, v int64) { t.ReplicateThreshold = int(v) },
 		},
 		{
-			Name: "MigrateThreshold", Kind: KindInt, Min: 8, Max: 4096, Default: 256,
+			Name: "MigrateThreshold", Kind: KindInt, Min: 8, Max: 4096,
 			get: func(t kernel.Tunables) int64 { return int64(t.MigrateThreshold) },
 			set: func(t *kernel.Tunables, v int64) { t.MigrateThreshold = int(v) },
 		},

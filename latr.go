@@ -99,7 +99,7 @@ func CustomMachine(sockets, coresPerSocket int) MachineSpec {
 
 // MachineByName resolves a machine shape: "2x8" (or "small"), "8x15" (or
 // "large"), or "NxM" sockets x cores per socket with N, M > 0.
-func MachineByName(name string) (MachineSpec, error) { return experiments.MachineByName(name) }
+func MachineByName(name string) (MachineSpec, error) { return topo.ByName(name) }
 
 // PolicyKind selects a TLB-coherence mechanism.
 type PolicyKind string

@@ -8,10 +8,16 @@ import (
 // spawns the threads on a system's kernel; Done reports completion for
 // fixed-work workloads (server workloads run until the deadline and always
 // report false).
-type Workload interface {
-	Setup(k *Kernel)
-	Done() bool
+type Workload = workload.Workload
+
+// WorkloadByName builds a named workload in its paper configuration on
+// cores 0..cores-1; pages and iters size the micro benchmark.
+func WorkloadByName(name string, cores, pages, iters int) (Workload, error) {
+	return workload.ByName(name, cores, pages, iters)
 }
+
+// WorkloadNames lists the names WorkloadByName accepts.
+func WorkloadNames() []string { return workload.Names() }
 
 // Workload configurations and constructors, re-exported from
 // internal/workload. Each models one application of the paper's evaluation
