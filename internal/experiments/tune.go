@@ -16,14 +16,19 @@ import (
 //
 // The search is byte-deterministic: the same seed yields the same
 // generation history at any -parallel value, which is what lets the
-// result live in the bench -compare gate.
+// result live in the bench -compare gate. It evaluates the built-in
+// tune.Cells, which always resolve, so an error from the tuner is a
+// program error and panics here, on the caller's goroutine.
 func Tune(o Options) *Table {
 	t := &Table{
 		ID:    "tune",
 		Title: "Policy auto-tuning: evolutionary search + knob sensitivity",
 	}
 	cfg := tune.SearchConfig{Seed: o.Seed, Quick: o.Quick, Workers: o.workers()}
-	res := tune.Search(cfg)
+	res, err := tune.Search(cfg)
+	if err != nil {
+		panic(err)
+	}
 	cells := res.Cells
 
 	t.Columns = []string{"config", "objective"}
@@ -71,7 +76,10 @@ func Tune(o Options) *Table {
 	// against the same baselines. A knob whose bounds barely move the
 	// score is slack; one that swings it is load-bearing.
 	space := res.Space
-	ev := tune.NewEvaluator(cells, o.Quick, o.Seed, o.workers())
+	ev, err := tune.NewEvaluator(cells, o.Quick, o.Seed, o.workers())
+	if err != nil {
+		panic(err)
+	}
 	type probe struct {
 		label  string
 		genome kernel.Tunables

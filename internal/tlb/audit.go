@@ -2,7 +2,7 @@ package tlb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"latr/internal/mem"
@@ -118,16 +118,12 @@ func (a *Auditor) CountKind(kind ViolationKind) int {
 
 // Kinds returns the distinct kinds present, sorted.
 func (a *Auditor) Kinds() []ViolationKind {
-	seen := map[ViolationKind]bool{}
 	var out []ViolationKind
 	for _, v := range a.violations {
-		if !seen[v.Kind] {
-			seen[v.Kind] = true
-			out = append(out, v.Kind)
-		}
+		out = append(out, v.Kind)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Render formats the full report, one violation per line, in

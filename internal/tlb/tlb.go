@@ -9,8 +9,9 @@
 package tlb
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"latr/internal/mem"
 	"latr/internal/pt"
@@ -304,16 +305,12 @@ func (tr *Tracker) CachedOn(pfn mem.PFN) []topo.CoreID {
 	if len(s) == 0 {
 		return nil
 	}
-	seen := map[topo.CoreID]bool{}
-	var out []topo.CoreID
+	out := make([]topo.CoreID, 0, len(s))
 	for k := range s {
-		if !seen[k.core] {
-			seen[k.core] = true
-			out = append(out, k.core)
-		}
+		out = append(out, k.core)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // CachedEntry identifies one live TLB entry caching a frame: the owning
@@ -339,18 +336,13 @@ func (tr *Tracker) EntriesOn(pfn mem.PFN) []CachedEntry {
 		key.VPN &^= hugeTrackBit
 		out = append(out, CachedEntry{Core: k.core, Key: key})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Core != b.Core {
-			return a.Core < b.Core
-		}
-		if a.Key.Tag.VPID != b.Key.Tag.VPID {
-			return a.Key.Tag.VPID < b.Key.Tag.VPID
-		}
-		if a.Key.Tag.PCID != b.Key.Tag.PCID {
-			return a.Key.Tag.PCID < b.Key.Tag.PCID
-		}
-		return a.Key.VPN < b.Key.VPN
+	slices.SortFunc(out, func(a, b CachedEntry) int {
+		return cmp.Or(
+			cmp.Compare(a.Core, b.Core),
+			cmp.Compare(a.Key.Tag.VPID, b.Key.Tag.VPID),
+			cmp.Compare(a.Key.Tag.PCID, b.Key.Tag.PCID),
+			cmp.Compare(a.Key.VPN, b.Key.VPN),
+		)
 	})
 	return out
 }

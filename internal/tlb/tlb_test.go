@@ -1,12 +1,16 @@
 package tlb
 
 import (
+	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 	"testing/quick"
 
 	"latr/internal/mem"
 	"latr/internal/pt"
+	"latr/internal/sim"
+	"latr/internal/topo"
 )
 
 func newT(l1, l2 int) (*TLB, *Tracker) {
@@ -208,6 +212,35 @@ func TestTrackerCachedOn(t *testing.T) {
 	b.FlushAll()
 	if err := tr.AssertUnmapped(99); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestTrackerEntriesOnOrder(t *testing.T) {
+	// Both views sort by core, then VPID, PCID and VPN, whatever order the
+	// entries were cached in; CachedOn lists each core once.
+	tr := NewTracker()
+	a := New(2, 8, 0, tr)
+	b := New(1, 8, 0, tr)
+	a.Insert(Tag{VPID: 1}, 5, 42, true)
+	a.Insert(Tag{PCID: 3}, 9, 42, true)
+	a.Insert(Tag{PCID: 3}, 4, 42, true)
+	b.Insert(Tag{VPID: 2, PCID: 1}, 7, 42, true)
+	b.Insert(Tag{VPID: 2}, 8, 42, true)
+	want := []CachedEntry{
+		{1, Key{Tag{VPID: 2}, 8}},
+		{1, Key{Tag{VPID: 2, PCID: 1}, 7}},
+		{2, Key{Tag{PCID: 3}, 4}},
+		{2, Key{Tag{PCID: 3}, 9}},
+		{2, Key{Tag{VPID: 1}, 5}},
+	}
+	if got := tr.EntriesOn(42); !slices.Equal(got, want) {
+		t.Fatalf("EntriesOn = %v, want %v", got, want)
+	}
+	if got := tr.CachedOn(42); !slices.Equal(got, []topo.CoreID{1, 2}) {
+		t.Fatalf("CachedOn = %v, want [1 2]", got)
+	}
+	if tr.EntriesOn(43) != nil || tr.CachedOn(43) != nil {
+		t.Fatal("an uncached frame has entries")
 	}
 }
 
@@ -430,6 +463,102 @@ func (r *refLRU) removeWhere(pred func(Line) bool) []Line {
 	return dropped
 }
 
+// lruStep applies one operation to c and to the reference and reports how
+// their results or states differ. Kinds 0–2 put, 3–4 get, 5 removes, 6
+// flushes k's tag and 7 flushes k's VPN parity.
+func lruStep(c *lru, ref *refLRU, kind uint8, k Key, pfn uint16) error {
+	switch kind % 8 {
+	case 0, 1, 2:
+		ln := Line{Key: k, PFN: mem.PFN(pfn), Writable: pfn%2 == 0}
+		v, ev := c.put(ln)
+		if rv, rev := ref.put(ln); v != rv || ev != rev {
+			return fmt.Errorf("put %+v evicted %+v %v, want %+v %v", ln, v, ev, rv, rev)
+		}
+	case 3, 4:
+		ln, ok := c.get(k)
+		if rln, rok := ref.get(k); ln != rln || ok != rok {
+			return fmt.Errorf("get %+v = %+v %v, want %+v %v", k, ln, ok, rln, rok)
+		}
+	case 5:
+		ln, ok := c.remove(k)
+		if rln, rok := ref.remove(k); ln != rln || ok != rok {
+			return fmt.Errorf("remove %+v = %+v %v, want %+v %v", k, ln, ok, rln, rok)
+		}
+	case 6, 7:
+		pred := func(ln Line) bool { return ln.Key.Tag == k.Tag }
+		if kind%8 == 7 {
+			pred = func(ln Line) bool { return ln.Key.VPN%2 == k.VPN%2 }
+		}
+		var got []Line
+		c.removeWhere(pred, func(ln Line) { got = append(got, ln) })
+		if want := ref.removeWhere(pred); !slices.Equal(got, want) {
+			return fmt.Errorf("removeWhere dropped %v, want %v", got, want)
+		}
+	}
+	if c.len() != len(ref.lines) || len(c.nodes) > c.cap ||
+		!slices.Equal(lines(c), ref.lines) || c.len()+freeNodes(c) != len(c.nodes) {
+		return fmt.Errorf("after op %d on %+v: %d lines in a %d-node slab, want %v", kind%8, k, c.len(), len(c.nodes), ref.lines)
+	}
+	return checkIndex(c)
+}
+
+// indexLimit is the longest slot table a cache of the given capacity may
+// have: 2·nextPow2(capacity), which keeps it at most half full.
+func indexLimit(capacity int) int {
+	n := 1
+	for n < capacity {
+		n *= 2
+	}
+	return 2 * n
+}
+
+// checkIndex reports how c's slot table breaks its invariants: nil until
+// the first put, then a power-of-two length of at least twice the line
+// count and at most indexLimit(cap), one occupied slot per cached line,
+// and every cached line found at the slot holding its own slab position.
+func checkIndex(c *lru) error {
+	size := len(c.slots)
+	if size == 0 {
+		if c.slots != nil || len(c.nodes) != 0 {
+			return fmt.Errorf("index is %v with %d slab nodes", c.slots, len(c.nodes))
+		}
+		return nil
+	}
+	if size&(size-1) != 0 || size < 2*c.len() || size > indexLimit(c.cap) {
+		return fmt.Errorf("%d slots for %d lines at capacity %d", size, c.len(), c.cap)
+	}
+	occupied := 0
+	for _, p := range c.slots {
+		if p != 0 {
+			occupied++
+		}
+	}
+	if occupied != c.len() {
+		return fmt.Errorf("%d occupied slots for %d lines", occupied, c.len())
+	}
+	for i := c.head; i != nilNode; i = c.nodes[i].next {
+		k := c.nodes[i].line.Key
+		if s := c.find(k); s < 0 || c.slots[s] != i+1 {
+			return fmt.Errorf("key %+v at slab position %d not found by the index (slot %d)", k, i, s)
+		}
+	}
+	return nil
+}
+
+// keysHomedAt returns the first n keys of the given tag, by VPN, whose
+// home slot in a table of the given power-of-two size is one of slots.
+func keysHomedAt(tag Tag, size, n int, slots ...int) []Key {
+	shift := 64 - bits.TrailingZeros(uint(size))
+	var out []Key
+	for vpn := pt.VPN(0); len(out) < n; vpn++ {
+		k := Key{tag, vpn}
+		if slices.Contains(slots, int(slotHash(k)>>shift)) {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
 func TestPropertyLRUMatchesReference(t *testing.T) {
 	// Random put/get/remove/flush sequences must produce the same hits,
 	// victims, removed lines and recency order as the reference list.
@@ -444,39 +573,7 @@ func TestPropertyLRUMatchesReference(t *testing.T) {
 		c, ref := newLRU(capacity), &refLRU{cap: capacity}
 		for _, o := range ops {
 			k := Key{Tag{PCID: PCID(o.PCID % 3)}, pt.VPN(o.VPN % 16)}
-			switch o.Kind % 8 {
-			case 0, 1, 2:
-				ln := Line{Key: k, PFN: mem.PFN(o.PFN), Writable: o.PFN%2 == 0}
-				v, ev := c.put(ln)
-				rv, rev := ref.put(ln)
-				if v != rv || ev != rev {
-					return false
-				}
-			case 3, 4:
-				ln, ok := c.get(k)
-				rln, rok := ref.get(k)
-				if ln != rln || ok != rok {
-					return false
-				}
-			case 5:
-				ln, ok := c.remove(k)
-				rln, rok := ref.remove(k)
-				if ln != rln || ok != rok {
-					return false
-				}
-			case 6, 7:
-				pred := func(ln Line) bool { return ln.Key.Tag == k.Tag }
-				if o.Kind%8 == 7 {
-					pred = func(ln Line) bool { return ln.Key.VPN%2 == k.VPN%2 }
-				}
-				var got []Line
-				c.removeWhere(pred, func(ln Line) { got = append(got, ln) })
-				if !slices.Equal(got, ref.removeWhere(pred)) {
-					return false
-				}
-			}
-			if c.len() != len(ref.lines) || len(c.nodes) > capacity ||
-				!slices.Equal(lines(c), ref.lines) || c.len()+freeNodes(c) != len(c.nodes) {
+			if lruStep(c, ref, o.Kind, k, o.PFN) != nil {
 				return false
 			}
 		}
@@ -486,6 +583,119 @@ func TestPropertyLRUMatchesReference(t *testing.T) {
 	}
 }
 
+func TestPropertyLRUIndexMatchesReference(t *testing.T) {
+	// The slot table at the sizes and key shapes the small quick check
+	// never reaches: capacities whose index doubles from 8 slots up to
+	// 4096, keys that share a home slot at the table's end so their probe
+	// runs wrap past slot 0 (and deletion must shift entries back across
+	// it), and extreme tag and VPN values that must round-trip. Each case
+	// fills the cache past capacity, runs random operations with few
+	// flushes, then removes every key, checking against the reference and
+	// the index invariants after every step.
+	extreme := []Key{
+		{Tag{VPID: 0xffff, PCID: 0xffff}, 0},
+		{Tag{VPID: 0xffff, PCID: 0xffff}, 1 << 36},
+		{Tag{VPID: 0xffff}, 1 << 36},
+		{Tag{PCID: 0xffff}, 1 << 36},
+		{Tag{}, 1 << 36},
+		{Tag{VPID: 0xffff, PCID: 0xffff}, ^pt.VPN(0)},
+		{Tag{}, ^pt.VPN(0)},
+		{Tag{VPID: 1}, 1<<63 | 5},
+		{Tag{PCID: 1}, 1<<63 | 5},
+		{Tag{VPID: 0x8000, PCID: 0x7fff}, 1<<40 + 3},
+	}
+	type testCase struct {
+		name     string
+		capacity int
+		keys     []Key
+	}
+	var cases []testCase
+	for _, capacity := range []int{1, 2, 3, 8, 9, 64, 65, 512, 513, 1024, 1100} {
+		var keys []Key
+		for vpn := pt.VPN(0); len(keys) < capacity+capacity/4+4; vpn++ {
+			keys = append(keys, Key{Tag{PCID: PCID(vpn % 2)}, vpn / 2})
+		}
+		cases = append(cases, testCase{fmt.Sprintf("grow/cap%d", capacity), capacity, keys})
+	}
+	for _, capacity := range []int{3, 4, 16, 64} {
+		size := indexLimit(capacity)
+		keys := keysHomedAt(Tag{PCID: 1}, size, capacity+2, size-2, size-1)
+		keys = append(keys, keysHomedAt(Tag{PCID: 1}, size, capacity/2+1, 0, 1)...)
+		cases = append(cases, testCase{fmt.Sprintf("wrap/cap%d", capacity), capacity, keys})
+	}
+	cases = append(cases,
+		testCase{"extreme/cap4", 4, extreme},
+		testCase{"extreme/cap8", 8, extreme})
+
+	for seed, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := sim.NewRand(uint64(seed) + 1)
+			c, ref := newLRU(tc.capacity), &refLRU{cap: tc.capacity}
+			if err := checkIndex(c); err != nil {
+				t.Fatal(err)
+			}
+			sizes := map[int]bool{}
+			step := func(kind uint8, k Key) {
+				t.Helper()
+				if err := lruStep(c, ref, kind, k, uint16(rng.Intn(1<<16))); err != nil {
+					t.Fatal(err)
+				}
+				sizes[len(c.slots)] = true
+			}
+			for _, i := range rng.Perm(len(tc.keys)) {
+				step(0, tc.keys[i])
+			}
+			for n := 0; n < 4*len(tc.keys)+200; n++ {
+				kind := uint8(rng.Intn(6)) // put, get or remove
+				if rng.Intn(100) == 0 {
+					kind = uint8(6 + rng.Intn(2)) // a flush
+				}
+				step(kind, tc.keys[rng.Intn(len(tc.keys))])
+			}
+			for _, k := range tc.keys {
+				step(5, k)
+			}
+			if c.len() != 0 {
+				t.Fatalf("%d lines left after removing every key", c.len())
+			}
+			// The fill put more keys than fit, so the index grew through
+			// every size up to its limit.
+			for size := min(minSlots, indexLimit(tc.capacity)); size <= indexLimit(tc.capacity); size *= 2 {
+				if !sizes[size] {
+					t.Errorf("index never had %d slots (saw %v)", size, sizes)
+				}
+			}
+		})
+	}
+}
+
+func TestLRUIndexWrapDeletion(t *testing.T) {
+	// Three keys homed at the last of 8 slots fill slots 7, 0 and 1, each
+	// slot holding its key's slab position plus one (1, 2, 3 in put
+	// order). Removing the first must shift the other two back across
+	// slot 0, or neither is reachable from its home any more.
+	c := newLRU(4)
+	keys := keysHomedAt(Tag{}, 8, 3, 7)
+	for _, k := range keys {
+		c.put(Line{Key: k})
+	}
+	if want := []int32{2, 3, 0, 0, 0, 0, 0, 1}; !slices.Equal(c.slots, want) {
+		t.Fatalf("slots = %v, want %v", c.slots, want)
+	}
+	c.remove(keys[0])
+	if want := []int32{3, 0, 0, 0, 0, 0, 0, 2}; !slices.Equal(c.slots, want) {
+		t.Fatalf("slots = %v after removing slot 7's key, want %v", c.slots, want)
+	}
+	if err := checkIndex(c); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkTLBInsertInvalidateChurn runs with the shadow tracker on: its
+// allocations (2 allocs/op, 336 B/op) are Tracker.add's per-frame set
+// maps, made again each time an invalidation empties a frame's set, not
+// the TLB's. The two benchmarks below run without a tracker and allocate
+// nothing.
 func BenchmarkTLBInsertInvalidateChurn(b *testing.B) {
 	tb, _ := newT(64, 1024)
 	b.ReportAllocs()
@@ -495,6 +705,49 @@ func BenchmarkTLBInsertInvalidateChurn(b *testing.B) {
 		tb.Insert(Tag{PCID: 1}, vpn, mem.PFN(vpn)+1, true)
 		if i%4 == 3 {
 			tb.InvalidateRange(Tag{PCID: 1}, vpn-3, vpn+1)
+		}
+	}
+}
+
+// BenchmarkTLBLookupHit is canneal's shape: a warm 64/1024 TLB without a
+// tracker, and lookups that cycle over resident pages, every one an L1
+// hit and none at the L1 head.
+func BenchmarkTLBLookupHit(b *testing.B) {
+	const pages = 64
+	tb := New(0, 64, 1024, nil)
+	tag := Tag{PCID: 1}
+	for vpn := pt.VPN(0); vpn < pages; vpn++ {
+		tb.Insert(tag, vpn, mem.PFN(vpn)+1, true)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := tb.Lookup(tag, pt.VPN(i%pages)); !ok {
+			b.Fatal("resident page missed")
+		}
+	}
+}
+
+// BenchmarkTLBMissInsertInvalidate is apache's shape: a full 64/1024 TLB
+// without a tracker, and for each fresh page a miss, an Insert and an
+// InvalidateRange that removes it again.
+func BenchmarkTLBMissInsertInvalidate(b *testing.B) {
+	tb := New(0, 64, 1024, nil)
+	tag := Tag{PCID: 1}
+	for vpn := pt.VPN(0); vpn < 64+1024; vpn++ {
+		tb.Insert(tag, vpn, mem.PFN(vpn)+1, true)
+	}
+	fresh := pt.VPN(1 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vpn := fresh + pt.VPN(i)
+		if _, ok := tb.Lookup(tag, vpn); ok {
+			b.Fatal("fresh page hit")
+		}
+		tb.Insert(tag, vpn, mem.PFN(vpn), true)
+		if tb.InvalidateRange(tag, vpn, vpn+1) != 1 {
+			b.Fatal("fresh page not invalidated")
 		}
 	}
 }

@@ -142,13 +142,20 @@ type Evaluator struct {
 // NewEvaluator builds an evaluator and measures the per-cell baselines
 // under kernel.DefaultTunables. Baselines are measured across workers
 // goroutines (order-preserving, so the result is worker-count-invariant).
-func NewEvaluator(cells []Cell, quick bool, seed uint64, workers int) *Evaluator {
+// Every cell is resolved first: a cell that names an unknown workload or
+// machine is an error before anything runs.
+func NewEvaluator(cells []Cell, quick bool, seed uint64, workers int) (*Evaluator, error) {
+	for _, c := range cells {
+		if _, _, err := c.resolve(); err != nil {
+			return nil, err
+		}
+	}
 	e := &Evaluator{cells: cells, quick: quick, seed: seed}
 	defaults := kernel.DefaultTunables()
 	e.base = fan.Run(workers, cells, func(_ int, c Cell) Measurement {
 		return e.measure(c, defaults)
 	})
-	return e
+	return e, nil
 }
 
 // Cells returns the evaluation matrix.
@@ -167,12 +174,6 @@ func (e *Evaluator) Fitness(t kernel.Tunables) Fitness {
 	}
 	f.Score /= float64(len(e.cells))
 	return f
-}
-
-// Measure runs one cell under one genome (exported for the sensitivity
-// table and the counterfactual differ).
-func (e *Evaluator) Measure(c Cell, t kernel.Tunables) Measurement {
-	return e.measure(c, t)
 }
 
 func (e *Evaluator) measure(c Cell, t kernel.Tunables) Measurement {
@@ -197,9 +198,9 @@ func newTunedKernel(spec topo.Spec, t kernel.Tunables, seed uint64, spanLimit in
 }
 
 // runCell executes one (workload × topology) cell under genome t and
-// returns the kernel (for span export) plus the measurement. Counterfactual
-// resolves its cell before calling it; the Evaluator does not check the
-// cells it is given, so a bad SearchConfig.Cells entry panics here.
+// returns the kernel (for span export) plus the measurement. Its callers,
+// NewEvaluator and Counterfactual, resolve every cell before running any,
+// so a cell that fails to resolve here is a program error.
 func runCell(c Cell, t kernel.Tunables, quick bool, seed uint64, spanLimit int) (*kernel.Kernel, Measurement) {
 	spec, cores, err := c.resolve()
 	if err != nil {

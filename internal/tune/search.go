@@ -94,12 +94,16 @@ type Result struct {
 // Search runs the seeded evolutionary search. Fitness evaluations fan
 // across cfg.Workers goroutines through internal/fan; every stochastic
 // draw happens on the single-threaded side between generations, so the
-// generation history is byte-identical at any worker count.
-func Search(cfg SearchConfig) *Result {
+// generation history is byte-identical at any worker count. A cell that
+// does not resolve is an error, returned before anything runs.
+func Search(cfg SearchConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
+	ev, err := NewEvaluator(cfg.Cells, cfg.Quick, cfg.Seed, cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
 	space := Space()
 	rng := sim.NewRand(cfg.Seed)
-	ev := NewEvaluator(cfg.Cells, cfg.Quick, cfg.Seed, cfg.Workers)
 
 	// The fitness cache makes elites and rediscovered genomes free and,
 	// because evaluation is pure, cannot perturb determinism.
@@ -167,7 +171,7 @@ func Search(cfg SearchConfig) *Result {
 			res.Best = g.Best()
 		}
 	}
-	return res
+	return res, nil
 }
 
 // tournament draws k candidate indices and returns the best (candidates

@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"strings"
 	"testing"
 
 	"latr/internal/kernel"
@@ -28,19 +29,61 @@ func smallSearch(workers int) SearchConfig {
 	}
 }
 
+func mustSearch(t *testing.T, cfg SearchConfig) *Result {
+	t.Helper()
+	res, err := Search(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// mustEvaluator builds a quick-mode evaluator.
+func mustEvaluator(t *testing.T, cells []Cell, seed uint64, workers int) *Evaluator {
+	t.Helper()
+	ev, err := NewEvaluator(cells, true, seed, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
+}
+
+// TestSearchRejectsBadCells pins that a cell naming an unknown machine
+// or workload is an error from Search and NewEvaluator, even behind a
+// good cell, instead of a panic on a fan worker goroutine.
+func TestSearchRejectsBadCells(t *testing.T) {
+	good := Cell{Workload: "churn", Machine: "2x8"}
+	for _, bad := range []Cell{
+		{Workload: "churn", Machine: "9x9"},
+		{Workload: "nope", Machine: "2x8"},
+		{Workload: "memcached", Machine: "large-ish"},
+	} {
+		cells := []Cell{good, bad}
+		want := "tune: cell " + bad.String() + ": "
+		res, err := Search(SearchConfig{Quick: true, Population: 2, Generations: 1, Workers: 2, Cells: cells})
+		if err == nil || res != nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("Search(%v) = %v, %v; want an error starting %q", cells, res, err, want)
+		}
+		ev, err := NewEvaluator(cells, true, 1, 2)
+		if err == nil || ev != nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("NewEvaluator(%v) = %v, %v; want an error starting %q", cells, ev, err, want)
+		}
+	}
+}
+
 // TestSearchDeterministicAcrossWorkers is the satellite property test:
 // the same seed produces a byte-identical generation history at 1, 2, 4
 // and 8 workers. Every stochastic draw happens single-threaded between
 // generations; the fan only carries pure fitness evaluations.
 func TestSearchDeterministicAcrossWorkers(t *testing.T) {
-	ref := Search(smallSearch(1))
+	ref := mustSearch(t, smallSearch(1))
 	refDump := ref.HistoryDump()
 	refDigest := ref.HistoryDigest()
 	if refDump == "" {
 		t.Fatal("empty history dump")
 	}
 	for _, workers := range []int{2, 4, 8} {
-		r := Search(smallSearch(workers))
+		r := mustSearch(t, smallSearch(workers))
 		if got := r.HistoryDump(); got != refDump {
 			t.Fatalf("history at %d workers diverged from 1 worker:\n--- %d workers ---\n%s--- 1 worker ---\n%s",
 				workers, workers, got, refDump)
@@ -69,7 +112,7 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 // worse (higher) than the paper defaults, which by construction score
 // exactly 1.0 against their own baseline.
 func TestWorseGenomeNeverOutranksDefaults(t *testing.T) {
-	ev := NewEvaluator(churnOnly(), true, 3, 0)
+	ev := mustEvaluator(t, churnOnly(), 3, 0)
 	def := ev.Fitness(kernel.DefaultTunables())
 	if def.Score != 1.0 {
 		t.Fatalf("defaults score %.9f against their own baseline, want exactly 1.0", def.Score)
@@ -104,7 +147,7 @@ func TestWorseGenomeNeverOutranksDefaults(t *testing.T) {
 // identical Fitness, which is what the search's cache and the fan's
 // worker-count invariance rest on.
 func TestFitnessIsPure(t *testing.T) {
-	ev := NewEvaluator(churnOnly(), true, 5, 2)
+	ev := mustEvaluator(t, churnOnly(), 5, 2)
 	g := Space().Random(sim.NewRand(42))
 	a, b := ev.Fitness(g), ev.Fitness(g)
 	if a.Score != b.Score {

@@ -583,8 +583,9 @@ func DefaultTunables() Tunables { return kernel.DefaultTunables() }
 func TuneSpace() TuneParamSpace { return tune.Space() }
 
 // RunTuneSearch runs the seeded evolutionary search; the generation
-// history is byte-identical at any worker count.
-func RunTuneSearch(cfg TuneSearchConfig) *TuneResult { return tune.Search(cfg) }
+// history is byte-identical at any worker count. A cell naming an
+// unknown workload or machine is an error, returned before anything runs.
+func RunTuneSearch(cfg TuneSearchConfig) (*TuneResult, error) { return tune.Search(cfg) }
 
 // RunCounterfactual re-runs a recorded seed with one knob perturbed and
 // diffs the resulting coherence spans.

@@ -100,6 +100,16 @@ func TestTunablesThroughConfig(t *testing.T) {
 	latr.NewSystem(latr.Config{Policy: latr.PolicyLATR, Tunables: &latr.Tunables{QueueDepth: -1}})
 }
 
+func TestTuneSearchBadCellIsAnError(t *testing.T) {
+	res, err := latr.RunTuneSearch(latr.TuneSearchConfig{
+		Quick: true,
+		Cells: []latr.TuneCell{{Workload: "churn", Machine: "9x9"}},
+	})
+	if err == nil || res != nil || !strings.Contains(err.Error(), "churn@9x9") {
+		t.Fatalf("RunTuneSearch = %v, %v; want an error naming churn@9x9", res, err)
+	}
+}
+
 func TestWorkloadThroughPublicAPI(t *testing.T) {
 	sys := latr.NewSystem(latr.Config{Policy: latr.PolicyLATR})
 	w := latr.NewApache(latr.DefaultApacheConfig(latr.CoreList(4)))
