@@ -14,10 +14,6 @@ import (
 // hugeEntries is the per-core 2 MB-translation array size (Haswell-class).
 const hugeEntries = 32
 
-// hugeTrackBit disambiguates huge-entry tracker keys from base-page keys
-// covering the same VPNs.
-const hugeTrackBit pt.VPN = 1 << 50
-
 // LookupHuge consults the huge array for the 2 MB translation covering
 // vpn. The returned line's PFN is the *base* frame of the huge page.
 func (t *TLB) LookupHuge(tag Tag, vpn pt.VPN) (Line, bool) {
@@ -46,8 +42,8 @@ func (t *TLB) InsertHuge(tag Tag, base pt.VPN, pfn mem.PFN, writable bool) {
 		t.droppedHuge(victim)
 	}
 	if t.tracker != nil {
-		for i := pt.VPN(0); i < pt.HugePages; i++ {
-			t.tracker.add(t.core, Key{k.Tag, k.VPN + i + hugeTrackBit}, pfn+mem.PFN(i))
+		for i := mem.PFN(0); i < pt.HugePages; i++ {
+			t.tracker.add(pfn + i)
 		}
 	}
 }
@@ -56,8 +52,8 @@ func (t *TLB) droppedHuge(ln Line) {
 	if t.tracker == nil {
 		return
 	}
-	for i := pt.VPN(0); i < pt.HugePages; i++ {
-		t.tracker.del(t.core, Key{ln.Key.Tag, ln.Key.VPN + i + hugeTrackBit})
+	for i := mem.PFN(0); i < pt.HugePages; i++ {
+		t.tracker.del(ln.PFN + i)
 	}
 }
 

@@ -100,6 +100,17 @@ func (c *lru) remove(k Key) (Line, bool) {
 	return c.drop(s), true
 }
 
+// each calls fn on every cached line, most recent first; a nil cache
+// (an L2 or huge array the TLB does not have) has none.
+func (c *lru) each(fn func(Line)) {
+	if c == nil {
+		return
+	}
+	for i := c.head; i != nilNode; i = c.nodes[i].next {
+		fn(c.nodes[i].line)
+	}
+}
+
 // removeWhere unlinks every line matching pred in one walk, most recent
 // first, handing each removed line to dropped. Neither callback may mutate
 // the cache.

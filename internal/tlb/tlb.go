@@ -2,10 +2,10 @@
 //
 // Each core has an exclusive two-level hierarchy (L1 D-TLB backed by an L2
 // STLB victim cache), with entries tagged by (VPID, PCID). The package also
-// provides a machine-wide shadow Tracker that records which (core, tag,
-// VPN) triples currently cache which physical frame; the kernel uses it to
-// check the paper's central invariant — a physical page is never reused
-// while any TLB still maps it (§3, §4.2).
+// provides a machine-wide shadow Tracker that counts the TLB lines caching
+// each physical frame; the kernel uses it to check the paper's central
+// invariant — a physical page is never reused while any TLB still maps it
+// (§3, §4.2) — and EntriesOn to read which lines those are.
 package tlb
 
 import (
@@ -112,7 +112,7 @@ func (t *TLB) Insert(tag Tag, vpn pt.VPN, pfn mem.PFN, writable bool) {
 	t.dropKey(k)
 	t.promote(Line{Key: k, PFN: pfn, Writable: writable})
 	if t.tracker != nil {
-		t.tracker.add(t.core, k, pfn)
+		t.tracker.add(pfn)
 	}
 }
 
@@ -132,7 +132,7 @@ func (t *TLB) promote(ln Line) {
 
 func (t *TLB) dropped(ln Line) {
 	if t.tracker != nil {
-		t.tracker.del(t.core, ln.Key)
+		t.tracker.del(ln.PFN)
 	}
 }
 
@@ -243,74 +243,54 @@ func (t *TLB) Has(tag Tag, vpn pt.VPN) bool {
 	return t.l2 != nil && t.l2.contains(k)
 }
 
-// Tracker is the machine-wide shadow map: PFN → set of TLB entries caching
-// it. It exists purely for correctness checking and statistics; the
-// simulated hardware has no such structure (that is UNITD's CAM, which the
-// paper rejects as too expensive — §2.2).
+// Tracker is the machine-wide shadow count: for each physical frame, how
+// many TLB lines cache it, a huge line counting once for each frame it
+// covers. It exists purely for correctness checking; the simulated hardware
+// has no such structure (that is UNITD's CAM, which the paper rejects as
+// too expensive — §2.2). It keeps no copy of the lines: EntriesOn reads
+// them from the TLBs when a caller needs to know which entries they are.
 type Tracker struct {
-	byFrame map[mem.PFN]map[trackKey]struct{}
-	byEntry map[trackKey]mem.PFN
-}
-
-type trackKey struct {
-	core topo.CoreID
-	key  Key
+	lines map[mem.PFN]int32
 }
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	return &Tracker{
-		byFrame: make(map[mem.PFN]map[trackKey]struct{}),
-		byEntry: make(map[trackKey]mem.PFN),
+	return &Tracker{lines: make(map[mem.PFN]int32)}
+}
+
+func (tr *Tracker) add(pfn mem.PFN) { tr.lines[pfn]++ }
+
+// del uncounts one line caching pfn. Every line a tracked TLB drops was
+// counted when it was cached, so a frame without lines is a bookkeeping
+// bug.
+func (tr *Tracker) del(pfn mem.PFN) {
+	switch n := tr.lines[pfn]; n {
+	case 0:
+		panic(fmt.Sprintf("tlb: frame %d dropped from a TLB that does not cache it", pfn))
+	case 1:
+		delete(tr.lines, pfn)
+	default:
+		tr.lines[pfn] = n - 1
 	}
 }
 
-func (tr *Tracker) add(core topo.CoreID, k Key, pfn mem.PFN) {
-	tk := trackKey{core, k}
-	if old, ok := tr.byEntry[tk]; ok {
-		tr.removeFromFrame(old, tk)
-	}
-	tr.byEntry[tk] = pfn
-	s := tr.byFrame[pfn]
-	if s == nil {
-		s = make(map[trackKey]struct{})
-		tr.byFrame[pfn] = s
-	}
-	s[tk] = struct{}{}
-}
+// Lines returns how many TLB lines currently cache pfn.
+func (tr *Tracker) Lines(pfn mem.PFN) int { return int(tr.lines[pfn]) }
 
-func (tr *Tracker) del(core topo.CoreID, k Key) {
-	tk := trackKey{core, k}
-	pfn, ok := tr.byEntry[tk]
-	if !ok {
-		return
-	}
-	delete(tr.byEntry, tk)
-	tr.removeFromFrame(pfn, tk)
-}
+// Frames returns how many distinct frames are currently cached somewhere.
+func (tr *Tracker) Frames() int { return len(tr.lines) }
 
-func (tr *Tracker) removeFromFrame(pfn mem.PFN, tk trackKey) {
-	if s := tr.byFrame[pfn]; s != nil {
-		delete(s, tk)
-		if len(s) == 0 {
-			delete(tr.byFrame, pfn)
-		}
+// Culprits reads the entries of tlbs, the TLBs sharing this tracker, that
+// cache pfn. The count is the oracle and the entries only name it, so a
+// count the entries do not match is a bookkeeping bug (a line dropped or
+// cached without being counted) and panics, like the allocator's "handed
+// out twice".
+func (tr *Tracker) Culprits(pfn mem.PFN, tlbs []*TLB) []CachedEntry {
+	out := EntriesOn(pfn, tlbs)
+	if n := tr.Lines(pfn); len(out) != n {
+		panic(fmt.Sprintf("tlb: frame %d counted in %d TLB lines but cached in %d", pfn, n, len(out)))
 	}
-}
-
-// CachedOn returns the cores whose TLBs currently map pfn, in ascending
-// core order so audit reports derived from it are deterministic.
-func (tr *Tracker) CachedOn(pfn mem.PFN) []topo.CoreID {
-	s := tr.byFrame[pfn]
-	if len(s) == 0 {
-		return nil
-	}
-	out := make([]topo.CoreID, 0, len(s))
-	for k := range s {
-		out = append(out, k.core)
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	return out
 }
 
 // CachedEntry identifies one live TLB entry caching a frame: the owning
@@ -320,21 +300,25 @@ type CachedEntry struct {
 	Key  Key
 }
 
-// EntriesOn returns every TLB entry currently caching pfn, sorted for
-// deterministic iteration. Huge-translation shadow keys are reported with
-// the covered 4 KB VPN (the huge tracking bit stripped), so invalidating
-// the returned key always removes the entry. HATRIC-style hardware
-// coherence uses this as its per-entry sharer directory.
-func (tr *Tracker) EntriesOn(pfn mem.PFN) []CachedEntry {
-	s := tr.byFrame[pfn]
-	if len(s) == 0 {
-		return nil
-	}
-	out := make([]CachedEntry, 0, len(s))
-	for k := range s {
-		key := k.key
-		key.VPN &^= hugeTrackBit
-		out = append(out, CachedEntry{Core: k.core, Key: key})
+// EntriesOn reads every line of tlbs that caches pfn, sorted by core, then
+// VPID, PCID and VPN. A huge line is reported at the 4 KB VPN it maps to
+// pfn, so invalidating the returned key always removes the entry. HATRIC
+// uses this as its per-entry sharer directory; it needs no tracker.
+func EntriesOn(pfn mem.PFN, tlbs []*TLB) []CachedEntry {
+	var out []CachedEntry
+	for _, t := range tlbs {
+		base := func(ln Line) {
+			if ln.PFN == pfn {
+				out = append(out, CachedEntry{t.core, ln.Key})
+			}
+		}
+		t.l1.each(base)
+		t.l2.each(base)
+		t.huge.each(func(ln Line) {
+			if off := pfn - ln.PFN; off < pt.HugePages {
+				out = append(out, CachedEntry{t.core, Key{ln.Key.Tag, ln.Key.VPN + pt.VPN(off)}})
+			}
+		})
 	}
 	slices.SortFunc(out, func(a, b CachedEntry) int {
 		return cmp.Or(
@@ -346,15 +330,3 @@ func (tr *Tracker) EntriesOn(pfn mem.PFN) []CachedEntry {
 	})
 	return out
 }
-
-// AssertUnmapped returns an error if any core's TLB still maps pfn — the
-// reuse invariant the kernel checks before handing a frame back out.
-func (tr *Tracker) AssertUnmapped(pfn mem.PFN) error {
-	if cores := tr.CachedOn(pfn); len(cores) > 0 {
-		return fmt.Errorf("tlb: frame %d reused while still cached on cores %v", pfn, cores)
-	}
-	return nil
-}
-
-// Frames returns how many distinct frames are currently cached somewhere.
-func (tr *Tracker) Frames() int { return len(tr.byFrame) }
