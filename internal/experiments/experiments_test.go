@@ -205,6 +205,17 @@ func TestVirtTableShape(t *testing.T) {
 	}
 }
 
+// TestVirtIndependentOfChecking pins that the shadow tracker only checks:
+// HATRIC's precise invalidations read the TLBs themselves, so every cell,
+// its balloon latency included, is the same with checking on and off.
+func TestVirtIndependentOfChecking(t *testing.T) {
+	off := Virt(Options{Quick: true, Seed: 1, Workers: -1}).String()
+	on := Virt(Options{Quick: true, Seed: 1, Workers: -1, CheckInvariants: true}).String()
+	if on != off {
+		t.Fatalf("virt table differs with checking on:\n%s\nwith it off:\n%s", on, off)
+	}
+}
+
 func TestByIDAndIDsAgree(t *testing.T) {
 	seen := map[string]bool{}
 	for _, id := range IDs() {
