@@ -414,40 +414,59 @@ func TestBadOpArgsFailTheOp(t *testing.T) {
 
 func TestInvariantCatchesPrematureReuse(t *testing.T) {
 	// A deliberately broken policy frees frames without invalidating remote
-	// TLBs; the shadow tracker must panic when the frame is reallocated.
-	spec := topo.Custom(1, 2)
-	spec.MemPerNodeBytes = 1 << 20 // 256 frames: force quick reuse
-	k := New(spec, cost.Default(spec), brokenPolicy{}, Options{CheckInvariants: true, Seed: 1})
-	p := k.NewProcess()
-	var base pt.VPN
-	p.Spawn(0, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1} },
-		func(th *Thread) Op { base = th.LastAddr; return OpTouchRange{Start: base, Pages: 1, Write: true} },
-		func(*Thread) Op { return OpCompute{D: sim.Microsecond} },
-		func(*Thread) Op { return OpCompute{D: sim.Microsecond} },
-	}})
-	// Second thread on core 1 caches the page, then core 0 munmaps and
-	// remmaps until the freed frame is reused.
-	p.Spawn(1, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpCompute{D: 100 * sim.Microsecond} },
-		func(*Thread) Op { return OpTouchRange{Start: base, Pages: 1} },
-		func(*Thread) Op { return OpSleep{D: 5 * sim.Millisecond} },
-		func(*Thread) Op { return nil },
-	}})
-	p2prog := &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpSleep{D: 200 * sim.Microsecond} },
-		func(*Thread) Op { return OpMunmap{Addr: base, Pages: 1} },
-		func(*Thread) Op { return OpMmap{Pages: 200, Writable: true, Populate: true, Node: -1} },
-		func(*Thread) Op { return OpMmap{Pages: 200, Writable: true, Populate: true, Node: -1} },
-		func(*Thread) Op { return nil },
-	}}
-	p.Spawn(0, p2prog)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invariant checker did not catch premature frame reuse")
+	// TLBs. Without the auditor the shadow tracker must panic when the
+	// frame is reallocated; with it, the reuse is reported on core 1,
+	// which still caches the page, at the page's VPN.
+	for _, audit := range []bool{false, true} {
+		spec := topo.Custom(1, 2)
+		spec.MemPerNodeBytes = 1 << 20 // 256 frames: force quick reuse
+		k := New(spec, cost.Default(spec), brokenPolicy{}, Options{CheckInvariants: true, Audit: audit, Seed: 1})
+		p := k.NewProcess()
+		var base pt.VPN
+		p.Spawn(0, &script{steps: []func(*Thread) Op{
+			func(*Thread) Op { return OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1} },
+			func(th *Thread) Op { base = th.LastAddr; return OpTouchRange{Start: base, Pages: 1, Write: true} },
+			func(*Thread) Op { return OpCompute{D: sim.Microsecond} },
+			func(*Thread) Op { return OpCompute{D: sim.Microsecond} },
+		}})
+		// Second thread on core 1 caches the page, then core 0 munmaps and
+		// remmaps until the freed frame is reused.
+		p.Spawn(1, &script{steps: []func(*Thread) Op{
+			func(*Thread) Op { return OpCompute{D: 100 * sim.Microsecond} },
+			func(*Thread) Op { return OpTouchRange{Start: base, Pages: 1} },
+			func(*Thread) Op { return OpSleep{D: 5 * sim.Millisecond} },
+			func(*Thread) Op { return nil },
+		}})
+		p2prog := &script{steps: []func(*Thread) Op{
+			func(*Thread) Op { return OpSleep{D: 200 * sim.Microsecond} },
+			func(*Thread) Op { return OpMunmap{Addr: base, Pages: 1} },
+			func(*Thread) Op { return OpMmap{Pages: 200, Writable: true, Populate: true, Node: -1} },
+			func(*Thread) Op { return OpMmap{Pages: 200, Writable: true, Populate: true, Node: -1} },
+			func(*Thread) Op { return nil },
+		}}
+		p.Spawn(0, p2prog)
+		if !audit {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("invariant checker did not catch premature frame reuse")
+					}
+				}()
+				run(k, 20*sim.Millisecond)
+			}()
+			continue
 		}
-	}()
-	run(k, 20*sim.Millisecond)
+		run(k, 20*sim.Millisecond)
+		var reuses []tlb.Violation
+		for _, v := range k.Audit.Violations() {
+			if v.Kind == tlb.ViolationFrameReuse {
+				reuses = append(reuses, v)
+			}
+		}
+		if len(reuses) != 1 || reuses[0].Core != 1 || reuses[0].VPN != base {
+			t.Fatalf("frame-reuse violations %v, want one on core 1 at vpn %#x", reuses, uint64(base))
+		}
+	}
 }
 
 // brokenPolicy frees frames immediately without any remote invalidation —
