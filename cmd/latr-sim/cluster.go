@@ -26,7 +26,6 @@ type clusterFlags struct {
 	hedge    latr.Time
 	seed     uint64
 	parallel int
-	check    bool
 	dump     bool
 }
 
@@ -129,7 +128,5 @@ func clusterConfig(f clusterFlags, c clusterCell, prof latr.ClusterFaultProfile)
 	cfg.Machine = f.machine
 	cfg.Duration = f.duration
 	cfg.HedgeDelay = f.hedge
-	cfg.Audit = true
-	cfg.CheckInvariants = f.check
 	return cfg
 }

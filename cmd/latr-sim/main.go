@@ -169,7 +169,6 @@ func run(stdout, stderr io.Writer, args []string) int {
 			hedge:    latr.Time(clusterHdg.Nanoseconds()),
 			seed:     *seed,
 			parallel: *parallel,
-			check:    *check,
 			dump:     false,
 		})
 	}

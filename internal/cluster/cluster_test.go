@@ -11,7 +11,6 @@ func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Seed = 11
 	cfg.Duration = 20 * sim.Millisecond
-	cfg.Audit = true
 	return cfg
 }
 

@@ -71,10 +71,9 @@ func newNode(c *Cluster, id int) *node {
 		panic(err)
 	}
 	k := kernel.New(spec, cost.Default(spec), pol, kernel.Options{
-		Seed:            cfg.Seed ^ (uint64(id+1) * 0x9e3779b97f4a7c15),
-		Engine:          c.eng,
-		Audit:           cfg.Audit,
-		CheckInvariants: cfg.CheckInvariants,
+		Seed:   cfg.Seed ^ (uint64(id+1) * 0x9e3779b97f4a7c15),
+		Engine: c.eng,
+		Audit:  true,
 	})
 	n := &node{id: id, cl: c, k: k}
 
