@@ -24,7 +24,7 @@ func measureMunmap(policy latr.PolicyKind) latr.Time {
 	// shootdown has 15 remote targets.
 	for c := 1; c < 16; c++ {
 		p.Spawn(latr.CoreID(c), latr.Script(
-			func(*latr.Thread) latr.Op { return latr.OpCompute{D: 20 * latr.Millisecond} },
+			func(*latr.Thread) latr.Op { return latr.Compute(20 * latr.Millisecond) },
 		))
 	}
 
@@ -33,10 +33,10 @@ func measureMunmap(policy latr.PolicyKind) latr.Time {
 	_ = base
 	p.Spawn(0, latr.Script(
 		func(th *latr.Thread) latr.Op {
-			return latr.OpMmap{Pages: 4, Writable: true, Populate: true, Node: -1}
+			return latr.Mmap(4, true).Populate(-1)
 		},
-		func(th *latr.Thread) latr.Op { return latr.OpSleep{D: 100 * latr.Microsecond} },
-		func(th *latr.Thread) latr.Op { return latr.OpMunmap{Addr: th.LastAddr, Pages: 4} },
+		func(th *latr.Thread) latr.Op { return latr.Sleep(100 * latr.Microsecond) },
+		func(th *latr.Thread) latr.Op { return latr.Munmap(th.LastAddr, 4) },
 	))
 
 	sys.Run(30 * latr.Millisecond)

@@ -31,7 +31,7 @@ func run(policy latr.PolicyKind) {
 	// every Linux swap-out must shoot them down.
 	for c := 1; c <= 3; c++ {
 		p.Spawn(latr.CoreID(c), latr.Loop(func(*latr.Thread) latr.Op {
-			return latr.OpCompute{D: 5 * latr.Millisecond}
+			return latr.Compute(5 * latr.Millisecond)
 		}))
 	}
 
@@ -48,7 +48,7 @@ func run(policy latr.PolicyKind) {
 				bases[step-1] = th.LastAddr
 			}
 			step++
-			return latr.OpMmap{Pages: pagesPer, Writable: true, Populate: false, Node: -1}
+			return latr.Mmap(pagesPer, true)
 		}
 		if step == regions {
 			bases[regions-1] = th.LastAddr
@@ -56,9 +56,9 @@ func run(policy latr.PolicyKind) {
 		}
 		cycle++
 		if cycle > regions*6 {
-			return nil
+			return latr.Op{}
 		}
-		return latr.OpTouchRange{Start: bases[cycle%regions], Pages: pagesPer, Write: true, Accesses: 8}
+		return latr.TouchRange(bases[cycle%regions], pagesPer, true).Repeat(8)
 	}))
 
 	for sys.Now() < 2*latr.Second && k.LiveThreads() > 4 {

@@ -50,45 +50,44 @@ func TestDifferentialRandomStreams(t *testing.T) {
 				}
 				steps++
 				if steps > 220 {
-					return nil
+					return latr.Op{}
 				}
 				switch rng() % 10 {
 				case 0, 1, 2:
 					pendingPages = 1 + int(rng()%16)
-					return latr.OpMmap{
-						Pages:    pendingPages,
-						Writable: true,
-						Populate: rng()%2 == 0,
-						Node:     -1,
+					op := latr.Mmap(pendingPages, true)
+					if rng()%2 == 0 {
+						op = op.Populate(-1)
 					}
+					return op
 				case 3, 4:
 					if len(regions) == 0 {
-						return latr.OpCompute{D: 5 * latr.Microsecond}
+						return latr.Compute(5 * latr.Microsecond)
 					}
 					r := regions[rng()%uint64(len(regions))]
-					return latr.OpTouchRange{Start: r.base, Pages: r.pages, Write: rng()%2 == 0}
+					return latr.TouchRange(r.base, r.pages, rng()%2 == 0)
 				case 5, 6:
 					if len(regions) == 0 {
-						return latr.OpCompute{D: 5 * latr.Microsecond}
+						return latr.Compute(5 * latr.Microsecond)
 					}
 					i := int(rng() % uint64(len(regions)))
 					r := regions[i]
 					regions = append(regions[:i], regions[i+1:]...)
-					return latr.OpMunmap{Addr: r.base, Pages: r.pages}
+					return latr.Munmap(r.base, r.pages)
 				case 7:
 					if len(regions) == 0 {
-						return latr.OpCompute{D: 5 * latr.Microsecond}
+						return latr.Compute(5 * latr.Microsecond)
 					}
 					r := regions[rng()%uint64(len(regions))]
-					return latr.OpMadvise{Addr: r.base, Pages: max(1, r.pages/2)}
+					return latr.Madvise(r.base, max(1, r.pages/2))
 				case 8:
 					if len(regions) == 0 {
-						return latr.OpCompute{D: 5 * latr.Microsecond}
+						return latr.Compute(5 * latr.Microsecond)
 					}
 					r := regions[rng()%uint64(len(regions))]
-					return latr.OpMprotect{Addr: r.base, Pages: r.pages, Writable: rng()%2 == 0}
+					return latr.Mprotect(r.base, r.pages, rng()%2 == 0)
 				default:
-					return latr.OpSleep{D: latr.Time(1+rng()%100) * latr.Microsecond}
+					return latr.Sleep(latr.Time(1+rng()%100) * latr.Microsecond)
 				}
 			}))
 		}

@@ -191,7 +191,7 @@ func (pl *regionPool) noteFreed(r region) {
 // deterministic as the fault schedule.
 func spawnChurn(k *kernel.Kernel, p *kernel.Process, pool *regionPool, id topo.CoreID, seed uint64, until sim.Time) {
 	rng := sim.NewRand(seed*0x9e3779b97f4a7c15 + uint64(id) + 1)
-	pendingPages := 0 // pages of an in-flight OpMmap to record next call
+	pendingPages := 0 // pages of an in-flight Mmap op to record next call
 	drain := 0        // regions left in the current munmap burst
 	mm := p.MM
 
@@ -210,27 +210,27 @@ func spawnChurn(k *kernel.Kernel, p *kernel.Process, pool *regionPool, id topo.C
 			pendingPages = 0
 		}
 		if k.Now() >= until {
-			return nil
+			return kernel.Op{}
 		}
 		if drain > 0 && len(pool.held) > 0 {
 			// Munmap burst: unmap back to back — the QueueDepth pressure,
 			// and under the small-queue profile the fallback-IPI path.
 			drain--
 			r := pop(rng.Intn(len(pool.held)))
-			return kernel.OpMunmap{Addr: r.base, Pages: r.pages}
+			return kernel.Munmap(r.base, r.pages)
 		}
 		drain = 0
 		switch {
 		case len(pool.held) < 6+rng.Intn(6):
 			pendingPages = 1 + rng.Intn(4)
-			return kernel.OpMmap{Pages: pendingPages, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(pendingPages, true).Populate(-1)
 		case rng.Intn(10) == 0:
 			// Migration state: lazily unmap a held region's first page the
 			// AutoNUMA way (deferred PTE clear, every core sweeps).
 			r := pool.held[rng.Intn(len(pool.held))]
-			return kernel.OpCall{Fn: func(c *kernel.Core, th *kernel.Thread, done func()) {
+			return kernel.Call(func(c *kernel.Core, th *kernel.Thread, done func()) {
 				k.NUMAUnmap(c, mm, r.base, 1, done)
-			}}
+			})
 		case rng.Intn(3) > 0:
 			// Touch a region any core mapped, or occasionally a recently
 			// freed one (a segfault late in the lazy window — programs
@@ -239,12 +239,12 @@ func spawnChurn(k *kernel.Kernel, p *kernel.Process, pool *regionPool, id topo.C
 			if len(pool.freed) > 0 && rng.Intn(4) == 0 {
 				r = pool.freed[rng.Intn(len(pool.freed))]
 			}
-			return kernel.OpTouchRange{Start: r.base, Pages: r.pages, Write: rng.Intn(2) == 0}
+			return kernel.TouchRange(r.base, r.pages, rng.Intn(2) == 0)
 		default:
 			drain = 1 + rng.Intn(4)
 			drain--
 			r := pop(rng.Intn(len(pool.held)))
-			return kernel.OpMunmap{Addr: r.base, Pages: r.pages}
+			return kernel.Munmap(r.base, r.pages)
 		}
 	}))
 }
@@ -263,26 +263,26 @@ func spawnReader(k *kernel.Kernel, p *kernel.Process, pool *regionPool, id topo.
 
 	p.Spawn(id, kernel.Loop(func(th *kernel.Thread) kernel.Op {
 		if k.Now() >= until {
-			return nil
+			return kernel.Op{}
 		}
 		switch phase {
 		case 0: // pick and warm
 			if len(pool.held) == 0 {
-				return kernel.OpCompute{D: 50 * sim.Microsecond}
+				return kernel.Compute(50 * sim.Microsecond)
 			}
 			r = pool.held[rng.Intn(len(pool.held))]
 			phase = 1
-			return kernel.OpTouchRange{Start: r.base, Pages: r.pages}
+			return kernel.TouchRange(r.base, r.pages, false)
 		case 1: // dwell
 			phase = 2
-			return kernel.OpCompute{D: rng.Duration(50*sim.Microsecond, 500*sim.Microsecond)}
+			return kernel.Compute(rng.Duration(50*sim.Microsecond, 500*sim.Microsecond))
 		default: // re-touch, possibly through a stale entry
 			if rng.Intn(3) == 0 {
 				phase = 0
 			} else {
 				phase = 1
 			}
-			return kernel.OpTouchRange{Start: r.base, Pages: r.pages, Write: rng.Intn(2) == 0}
+			return kernel.TouchRange(r.base, r.pages, rng.Intn(2) == 0)
 		}
 	}))
 }

@@ -115,7 +115,7 @@ func (n *node) setupLoader(core topo.CoreID) {
 		switch step {
 		case 0:
 			step = 1
-			return kernel.OpMmap{Pages: total, Writable: true, Populate: false, Node: -1}
+			return kernel.Mmap(total, true)
 		case 1:
 			n.arena = th.LastAddr
 			step = 2
@@ -126,7 +126,7 @@ func (n *node) setupLoader(core topo.CoreID) {
 				if chunk > warmChunk {
 					chunk = warmChunk
 				}
-				op := kernel.OpTouchRange{Start: n.arena + pt.VPN(warmed), Pages: chunk, Write: true}
+				op := kernel.TouchRange(n.arena+pt.VPN(warmed), chunk, true)
 				warmed += chunk
 				return op
 			}
@@ -135,7 +135,7 @@ func (n *node) setupLoader(core topo.CoreID) {
 			step = 3
 			fallthrough
 		default:
-			return nil
+			return kernel.Op{}
 		}
 	}))
 }
@@ -162,7 +162,7 @@ func (n *node) spawnWorker(core topo.CoreID) {
 			step = stepDequeue
 			return n.gate.Wait()
 		case stepDequeue:
-			return kernel.OpCall{Fn: func(c *kernel.Core, th *kernel.Thread, done func()) {
+			return kernel.Call(func(c *kernel.Core, th *kernel.Thread, done func()) {
 				if len(n.queue) > 0 {
 					cur = n.queue[0]
 					n.queue = n.queue[1:]
@@ -173,28 +173,24 @@ func (n *node) spawnWorker(core topo.CoreID) {
 				}
 				n.idle = append(n.idle, th)
 				c.Block(th, done)
-			}}
+			})
 		case stepThink1:
 			step = stepTouch
-			return kernel.OpCompute{D: n.scale(cl.cfg.Think / 2)}
+			return kernel.Compute(n.scale(cl.cfg.Think / 2))
 		case stepTouch:
 			step = stepThink2
-			return kernel.OpTouchRange{
-				Start: n.arena + pt.VPN(cur.req.key*cl.cfg.ValuePages),
-				Pages: cl.cfg.ValuePages,
-				Write: cur.req.write,
-			}
+			return kernel.TouchRange(n.arena+pt.VPN(cur.req.key*cl.cfg.ValuePages), cl.cfg.ValuePages, cur.req.write)
 		case stepThink2:
 			step = stepReply
-			return kernel.OpCompute{D: n.scale(cl.cfg.Think - cl.cfg.Think/2)}
+			return kernel.Compute(n.scale(cl.cfg.Think - cl.cfg.Think/2))
 		case stepReply:
 			step = stepDequeue
 			at := cur
 			cur = nil
-			return kernel.OpCall{Fn: func(c *kernel.Core, th *kernel.Thread, done func()) {
+			return kernel.Call(func(c *kernel.Core, th *kernel.Thread, done func()) {
 				n.finish(at, c.Kernel().Now())
 				done()
-			}}
+			})
 		}
 		panic("cluster: worker in impossible step")
 	}))

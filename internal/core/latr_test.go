@@ -26,7 +26,7 @@ func latrKernelTuned(cfg Config, tun *kernel.Tunables) (*kernel.Kernel, *Policy)
 
 // spin keeps a thread alive computing, so its core stays in the mm mask.
 func spin(d sim.Time) kernel.Program {
-	return kernel.Script(func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: d} })
+	return kernel.Script(func(*kernel.Thread) kernel.Op { return kernel.Compute(d) })
 }
 
 func TestMunmapReturnsWithoutWaiting(t *testing.T) {
@@ -39,11 +39,11 @@ func TestMunmapReturnsWithoutWaiting(t *testing.T) {
 	var base pt.VPN
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 2, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(2, true).Populate(-1)
 		},
 		func(th *kernel.Thread) kernel.Op {
 			base = th.LastAddr
-			return kernel.OpMunmap{Addr: base, Pages: 2}
+			return kernel.Munmap(base, 2)
 		},
 	))
 	k.Run(30 * sim.Millisecond)
@@ -70,18 +70,18 @@ func TestRemoteInvalidationAtNextTick(t *testing.T) {
 	// ~100us, then compute without context switches so only its tick can
 	// sweep.
 	p.Spawn(1, kernel.Script(
-		func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: 100 * sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpTouchRange{Start: base, Pages: 1} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 10 * sim.Millisecond} },
+		func(*kernel.Thread) kernel.Op { return kernel.Sleep(100 * sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.TouchRange(base, 1, false) },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(10 * sim.Millisecond) },
 	))
 	// Core 0: mmap immediately, munmap at ~200us (after core 1 cached it).
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(1, true).Populate(-1)
 		},
-		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.OpSleep{D: 200 * sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpMunmap{Addr: base, Pages: 1} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 10 * sim.Millisecond} },
+		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.Sleep(200 * sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.Munmap(base, 1) },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(10 * sim.Millisecond) },
 	))
 	k.Run(300 * sim.Microsecond)
 	if !k.Cores[1].TLB.Has(tlb.Tag{}, base) {
@@ -110,15 +110,15 @@ func TestLazyReclamationDelaysFreeing(t *testing.T) {
 	var afterMunmap int64
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 4, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(4, true).Populate(-1)
 		},
 		func(th *kernel.Thread) kernel.Op {
 			base = th.LastAddr
-			return kernel.OpMunmap{Addr: base, Pages: 4}
+			return kernel.Munmap(base, 4)
 		},
 		func(*kernel.Thread) kernel.Op {
 			afterMunmap = k.Alloc.TotalInUse()
-			return kernel.OpCompute{D: 10 * sim.Millisecond}
+			return kernel.Compute(10 * sim.Millisecond)
 		},
 	))
 	k.Run(500 * sim.Microsecond)
@@ -158,26 +158,26 @@ func TestStaleAccessWindowThenSegfault(t *testing.T) {
 	// Core 0: mmap, munmap at ~120us, then stay busy.
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(1, true).Populate(-1)
 		},
-		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.OpSleep{D: 120 * sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpMunmap{Addr: base, Pages: 1} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 8 * sim.Millisecond} },
+		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.Sleep(120 * sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.Munmap(base, 1) },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(8 * sim.Millisecond) },
 	))
 	// Core 1 (tick at 400us): warm at ~50us, stale write at ~250us (after
 	// the munmap, before the tick), then sleep past the sweep and write
 	// again.
 	p.Spawn(1, kernel.Script(
-		func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: 50 * sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpTouchRange{Start: base, Pages: 1, Write: true} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 200 * sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpTouchRange{Start: base, Pages: 1, Write: true} },
+		func(*kernel.Thread) kernel.Op { return kernel.Sleep(50 * sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.TouchRange(base, 1, true) },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(200 * sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.TouchRange(base, 1, true) },
 		func(th *kernel.Thread) kernel.Op {
 			preFaults = th.LastFault
-			return kernel.OpSleep{D: 3 * sim.Millisecond}
+			return kernel.Sleep(3 * sim.Millisecond)
 		},
-		func(*kernel.Thread) kernel.Op { return kernel.OpTouchRange{Start: base, Pages: 1, Write: true} },
-		func(th *kernel.Thread) kernel.Op { postFaults = th.LastFault; return nil },
+		func(*kernel.Thread) kernel.Op { return kernel.TouchRange(base, 1, true) },
+		func(th *kernel.Thread) kernel.Op { postFaults = th.LastFault; return kernel.Op{} },
 	))
 	k.Run(10 * sim.Millisecond)
 	if preFaults != 0 {
@@ -201,15 +201,15 @@ func TestQueueOverflowFallsBackToIPIs(t *testing.T) {
 	var addr pt.VPN
 	p.Spawn(0, kernel.Loop(func(th *kernel.Thread) kernel.Op {
 		if n >= 40 {
-			return nil
+			return kernel.Op{}
 		}
 		if n%2 == 0 {
 			n++
-			return kernel.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(1, true).Populate(-1)
 		}
 		addr = th.LastAddr
 		n++
-		return kernel.OpMunmap{Addr: addr, Pages: 1}
+		return kernel.Munmap(addr, 1)
 	}))
 	k.Run(5 * sim.Millisecond)
 	if k.Metrics.Counter("latr.fallback_ipi") == 0 {
@@ -227,9 +227,9 @@ func TestSweepAtContextSwitch(t *testing.T) {
 	var base pt.VPN
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(1, true).Populate(-1)
 		},
-		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.OpMunmap{Addr: base, Pages: 1} },
+		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.Munmap(base, 1) },
 	))
 	// Add runqueue pressure on core 1 so it context-switches.
 	p.Spawn(1, spin(20*sim.Millisecond))
@@ -246,15 +246,15 @@ func TestMigrationStateDeferredUnmap(t *testing.T) {
 	var base pt.VPN
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(1, true).Populate(-1)
 		},
 		func(th *kernel.Thread) kernel.Op {
 			base = th.LastAddr
-			return kernel.OpCall{Fn: func(c *kernel.Core, th *kernel.Thread, done func()) {
+			return kernel.Call(func(c *kernel.Core, th *kernel.Thread, done func()) {
 				k.Policy().NUMAUnmap(c, mm, base, 1, done)
-			}}
+			})
 		},
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 5 * sim.Millisecond} },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(5 * sim.Millisecond) },
 	))
 	k.Run(150 * sim.Microsecond) // before core 0's tick at 200us
 	// Immediately after NUMAUnmap the PTE must NOT be hinted yet — that is
@@ -283,19 +283,19 @@ func TestMigrationGate(t *testing.T) {
 	released := false
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(1, true).Populate(-1)
 		},
 		func(th *kernel.Thread) kernel.Op {
 			base = th.LastAddr
-			return kernel.OpCall{Fn: func(c *kernel.Core, th *kernel.Thread, done func()) {
+			return kernel.Call(func(c *kernel.Core, th *kernel.Thread, done func()) {
 				k.Policy().NUMAUnmap(c, mm, base, 1, done)
-			}}
+			})
 		},
 		func(*kernel.Thread) kernel.Op {
 			if !pol.GateMigration(mm, base, func() { released = true }) {
 				t.Error("GateMigration should defer while the state is active")
 			}
-			return kernel.OpCompute{D: 5 * sim.Millisecond}
+			return kernel.Compute(5 * sim.Millisecond)
 		},
 	))
 	k.Run(10 * sim.Millisecond)
@@ -314,9 +314,9 @@ func TestTable5StateCosts(t *testing.T) {
 	var base pt.VPN
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(1, true).Populate(-1)
 		},
-		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.OpMunmap{Addr: base, Pages: 1} },
+		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.Munmap(base, 1) },
 	))
 	k.Run(10 * sim.Millisecond)
 	// Table 5 anchors: save ~132ns, sweep visit ~158ns.
@@ -342,18 +342,18 @@ func TestInvariantHoldsUnderChurn(t *testing.T) {
 		p.Spawn(topo.CoreID(c), kernel.Loop(func(th *kernel.Thread) kernel.Op {
 			iters++
 			if iters > 400 {
-				return nil
+				return kernel.Op{}
 			}
 			switch {
 			case !have:
 				have = true
-				return kernel.OpMmap{Pages: 1 + rng.Intn(8), Writable: true, Populate: true, Node: -1}
+				return kernel.Mmap(1+rng.Intn(8), true).Populate(-1)
 			case rng.Intn(3) == 0:
 				have = false
-				return kernel.OpMunmap{Addr: th.LastAddr, Pages: 1} // partial unmap is fine
+				return kernel.Munmap(th.LastAddr, 1) // partial unmap is fine
 			default:
 				base = th.LastAddr
-				return kernel.OpTouchRange{Start: base, Pages: 1, Write: rng.Intn(2) == 0}
+				return kernel.TouchRange(base, 1, rng.Intn(2) == 0)
 			}
 		}))
 	}
@@ -396,20 +396,20 @@ func TestGateTimeoutForcesSweep(t *testing.T) {
 	p.Spawn(1, spin(20*sim.Millisecond))
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(1, true).Populate(-1)
 		},
 		func(th *kernel.Thread) kernel.Op {
 			base = th.LastAddr
-			return kernel.OpCall{Fn: func(c *kernel.Core, th *kernel.Thread, done func()) {
+			return kernel.Call(func(c *kernel.Core, th *kernel.Thread, done func()) {
 				k.Policy().NUMAUnmap(c, mm, base, 1, done)
-			}}
+			})
 		},
 		func(*kernel.Thread) kernel.Op {
 			gatedAt = k.Now()
 			if !pol.GateMigration(mm, base, func() { released, releasedAt = true, k.Now() }) {
 				t.Error("GateMigration should defer while the state is active")
 			}
-			return kernel.OpCompute{D: 20 * sim.Millisecond}
+			return kernel.Compute(20 * sim.Millisecond)
 		},
 	))
 	k.Run(30 * sim.Millisecond)

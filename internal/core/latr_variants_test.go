@@ -32,12 +32,12 @@ func TestForceSyncBypassesLaziness(t *testing.T) {
 	var inUseAfter int64
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 2, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(2, true).Populate(-1)
 		},
 		func(th *kernel.Thread) kernel.Op {
-			return kernel.OpMunmap{Addr: th.LastAddr, Pages: 2, ForceSync: true}
+			return kernel.Munmap(th.LastAddr, 2).ForceSync()
 		},
-		func(*kernel.Thread) kernel.Op { inUseAfter = k.Alloc.TotalInUse(); return nil },
+		func(*kernel.Thread) kernel.Op { inUseAfter = k.Alloc.TotalInUse(); return kernel.Op{} },
 	))
 	k.Run(10 * sim.Millisecond)
 	if inUseAfter != 0 {
@@ -65,18 +65,18 @@ func TestPCIDPreservesEntriesAcrossSwitch(t *testing.T) {
 	// entry must survive B's tenure.
 	pA.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(1, true).Populate(-1)
 		},
 		func(th *kernel.Thread) kernel.Op {
 			base = th.LastAddr
-			return kernel.OpTouchRange{Start: base, Pages: 1, Write: true}
+			return kernel.TouchRange(base, 1, true)
 		},
-		func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: 500 * sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return nil },
+		func(*kernel.Thread) kernel.Op { return kernel.Sleep(500 * sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.Op{} },
 	))
 	pB.Spawn(0, kernel.Script(
-		func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: 100 * sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 200 * sim.Microsecond} },
+		func(*kernel.Thread) kernel.Op { return kernel.Sleep(100 * sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(200 * sim.Microsecond) },
 	))
 	k.Run(350 * sim.Microsecond)
 	// B has run on core 0; A's entry must still be cached under A's PCID.
@@ -97,18 +97,18 @@ func TestPCIDMunmapInvalidatesUnderLATR(t *testing.T) {
 	var base pt.VPN
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(1, true).Populate(-1)
 		},
-		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.OpSleep{D: 100 * sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpMunmap{Addr: base, Pages: 1} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 10 * sim.Millisecond} },
+		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.Sleep(100 * sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.Munmap(base, 1) },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(10 * sim.Millisecond) },
 	))
 	// Warm core 1's TLB via its spin thread? Core 1 never touches the page;
 	// touch from a third thread on core 1's runqueue instead.
 	p.Spawn(1, kernel.Script(
-		func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: 50 * sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpTouchRange{Start: base, Pages: 1} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 10 * sim.Millisecond} },
+		func(*kernel.Thread) kernel.Op { return kernel.Sleep(50 * sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.TouchRange(base, 1, false) },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(10 * sim.Millisecond) },
 	))
 	// Run past sweeps and the reclaim delay: the invariant checker panics
 	// if a PCID-tagged stale entry survives into frame reuse.
@@ -129,20 +129,20 @@ func TestTicklessLATRStillCorrect(t *testing.T) {
 	p := k.NewProcess()
 	var base pt.VPN
 	p.Spawn(1, kernel.Script(
-		func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: 60 * sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpTouchRange{Start: base, Pages: 1} },
+		func(*kernel.Thread) kernel.Op { return kernel.Sleep(60 * sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.TouchRange(base, 1, false) },
 		// Go idle immediately: under tickless the core's entries must be
 		// dealt with despite never ticking again.
-		func(*kernel.Thread) kernel.Op { return nil },
+		func(*kernel.Thread) kernel.Op { return kernel.Op{} },
 	))
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(1, true).Populate(-1)
 		},
-		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.OpSleep{D: 200 * sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpMunmap{Addr: base, Pages: 1} },
+		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.Sleep(200 * sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.Munmap(base, 1) },
 		// Keep core 0 running so reclaim and sweeps proceed.
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 10 * sim.Millisecond} },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(10 * sim.Millisecond) },
 	))
 	k.Run(15 * sim.Millisecond)
 	if k.Metrics.Counter("latr.reclaimed") == 0 {
@@ -165,12 +165,12 @@ func TestMadviseIsLazyToo(t *testing.T) {
 	var during int64
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 4, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(4, true).Populate(-1)
 		},
-		func(th *kernel.Thread) kernel.Op { return kernel.OpMadvise{Addr: th.LastAddr, Pages: 4} },
+		func(th *kernel.Thread) kernel.Op { return kernel.Madvise(th.LastAddr, 4) },
 		func(*kernel.Thread) kernel.Op {
 			during = k.Alloc.TotalInUse()
-			return kernel.OpCompute{D: 8 * sim.Millisecond}
+			return kernel.Compute(8 * sim.Millisecond)
 		},
 	))
 	k.Run(10 * sim.Millisecond)
@@ -196,17 +196,17 @@ func TestHugeMunmapIsLazyUnderLATR(t *testing.T) {
 	p := k.NewProcess()
 	var base pt.VPN
 	p.Spawn(1, kernel.Script(
-		func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: 50 * sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpTouchRange{Start: base, Pages: 4} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 10 * sim.Millisecond} },
+		func(*kernel.Thread) kernel.Op { return kernel.Sleep(50 * sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.TouchRange(base, 4, false) },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(10 * sim.Millisecond) },
 	))
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 512, Huge: true, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(512, true).Populate(-1).Huge()
 		},
-		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.OpSleep{D: 100 * sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpMunmap{Addr: base, Pages: 512} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 10 * sim.Millisecond} },
+		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.Sleep(100 * sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.Munmap(base, 512) },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(10 * sim.Millisecond) },
 	))
 	k.Run(300 * sim.Microsecond)
 	// Before the remote tick: lazy window. The remote core may still hold

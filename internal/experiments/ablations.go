@@ -53,19 +53,19 @@ func AblationQueueDepth(o Options) *Table {
 		for c := 1; c < 16; c++ {
 			c := c
 			p.Spawn(topo.CoreID(c), kernel.Loop(func(*kernel.Thread) kernel.Op {
-				return kernel.OpCompute{D: sim.Millisecond}
+				return kernel.Compute(sim.Millisecond)
 			}))
 		}
 		n := 0
 		p.Spawn(0, kernel.Loop(func(th *kernel.Thread) kernel.Op {
 			if n >= 2*bursts {
-				return nil
+				return kernel.Op{}
 			}
 			n++
 			if n%2 == 1 {
-				return kernel.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+				return kernel.Mmap(1, true).Populate(-1)
 			}
-			return kernel.OpMunmap{Addr: th.LastAddr, Pages: 1}
+			return kernel.Munmap(th.LastAddr, 1)
 		}))
 		k.Run(5 * sim.Second)
 		return row{
@@ -211,19 +211,23 @@ func AblationTHP(o Options) *Table {
 		p := k.NewProcess()
 		for c := 1; c < 16; c++ {
 			p.Spawn(topo.CoreID(c), kernel.Loop(func(*kernel.Thread) kernel.Op {
-				return kernel.OpCompute{D: sim.Millisecond}
+				return kernel.Compute(sim.Millisecond)
 			}))
 		}
 		n := 0
 		p.Spawn(0, kernel.Loop(func(th *kernel.Thread) kernel.Op {
 			if n >= 2*iters {
-				return nil
+				return kernel.Op{}
 			}
 			n++
 			if n%2 == 1 {
-				return kernel.OpMmap{Pages: 512, Huge: huge, Writable: true, Populate: true, Node: -1}
+				op := kernel.Mmap(512, true).Populate(-1)
+				if huge {
+					op = op.Huge()
+				}
+				return op
 			}
-			return kernel.OpMunmap{Addr: th.LastAddr, Pages: 512}
+			return kernel.Munmap(th.LastAddr, 512)
 		}))
 		k.Run(10 * sim.Second)
 		return float64(k.Metrics.Hist("munmap.latency").Mean())

@@ -85,20 +85,20 @@ func runPtreplCell(spec topo.Spec, policy, mode string, o Options) ptreplResult 
 		return kernel.Loop(func(th *kernel.Thread) kernel.Op {
 			if !mapped {
 				mapped = true
-				return kernel.OpMmap{Pages: ptreplScanPages, Writable: true, Populate: true, Node: 0}
+				return kernel.Mmap(ptreplScanPages, true).Populate(0)
 			}
 			if first && !ready {
 				base, ready = th.LastAddr, true
 			}
 			if !ready {
-				return kernel.OpSleep{D: 50 * sim.Microsecond}
+				return kernel.Sleep(50 * sim.Microsecond)
 			}
 			if i >= scanIters {
 				remaining--
-				return nil
+				return kernel.Op{}
 			}
 			i++
-			return kernel.OpTouchRange{Start: base, Pages: ptreplScanPages, Write: false}
+			return kernel.TouchRange(base, ptreplScanPages, false)
 		})
 	}
 	p.Spawn(0, scanner(true))
@@ -112,19 +112,19 @@ func runPtreplCell(spec topo.Spec, policy, mode string, o Options) ptreplResult 
 	churned, have := 0, false
 	p.Spawn(1, kernel.Loop(func(th *kernel.Thread) kernel.Op {
 		if !ready {
-			return kernel.OpSleep{D: 50 * sim.Microsecond}
+			return kernel.Sleep(50 * sim.Microsecond)
 		}
 		if have {
 			have = false
 			churned++
-			return kernel.OpMunmap{Addr: th.LastAddr, Pages: ptreplChurnPages}
+			return kernel.Munmap(th.LastAddr, ptreplChurnPages)
 		}
 		if churned >= churnIters {
 			remaining--
-			return nil
+			return kernel.Op{}
 		}
 		have = true
-		return kernel.OpMmap{Pages: ptreplChurnPages, Writable: true, Populate: true, Node: 0}
+		return kernel.Mmap(ptreplChurnPages, true).Populate(0)
 	}))
 
 	limit := 60 * sim.Second

@@ -55,14 +55,14 @@ func runVirtMicro(spec topo.Spec, policy string, pages, iters int, o Options) vi
 	hp := k.NewProcess()
 	var balloonedAt, balloonDone sim.Time
 	hp.Spawn(0, kernel.Script(
-		func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: sim.Millisecond} },
+		func(*kernel.Thread) kernel.Op { return kernel.Sleep(sim.Millisecond) },
 		func(*kernel.Thread) kernel.Op {
 			balloonedAt = k.Now()
-			return kernel.OpCall{Fn: func(c *kernel.Core, th *kernel.Thread, done func()) {
+			return kernel.Call(func(c *kernel.Core, th *kernel.Thread, done func()) {
 				k.BalloonReclaim(c, v, virtBalloonPages, done)
-			}}
+			})
 		},
-		func(*kernel.Thread) kernel.Op { balloonDone = k.Now(); return nil },
+		func(*kernel.Thread) kernel.Op { balloonDone = k.Now(); return kernel.Op{} },
 	))
 
 	limit := 60 * sim.Second

@@ -4,6 +4,7 @@ import (
 	"latr/internal/obs"
 	"latr/internal/pt"
 	"latr/internal/sim"
+	"latr/internal/vm"
 )
 
 // opState is a thread's op record: the operands of its in-flight op, kept
@@ -21,11 +22,10 @@ type opState struct {
 	// Compute: CPU time still to burn after the current chunk.
 	remaining sim.Time
 
-	// Touch: page i is pages[i] when pages is set (OpTouch), otherwise
-	// start + i*stride (OpTouchRange); n pages in all, from next on.
+	// Touch: page i is pages[i] when pages is set (Touch), otherwise
+	// start + i (TouchRange); n pages in all, from next on.
 	pages    []pt.VPN
 	start    pt.VPN
-	stride   int
 	n        int
 	next     int
 	write    bool
@@ -35,7 +35,11 @@ type opState struct {
 	faultEntry pt.Entry
 
 	// Mmap: the request, then the base of the new mapping in addr.
-	mmap OpMmap
+	mmap Op
+	// Munmap, mprotect and mremap: the VMA pieces RemoveRange took out of
+	// the range, read before the op's continuation ends.
+	vmas []vm.VMA
+
 	// Munmap and madvise: the range, its flags, and the frames, span and
 	// timestamps the PTE phase hands to the policy and the completion.
 	addr       pt.VPN
@@ -52,7 +56,7 @@ func (o *opState) page(i int) pt.VPN {
 	if o.pages != nil {
 		return o.pages[i]
 	}
-	return o.start + pt.VPN(i*o.stride)
+	return o.start + pt.VPN(i)
 }
 
 // step names a kernel continuation: a Core method that runs for the
@@ -61,7 +65,7 @@ type step uint8
 
 const (
 	stepOpBoundary    step = iota // op finished: next op or preemption
-	stepCompute                   // burn the next chunk of an OpCompute
+	stepCompute                   // burn the next chunk of a Compute op
 	stepComputeDone               // a compute chunk ended
 	stepTouch                     // resume a touch after a fault
 	stepFault                     // fault entry paid: handle the fault

@@ -17,13 +17,13 @@ func forkFixture(t *testing.T) (*Kernel, *Process, *Process, pt.VPN) {
 	var base pt.VPN
 	var child *Process
 	parent.Spawn(0, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpMmap{Pages: 4, Writable: true, Populate: true, Node: -1} },
+		func(*Thread) Op { return Mmap(4, true).Populate(-1) },
 		func(th *Thread) Op {
 			base = th.LastAddr
-			return OpTouchRange{Start: base, Pages: 4, Write: true}
+			return TouchRange(base, 4, true)
 		},
-		func(*Thread) Op { return OpFork{} },
-		func(th *Thread) Op { child = th.LastProc; return nil },
+		func(*Thread) Op { return Fork() },
+		func(th *Thread) Op { child = th.LastProc; return Op{} },
 	}})
 	run(k, 10*sim.Millisecond)
 	if child == nil {
@@ -61,13 +61,13 @@ func TestCoWBreakOnWrite(t *testing.T) {
 	// leave the parent's mapping alone.
 	childDone := false
 	child.Spawn(1, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpTouchRange{Start: base, Pages: 1, Write: true} },
+		func(*Thread) Op { return TouchRange(base, 1, true) },
 		func(th *Thread) Op {
 			if th.LastFault != 0 {
 				t.Errorf("CoW write segfaulted (%d)", th.LastFault)
 			}
 			childDone = true
-			return nil
+			return Op{}
 		},
 	}})
 	run(k, k.Now()+10*sim.Millisecond)
@@ -107,16 +107,16 @@ func TestCoWReuseWhenSoleOwner(t *testing.T) {
 	step := make(chan struct{}) // not used for sync; sim is single-threaded
 	_ = step
 	child.Spawn(1, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpTouchRange{Start: base, Pages: 1, Write: true} },
+		func(*Thread) Op { return TouchRange(base, 1, true) },
 	}})
 	parent.Spawn(2, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpSleep{D: sim.Millisecond} },
-		func(*Thread) Op { return OpTouchRange{Start: base, Pages: 1, Write: true} },
+		func(*Thread) Op { return Sleep(sim.Millisecond) },
+		func(*Thread) Op { return TouchRange(base, 1, true) },
 		func(th *Thread) Op {
 			if th.LastFault != 0 {
 				t.Errorf("parent CoW write faulted (%d)", th.LastFault)
 			}
-			return nil
+			return Op{}
 		},
 	}})
 	run(k, k.Now()+10*sim.Millisecond)
@@ -133,12 +133,12 @@ func TestForkReadsSeeSharedFrames(t *testing.T) {
 	k, _, child, base := forkFixture(t)
 	// Reads in the child must not fault and must not break sharing.
 	child.Spawn(3, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpTouchRange{Start: base, Pages: 4} },
+		func(*Thread) Op { return TouchRange(base, 4, false) },
 		func(th *Thread) Op {
 			if th.LastFault != 0 {
 				t.Errorf("child read faulted (%d)", th.LastFault)
 			}
-			return nil
+			return Op{}
 		},
 	}})
 	run(k, k.Now()+5*sim.Millisecond)
@@ -153,11 +153,11 @@ func TestReleaseAddressSpaceDrainsRefs(t *testing.T) {
 	done := false
 	child.Spawn(1, &script{steps: []func(*Thread) Op{
 		func(*Thread) Op {
-			return OpCall{Fn: func(c *Core, th *Thread, d func()) {
+			return Call(func(c *Core, th *Thread, d func()) {
 				k.ReleaseAddressSpace(c, th, child, d)
-			}}
+			})
 		},
-		func(*Thread) Op { done = true; return nil },
+		func(*Thread) Op { done = true; return Op{} },
 	}})
 	run(k, k.Now()+10*sim.Millisecond)
 	if !done {
@@ -181,9 +181,9 @@ func TestForkWithHugeCopiesEagerly(t *testing.T) {
 	var base pt.VPN
 	var child *Process
 	parent.Spawn(0, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpMmap{Pages: 512, Huge: true, Writable: true, Populate: true, Node: -1} },
-		func(th *Thread) Op { base = th.LastAddr; return OpFork{} },
-		func(th *Thread) Op { child = th.LastProc; return nil },
+		func(*Thread) Op { return Mmap(512, true).Populate(-1).Huge() },
+		func(th *Thread) Op { base = th.LastAddr; return Fork() },
+		func(th *Thread) Op { child = th.LastProc; return Op{} },
 	}})
 	run(k, 10*sim.Millisecond)
 	pe, ok1 := parent.MM.PT.GetHuge(base)

@@ -13,9 +13,9 @@ func TestMmapHugeRequiresAlignmentAndPopulate(t *testing.T) {
 	p := k.NewProcess()
 	var errs []error
 	p.Spawn(0, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpMmap{Pages: 100, Huge: true, Populate: true, Node: -1} },                     // not ×512
-		func(th *Thread) Op { errs = append(errs, th.LastErr); return OpMmap{Pages: 512, Huge: true, Node: -1} }, // no populate
-		func(th *Thread) Op { errs = append(errs, th.LastErr); return nil },
+		func(*Thread) Op { return Mmap(100, false).Populate(-1).Huge() },                        // not ×512
+		func(th *Thread) Op { errs = append(errs, th.LastErr); return Mmap(512, false).Huge() }, // no populate
+		func(th *Thread) Op { errs = append(errs, th.LastErr); return Op{} },
 	}})
 	run(k, 5*sim.Millisecond)
 	if len(errs) != 2 || errs[0] == nil || errs[1] == nil {
@@ -32,7 +32,7 @@ func TestHugeMmapTouchMunmap(t *testing.T) {
 	var tlbAfterTouch int
 	var faults int
 	p.Spawn(0, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpMmap{Pages: 1024, Huge: true, Writable: true, Populate: true, Node: -1} },
+		func(*Thread) Op { return Mmap(1024, true).Populate(-1).Huge() },
 		func(th *Thread) Op {
 			if th.LastErr != nil {
 				t.Fatalf("huge mmap: %v", th.LastErr)
@@ -41,19 +41,19 @@ func TestHugeMmapTouchMunmap(t *testing.T) {
 			if base != pt.HugeBase(base) {
 				t.Fatalf("huge mmap base %#x not 2MB-aligned", uint64(base))
 			}
-			return OpTouchRange{Start: base, Pages: 1024, Write: true}
+			return TouchRange(base, 1024, true)
 		},
 		func(th *Thread) Op {
 			tlbAfterTouch = k.Cores[0].TLB.Len()
-			return OpMunmap{Addr: base, Pages: 1024}
+			return Munmap(base, 1024)
 		},
 		func(th *Thread) Op {
 			if th.LastErr != nil {
 				t.Fatalf("huge munmap: %v", th.LastErr)
 			}
-			return OpTouchRange{Start: base, Pages: 8}
+			return TouchRange(base, 8, false)
 		},
-		func(th *Thread) Op { faults = th.LastFault; return nil },
+		func(th *Thread) Op { faults = th.LastFault; return Op{} },
 	}})
 	run(k, 20*sim.Millisecond)
 	// 1024 pages = 2 huge mappings: the touch must have used 2 TLB entries,
@@ -77,9 +77,9 @@ func TestPartialHugeUnmapRejected(t *testing.T) {
 	p := k.NewProcess()
 	var err2 error
 	p.Spawn(0, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpMmap{Pages: 512, Huge: true, Writable: true, Populate: true, Node: -1} },
-		func(th *Thread) Op { return OpMunmap{Addr: th.LastAddr, Pages: 100} },
-		func(th *Thread) Op { err2 = th.LastErr; return nil },
+		func(*Thread) Op { return Mmap(512, true).Populate(-1).Huge() },
+		func(th *Thread) Op { return Munmap(th.LastAddr, 100) },
+		func(th *Thread) Op { err2 = th.LastErr; return Op{} },
 	}})
 	run(k, 5*sim.Millisecond)
 	if err2 == nil {
@@ -92,15 +92,15 @@ func TestHugeShootdownInvalidatesRemoteHugeEntry(t *testing.T) {
 	p := k.NewProcess()
 	var base pt.VPN
 	p.Spawn(1, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpSleep{D: 50 * sim.Microsecond} },
-		func(*Thread) Op { return OpTouchRange{Start: base, Pages: 4} },
-		func(*Thread) Op { return OpCompute{D: 2 * sim.Millisecond} },
+		func(*Thread) Op { return Sleep(50 * sim.Microsecond) },
+		func(*Thread) Op { return TouchRange(base, 4, false) },
+		func(*Thread) Op { return Compute(2 * sim.Millisecond) },
 	}})
 	p.Spawn(0, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpMmap{Pages: 512, Huge: true, Writable: true, Populate: true, Node: -1} },
-		func(th *Thread) Op { base = th.LastAddr; return OpSleep{D: 100 * sim.Microsecond} },
-		func(*Thread) Op { return OpMunmap{Addr: base, Pages: 512} },
-		func(*Thread) Op { return OpCompute{D: 2 * sim.Millisecond} },
+		func(*Thread) Op { return Mmap(512, true).Populate(-1).Huge() },
+		func(th *Thread) Op { base = th.LastAddr; return Sleep(100 * sim.Microsecond) },
+		func(*Thread) Op { return Munmap(base, 512) },
+		func(*Thread) Op { return Compute(2 * sim.Millisecond) },
 	}})
 	run(k, 500*sim.Microsecond)
 	if k.Cores[1].TLB.HasHuge(tlb.Tag{}, base) {

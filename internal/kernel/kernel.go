@@ -242,7 +242,7 @@ type Thread struct {
 	LastErr   error
 	LastAddr  pt.VPN
 	LastFault int      // pages that segfaulted in the last touch op
-	LastProc  *Process // child created by the last OpFork
+	LastProc  *Process // child created by the last Fork op
 
 	// resume continues an in-flight operation after a block; nil when the
 	// thread is at an op boundary.
@@ -296,7 +296,7 @@ func (p *Process) spawn(core topo.CoreID, prog Program, kernel bool) *Thread {
 func (k *Kernel) LiveThreads() int { return k.liveThreads }
 
 // Program generates a thread's operations. Next is called at each op
-// boundary; returning nil exits the thread.
+// boundary; returning the zero Op exits the thread.
 type Program interface {
 	Next(now sim.Time, th *Thread) Op
 }
@@ -314,7 +314,7 @@ func Script(steps ...func(th *Thread) Op) Program {
 	i := 0
 	return ProgramFunc(func(_ sim.Time, th *Thread) Op {
 		if i >= len(steps) {
-			return nil
+			return Op{}
 		}
 		op := steps[i](th)
 		i++
@@ -322,15 +322,16 @@ func Script(steps ...func(th *Thread) Op) Program {
 	})
 }
 
-// Loop builds a Program that calls body repeatedly until it returns nil.
+// Loop builds a Program that calls body repeatedly until it returns the
+// zero Op.
 func Loop(body func(th *Thread) Op) Program {
 	return ProgramFunc(func(_ sim.Time, th *Thread) Op { return body(th) })
 }
 
-// threadExited tears down accounting after a program returns nil. When the
-// last thread of an address space exits, the policy gets an OnMMExit hook so
-// per-MM bookkeeping (ABIS sharer maps) is dropped instead of leaking
-// across fork/exit churn.
+// threadExited tears down accounting after a program returns the zero Op.
+// When the last thread of an address space exits, the policy gets an
+// OnMMExit hook so per-MM bookkeeping (ABIS sharer maps) is dropped instead
+// of leaking across fork/exit churn.
 func (k *Kernel) threadExited(c *Core, th *Thread) {
 	th.State = Done
 	mm := th.Proc.MM

@@ -423,7 +423,7 @@ func (k *Kernel) DestroyVM(c *Core, v *VM, done func()) error {
 					pages++
 				}
 			}
-			mm.Space.RemoveRange(vma.Start, vma.End)
+			mm.Space.RemoveRange(nil, vma.Start, vma.End)
 		}
 		mm.CPUMask.ForEach(func(id topo.CoreID) {
 			delete(k.Cores[id].maskedMMs, mm)

@@ -20,12 +20,12 @@ func TestVPIDRecycleLIFO(t *testing.T) {
 	var destroyErr error
 	p.Spawn(0, &script{steps: []func(*Thread) Op{
 		func(*Thread) Op {
-			return OpCall{Fn: func(c *Core, th *Thread, done func()) {
+			return Call(func(c *Core, th *Thread, done func()) {
 				if err := k.DestroyVM(c, v2, done); err != nil {
 					destroyErr = err
 					done()
 				}
-			}}
+			})
 		},
 	}})
 	run(k, sim.Millisecond)
@@ -50,8 +50,8 @@ func TestGuestDemandPagingBacksFrames(t *testing.T) {
 	v := k.NewVM("V1", 64)
 	p := k.NewGuestProcess(v)
 	p.Spawn(0, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpMmap{Pages: 4, Writable: true, Node: -1} },
-		func(th *Thread) Op { return OpTouchRange{Start: th.LastAddr, Pages: 4, Write: true} },
+		func(*Thread) Op { return Mmap(4, true) },
+		func(th *Thread) Op { return TouchRange(th.LastAddr, 4, true) },
 	}})
 	run(k, sim.Millisecond)
 	if got := v.GPhys.InUse(); got != 4 {
@@ -76,14 +76,14 @@ func TestEPTViolationReback(t *testing.T) {
 	p := k.NewGuestProcess(v)
 	var faults int
 	p.Spawn(1, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpMmap{Pages: 6, Writable: true, Populate: true, Node: -1} },
+		func(*Thread) Op { return Mmap(6, true).Populate(-1) },
 		func(*Thread) Op {
-			return OpCall{Fn: func(c *Core, _ *Thread, done func()) {
+			return Call(func(c *Core, _ *Thread, done func()) {
 				k.BalloonReclaim(c, v, 6, done)
-			}}
+			})
 		},
-		func(th *Thread) Op { return OpTouchRange{Start: th.LastAddr, Pages: 6, Write: true} },
-		func(th *Thread) Op { faults = th.LastFault; return nil },
+		func(th *Thread) Op { return TouchRange(th.LastAddr, 6, true) },
+		func(th *Thread) Op { faults = th.LastFault; return Op{} },
 	}})
 	run(k, 2*sim.Millisecond)
 	if got := k.Metrics.Counter("virt.balloon_reclaimed"); got != 6 {
@@ -110,13 +110,13 @@ func TestBalloonCursorRotates(t *testing.T) {
 	v := k.NewVM("V1", 64)
 	p := k.NewGuestProcess(v)
 	p.Spawn(1, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpMmap{Pages: 8, Writable: true, Populate: true, Node: -1} },
+		func(*Thread) Op { return Mmap(8, true).Populate(-1) },
 		func(th *Thread) Op {
-			return OpCall{Fn: func(c *Core, _ *Thread, done func()) { k.BalloonReclaim(c, v, 3, done) }}
+			return Call(func(c *Core, _ *Thread, done func()) { k.BalloonReclaim(c, v, 3, done) })
 		},
-		func(th *Thread) Op { return OpTouchRange{Start: th.LastAddr, Pages: 8, Write: true} },
+		func(th *Thread) Op { return TouchRange(th.LastAddr, 8, true) },
 		func(th *Thread) Op {
-			return OpCall{Fn: func(c *Core, _ *Thread, done func()) { k.BalloonReclaim(c, v, 3, done) }}
+			return Call(func(c *Core, _ *Thread, done func()) { k.BalloonReclaim(c, v, 3, done) })
 		},
 	}})
 	run(k, 2*sim.Millisecond)
@@ -138,12 +138,12 @@ func TestMigrateDropsAllBackings(t *testing.T) {
 	p := k.NewGuestProcess(v)
 	var faults int
 	p.Spawn(1, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpMmap{Pages: 5, Writable: true, Populate: true, Node: -1} },
+		func(*Thread) Op { return Mmap(5, true).Populate(-1) },
 		func(th *Thread) Op {
-			return OpCall{Fn: func(c *Core, _ *Thread, done func()) { k.MigrateVM(c, v, done) }}
+			return Call(func(c *Core, _ *Thread, done func()) { k.MigrateVM(c, v, done) })
 		},
-		func(th *Thread) Op { return OpTouchRange{Start: th.LastAddr, Pages: 5, Write: true} },
-		func(th *Thread) Op { faults = th.LastFault; return nil },
+		func(th *Thread) Op { return TouchRange(th.LastAddr, 5, true) },
+		func(th *Thread) Op { faults = th.LastFault; return Op{} },
 	}})
 	run(k, 2*sim.Millisecond)
 	if got := k.Metrics.Counter("virt.vm_migrations"); got != 1 {
@@ -168,30 +168,30 @@ func TestDestroyVMGuards(t *testing.T) {
 	p := k.NewGuestProcess(v)
 	var liveErr, cleanErr, twiceErr error
 	p.Spawn(1, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpMmap{Pages: 4, Writable: true, Populate: true, Node: -1} },
+		func(*Thread) Op { return Mmap(4, true).Populate(-1) },
 		func(*Thread) Op {
 			// From inside the guest: its own thread is live.
-			return OpCall{Fn: func(c *Core, _ *Thread, done func()) {
+			return Call(func(c *Core, _ *Thread, done func()) {
 				liveErr = k.DestroyVM(c, v, done)
 				done()
-			}}
+			})
 		},
 	}})
 	hp := k.NewProcess()
 	hp.Spawn(0, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpSleep{D: sim.Millisecond} },
+		func(*Thread) Op { return Sleep(sim.Millisecond) },
 		func(*Thread) Op {
-			return OpCall{Fn: func(c *Core, _ *Thread, done func()) {
+			return Call(func(c *Core, _ *Thread, done func()) {
 				if cleanErr = k.DestroyVM(c, v, done); cleanErr != nil {
 					done()
 				}
-			}}
+			})
 		},
 		func(*Thread) Op {
-			return OpCall{Fn: func(c *Core, _ *Thread, done func()) {
+			return Call(func(c *Core, _ *Thread, done func()) {
 				twiceErr = k.DestroyVM(c, v, done)
 				done()
-			}}
+			})
 		},
 	}})
 	run(k, 5*sim.Millisecond)
@@ -223,8 +223,8 @@ func TestGuestForkRejected(t *testing.T) {
 	p := k.NewGuestProcess(v)
 	var err error
 	p.Spawn(0, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpFork{} },
-		func(th *Thread) Op { err = th.LastErr; return nil },
+		func(*Thread) Op { return Fork() },
+		func(th *Thread) Op { err = th.LastErr; return Op{} },
 	}})
 	run(k, sim.Millisecond)
 	if err != ErrBadArg {
@@ -240,10 +240,10 @@ func TestAdjustedFramesMixedHostGuest(t *testing.T) {
 	gp := k.NewGuestProcess(v)
 	hp := k.NewProcess()
 	gp.Spawn(1, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpMmap{Pages: 3, Writable: true, Populate: true, Node: -1} },
+		func(*Thread) Op { return Mmap(3, true).Populate(-1) },
 	}})
 	hp.Spawn(0, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpMmap{Pages: 5, Writable: true, Populate: true, Node: -1} },
+		func(*Thread) Op { return Mmap(5, true).Populate(-1) },
 	}})
 	run(k, sim.Millisecond)
 	if got := k.AdjustedFramesInUse(); got != 8 {
@@ -261,11 +261,11 @@ func TestGuestProcessInDestroyedVMPanics(t *testing.T) {
 	p := k.NewProcess()
 	p.Spawn(0, &script{steps: []func(*Thread) Op{
 		func(*Thread) Op {
-			return OpCall{Fn: func(c *Core, _ *Thread, done func()) {
+			return Call(func(c *Core, _ *Thread, done func()) {
 				if err := k.DestroyVM(c, v, done); err != nil {
 					done()
 				}
-			}}
+			})
 		},
 	}})
 	run(k, sim.Millisecond)
@@ -286,14 +286,14 @@ func TestVMCoreMaskCoversGuestCores(t *testing.T) {
 	p := k.NewGuestProcess(v)
 	hp := k.NewProcess()
 	p.Spawn(2, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpMmap{Pages: 4, Writable: true, Populate: true, Node: -1} },
-		func(th *Thread) Op { return OpTouchRange{Start: th.LastAddr, Pages: 4, Write: true} },
-		func(*Thread) Op { return OpCompute{D: 2 * sim.Millisecond} },
+		func(*Thread) Op { return Mmap(4, true).Populate(-1) },
+		func(th *Thread) Op { return TouchRange(th.LastAddr, 4, true) },
+		func(*Thread) Op { return Compute(2 * sim.Millisecond) },
 	}})
 	hp.Spawn(topo.CoreID(0), &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return OpSleep{D: 500 * sim.Microsecond} },
+		func(*Thread) Op { return Sleep(500 * sim.Microsecond) },
 		func(*Thread) Op {
-			return OpCall{Fn: func(c *Core, _ *Thread, done func()) { k.BalloonReclaim(c, v, 4, done) }}
+			return Call(func(c *Core, _ *Thread, done func()) { k.BalloonReclaim(c, v, 4, done) })
 		},
 	}})
 	run(k, 5*sim.Millisecond)

@@ -200,21 +200,22 @@ func (r *runner) program(ti int) kernel.Program {
 			op := &t.Ops[i]
 			kop, ready := r.translate(procKey(t), op)
 			if !ready {
-				return kernel.OpSleep{D: waitRetry}
+				return kernel.Sleep(waitRetry)
 			}
 			i++
-			if kop == nil {
-				continue // wait satisfied, or an op with no kernel action
+			if op.Kind == OpWait {
+				continue // the region exists: nothing for the kernel to do
 			}
 			inflight = op
 			return kop
 		}
 		r.done[ti] = true
-		return nil
+		return kernel.Op{}
 	})
 }
 
-// translate maps one litmus op to a kernel op. ready=false means a region
+// translate maps one litmus op to a kernel op; a wait whose region exists
+// has no kernel action and maps to the zero Op. ready=false means a region
 // or process binding is not available yet; the interpreter retries.
 func (r *runner) translate(proc string, op *Op) (kernel.Op, bool) {
 	regs := r.regions[proc]
@@ -224,99 +225,104 @@ func (r *runner) translate(proc string, op *Op) (kernel.Op, bool) {
 	}
 	switch op.Kind {
 	case OpMmap:
-		return kernel.OpMmap{
-			Pages:    op.Pages,
-			Writable: !op.ReadOnly,
-			Populate: op.Populate || op.Huge,
-			Huge:     op.Huge,
-			Node:     -1,
-		}, true
+		kop := kernel.Mmap(op.Pages, !op.ReadOnly)
+		if op.Populate || op.Huge {
+			kop = kop.Populate(-1)
+		}
+		if op.Huge {
+			kop = kop.Huge()
+		}
+		return kop, true
 	case OpMunmap:
 		ri, ok := reg()
 		if !ok {
-			return nil, false
+			return kernel.Op{}, false
 		}
 		off, n := op.Off, op.Pages
 		if n == 0 {
 			off, n = 0, ri.pages
 		}
-		return kernel.OpMunmap{Addr: ri.base + pt.VPN(off), Pages: n, ForceSync: op.Sync}, true
+		kop := kernel.Munmap(ri.base+pt.VPN(off), n)
+		if op.Sync {
+			kop = kop.ForceSync()
+		}
+		return kop, true
 	case OpMadvise:
 		ri, ok := reg()
 		if !ok {
-			return nil, false
+			return kernel.Op{}, false
 		}
-		return kernel.OpMadvise{Addr: ri.base + pt.VPN(op.Off), Pages: op.Pages}, true
+		return kernel.Madvise(ri.base+pt.VPN(op.Off), op.Pages), true
 	case OpMprotect:
 		ri, ok := reg()
 		if !ok {
-			return nil, false
+			return kernel.Op{}, false
 		}
-		return kernel.OpMprotect{Addr: ri.base + pt.VPN(op.Off), Pages: op.Pages, Writable: op.Write}, true
+		return kernel.Mprotect(ri.base+pt.VPN(op.Off), op.Pages, op.Write), true
 	case OpMremap:
 		ri, ok := reg()
 		if !ok {
-			return nil, false
+			return kernel.Op{}, false
 		}
-		return kernel.OpMremap{Addr: ri.base, Pages: ri.pages}, true
+		return kernel.Mremap(ri.base, ri.pages), true
 	case OpTouch:
 		ri, ok := reg()
 		if !ok {
-			return nil, false
+			return kernel.Op{}, false
 		}
-		return kernel.OpTouchRange{Start: ri.base + pt.VPN(op.Off), Pages: op.Pages, Write: op.Write}, true
+		return kernel.TouchRange(ri.base+pt.VPN(op.Off), op.Pages, op.Write), true
 	case OpCompute:
-		return kernel.OpCompute{D: op.Dur}, true
+		return kernel.Compute(op.Dur), true
 	case OpSleep:
-		return kernel.OpSleep{D: op.Dur}, true
+		return kernel.Sleep(op.Dur), true
 	case OpYield:
-		return kernel.OpYield{}, true
+		return kernel.Yield(), true
 	case OpFork:
-		return kernel.OpFork{}, true
+		return kernel.Fork(), true
 	case OpWait:
 		_, ok := reg()
-		return nil, ok
+		return kernel.Op{}, ok
 	case OpExit:
 		k := r.k
-		return kernel.OpCall{Fn: func(c *kernel.Core, th *kernel.Thread, done func()) {
+		return kernel.Call(func(c *kernel.Core, th *kernel.Thread, done func()) {
 			k.ReleaseAddressSpace(c, th, th.Proc, done)
-		}}, true
+		}), true
 	case OpVMStart:
 		k := r.k
 		label, frames := op.VM, op.Pages
-		return kernel.OpCall{Fn: func(c *kernel.Core, th *kernel.Thread, done func()) {
+		return kernel.Call(func(c *kernel.Core, th *kernel.Thread, done func()) {
 			if frames <= 0 {
 				frames = defaultGuestFrames
 			}
 			v := k.NewVM(label, frames)
 			r.addVM(label, v, k.NewGuestProcess(v))
 			c.Busy(k.Cost.SyscallEntry, false, done)
-		}}, true
+		}), true
 	case OpBalloon:
 		v, ok := r.vms[op.VM]
 		if !ok {
-			return nil, false // vmstart has not completed yet
+			return kernel.Op{}, false // vmstart has not completed yet
 		}
 		k, n := r.k, op.Pages
-		return kernel.OpCall{Fn: func(c *kernel.Core, th *kernel.Thread, done func()) {
+		return kernel.Call(func(c *kernel.Core, th *kernel.Thread, done func()) {
 			k.BalloonReclaim(c, v, n, done)
-		}}, true
+		}), true
 	case OpVMMigrate:
 		v, ok := r.vms[op.VM]
 		if !ok {
-			return nil, false
+			return kernel.Op{}, false
 		}
 		k := r.k
-		return kernel.OpCall{Fn: func(c *kernel.Core, th *kernel.Thread, done func()) {
+		return kernel.Call(func(c *kernel.Core, th *kernel.Thread, done func()) {
 			k.MigrateVM(c, v, done)
-		}}, true
+		}), true
 	case OpVMDestroy:
 		v, ok := r.vms[op.VM]
 		if !ok {
-			return nil, false
+			return kernel.Op{}, false
 		}
 		k := r.k
-		return kernel.OpCall{Fn: func(c *kernel.Core, th *kernel.Thread, done func()) {
+		return kernel.Call(func(c *kernel.Core, th *kernel.Thread, done func()) {
 			if err := k.DestroyVM(c, v, done); err != nil {
 				// Destroying too early (live guest threads) is a scenario
 				// sequencing bug; the model predicts success, so the error
@@ -324,9 +330,9 @@ func (r *runner) translate(proc string, op *Op) (kernel.Op, bool) {
 				th.LastErr = err
 				c.Busy(k.Cost.SyscallEntry, false, done)
 			}
-		}}, true
+		}), true
 	}
-	return nil, true
+	panic(fmt.Sprintf("litmus: no kernel op for kind %v", op.Kind)) // Validate rejects unknown kinds
 }
 
 // finishOp post-processes a completed op: bind fresh regions, register fork

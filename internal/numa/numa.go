@@ -99,10 +99,10 @@ func (a *AutoNUMA) Install(k *kernel.Kernel) {
 	host.SpawnKernel(a.cfg.ScanCore, kernel.Loop(func(*kernel.Thread) kernel.Op {
 		if sleep {
 			sleep = false
-			return kernel.OpSleep{D: a.cfg.ScanPeriod}
+			return kernel.Sleep(a.cfg.ScanPeriod)
 		}
 		sleep = true
-		return kernel.OpCall{Fn: a.scan}
+		return kernel.Call(a.scan)
 	}))
 }
 

@@ -30,19 +30,19 @@ func remoteAccessWorkload(k *kernel.Kernel, a *AutoNUMA, pages int) (p *kernel.P
 	started := false
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: pages, Writable: true, Populate: true, Node: 0}
+			return kernel.Mmap(pages, true).Populate(0)
 		},
 		func(th *kernel.Thread) kernel.Op {
 			*base = th.LastAddr
 			started = true
-			return kernel.OpCompute{D: 100 * sim.Millisecond}
+			return kernel.Compute(100 * sim.Millisecond)
 		},
 	))
 	p.Spawn(2, kernel.Loop(func(th *kernel.Thread) kernel.Op {
 		if !started {
-			return kernel.OpSleep{D: 50 * sim.Microsecond}
+			return kernel.Sleep(50 * sim.Microsecond)
 		}
-		return kernel.OpTouchRange{Start: *base, Pages: pages, Write: true}
+		return kernel.TouchRange(*base, pages, true)
 	}))
 	return p, base
 }
@@ -79,10 +79,10 @@ func TestNoMigrationForLocalAccess(t *testing.T) {
 			if th.LastAddr != 0 {
 				base = th.LastAddr
 			} else {
-				return kernel.OpMmap{Pages: 8, Writable: true, Populate: true, Node: 0}
+				return kernel.Mmap(8, true).Populate(0)
 			}
 		}
-		return kernel.OpTouchRange{Start: base, Pages: 8, Write: true}
+		return kernel.TouchRange(base, 8, true)
 	}))
 	k.Run(60 * sim.Millisecond)
 	if got := k.Metrics.Counter("numa.migrations"); got != 0 {
@@ -132,35 +132,35 @@ func TestLATRGatesFaultUntilAllCoresSweep(t *testing.T) {
 	var base pt.VPN
 	var fault2Done sim.Time
 	unmap := func(th *kernel.Thread) kernel.Op {
-		return kernel.OpCall{Fn: func(c *kernel.Core, th *kernel.Thread, done func()) {
+		return kernel.Call(func(c *kernel.Core, th *kernel.Thread, done func()) {
 			k.Policy().NUMAUnmap(c, p.MM, base, 1, done)
-		}}
+		})
 	}
 	// Core 3 stays busy so it remains in the shootdown mask and only its
 	// ticks sweep.
 	p.Spawn(3, kernel.Script(
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 5 * sim.Millisecond} },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(5 * sim.Millisecond) },
 	))
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 1, Writable: true, Populate: true, Node: 0}
+			return kernel.Mmap(1, true).Populate(0)
 		},
-		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.OpSleep{D: 100 * sim.Microsecond} },
+		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.Sleep(100 * sim.Microsecond) },
 		unmap, // hint #1, state mask {0,2,3}
-		func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: 900 * sim.Microsecond} },
+		func(*kernel.Thread) kernel.Op { return kernel.Sleep(900 * sim.Microsecond) },
 		unmap, // hint #2 at ~1.0ms
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 4 * sim.Millisecond} },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(4 * sim.Millisecond) },
 	))
 	p.Spawn(2, kernel.Script(
 		// Fault #1 at ~650us: core2 swept at 600us, remote access, count=1
 		// → repair without gating.
-		func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: 650 * sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpTouchRange{Start: base, Pages: 1} },
+		func(*kernel.Thread) kernel.Op { return kernel.Sleep(650 * sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.TouchRange(base, 1, false) },
 		// Fault #2 at ~1.65ms: core2 swept the second state at 1.6ms;
 		// count=2 → migrate, gated until core3 sweeps at 1.8ms.
-		func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: 1650*sim.Microsecond - 650*sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpTouchRange{Start: base, Pages: 1} },
-		func(th *kernel.Thread) kernel.Op { fault2Done = k.Now(); return nil },
+		func(*kernel.Thread) kernel.Op { return kernel.Sleep(1650*sim.Microsecond - 650*sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.TouchRange(base, 1, false) },
+		func(th *kernel.Thread) kernel.Op { fault2Done = k.Now(); return kernel.Op{} },
 	))
 	k.Run(6 * sim.Millisecond)
 	if got := k.Metrics.Counter("latr.migration_gated"); got != 1 {

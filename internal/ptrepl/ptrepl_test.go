@@ -80,24 +80,24 @@ func crossSocketWorkload(k *kernel.Kernel, pages int, write bool) *kernel.Proces
 	started := false
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: pages, Writable: true, Populate: true, Node: 0}
+			return kernel.Mmap(pages, true).Populate(0)
 		},
 		func(th *kernel.Thread) kernel.Op {
 			base = th.LastAddr
 			started = true
-			return kernel.OpCompute{D: 5 * sim.Millisecond}
+			return kernel.Compute(5 * sim.Millisecond)
 		},
 	))
 	touched := false
 	p.Spawn(2, kernel.Loop(func(th *kernel.Thread) kernel.Op {
 		if !started {
-			return kernel.OpSleep{D: 20 * sim.Microsecond}
+			return kernel.Sleep(20 * sim.Microsecond)
 		}
 		if touched {
-			return nil
+			return kernel.Op{}
 		}
 		touched = true
-		return kernel.OpTouchRange{Start: base, Pages: pages, Write: write}
+		return kernel.TouchRange(base, pages, write)
 	}))
 	return p
 }
@@ -153,28 +153,28 @@ func TestAdaptiveMigratesTowardsWriterSocket(t *testing.T) {
 	started := false
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 4, Writable: true, Populate: true, Node: 0}
+			return kernel.Mmap(4, true).Populate(0)
 		},
 		func(*kernel.Thread) kernel.Op {
 			started = true
-			return kernel.OpCompute{D: 5 * sim.Millisecond}
+			return kernel.Compute(5 * sim.Millisecond)
 		},
 	))
 	step := 0
 	p.Spawn(2, kernel.Loop(func(th *kernel.Thread) kernel.Op {
 		if !started {
-			return kernel.OpSleep{D: 20 * sim.Microsecond}
+			return kernel.Sleep(20 * sim.Microsecond)
 		}
 		step++
 		switch step {
 		case 1:
 			// 16 PTE installs from socket 1 dwarf the 4 from socket 0.
-			return kernel.OpMmap{Pages: 16, Writable: true, Populate: true, Node: 1}
+			return kernel.Mmap(16, true).Populate(1)
 		case 2:
 			// Outlive the deadline so the state survives the assertions.
-			return kernel.OpCompute{D: 40 * sim.Millisecond}
+			return kernel.Compute(40 * sim.Millisecond)
 		}
-		return nil
+		return kernel.Op{}
 	}))
 	k.Run(20 * sim.Millisecond)
 	if got := k.Metrics.Counter("ptrepl.migrations"); got == 0 {
@@ -203,14 +203,14 @@ func TestLazyParksAndDrainsUnderLATR(t *testing.T) {
 	p := k.NewProcess()
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 8, Writable: true, Populate: true, Node: 0}
+			return kernel.Mmap(8, true).Populate(0)
 		},
 		func(th *kernel.Thread) kernel.Op {
-			return kernel.OpMunmap{Addr: th.LastAddr, Pages: 8}
+			return kernel.Munmap(th.LastAddr, 8)
 		},
 		// Stay alive well past the 2 ms reclaim horizon so the drain is
 		// observed on a live address space, not via exit teardown.
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 20 * sim.Millisecond} },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(20 * sim.Millisecond) },
 	))
 	k.Run(15 * sim.Millisecond)
 	if got := k.Metrics.Counter("ptrepl.lazy_parked"); got == 0 {
@@ -230,10 +230,10 @@ func TestSkipReplicaMutantLeaksStaleOverrides(t *testing.T) {
 	p := k.NewProcess()
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 8, Writable: true, Populate: true, Node: 0}
+			return kernel.Mmap(8, true).Populate(0)
 		},
 		func(th *kernel.Thread) kernel.Op {
-			return kernel.OpMunmap{Addr: th.LastAddr, Pages: 8}
+			return kernel.Munmap(th.LastAddr, 8)
 		},
 	))
 	k.Run(20 * sim.Millisecond)
@@ -250,27 +250,27 @@ func TestSkipReplicaMutantServesStaleTranslation(t *testing.T) {
 	unmapped := false
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 4, Writable: true, Populate: true, Node: 0}
+			return kernel.Mmap(4, true).Populate(0)
 		},
 		func(th *kernel.Thread) kernel.Op {
 			base = th.LastAddr
-			return kernel.OpMunmap{Addr: th.LastAddr, Pages: 4}
+			return kernel.Munmap(th.LastAddr, 4)
 		},
 		func(*kernel.Thread) kernel.Op {
 			unmapped = true
-			return kernel.OpCompute{D: 5 * sim.Millisecond}
+			return kernel.Compute(5 * sim.Millisecond)
 		},
 	))
 	touched := false
 	p.Spawn(2, kernel.Loop(func(th *kernel.Thread) kernel.Op {
 		if !unmapped {
-			return kernel.OpSleep{D: 20 * sim.Microsecond}
+			return kernel.Sleep(20 * sim.Microsecond)
 		}
 		if touched {
-			return nil
+			return kernel.Op{}
 		}
 		touched = true
-		return kernel.OpTouchRange{Start: base, Pages: 4, Write: false}
+		return kernel.TouchRange(base, 4, false)
 	}))
 	k.Run(20 * sim.Millisecond)
 	if got := k.Metrics.Counter("ptrepl.stale_serves"); got == 0 {
@@ -286,7 +286,7 @@ func TestLeakReplicaMutantSkipsTeardown(t *testing.T) {
 	p := k.NewProcess()
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 4, Writable: true, Populate: true, Node: 0}
+			return kernel.Mmap(4, true).Populate(0)
 		},
 	))
 	k.Run(20 * sim.Millisecond)
@@ -304,9 +304,9 @@ func TestSnapshotReportsReplicasInMMSnapshot(t *testing.T) {
 	p := k.NewProcess()
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 4, Writable: true, Populate: true, Node: 0}
+			return kernel.Mmap(4, true).Populate(0)
 		},
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 10 * sim.Millisecond} },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(10 * sim.Millisecond) },
 	))
 	k.Run(5 * sim.Millisecond)
 	s := k.SnapshotMM(p.MM)
@@ -326,10 +326,10 @@ func TestGuestAddressSpacesAreIgnored(t *testing.T) {
 	gp := k.NewGuestProcess(vmh)
 	gp.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 4, Writable: true, Populate: true}
+			return kernel.Mmap(4, true).Populate(0)
 		},
 		func(th *kernel.Thread) kernel.Op {
-			return kernel.OpTouchRange{Start: th.LastAddr, Pages: 4, Write: true}
+			return kernel.TouchRange(th.LastAddr, 4, true)
 		},
 	))
 	k.Run(10 * sim.Millisecond)
@@ -350,14 +350,14 @@ func TestHugeMunmapPropagatesPerBasePage(t *testing.T) {
 		p := k.NewProcess()
 		p.Spawn(0, kernel.Script(
 			func(*kernel.Thread) kernel.Op {
-				return kernel.OpMmap{Pages: pt.HugePages, Huge: true, Writable: true, Populate: true, Node: 0}
+				return kernel.Mmap(pt.HugePages, true).Populate(0).Huge()
 			},
 			func(th *kernel.Thread) kernel.Op {
 				if th.LastErr != nil {
 					t.Errorf("huge mmap: %v", th.LastErr)
-					return nil
+					return kernel.Op{}
 				}
-				return kernel.OpMunmap{Addr: th.LastAddr, Pages: pt.HugePages}
+				return kernel.Munmap(th.LastAddr, pt.HugePages)
 			},
 			func(th *kernel.Thread) kernel.Op {
 				if th.LastErr != nil {
@@ -365,7 +365,7 @@ func TestHugeMunmapPropagatesPerBasePage(t *testing.T) {
 				}
 				// Outlive the sweep window so the parked overrides drain
 				// while the address space is still alive.
-				return kernel.OpCompute{D: 20 * sim.Millisecond}
+				return kernel.Compute(20 * sim.Millisecond)
 			},
 		))
 		k.Run(30 * sim.Millisecond)
@@ -406,11 +406,11 @@ func TestGuestHugeMmapRejectedAndUntracked(t *testing.T) {
 	var rejected bool
 	gp.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: pt.HugePages, Huge: true, Writable: true, Populate: true}
+			return kernel.Mmap(pt.HugePages, true).Populate(0).Huge()
 		},
 		func(th *kernel.Thread) kernel.Op {
 			rejected = th.LastErr != nil
-			return nil
+			return kernel.Op{}
 		},
 	))
 	k.Run(10 * sim.Millisecond)

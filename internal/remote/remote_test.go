@@ -27,10 +27,10 @@ func drive(k *kernel.Kernel, core topo.CoreID, fn func(c *kernel.Core, th *kerne
 	ran := false
 	p.Spawn(core, kernel.Loop(func(*kernel.Thread) kernel.Op {
 		if ran {
-			return nil
+			return kernel.Op{}
 		}
 		ran = true
-		return kernel.OpCall{Fn: fn}
+		return kernel.Call(fn)
 	}))
 	k.Run(100 * sim.Millisecond)
 }
@@ -77,15 +77,15 @@ func TestNICQueueingSerializes(t *testing.T) {
 		done := false
 		k.Processes()[0].Spawn(core, kernel.Loop(func(*kernel.Thread) kernel.Op {
 			if done {
-				return nil
+				return kernel.Op{}
 			}
 			done = true
-			return kernel.OpCall{Fn: func(c *kernel.Core, th *kernel.Thread, opDone func()) {
+			return kernel.Call(func(c *kernel.Core, th *kernel.Thread, opDone func()) {
 				b.Store(c, mm, vpn, func() {
 					*out = k.Now()
 					opDone()
 				})
-			}}
+			})
 		}))
 	}
 	launch(0, 1, &first)

@@ -19,7 +19,7 @@ func newK(pol kernel.Policy) *kernel.Kernel {
 }
 
 func spin(d sim.Time) kernel.Program {
-	return kernel.Script(func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: d} })
+	return kernel.Script(func(*kernel.Thread) kernel.Op { return kernel.Compute(d) })
 }
 
 // mapTouchUnmap runs one mmap(pages)+warm-remote+munmap cycle with remote
@@ -31,18 +31,18 @@ func mapTouchUnmap(pol kernel.Policy, pages int, sharers []topo.CoreID) *kernel.
 	for _, c := range sharers {
 		c := c
 		p.Spawn(c, kernel.Script(
-			func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: 50 * sim.Microsecond} },
-			func(*kernel.Thread) kernel.Op { return kernel.OpTouchRange{Start: base, Pages: pages} },
-			func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 5 * sim.Millisecond} },
+			func(*kernel.Thread) kernel.Op { return kernel.Sleep(50 * sim.Microsecond) },
+			func(*kernel.Thread) kernel.Op { return kernel.TouchRange(base, pages, false) },
+			func(*kernel.Thread) kernel.Op { return kernel.Compute(5 * sim.Millisecond) },
 		))
 	}
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: pages, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(pages, true).Populate(-1)
 		},
-		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.OpSleep{D: 150 * sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpMunmap{Addr: base, Pages: pages} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 5 * sim.Millisecond} },
+		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.Sleep(150 * sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.Munmap(base, pages) },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(5 * sim.Millisecond) },
 	))
 	k.Run(10 * sim.Millisecond)
 	return k
@@ -81,9 +81,9 @@ func TestLinuxSkipsWhenNoRemotes(t *testing.T) {
 	p := k.NewProcess()
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(1, true).Populate(-1)
 		},
-		func(th *kernel.Thread) kernel.Op { return kernel.OpMunmap{Addr: th.LastAddr, Pages: 1} },
+		func(th *kernel.Thread) kernel.Op { return kernel.Munmap(th.LastAddr, 1) },
 	))
 	k.Run(5 * sim.Millisecond)
 	if k.Metrics.Counter("shootdown.ipi") != 0 {
@@ -101,19 +101,19 @@ func TestABISNarrowsTargets(t *testing.T) {
 	p := k.NewProcess()
 	var base pt.VPN
 	p.Spawn(1, kernel.Script(
-		func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: 50 * sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpTouchRange{Start: base, Pages: 1} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 5 * sim.Millisecond} },
+		func(*kernel.Thread) kernel.Op { return kernel.Sleep(50 * sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.TouchRange(base, 1, false) },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(5 * sim.Millisecond) },
 	))
 	for _, c := range []topo.CoreID{2, 3} {
 		p.Spawn(c, spin(5*sim.Millisecond))
 	}
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(1, true).Populate(-1)
 		},
-		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.OpSleep{D: 150 * sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpMunmap{Addr: base, Pages: 1} },
+		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.Sleep(150 * sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.Munmap(base, 1) },
 	))
 	k.Run(10 * sim.Millisecond)
 	if got := k.Metrics.Counter("shootdown.ipi_targets"); got != 1 {
@@ -137,12 +137,12 @@ func TestABISTrackingHasCost(t *testing.T) {
 		var end sim.Time
 		p.Spawn(0, kernel.Script(
 			func(*kernel.Thread) kernel.Op {
-				return kernel.OpMmap{Pages: 512, Writable: true, Populate: true, Node: -1}
+				return kernel.Mmap(512, true).Populate(-1)
 			},
 			func(th *kernel.Thread) kernel.Op {
-				return kernel.OpTouchRange{Start: th.LastAddr, Pages: 512}
+				return kernel.TouchRange(th.LastAddr, 512, false)
 			},
-			func(*kernel.Thread) kernel.Op { end = k.Now(); return nil },
+			func(*kernel.Thread) kernel.Op { end = k.Now(); return kernel.Op{} },
 		))
 		k.Run(50 * sim.Millisecond)
 		return end
@@ -207,23 +207,23 @@ func TestAllPoliciesReachSameMemoryState(t *testing.T) {
 		var keep, drop pt.VPN
 		for c := 1; c <= 3; c++ {
 			p.Spawn(topo.CoreID(c), kernel.Script(
-				func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: 100 * sim.Microsecond} },
-				func(*kernel.Thread) kernel.Op { return kernel.OpTouchRange{Start: keep, Pages: 8} },
-				func(*kernel.Thread) kernel.Op { return kernel.OpTouchRange{Start: drop, Pages: 8} },
-				func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 2 * sim.Millisecond} },
+				func(*kernel.Thread) kernel.Op { return kernel.Sleep(100 * sim.Microsecond) },
+				func(*kernel.Thread) kernel.Op { return kernel.TouchRange(keep, 8, false) },
+				func(*kernel.Thread) kernel.Op { return kernel.TouchRange(drop, 8, false) },
+				func(*kernel.Thread) kernel.Op { return kernel.Compute(2 * sim.Millisecond) },
 			))
 		}
 		p.Spawn(0, kernel.Script(
 			func(*kernel.Thread) kernel.Op {
-				return kernel.OpMmap{Pages: 8, Writable: true, Populate: true, Node: -1}
+				return kernel.Mmap(8, true).Populate(-1)
 			},
 			func(th *kernel.Thread) kernel.Op {
 				keep = th.LastAddr
-				return kernel.OpMmap{Pages: 8, Writable: true, Populate: true, Node: -1}
+				return kernel.Mmap(8, true).Populate(-1)
 			},
-			func(th *kernel.Thread) kernel.Op { drop = th.LastAddr; return kernel.OpSleep{D: 300 * sim.Microsecond} },
-			func(*kernel.Thread) kernel.Op { return kernel.OpMunmap{Addr: drop, Pages: 8} },
-			func(*kernel.Thread) kernel.Op { return kernel.OpTouchRange{Start: keep, Pages: 8, Write: true} },
+			func(th *kernel.Thread) kernel.Op { drop = th.LastAddr; return kernel.Sleep(300 * sim.Microsecond) },
+			func(*kernel.Thread) kernel.Op { return kernel.Munmap(drop, 8) },
+			func(*kernel.Thread) kernel.Op { return kernel.TouchRange(keep, 8, true) },
 		))
 		k.Run(20 * sim.Millisecond)
 		return outcome{
@@ -247,17 +247,17 @@ func TestSyncChangeInvalidatesRemotes(t *testing.T) {
 		p := k.NewProcess()
 		var base pt.VPN
 		p.Spawn(1, kernel.Script(
-			func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: 50 * sim.Microsecond} },
-			func(*kernel.Thread) kernel.Op { return kernel.OpTouchRange{Start: base, Pages: 1, Write: true} },
-			func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 2 * sim.Millisecond} },
+			func(*kernel.Thread) kernel.Op { return kernel.Sleep(50 * sim.Microsecond) },
+			func(*kernel.Thread) kernel.Op { return kernel.TouchRange(base, 1, true) },
+			func(*kernel.Thread) kernel.Op { return kernel.Compute(2 * sim.Millisecond) },
 		))
 		p.Spawn(0, kernel.Script(
 			func(*kernel.Thread) kernel.Op {
-				return kernel.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+				return kernel.Mmap(1, true).Populate(-1)
 			},
-			func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.OpSleep{D: 150 * sim.Microsecond} },
-			func(*kernel.Thread) kernel.Op { return kernel.OpMprotect{Addr: base, Pages: 1, Writable: false} },
-			func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 2 * sim.Millisecond} },
+			func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.Sleep(150 * sim.Microsecond) },
+			func(*kernel.Thread) kernel.Op { return kernel.Mprotect(base, 1, false) },
+			func(*kernel.Thread) kernel.Op { return kernel.Compute(2 * sim.Millisecond) },
 		))
 		// Stop just after the mprotect completes; the remote TLB entry must
 		// already be gone — no waiting for ticks allowed for sync changes.
@@ -283,29 +283,29 @@ func TestABISSharerMapDrainsOnForkExitChurn(t *testing.T) {
 		peer := topo.CoreID((i + 1) % 4)
 		p.Spawn(home, kernel.Script(
 			func(*kernel.Thread) kernel.Op {
-				return kernel.OpMmap{Pages: 4, Writable: true, Populate: true, Node: -1}
+				return kernel.Mmap(4, true).Populate(-1)
 			},
 			func(th *kernel.Thread) kernel.Op {
 				base = th.LastAddr
-				return kernel.OpTouchRange{Start: base, Pages: 4}
+				return kernel.TouchRange(base, 4, false)
 			},
-			func(*kernel.Thread) kernel.Op { return kernel.OpFork{} },
+			func(*kernel.Thread) kernel.Op { return kernel.Fork() },
 			func(th *kernel.Thread) kernel.Op {
 				// The forked child touches the CoW range from another core so
 				// the child MM grows its own sharer entries, then exits.
 				if th.LastProc != nil {
 					th.LastProc.Spawn(peer, kernel.Script(
 						func(*kernel.Thread) kernel.Op {
-							return kernel.OpTouchRange{Start: base, Pages: 4}
+							return kernel.TouchRange(base, 4, false)
 						},
 					))
 				}
-				return kernel.OpSleep{D: 100 * sim.Microsecond}
+				return kernel.Sleep(100 * sim.Microsecond)
 			},
 		))
 		p.Spawn(peer, kernel.Script(
-			func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: 50 * sim.Microsecond} },
-			func(*kernel.Thread) kernel.Op { return kernel.OpTouchRange{Start: base, Pages: 4} },
+			func(*kernel.Thread) kernel.Op { return kernel.Sleep(50 * sim.Microsecond) },
+			func(*kernel.Thread) kernel.Op { return kernel.TouchRange(base, 4, false) },
 		))
 	}
 

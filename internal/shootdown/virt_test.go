@@ -21,18 +21,18 @@ func virtMapTouchUnmap(pol kernel.Policy, pages int, sharers []topo.CoreID) *ker
 	for _, c := range sharers {
 		c := c
 		p.Spawn(c, kernel.Script(
-			func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: 50 * sim.Microsecond} },
-			func(*kernel.Thread) kernel.Op { return kernel.OpTouchRange{Start: base, Pages: pages} },
-			func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 5 * sim.Millisecond} },
+			func(*kernel.Thread) kernel.Op { return kernel.Sleep(50 * sim.Microsecond) },
+			func(*kernel.Thread) kernel.Op { return kernel.TouchRange(base, pages, false) },
+			func(*kernel.Thread) kernel.Op { return kernel.Compute(5 * sim.Millisecond) },
 		))
 	}
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: pages, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(pages, true).Populate(-1)
 		},
-		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.OpSleep{D: 150 * sim.Microsecond} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpMunmap{Addr: base, Pages: pages} },
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 5 * sim.Millisecond} },
+		func(th *kernel.Thread) kernel.Op { base = th.LastAddr; return kernel.Sleep(150 * sim.Microsecond) },
+		func(*kernel.Thread) kernel.Op { return kernel.Munmap(base, pages) },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(5 * sim.Millisecond) },
 	))
 	k.Run(12 * sim.Millisecond)
 	k.AuditVirt()
@@ -150,21 +150,21 @@ func TestHostLATRBalloonIsLazy(t *testing.T) {
 	var ballooned sim.Time
 	p.Spawn(1, kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: 8, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(8, true).Populate(-1)
 		},
 		func(th *kernel.Thread) kernel.Op {
-			return kernel.OpTouchRange{Start: th.LastAddr, Pages: 8, Write: true}
+			return kernel.TouchRange(th.LastAddr, 8, true)
 		},
-		func(*kernel.Thread) kernel.Op { return kernel.OpCompute{D: 8 * sim.Millisecond} },
+		func(*kernel.Thread) kernel.Op { return kernel.Compute(8 * sim.Millisecond) },
 	))
 	hp.Spawn(0, kernel.Script(
-		func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: sim.Millisecond} },
+		func(*kernel.Thread) kernel.Op { return kernel.Sleep(sim.Millisecond) },
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpCall{Fn: func(c *kernel.Core, th *kernel.Thread, done func()) {
+			return kernel.Call(func(c *kernel.Core, th *kernel.Thread, done func()) {
 				k.BalloonReclaim(c, v, 4, done)
-			}}
+			})
 		},
-		func(th *kernel.Thread) kernel.Op { ballooned = k.Now(); return nil },
+		func(th *kernel.Thread) kernel.Op { ballooned = k.Now(); return kernel.Op{} },
 	))
 	k.Run(12 * sim.Millisecond)
 	k.AuditVirt()

@@ -74,47 +74,47 @@ func reuseCycle(k *kernel.Kernel, s *swap.Swapper) (revisitFaults *int) {
 		switch step {
 		case 0:
 			step = 1
-			return kernel.OpMmap{Pages: 400, Writable: true, Populate: true, Node: 0}
+			return kernel.Mmap(400, true).Populate(0)
 		case 1:
 			cold = th.LastAddr
 			step = 2
-			return kernel.OpTouchRange{Start: cold, Pages: 400, Write: true}
+			return kernel.TouchRange(cold, 400, true)
 		case 2:
 			step = 3
-			return kernel.OpMmap{Pages: 500, Writable: true, Populate: true, Node: 0}
+			return kernel.Mmap(500, true).Populate(0)
 		case 3:
 			hot = th.LastAddr
 			step = 4
-			return kernel.OpTouchRange{Start: hot, Pages: 500, Write: true}
+			return kernel.TouchRange(hot, 500, true)
 		case 4: // keep the hot set hot while pressure builds
 			touches++
 			if touches > 40 {
 				step = 5
 			}
-			return kernel.OpTouchRange{Start: hot, Pages: 500, Write: true}
+			return kernel.TouchRange(hot, 500, true)
 		case 5:
 			// Sleep past several scan periods and LATR sweep epochs so the
 			// cold evictions are fully done before the revisit.
 			step = 6
-			return kernel.OpSleep{D: 10 * sim.Millisecond}
+			return kernel.Sleep(10 * sim.Millisecond)
 		case 6: // revisit the cold region: swapped pages must fault back in
 			step = 7
-			return kernel.OpTouchRange{Start: cold, Pages: 400, Write: true}
+			return kernel.TouchRange(cold, 400, true)
 		case 7:
 			*revisitFaults = th.LastFault
 			step = 8
 			// Let the swapper evict again so some pages are swap-resident
 			// when the VAs die below — exercising the drop path.
-			return kernel.OpSleep{D: 5 * sim.Millisecond}
+			return kernel.Sleep(5 * sim.Millisecond)
 		case 8:
 			step = 9
-			return kernel.OpMunmap{Addr: cold, Pages: 400}
+			return kernel.Munmap(cold, 400)
 		case 9:
 			step = 10
 			stop = true
-			return kernel.OpMunmap{Addr: hot, Pages: 500}
+			return kernel.Munmap(hot, 500)
 		default:
-			return nil
+			return kernel.Op{}
 		}
 	}))
 	spinStep := 0
@@ -123,20 +123,20 @@ func reuseCycle(k *kernel.Kernel, s *swap.Swapper) (revisitFaults *int) {
 		switch spinStep {
 		case 0:
 			spinStep = 1
-			return kernel.OpMmap{Pages: 16, Writable: true, Populate: true, Node: 0}
+			return kernel.Mmap(16, true).Populate(0)
 		case 1:
 			spinBase = th.LastAddr
 			spinStep = 2
-			return kernel.OpTouchRange{Start: spinBase, Pages: 16, Write: true}
+			return kernel.TouchRange(spinBase, 16, true)
 		case 2:
 			if stop {
 				spinStep = 3
-				return kernel.OpMunmap{Addr: spinBase, Pages: 16}
+				return kernel.Munmap(spinBase, 16)
 			}
 			spinStep = 1
-			return kernel.OpCompute{D: 20 * sim.Microsecond}
+			return kernel.Compute(20 * sim.Microsecond)
 		default:
-			return nil
+			return kernel.Op{}
 		}
 	}))
 	return revisitFaults

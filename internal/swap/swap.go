@@ -251,10 +251,10 @@ func (s *Swapper) Install(k *kernel.Kernel) {
 	host.SpawnKernel(s.cfg.Core, kernel.Loop(func(*kernel.Thread) kernel.Op {
 		if sleep {
 			sleep = false
-			return kernel.OpSleep{D: s.cfg.ScanPeriod}
+			return kernel.Sleep(s.cfg.ScanPeriod)
 		}
 		sleep = true
-		return kernel.OpCall{Fn: s.pass}
+		return kernel.Call(s.pass)
 	}))
 }
 

@@ -41,30 +41,30 @@ func pressureWorkload(k *kernel.Kernel, s *Swapper) (hot, cold *pt.VPN, revisitF
 		switch step {
 		case 0:
 			step = 1
-			return kernel.OpMmap{Pages: 400, Writable: true, Populate: true, Node: 0}
+			return kernel.Mmap(400, true).Populate(0)
 		case 1:
 			*cold = th.LastAddr
 			step = 2
-			return kernel.OpTouchRange{Start: *cold, Pages: 400, Write: true}
+			return kernel.TouchRange(*cold, 400, true)
 		case 2:
 			step = 3
-			return kernel.OpMmap{Pages: 500, Writable: true, Populate: true, Node: 0}
+			return kernel.Mmap(500, true).Populate(0)
 		case 3:
 			*hot = th.LastAddr
 			step = 4
-			return kernel.OpTouchRange{Start: *hot, Pages: 500, Write: true}
+			return kernel.TouchRange(*hot, 500, true)
 		case 4: // keep the hot set hot while the swapper works
 			touches++
 			if touches > 40 {
 				step = 5
 			}
-			return kernel.OpTouchRange{Start: *hot, Pages: 500, Write: true}
+			return kernel.TouchRange(*hot, 500, true)
 		case 5: // revisit the cold region: swapped pages must fault back in
 			step = 6
-			return kernel.OpTouchRange{Start: *cold, Pages: 400, Write: true}
+			return kernel.TouchRange(*cold, 400, true)
 		case 6:
 			*revisitFaults = th.LastFault
-			return nil
+			return kernel.Op{}
 		default:
 			panic("unreachable")
 		}

@@ -230,7 +230,7 @@ func runChurn(spec topo.Spec, targets []topo.CoreID, t kernel.Tunables, quick bo
 	p := k.NewProcess()
 	for _, c := range targets {
 		p.Spawn(c, kernel.Loop(func(*kernel.Thread) kernel.Op {
-			return kernel.OpCompute{D: sim.Millisecond}
+			return kernel.Compute(sim.Millisecond)
 		}))
 	}
 	n := 0
@@ -238,13 +238,13 @@ func runChurn(spec topo.Spec, targets []topo.CoreID, t kernel.Tunables, quick bo
 	p.Spawn(0, kernel.Loop(func(th *kernel.Thread) kernel.Op {
 		if n >= 2*bursts {
 			done = true
-			return nil
+			return kernel.Op{}
 		}
 		n++
 		if n%2 == 1 {
-			return kernel.OpMmap{Pages: 4, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(4, true).Populate(-1)
 		}
-		return kernel.OpMunmap{Addr: th.LastAddr, Pages: 4}
+		return kernel.Munmap(th.LastAddr, 4)
 	}))
 	limit := 10 * sim.Second
 	for k.Now() < limit && !done {

@@ -20,19 +20,19 @@ func driveChurn(k *kernel.Kernel) (engineFP, metricsFP uint64) {
 	}
 	for _, c := range targets {
 		p.Spawn(c, kernel.Loop(func(*kernel.Thread) kernel.Op {
-			return kernel.OpCompute{D: sim.Millisecond}
+			return kernel.Compute(sim.Millisecond)
 		}))
 	}
 	n := 0
 	p.Spawn(0, kernel.Loop(func(th *kernel.Thread) kernel.Op {
 		if n >= 80 {
-			return nil
+			return kernel.Op{}
 		}
 		n++
 		if n%2 == 1 {
-			return kernel.OpMmap{Pages: 4, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(4, true).Populate(-1)
 		}
-		return kernel.OpMunmap{Addr: th.LastAddr, Pages: 4}
+		return kernel.Munmap(th.LastAddr, 4)
 	}))
 	k.Run(60 * sim.Millisecond)
 	return k.Engine.Fingerprint(), k.Metrics.Fingerprint()

@@ -222,17 +222,19 @@ func (s *Space) Find(vpn pt.VPN) (VMA, bool) {
 }
 
 // RemoveRange deletes [start, end) from the VMA set, splitting VMAs that
-// straddle the boundary (as munmap does). It returns the removed pieces.
+// straddle the boundary (as munmap does). It appends the removed pieces to
+// dst and returns the extended slice, so a caller that passes back its
+// previous result, truncated, allocates nothing once it has grown.
 // The overlapping window is found by binary search and replaced in place by
 // at most two remnants, so the set stays sorted without re-sorting.
-func (s *Space) RemoveRange(start, end pt.VPN) []VMA {
+func (s *Space) RemoveRange(dst []VMA, start, end pt.VPN) []VMA {
 	if end <= start {
-		return nil
+		return dst
 	}
 	lo := sort.Search(len(s.vmas), func(i int) bool { return s.vmas[i].End > start })
 	hi := lo + sort.Search(len(s.vmas)-lo, func(i int) bool { return s.vmas[lo+i].Start >= end })
 	if lo == hi {
-		return nil
+		return dst
 	}
 	var remnants [2]VMA
 	n := 0
@@ -246,14 +248,13 @@ func (s *Space) RemoveRange(start, end pt.VPN) []VMA {
 		remnants[n] = last
 		n++
 	}
-	removed := make([]VMA, hi-lo)
-	for i, v := range s.vmas[lo:hi] {
+	for _, v := range s.vmas[lo:hi] {
 		v.Start = max(v.Start, start)
 		v.End = min(v.End, end)
-		removed[i] = v
+		dst = append(dst, v)
 	}
 	s.vmas = slices.Replace(s.vmas, lo, hi, remnants[:n]...)
-	return removed
+	return dst
 }
 
 // VMAs returns a copy of the VMA set, sorted by start.

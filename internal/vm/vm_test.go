@@ -129,7 +129,7 @@ func TestFind(t *testing.T) {
 func TestRemoveRangeExact(t *testing.T) {
 	s := NewSpace()
 	s.Insert(VMA{Start: 10, End: 20})
-	removed := s.RemoveRange(10, 20)
+	removed := s.RemoveRange(nil, 10, 20)
 	if len(removed) != 1 || removed[0].Pages() != 10 {
 		t.Fatalf("removed = %v", removed)
 	}
@@ -141,7 +141,7 @@ func TestRemoveRangeExact(t *testing.T) {
 func TestRemoveRangeSplitsMiddle(t *testing.T) {
 	s := NewSpace()
 	s.Insert(VMA{Start: 10, End: 30, Writable: true})
-	removed := s.RemoveRange(15, 20)
+	removed := s.RemoveRange(nil, 15, 20)
 	if len(removed) != 1 || removed[0].Start != 15 || removed[0].End != 20 {
 		t.Fatalf("removed = %v", removed)
 	}
@@ -162,7 +162,7 @@ func TestRemoveRangeSpansMultiple(t *testing.T) {
 	s.Insert(VMA{Start: 10, End: 20})
 	s.Insert(VMA{Start: 25, End: 35})
 	s.Insert(VMA{Start: 40, End: 50})
-	removed := s.RemoveRange(15, 45)
+	removed := s.RemoveRange(nil, 15, 45)
 	total := 0
 	for _, v := range removed {
 		total += v.Pages()
@@ -178,10 +178,10 @@ func TestRemoveRangeSpansMultiple(t *testing.T) {
 func TestRemoveRangeEmptyAndMiss(t *testing.T) {
 	s := NewSpace()
 	s.Insert(VMA{Start: 10, End: 20})
-	if r := s.RemoveRange(30, 40); len(r) != 0 {
+	if r := s.RemoveRange(nil, 30, 40); len(r) != 0 {
 		t.Fatalf("miss removed %v", r)
 	}
-	if r := s.RemoveRange(20, 10); len(r) != 0 {
+	if r := s.RemoveRange(nil, 20, 10); len(r) != 0 {
 		t.Fatalf("inverted range removed %v", r)
 	}
 }
@@ -260,24 +260,27 @@ func removeRangeRef(vmas []VMA, start, end pt.VPN) (out, removed []VMA) {
 
 func TestPropertyRemoveRangeMatchesReference(t *testing.T) {
 	// Random Insert/RemoveRange sequences: the spliced VMA list and the
-	// removed pieces must match the rebuild-and-sort reference exactly.
+	// removed pieces must match the rebuild-and-sort reference exactly. The
+	// pieces are appended after a sentinel to one reused slice, as callers
+	// reuse theirs.
 	type op struct {
 		Remove     bool
 		Start, Len uint8
 		Writable   bool
 		Kind       uint8
 	}
+	sentinel := VMA{Start: 1 << 20, End: 1<<20 + 1}
 	if err := quick.Check(func(ops []op) bool {
 		s := NewSpace()
-		var ref []VMA
+		var ref, dst []VMA
 		for _, o := range ops {
 			start := pt.VPN(o.Start % 128)
 			end := start + pt.VPN(o.Len%32)
 			if o.Remove {
-				removed := s.RemoveRange(start, end)
+				dst = s.RemoveRange(append(dst[:0], sentinel), start, end)
 				var want []VMA
 				ref, want = removeRangeRef(ref, start, end)
-				if !slices.Equal(removed, want) {
+				if dst[0] != sentinel || !slices.Equal(dst[1:], want) {
 					return false
 				}
 			} else if s.Insert(VMA{Start: start, End: end, Writable: o.Writable, Kind: Kind(o.Kind % 3)}) == nil {

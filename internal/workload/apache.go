@@ -74,30 +74,30 @@ func (a *Apache) spawnWorker(proc *kernel.Process, core topo.CoreID) {
 		switch step {
 		case 0: // accept + parse
 			step = 1
-			return kernel.OpCompute{D: cfg.ParseWork}
+			return kernel.Compute(cfg.ParseWork)
 		case 1: // mmap the file (demand-paged, as Apache's mmap is)
 			step = 2
-			return kernel.OpMmap{Pages: cfg.FilePages, Writable: false, Populate: false, Node: -1}
+			return kernel.Mmap(cfg.FilePages, false)
 		case 2: // read the mapped file while building the response; the
 			// first touches fault and take mmap_sem shared — which is
 			// where a sibling's munmap-held shootdown wait hurts
 			step = 3
 			if th.LastErr != nil {
 				// OOM and similar: skip to accounting, no touch.
-				return kernel.OpCompute{D: cfg.ServeWork}
+				return kernel.Compute(cfg.ServeWork)
 			}
-			return kernel.OpTouchRange{Start: th.LastAddr, Pages: cfg.FilePages}
+			return kernel.TouchRange(th.LastAddr, cfg.FilePages, false)
 		case 3: // response assembly + syscalls
 			step = 4
-			return kernel.OpCompute{D: cfg.ServeWork}
+			return kernel.Compute(cfg.ServeWork)
 		case 4: // munmap → the shootdown under test
 			step = 5
-			return kernel.OpMunmap{Addr: th.LastAddr, Pages: cfg.FilePages}
+			return kernel.Munmap(th.LastAddr, cfg.FilePages)
 		case 5: // network send, then next request
 			step = 0
 			a.requests++
 			a.k.Metrics.Inc("app.requests", 1)
-			return kernel.OpCompute{D: cfg.NetWork}
+			return kernel.Compute(cfg.NetWork)
 		default:
 			panic("unreachable")
 		}
@@ -162,13 +162,13 @@ func (n *Nginx) Setup(k *kernel.Kernel) {
 				if n.cfg.LogRecycleEvery > 0 && served%n.cfg.LogRecycleEvery == 0 {
 					step = 1
 				}
-				return kernel.OpCompute{D: n.cfg.RequestWork}
+				return kernel.Compute(n.cfg.RequestWork)
 			case 1:
 				step = 2
-				return kernel.OpMmap{Pages: n.cfg.LogPages, Writable: true, Populate: true, Node: -1}
+				return kernel.Mmap(n.cfg.LogPages, true).Populate(-1)
 			case 2:
 				step = 0
-				return kernel.OpMunmap{Addr: th.LastAddr, Pages: n.cfg.LogPages}
+				return kernel.Munmap(th.LastAddr, n.cfg.LogPages)
 			default:
 				panic("unreachable")
 			}

@@ -94,7 +94,7 @@ func (m *Memcached) Setup(k *kernel.Kernel) {
 		switch step {
 		case 0:
 			step = 1
-			return kernel.OpMmap{Pages: total, Writable: true, Populate: false, Node: -1}
+			return kernel.Mmap(total, true)
 		case 1:
 			m.arena = th.LastAddr
 			step = 2
@@ -105,7 +105,7 @@ func (m *Memcached) Setup(k *kernel.Kernel) {
 				if n > warmChunk {
 					n = warmChunk
 				}
-				op := kernel.OpTouchRange{Start: m.arena + pt.VPN(warmed), Pages: n, Write: true}
+				op := kernel.TouchRange(m.arena+pt.VPN(warmed), n, true)
 				warmed += n
 				return op
 			}
@@ -115,7 +115,7 @@ func (m *Memcached) Setup(k *kernel.Kernel) {
 			fallthrough
 		default:
 			// The loader core becomes a regular worker after the load phase.
-			return nil
+			return kernel.Op{}
 		}
 	}))
 
@@ -155,13 +155,13 @@ func (m *Memcached) spawnWorker(core topo.CoreID, id uint64) {
 			vpn = m.arena + pt.VPN(key*cfg.ValuePages)
 			write = rng.Intn(100) < cfg.SetPct
 			step = 2
-			return kernel.OpCompute{D: cfg.Think / 2}
+			return kernel.Compute(cfg.Think / 2)
 		case 2: // the value access: hot keys TLB-hit, cold keys major-fault
 			step = 3
-			return kernel.OpTouchRange{Start: vpn, Pages: cfg.ValuePages, Write: write}
+			return kernel.TouchRange(vpn, cfg.ValuePages, write)
 		case 3:
 			step = 1
-			return kernel.OpCompute{D: cfg.Think - cfg.Think/2}
+			return kernel.Compute(cfg.Think - cfg.Think/2)
 		default:
 			panic("unreachable")
 		}

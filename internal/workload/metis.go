@@ -68,12 +68,12 @@ func (w *Metis) Setup(k *kernel.Kernel) {
 
 	proc.Spawn(cfg.Cores[0], kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: inputPages, Writable: true, Populate: true, Node: 0}
+			return kernel.Mmap(inputPages, true).Populate(0)
 		},
 		func(th *kernel.Thread) kernel.Op {
 			input = th.LastAddr
 			gate.Open()
-			return nil
+			return kernel.Op{}
 		},
 	))
 
@@ -92,11 +92,11 @@ func (w *Metis) Setup(k *kernel.Kernel) {
 				return gate.Wait()
 			case 1: // allocate this mapper's intermediate table (local node)
 				step = 2
-				return kernel.OpMmap{Pages: interPages, Writable: true, Populate: true, Node: -1}
+				return kernel.Mmap(interPages, true).Populate(-1)
 			case 2:
 				w.interBase[i] = th.LastAddr
 				step = 3
-				return kernel.OpCompute{D: sim.Microsecond}
+				return kernel.Compute(sim.Microsecond)
 			case 3: // map phase: read an input chunk
 				if chunk >= cfg.ChunksPerMapper {
 					step = 6
@@ -104,48 +104,44 @@ func (w *Metis) Setup(k *kernel.Kernel) {
 				}
 				step = 4
 				off := (i*cfg.ChunksPerMapper + chunk) * cfg.ChunkPages
-				return kernel.OpTouchRange{Start: input + pt.VPN(off), Pages: cfg.ChunkPages}
+				return kernel.TouchRange(input+pt.VPN(off), cfg.ChunkPages, false)
 			case 4: // emit intermediate entries across all columns
 				step = 5
-				return kernel.OpTouchRange{Start: w.interBase[i], Pages: interPages, Write: true}
+				return kernel.TouchRange(w.interBase[i], interPages, true)
 			case 5:
 				chunk++
 				step = 3
 				w.k.Metrics.Inc("metis.chunks_mapped", 1)
-				return kernel.OpCompute{D: cfg.MapWork}
+				return kernel.Compute(cfg.MapWork)
 			case 6: // reduce phase: pass over column i of every mapper
 				if pass >= cfg.ReducePasses {
 					step = 8
 					col = 0
-					return kernel.OpCompute{D: sim.Microsecond}
+					return kernel.Compute(sim.Microsecond)
 				}
 				if col >= n {
 					col = 0
 					pass++
 					w.k.Metrics.Inc("metis.reduce_passes", 1)
-					return kernel.OpCompute{D: cfg.ReduceWork}
+					return kernel.Compute(cfg.ReduceWork)
 				}
 				step = 7
-				return kernel.OpTouchRange{
-					Start:    w.interBase[col] + pt.VPN(i*cfg.ColPages),
-					Pages:    cfg.ColPages,
-					Accesses: 32,
-				}
+				return kernel.TouchRange(w.interBase[col]+pt.VPN(i*cfg.ColPages), cfg.ColPages, false).Repeat(32)
 			case 7:
 				col++
 				step = 6
-				return kernel.OpCompute{D: cfg.ReduceWork / sim.Time(n)}
+				return kernel.Compute(cfg.ReduceWork / sim.Time(n))
 			case 8: // free the consumed columns (true cross-core sharers)
 				if col >= n {
 					w.finished++
 					if w.finished == w.total {
 						w.finishAt = w.k.Now()
 					}
-					return nil
+					return kernel.Op{}
 				}
 				addr := w.interBase[col] + pt.VPN(i*cfg.ColPages)
 				col++
-				return kernel.OpMadvise{Addr: addr, Pages: cfg.ColPages}
+				return kernel.Madvise(addr, cfg.ColPages)
 			default:
 				panic("unreachable")
 			}

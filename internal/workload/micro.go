@@ -66,10 +66,10 @@ func (m *Micro) SetupProcess(k *kernel.Kernel, p *kernel.Process) {
 		case 1:
 			if m.stop {
 				m.threadDone()
-				return nil
+				return kernel.Op{}
 			}
 			step = 2
-			return kernel.OpMmap{Pages: m.cfg.Pages, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(m.cfg.Pages, true).Populate(-1)
 		case 2:
 			m.base = th.LastAddr
 			step = 3
@@ -79,7 +79,7 @@ func (m *Micro) SetupProcess(k *kernel.Kernel, p *kernel.Process) {
 			return m.b2.Wait()
 		case 4:
 			step = 0
-			return kernel.OpMunmap{Addr: m.base, Pages: m.cfg.Pages}
+			return kernel.Munmap(m.base, m.cfg.Pages)
 		default:
 			panic("unreachable")
 		}
@@ -99,19 +99,19 @@ func (m *Micro) SetupProcess(k *kernel.Kernel, p *kernel.Process) {
 			case 1:
 				if m.stop {
 					m.threadDone()
-					return nil
+					return kernel.Op{}
 				}
 				step = 2
 				return m.b1.Wait()
 			case 2:
 				step = 3
-				return kernel.OpTouchRange{Start: m.base, Pages: m.cfg.Pages}
+				return kernel.TouchRange(m.base, m.cfg.Pages, false)
 			case 3:
 				step = 4
 				return m.b2.Wait()
 			case 4:
 				step = 0
-				return kernel.OpCompute{D: spinWork}
+				return kernel.Compute(spinWork)
 			default:
 				panic("unreachable")
 			}

@@ -128,11 +128,11 @@ func (w *Parsec) spawnThread(proc *kernel.Process, core topo.CoreID) {
 		switch step {
 		case 0: // allocate the working set
 			step = 1
-			return kernel.OpMmap{Pages: bufPages, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(bufPages, true).Populate(-1)
 		case 1:
 			buf = th.LastAddr
 			step = 2
-			return kernel.OpCompute{D: pr.OpWork}
+			return kernel.Compute(pr.OpWork)
 		case 2: // touch a sliding window of the working set
 			ops++
 			start := buf + pt.VPN(cursor%max(1, bufPages-pr.TouchPages))
@@ -147,26 +147,26 @@ func (w *Parsec) spawnThread(proc *kernel.Process, core topo.CoreID) {
 			default:
 				step = 1
 			}
-			return kernel.OpTouchRange{Start: start, Pages: pr.TouchPages, Write: true}
+			return kernel.TouchRange(start, pr.TouchPages, true)
 		case 3: // free part of the working set
 			if pr.UseMadvise {
 				step = 1
-				return kernel.OpMadvise{Addr: buf, Pages: pr.FreePages}
+				return kernel.Madvise(buf, pr.FreePages)
 			}
 			step = 4
-			return kernel.OpMunmap{Addr: buf, Pages: bufPages}
+			return kernel.Munmap(buf, bufPages)
 		case 4: // vips-style full buffer recycle
 			step = 1
-			return kernel.OpMmap{Pages: bufPages, Writable: true, Populate: true, Node: -1}
+			return kernel.Mmap(bufPages, true).Populate(-1)
 		case 5: // condvar/lock wait (context-switch driver)
 			step = 1
-			return kernel.OpSleep{D: pr.SleepDur}
+			return kernel.Sleep(pr.SleepDur)
 		case 6:
 			w.finished++
 			if w.finished == w.total {
 				w.finishAt = w.k.Now()
 			}
-			return nil
+			return kernel.Op{}
 		default:
 			panic("unreachable")
 		}

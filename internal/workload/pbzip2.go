@@ -62,12 +62,12 @@ func (w *PBZIP2) Setup(k *kernel.Kernel) {
 
 	proc.Spawn(cfg.Cores[0], kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.OpMmap{Pages: cfg.Blocks * cfg.BlockPages, Writable: true, Populate: true, Node: 0}
+			return kernel.Mmap(cfg.Blocks*cfg.BlockPages, true).Populate(0)
 		},
 		func(th *kernel.Thread) kernel.Op {
 			input = th.LastAddr
 			gate.Open()
-			return nil
+			return kernel.Op{}
 		},
 	))
 
@@ -87,29 +87,25 @@ func (w *PBZIP2) Setup(k *kernel.Kernel) {
 						w.finishAt = w.k.Now()
 						w.done = true
 					}
-					return nil
+					return kernel.Op{}
 				}
 				block = w.nextBlock
 				w.nextBlock++
 				step = 2
-				return kernel.OpTouchRange{
-					Start:    input + pt.VPN(block*cfg.BlockPages),
-					Pages:    cfg.BlockPages,
-					Accesses: 32,
-				}
+				return kernel.TouchRange(input+pt.VPN(block*cfg.BlockPages), cfg.BlockPages, false).Repeat(32)
 			case 2: // compress
 				step = 3
-				return kernel.OpCompute{D: cfg.CompressWork}
+				return kernel.Compute(cfg.CompressWork)
 			case 3: // allocate the output buffer
 				step = 4
-				return kernel.OpMmap{Pages: cfg.OutPages, Writable: true, Populate: true, Node: -1}
+				return kernel.Mmap(cfg.OutPages, true).Populate(-1)
 			case 4: // write compressed data
 				step = 5
-				return kernel.OpTouchRange{Start: th.LastAddr, Pages: cfg.OutPages, Write: true}
+				return kernel.TouchRange(th.LastAddr, cfg.OutPages, true)
 			case 5: // hand off and free the buffer
 				step = 1
 				w.k.Metrics.Inc("pbzip2.blocks", 1)
-				return kernel.OpMunmap{Addr: th.LastAddr, Pages: cfg.OutPages}
+				return kernel.Munmap(th.LastAddr, cfg.OutPages)
 			default:
 				panic("unreachable")
 			}

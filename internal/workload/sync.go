@@ -31,7 +31,7 @@ func NewBarrier(k *kernel.Kernel, n int) *Barrier {
 // Wait returns an Op that blocks the calling thread until all participants
 // arrive.
 func (b *Barrier) Wait() kernel.Op {
-	return kernel.OpCall{Fn: func(c *kernel.Core, th *kernel.Thread, done func()) {
+	return kernel.Call(func(c *kernel.Core, th *kernel.Thread, done func()) {
 		b.arrived++
 		if b.arrived == b.n {
 			b.arrived = 0
@@ -46,7 +46,7 @@ func (b *Barrier) Wait() kernel.Op {
 		}
 		b.waiting = append(b.waiting, th)
 		c.Block(th, done)
-	}}
+	})
 }
 
 // Gate is a simple one-shot latch: threads wait until Open is called.
@@ -61,14 +61,14 @@ func NewGate(k *kernel.Kernel) *Gate { return &Gate{k: k} }
 
 // Wait returns an Op that blocks until the gate opens.
 func (g *Gate) Wait() kernel.Op {
-	return kernel.OpCall{Fn: func(c *kernel.Core, th *kernel.Thread, done func()) {
+	return kernel.Call(func(c *kernel.Core, th *kernel.Thread, done func()) {
 		if g.open {
 			done()
 			return
 		}
 		g.waiting = append(g.waiting, th)
 		c.Block(th, done)
-	}}
+	})
 }
 
 // Open releases all current and future waiters.

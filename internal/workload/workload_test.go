@@ -32,9 +32,9 @@ func TestBarrier(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		delay := sim.Time(i+1) * 10 * sim.Microsecond
 		p.Spawn(topo.CoreID(i), kernel.Script(
-			func(*kernel.Thread) kernel.Op { return kernel.OpSleep{D: delay} },
+			func(*kernel.Thread) kernel.Op { return kernel.Sleep(delay) },
 			func(*kernel.Thread) kernel.Op { return b.Wait() },
-			func(*kernel.Thread) kernel.Op { order = append(order, k.Now()); return nil },
+			func(*kernel.Thread) kernel.Op { order = append(order, k.Now()); return kernel.Op{} },
 		))
 	}
 	k.Run(sim.Millisecond)
@@ -59,7 +59,7 @@ func TestBarrierReusable(t *testing.T) {
 		n := 0
 		p.Spawn(topo.CoreID(i), kernel.Loop(func(*kernel.Thread) kernel.Op {
 			if n >= 5 {
-				return nil
+				return kernel.Op{}
 			}
 			n++
 			counts[i]++
@@ -82,7 +82,7 @@ func TestGate(t *testing.T) {
 	passed := false
 	p.Spawn(0, kernel.Script(
 		func(*kernel.Thread) kernel.Op { return g.Wait() },
-		func(*kernel.Thread) kernel.Op { passed = true; return nil },
+		func(*kernel.Thread) kernel.Op { passed = true; return kernel.Op{} },
 	))
 	k.Run(100 * sim.Microsecond)
 	if passed {
@@ -97,7 +97,7 @@ func TestGate(t *testing.T) {
 	late := false
 	p.Spawn(1, kernel.Script(
 		func(*kernel.Thread) kernel.Op { return g.Wait() },
-		func(*kernel.Thread) kernel.Op { late = true; return nil },
+		func(*kernel.Thread) kernel.Op { late = true; return kernel.Op{} },
 	))
 	k.Run(400 * sim.Microsecond)
 	if !late {

@@ -18,15 +18,15 @@ func TestQuickstartFlow(t *testing.T) {
 	done := false
 	p.Spawn(0, latr.Script(
 		func(th *latr.Thread) latr.Op {
-			return latr.OpMmap{Pages: 4, Writable: true, Populate: true, Node: -1}
+			return latr.Mmap(4, true).Populate(-1)
 		},
 		func(th *latr.Thread) latr.Op {
 			if th.LastErr != nil {
 				t.Fatalf("mmap: %v", th.LastErr)
 			}
-			return latr.OpMunmap{Addr: th.LastAddr, Pages: 4}
+			return latr.Munmap(th.LastAddr, 4)
 		},
-		func(th *latr.Thread) latr.Op { done = true; return nil },
+		func(th *latr.Thread) latr.Op { done = true; return latr.Op{} },
 	))
 	sys.Run(10 * latr.Millisecond)
 	if !done {
@@ -70,18 +70,18 @@ func TestTunablesThroughConfig(t *testing.T) {
 		sys := latr.NewSystem(latr.Config{Policy: latr.PolicyLATR, Tunables: tun})
 		p := sys.NewProcess()
 		for c := latr.CoreID(1); c <= 3; c++ {
-			p.Spawn(c, latr.Script(func(*latr.Thread) latr.Op { return latr.OpCompute{D: 20 * latr.Millisecond} }))
+			p.Spawn(c, latr.Script(func(*latr.Thread) latr.Op { return latr.Compute(20 * latr.Millisecond) }))
 		}
 		n := 0
 		p.Spawn(0, latr.Loop(func(th *latr.Thread) latr.Op {
 			if n >= 40 {
-				return nil
+				return latr.Op{}
 			}
 			n++
 			if n%2 == 1 {
-				return latr.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+				return latr.Mmap(1, true).Populate(-1)
 			}
-			return latr.OpMunmap{Addr: th.LastAddr, Pages: 1}
+			return latr.Munmap(th.LastAddr, 1)
 		}))
 		sys.Run(5 * latr.Millisecond)
 		return sys.Metrics().Counter("latr.fallback_ipi")
@@ -171,9 +171,9 @@ func TestPtreplThroughPublicAPI(t *testing.T) {
 	p := sys.NewProcess()
 	p.Spawn(0, latr.Script(
 		func(th *latr.Thread) latr.Op {
-			return latr.OpMmap{Pages: 4, Writable: true, Populate: true, Node: -1}
+			return latr.Mmap(4, true).Populate(-1)
 		},
-		func(th *latr.Thread) latr.Op { return latr.OpMunmap{Addr: th.LastAddr, Pages: 4} },
+		func(th *latr.Thread) latr.Op { return latr.Munmap(th.LastAddr, 4) },
 	))
 	sys.Run(10 * latr.Millisecond)
 	if sys.Metrics().Counter("ptrepl.replicas_created") == 0 {
@@ -279,9 +279,9 @@ func TestTracingThroughConfig(t *testing.T) {
 	p := sys.NewProcess()
 	p.Spawn(0, latr.Script(
 		func(th *latr.Thread) latr.Op {
-			return latr.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+			return latr.Mmap(1, true).Populate(-1)
 		},
-		func(th *latr.Thread) latr.Op { return latr.OpMunmap{Addr: th.LastAddr, Pages: 1} },
+		func(th *latr.Thread) latr.Op { return latr.Munmap(th.LastAddr, 1) },
 	))
 	sys.Run(5 * latr.Millisecond)
 	if sys.Trace() == nil {

@@ -21,15 +21,15 @@ func runSpanWorkload(t *testing.T, policy latr.PolicyKind) *latr.System {
 	for c := 0; c < 4; c++ {
 		p.Spawn(latr.CoreID(c), latr.Script(
 			func(th *latr.Thread) latr.Op {
-				return latr.OpMmap{Pages: 2, Writable: true, Populate: true, Node: -1}
+				return latr.Mmap(2, true).Populate(-1)
 			},
 			func(th *latr.Thread) latr.Op {
 				if th.LastErr != nil {
 					t.Fatalf("mmap: %v", th.LastErr)
 				}
-				return latr.OpMunmap{Addr: th.LastAddr, Pages: 2}
+				return latr.Munmap(th.LastAddr, 2)
 			},
-			func(th *latr.Thread) latr.Op { return nil },
+			func(th *latr.Thread) latr.Op { return latr.Op{} },
 		))
 	}
 	sys.Run(20 * latr.Millisecond)
@@ -71,10 +71,10 @@ func TestSpanLimitZeroRetainsNothing(t *testing.T) {
 	p := sys.NewProcess()
 	p.Spawn(0, latr.Script(
 		func(th *latr.Thread) latr.Op {
-			return latr.OpMmap{Pages: 1, Writable: true, Populate: true, Node: -1}
+			return latr.Mmap(1, true).Populate(-1)
 		},
-		func(th *latr.Thread) latr.Op { return latr.OpMunmap{Addr: th.LastAddr, Pages: 1} },
-		func(th *latr.Thread) latr.Op { return nil },
+		func(th *latr.Thread) latr.Op { return latr.Munmap(th.LastAddr, 1) },
+		func(th *latr.Thread) latr.Op { return latr.Op{} },
 	))
 	sys.Run(5 * latr.Millisecond)
 	if n := len(sys.Spans().Retained()); n != 0 {
