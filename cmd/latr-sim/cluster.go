@@ -26,7 +26,6 @@ type clusterFlags struct {
 	hedge    latr.Time
 	seed     uint64
 	parallel int
-	dump     bool
 }
 
 // clusterCell is one fleet configuration in the sweep.
@@ -106,9 +105,6 @@ func runCluster(stdout, stderr io.Writer, f clusterFlags) int {
 			r.Offered, r.Completed, r.Failed, r.Rejected, r.Retries, r.Hedges, r.Timeouts, r.Shed,
 			r.GoodputPerSec, r.Latency.P50(), r.Latency.P99(), r.Violations, r.Digest)
 		violations += r.Violations
-		if f.dump {
-			fmt.Fprintf(stdout, "latency %v\n", r.Latency)
-		}
 	}
 	fmt.Fprintf(stdout, "cluster: %d cells, %d violation(s)\n", len(cells), violations)
 	if violations > 0 {

@@ -44,6 +44,8 @@ func TestBadInputIsAnError(t *testing.T) {
 		{[]string{"-workload", "micro", "-iters", "0"}, "iters 0", 1},
 		{[]string{"-remote", "-cores", "16"}, "16 workers", 1},
 		{[]string{"-cluster", "-cluster-machine", "2x2"}, "2x2", 1},
+		{[]string{"-cluster", "-check"}, "-check", 1},
+		{[]string{"-matrix", "-audit"}, "-audit", 1},
 		{[]string{"-tune-cf", "QueueDepth"}, "QueueDepth", 2},
 		{[]string{"-tune-cf", "QueueDepth=many"}, "many", 2},
 		{[]string{"-tune-cf", "QueueDepth=4", "-tune-cell", "churn"}, "churn", 2},
@@ -71,6 +73,18 @@ func TestSingleRun(t *testing.T) {
 	}
 	if !strings.HasPrefix(stdout, "machine=2-socket-16-core policy=latr workload=micro ") {
 		t.Errorf("stdout = %q", stdout)
+	}
+}
+
+// TestRemoteAudit checks that -audit reaches the -remote run: the auditor
+// runs and its verdict is printed.
+func TestRemoteAudit(t *testing.T) {
+	code, stdout, stderr := runCmd(t, "-remote", "-policy", "linux", "-machine", "2x8", "-duration", "150ms", "-audit", "-dump=false")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if !strings.HasSuffix(stdout, "audit: no coherence violations\n") {
+		t.Errorf("no audit verdict at the end of stdout:\n%s", stdout)
 	}
 }
 
