@@ -131,6 +131,24 @@ func run(stdout, stderr io.Writer, args []string) int {
 		return 2
 	}
 
+	// Only the single run injects faults; every other mode would drop the
+	// chaos flags without a word.
+	chaosFlag := ""
+	fs.Visit(func(f *flag.Flag) {
+		if chaosFlag == "" && (f.Name == "chaos-profile" || f.Name == "chaos-seed") {
+			chaosFlag = "-" + f.Name
+		}
+	})
+	for _, m := range []struct {
+		on   bool
+		name string
+	}{{*tuneCf != "", "-tune-cf"}, {*litmusOn, "-litmus (use -litmus-chaos)"}, {*clusterOn, "-cluster"}, {*remoteOn, "-remote"}, {*matrix, "-matrix"}} {
+		if m.on && chaosFlag != "" {
+			fmt.Fprintf(stderr, "latr-sim: %s is not supported with %s\n", chaosFlag, m.name)
+			return 1
+		}
+	}
+
 	if *tuneCf != "" {
 		return runCounterfactual(stdout, stderr, *tuneCf, *tuneCell, *quick, *seed)
 	}

@@ -46,6 +46,11 @@ func TestBadInputIsAnError(t *testing.T) {
 		{[]string{"-cluster", "-cluster-machine", "2x2"}, "2x2", 1},
 		{[]string{"-cluster", "-check"}, "-check", 1},
 		{[]string{"-matrix", "-audit"}, "-audit", 1},
+		{[]string{"-remote", "-chaos-profile", "unsafe-reclaim"}, "-chaos-profile", 1},
+		{[]string{"-matrix", "-chaos-profile", "tick-drop"}, "-chaos-profile", 1},
+		{[]string{"-cluster", "-chaos-seed", "7"}, "-chaos-seed", 1},
+		{[]string{"-litmus", "-chaos-profile", "jitter"}, "-chaos-profile", 1},
+		{[]string{"-tune-cf", "QueueDepth=4", "-chaos-profile", "jitter"}, "-chaos-profile", 1},
 		{[]string{"-tune-cf", "QueueDepth"}, "QueueDepth", 2},
 		{[]string{"-tune-cf", "QueueDepth=many"}, "many", 2},
 		{[]string{"-tune-cf", "QueueDepth=4", "-tune-cell", "churn"}, "churn", 2},

@@ -47,6 +47,8 @@ func (b *batching) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 	// pages=0 → full flush on the targets: one IPI burst covers the batch.
 	b.k.Shootdown(c, u.MM, 0, 0, b.k.ShootdownTargets(c, u.MM), func() {
 		for _, bu := range batch {
+			// ReleaseFrames takes the frame list back for reuse: bu.Frames
+			// is not read after this.
 			b.k.ReleaseFrames(bu.Frames)
 			if !bu.KeepVMA {
 				b.k.ReleaseVA(bu.MM, bu.Start, bu.Pages)

@@ -100,6 +100,27 @@ type Policy struct {
 	sweepScratch []*State
 
 	reclaim []reclaimEntry
+	// unmaps[core] is that core's munmap record, made on its first munmap.
+	unmaps []*unmapRecord
+	// reclaimFn and auditFn are the two background passes, bound once in
+	// Attach: every pass reschedules itself.
+	reclaimFn, auditFn func(sim.Time)
+}
+
+// unmapRecord is a core's LATR munmap from Munmap to done: the lazy
+// path's state save, or the fallback's IPIs and free, with their
+// continuations bound once. The core is busy or spinning for all of that
+// time, so one record per core serves every munmap it initiates.
+type unmapRecord struct {
+	p    *Policy
+	c    *kernel.Core
+	u    kernel.Unmap
+	st   *State   // the lazy path's state (nil with no remote cores)
+	t0   sim.Time // when the state save or the fallback began
+	done func()
+	// savedFn ends the lazy path's save; shotFn and freedFn follow the
+	// fallback's last ACK and its free.
+	savedFn, shotFn, freedFn func()
 }
 
 type reclaimEntry struct {
@@ -128,9 +149,11 @@ func (p *Policy) Attach(k *kernel.Kernel) {
 	n := k.Spec.NumCores()
 	p.queues = make([][]State, n)
 	p.activeCount = make([]int, n)
-	k.Engine.At(p.tun.ReclaimPeriod/2, p.reclaimPass)
+	p.reclaimFn = p.reclaimPass
+	k.Engine.At(p.tun.ReclaimPeriod/2, p.reclaimFn)
 	if k.Audit != nil {
-		k.Engine.At(p.tun.ReclaimPeriod, p.auditPass)
+		p.auditFn = p.auditPass
+		k.Engine.At(p.tun.ReclaimPeriod, p.auditFn)
 	}
 }
 
@@ -210,7 +233,8 @@ func (p *Policy) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 			// targets' interrupt handlers, never on sweeps, ticks, or the
 			// reclaim thread, so no cycle back into the saturated queue can
 			// form (chaos may stretch the wait, not wedge it).
-			t0 := k.Now()
+			r := p.unmapRecord(c)
+			r.u, r.t0, r.done = u, k.Now(), done
 			k.Metrics.GaugeAdd("latr.fallback_inflight", 1)
 			// A second target computation (mask was the first): it counts
 			// shootdown.lazy_skipped and flushes skipped idle cores again,
@@ -218,13 +242,7 @@ func (p *Policy) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 			// out: an empty ForceSync target set still pays the setup.
 			targets := k.ShootdownTargets(c, u.MM)
 			k.Metrics.Inc("shootdown.initiated", 1)
-			k.SendShootdownIPIs(c, u.MM, u.Start, u.Pages, targets, func() {
-				k.FreeUnmapped(c, u, func() {
-					k.Metrics.GaugeAdd("latr.fallback_inflight", -1)
-					k.Metrics.Observe("latr.fallback_latency", k.Now()-t0)
-					done()
-				})
-			})
+			k.SendShootdownIPIs(c, u.MM, u.Start, u.Pages, targets, r.shotFn)
 			return
 		}
 		k.Metrics.Inc("shootdown.initiated", 1)
@@ -238,26 +256,63 @@ func (p *Policy) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 		u.Span.Retain()
 	}
 	u.Span.Retain()
-	tS := k.Now()
-	saveCost := k.Cost.LATRStateSave + sim.Time(u.Pages)*k.Cost.LATRLazyPerPage
-	c.Busy(saveCost, false, func() {
-		k.Metrics.Observe("latr.state_save", k.Cost.LATRStateSave)
-		// Lazy reclamation (§4.2): VA and frames leave circulation but are
-		// not freed yet.
-		if !u.KeepVMA {
-			u.MM.Space.MarkLazy(u.Pages)
-		}
-		k.Metrics.GaugeAdd("latr.lazy_frames", int64(len(u.Frames)))
-		k.Metrics.GaugeAdd("latr.lazy_bytes", int64(u.Pages)*4096)
-		p.reclaim = append(p.reclaim, reclaimEntry{
-			u:         u,
-			state:     st,
-			deadline:  k.Now() + p.tun.ReclaimDelay,
-			initiator: c,
-		})
-		u.Span.MarkLazy(obs.PhaseSend, c.ID, tS, k.Now()-tS)
-		done()
+	r := p.unmapRecord(c)
+	r.u, r.st, r.t0, r.done = u, st, k.Now(), done
+	c.Busy(k.Cost.LATRStateSave+sim.Time(u.Pages)*k.Cost.LATRLazyPerPage, false, r.savedFn)
+}
+
+// unmapRecord returns c's munmap record.
+func (p *Policy) unmapRecord(c *kernel.Core) *unmapRecord {
+	if p.unmaps == nil {
+		p.unmaps = make([]*unmapRecord, len(p.k.Cores))
+	}
+	r := p.unmaps[c.ID]
+	if r == nil {
+		r = &unmapRecord{p: p, c: c}
+		r.savedFn, r.shotFn, r.freedFn = r.saved, r.shot, r.freed
+		p.unmaps[c.ID] = r
+	}
+	return r
+}
+
+// saved ends the lazy path's state save: the unmap's memory goes on the
+// lazy lists and the initiator continues.
+func (r *unmapRecord) saved() {
+	p, k, c := r.p, r.p.k, r.c
+	u, st, tS, done := r.u, r.st, r.t0, r.done
+	r.u, r.st, r.done = kernel.Unmap{}, nil, nil
+	k.Metrics.Observe("latr.state_save", k.Cost.LATRStateSave)
+	// Lazy reclamation (§4.2): VA and frames leave circulation but are
+	// not freed yet.
+	if !u.KeepVMA {
+		u.MM.Space.MarkLazy(u.Pages)
+	}
+	k.Metrics.GaugeAdd("latr.lazy_frames", int64(len(u.Frames)))
+	k.Metrics.GaugeAdd("latr.lazy_bytes", int64(u.Pages)*4096)
+	p.reclaim = append(p.reclaim, reclaimEntry{
+		u:         u,
+		state:     st,
+		deadline:  k.Now() + p.tun.ReclaimDelay,
+		initiator: c,
 	})
+	u.Span.MarkLazy(obs.PhaseSend, c.ID, tS, k.Now()-tS)
+	done()
+}
+
+// shot follows the fallback's last ACK: the synchronous free.
+func (r *unmapRecord) shot() {
+	u := r.u
+	r.u = kernel.Unmap{}
+	r.p.k.FreeUnmapped(r.c, u, r.freedFn)
+}
+
+// freed ends the fallback once its free is done.
+func (r *unmapRecord) freed() {
+	k, done := r.p.k, r.done
+	r.done = nil
+	k.Metrics.GaugeAdd("latr.fallback_inflight", -1)
+	k.Metrics.Observe("latr.fallback_latency", k.Now()-r.t0)
+	done()
 }
 
 // SyncChange implements kernel.Policy: permission/remap changes cannot be
@@ -516,11 +571,11 @@ func (p *Policy) reclaimPass(now sim.Time) {
 			// running promptly, only on it running after the delay.
 			k.Metrics.Inc("chaos.reclaim_stalled", 1)
 			k.Metrics.Observe("chaos.reclaim_stall", d)
-			k.Engine.At(now+d, p.reclaimPass)
+			k.Engine.At(now+d, p.reclaimFn)
 			return
 		}
 	}
-	defer k.Engine.At(now+p.tun.ReclaimPeriod, p.reclaimPass)
+	defer k.Engine.At(now+p.tun.ReclaimPeriod, p.reclaimFn)
 
 	keep := p.reclaim[:0]
 	var freed int
@@ -554,11 +609,11 @@ func (p *Policy) reclaimPass(now sim.Time) {
 		// States with no remote participants never sweep, so their parked
 		// replica invalidations drain here, at the frame-free boundary.
 		k.ReplComplete(e.u.MM, e.u.Start, e.u.Pages)
+		k.Metrics.GaugeAdd("latr.lazy_frames", -int64(len(e.u.Frames)))
 		k.ReleaseFrames(e.u.Frames)
 		if !e.u.KeepVMA {
 			e.u.MM.Space.ReleaseLazy(e.u.Start, e.u.Pages)
 		}
-		k.Metrics.GaugeAdd("latr.lazy_frames", -int64(len(e.u.Frames)))
 		k.Metrics.GaugeAdd("latr.lazy_bytes", -int64(e.u.Pages)*4096)
 		k.Metrics.Inc("latr.reclaimed", 1)
 		e.u.Span.MarkLazy(obs.PhaseReclaim, e.initiator.ID, now, k.Cost.LATRReclaimPerEntry)
@@ -582,7 +637,7 @@ func (p *Policy) reclaimPass(now sim.Time) {
 // with its first-occurrence time and then counts occurrences.
 func (p *Policy) auditPass(now sim.Time) {
 	k := p.k
-	defer k.Engine.At(now+p.tun.ReclaimPeriod, p.auditPass)
+	defer k.Engine.At(now+p.tun.ReclaimPeriod, p.auditFn)
 	for coreIdx := range p.queues {
 		if p.activeCount[coreIdx] == 0 {
 			continue

@@ -102,6 +102,10 @@ type Kernel struct {
 	repl     ReplHandler
 
 	liveThreads int
+
+	// frameLists is the free list of unmap frame lists: ReleaseFrames
+	// takes lists back and munmapGrant reuses them (see frameList).
+	frameLists [][]FrameRef
 }
 
 // New builds a kernel for the given machine with the given coherence

@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"latr/internal/cost"
@@ -264,6 +266,49 @@ func TestSendShootdownIPIs(t *testing.T) {
 	}
 	if k.Metrics.Counter("ipi.handled") != 2 {
 		t.Fatalf("handled = %d", k.Metrics.Counter("ipi.handled"))
+	}
+}
+
+// TestShootdownRecordsReusedAndExclusive checks a core's shootdown
+// records: a second IPI round or synchronous free after the first has
+// finished reuses the first's record, and starting one while another is
+// in flight panics.
+func TestShootdownRecordsReusedAndExclusive(t *testing.T) {
+	for _, tc := range []struct {
+		name, panics string
+		start        func(k *Kernel, mm *MM)
+	}{
+		{"ipi-round", "IPI round while one is in flight", func(k *Kernel, mm *MM) {
+			k.SendShootdownIPIs(k.Cores[0], mm, 100, 1, topo.MaskOf(1, 2), func() {})
+		}},
+		{"free", "unmap while one is in flight", func(k *Kernel, mm *MM) {
+			k.FreeUnmapped(k.Cores[0], Unmap{MM: mm, KeepVMA: true}, func() {})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := testKernel()
+			mm := k.NewProcess().MM
+			c := k.Cores[0]
+			var ipi *ipiRound
+			var unmap *syncUnmap
+			for i := 0; i < 2; i++ {
+				tc.start(k, mm)
+				k.Run(k.Now() + sim.Millisecond)
+				if i == 0 {
+					ipi, unmap = c.ipi, c.unmap
+				}
+			}
+			if c.ipi != ipi || c.unmap != unmap {
+				t.Error("the second run did not reuse the first's record")
+			}
+			tc.start(k, mm)
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), tc.panics) {
+					t.Errorf("starting a second while one is in flight: recovered %v, want a panic naming %q", r, tc.panics)
+				}
+			}()
+			tc.start(k, mm)
+		})
 	}
 }
 

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"fmt"
+
 	"latr/internal/mem"
 	"latr/internal/obs"
 	"latr/internal/pt"
@@ -101,6 +103,10 @@ type Attacher interface {
 // them reusable. Under invariant checking this is the moment the shadow
 // tracker must show no residual TLB entries if the frame refcount reaches
 // zero and gets reallocated.
+//
+// The caller gives the slice up: the kernel keeps small lists on a free
+// list and hands their backing arrays to later unmaps, so neither frames
+// nor any Unmap holding it may be read afterwards.
 func (k *Kernel) ReleaseFrames(frames []FrameRef) {
 	for _, f := range frames {
 		if f.vm != nil {
@@ -109,6 +115,34 @@ func (k *Kernel) ReleaseFrames(frames []FrameRef) {
 		}
 		k.Alloc.Put(f.PFN)
 	}
+	if n := cap(frames); n > 0 && n <= maxPooledFrames && len(k.frameLists) < maxPooledFrameLists {
+		clear(frames)
+		k.frameLists = append(k.frameLists, frames[:0])
+	}
+}
+
+// maxPooledFrameLists and maxPooledFrames cap the frame-list free list:
+// at most that many lists, each with room for at most that many frames,
+// so a burst of unmaps cannot pin memory once it is over.
+const (
+	maxPooledFrameLists = 1024
+	maxPooledFrames     = 64
+)
+
+// frameList returns an empty frame list with room for n frames: the
+// newest list ReleaseFrames took back when it is big enough, otherwise a
+// new one. A list too small is dropped, so the free list converges on the
+// sizes a run unmaps.
+func (k *Kernel) frameList(n int) []FrameRef {
+	if i := len(k.frameLists) - 1; i >= 0 && n <= maxPooledFrames {
+		l := k.frameLists[i]
+		k.frameLists[i] = nil
+		k.frameLists = k.frameLists[:i]
+		if cap(l) >= n {
+			return l
+		}
+	}
+	return make([]FrameRef, 0, n)
 }
 
 // ReleaseVA returns an unmapped VA range to the address-space allocator
@@ -158,21 +192,69 @@ func (k *Kernel) Shootdown(c *Core, mm *MM, start pt.VPN, pages int, targets top
 	k.SendShootdownIPIs(c, mm, start, pages, targets, done)
 }
 
+// ShootdownAndFree is a synchronous policy's munmap after it has chosen
+// the targets: Shootdown of u's range to targets, then FreeUnmapped, then
+// done.
+func (k *Kernel) ShootdownAndFree(c *Core, u Unmap, targets topo.CoreMask, done func()) {
+	r := c.unmapRecord(u, done)
+	k.Shootdown(c, u.MM, u.Start, u.Pages, targets, r.freeFn)
+}
+
 // FreeUnmapped is the free that ends a synchronous unmap once no remote
 // TLB caches the range: it charges FreePerPage per frame on c, marks the
 // reclaim phase, drains replica invalidations parked for the range,
 // releases the frames and (unless KeepVMA) the VA range, then runs done.
 func (k *Kernel) FreeUnmapped(c *Core, u Unmap, done func()) {
-	freeCost := sim.Time(len(u.Frames)) * k.Cost.FreePerPage
-	u.Span.Mark(obs.PhaseReclaim, c.ID, k.Now(), freeCost)
-	c.busy(freeCost, false, func() {
-		k.ReplComplete(u.MM, u.Start, u.Pages)
-		k.ReleaseFrames(u.Frames)
-		if !u.KeepVMA {
-			k.ReleaseVA(u.MM, u.Start, u.Pages)
-		}
-		done()
-	})
+	c.unmapRecord(u, done).free()
+}
+
+// syncUnmap is a core's synchronous unmap from its shootdown (under
+// ShootdownAndFree) to the end of its free: the Unmap and done, with the
+// two continuations bound once. The core is busy or spinning for all of
+// that time, so it has one unmap in flight at most, and one record, made
+// on its first, serves them all.
+type syncUnmap struct {
+	c         *Core
+	u         Unmap
+	done      func() // nil when no unmap is in flight
+	freeFn    func() // r.free: the shootdown's continuation
+	releaseFn func() // r.release: the free segment's continuation
+}
+
+// unmapRecord returns c's synchronous-unmap record holding u and done.
+// Starting an unmap while one is in flight is a bug and panics.
+func (c *Core) unmapRecord(u Unmap, done func()) *syncUnmap {
+	r := c.unmap
+	if r == nil {
+		r = &syncUnmap{c: c}
+		r.freeFn, r.releaseFn = r.free, r.release
+		c.unmap = r
+	}
+	if r.done != nil {
+		panic(fmt.Sprintf("kernel: core %d started an unmap while one is in flight", c.ID))
+	}
+	r.u, r.done = u, done
+	return r
+}
+
+// free charges and marks the free, then releases at the segment's end.
+func (r *syncUnmap) free() {
+	k := r.c.k
+	freeCost := sim.Time(len(r.u.Frames)) * k.Cost.FreePerPage
+	r.u.Span.Mark(obs.PhaseReclaim, r.c.ID, k.Now(), freeCost)
+	r.c.busy(freeCost, false, r.releaseFn)
+}
+
+// release returns the range's frames and VA and runs done.
+func (r *syncUnmap) release() {
+	k, u, done := r.c.k, r.u, r.done
+	r.u, r.done = Unmap{}, nil
+	k.ReplComplete(u.MM, u.Start, u.Pages)
+	k.ReleaseFrames(u.Frames)
+	if !u.KeepVMA {
+		k.ReleaseVA(u.MM, u.Start, u.Pages)
+	}
+	done()
 }
 
 // MarkNUMAHints is the synchronous AutoNUMA prologue (change_prot_numa):
@@ -202,7 +284,7 @@ func (k *Kernel) MarkNUMAHints(c *Core, mm *MM, start pt.VPN, pages int) sim.Tim
 func (k *Kernel) SendShootdownIPIs(c *Core, mm *MM, start pt.VPN, pages int, targets topo.CoreMask, done func()) {
 	m := &k.Cost
 	if targets.Empty() {
-		k.sendIPIs(c, c.Span(), targets, m.IPISendBase, 0, nil, false, done)
+		k.sendIPIs(c, c.Span(), targets, m.IPISendBase, 0, ipiHandler{}, done)
 		return
 	}
 	n := targets.Count()
@@ -217,8 +299,8 @@ func (k *Kernel) SendShootdownIPIs(c *Core, mm *MM, start pt.VPN, pages int, tar
 		perTarget = m.VMExitIPIInject
 		k.Metrics.Inc("virt.vm_exits", uint64(1+n))
 	}
-	handle := func(t *Core) sim.Time { return k.shootdownHandler(t, mm, start, pages) }
-	work := k.sendIPIs(c, c.Span(), targets, sendCost, perTarget, handle, true, done)
+	h := ipiHandler{kind: ipiShootdown, mm: mm, start: start, pages: pages}
+	work := k.sendIPIs(c, c.Span(), targets, sendCost, perTarget, h, done)
 	// Table 5's "single TLB shootdown in Linux" is the initiator-side work
 	// (flush-info setup + serialized APIC sends), excluding the ACK wait.
 	k.Metrics.Observe("shootdown.initiator_work", work)
@@ -267,14 +349,14 @@ func (k *Kernel) shootdownHandler(t *Core, mm *MM, start pt.VPN, pages int) sim.
 // bare-metal shootdowns and the hypervisor's quiesce. c is busy for
 // sendCost plus one APIC send (by hop count, plus perTarget) per target,
 // then spins. Each IPI lands after its delivery latency and any chaos
-// delay, runs handle on the target in interrupt context (queued behind an
+// delay, runs h on the target in interrupt context (queued behind an
 // IRQ-off segment) and ACKs when the handler's time has passed. At the
-// last ACK done runs; a guest or bare-metal shootdown (shootdown set)
-// also records the spin time as shootdown.ack_wait. With no targets c is
-// only busy for sendCost. It marks the send, invalidate and ACK phases on
-// sp and returns the send time.
+// last ACK done runs; a guest or bare-metal shootdown (h.kind
+// ipiShootdown) also records the spin time as shootdown.ack_wait. With no
+// targets c is only busy for sendCost. It marks the send, invalidate and
+// ACK phases on sp and returns the send time.
 func (k *Kernel) sendIPIs(c *Core, sp *obs.Span, targets topo.CoreMask, sendCost, perTarget sim.Time,
-	handle func(t *Core) sim.Time, shootdown bool, done func()) sim.Time {
+	h ipiHandler, done func()) sim.Time {
 	m := &k.Cost
 	if targets.Empty() {
 		sp.Mark(obs.PhaseSend, c.ID, k.Now(), sendCost)
@@ -282,11 +364,8 @@ func (k *Kernel) sendIPIs(c *Core, sp *obs.Span, targets topo.CoreMask, sendCost
 		return sendCost
 	}
 	sp.SetTargets(targets)
-	type delivery struct {
-		core *Core
-		at   sim.Time
-	}
-	deliveries := make([]delivery, 0, targets.Count())
+	r := c.ipiRound()
+	r.sp, r.h, r.done, r.n = sp, h, done, 0
 	for _, t := range k.Cores {
 		if !targets.Has(t.ID) {
 			continue
@@ -294,43 +373,140 @@ func (k *Kernel) sendIPIs(c *Core, sp *obs.Span, targets topo.CoreMask, sendCost
 		hops := k.Spec.Hops(c.ID, t.ID)
 		sendCost += m.IPISend(hops) + perTarget
 		// Chaos can stretch individual deliveries (interconnect congestion,
-		// slow APIC): the ACK spin-wait below absorbs the extra latency.
-		deliveries = append(deliveries, delivery{t, k.Now() + sendCost + m.IPIDeliverLatency(hops) + k.chaosIPIDelay(c.ID, t.ID)})
+		// slow APIC): the ACK spin-wait absorbs the extra latency.
+		r.add(t, k.Now()+sendCost+m.IPIDeliverLatency(hops)+k.chaosIPIDelay(c.ID, t.ID))
 	}
-
-	pending := len(deliveries)
-	spinStart := sim.Time(0)
-	ackDone := func(now sim.Time) {
-		pending--
-		if pending == 0 {
-			wait := now - spinStart
-			if shootdown && wait > 0 {
-				k.Metrics.Observe("shootdown.ack_wait", wait)
-			}
-			sp.Mark(obs.PhaseAck, c.ID, spinStart, wait)
-			c.endSpin(done)
-		}
-	}
-
+	r.pending = r.n
 	// The initiator is busy during the serialized sends, then spins until
 	// the last ACK (interruptible: it still services incoming IPIs).
-	c.busy(sendCost, false, func() {
-		spinStart = k.Now()
-		c.beginSpin()
-		for _, d := range deliveries {
-			t := d.core
-			k.Engine.At(max(d.at, k.Now()), func(sim.Time) {
-				t.interrupt(func(now sim.Time) sim.Time {
-					total := handle(t)
-					sp.Mark(obs.PhaseInvalidate, t.ID, now, total)
-					k.Engine.At(now+total, ackDone)
-					return total + m.IPIHandlerPollution
-				})
-			})
-		}
-	})
+	c.busy(sendCost, false, r.sendFn)
 	sp.Mark(obs.PhaseSend, c.ID, k.Now(), sendCost)
 	return sendCost
+}
+
+// ipiKind names what an IPI's handler does on its target.
+type ipiKind uint8
+
+const (
+	ipiShootdown ipiKind = iota + 1 // invalidate mm's range (shootdownHandler)
+	ipiFlushVPID                    // flush vm's VPID (the hypervisor's quiesce)
+)
+
+// ipiHandler is the handler an IPI round runs on each target: its kind
+// and the operands that kind reads.
+type ipiHandler struct {
+	kind  ipiKind
+	mm    *MM
+	start pt.VPN
+	pages int
+	vm    *VM
+}
+
+// run executes the handler on target t and returns its time up to the
+// ACK write.
+func (h *ipiHandler) run(t *Core) sim.Time {
+	if h.kind == ipiFlushVPID {
+		t.TLB.FlushVPID(h.vm.VPID)
+		return t.k.Cost.IPIHandlerEntry + t.k.Cost.VPIDFlush + t.k.Cost.IPIAckWrite
+	}
+	return t.k.shootdownHandler(t, h.mm, h.start, h.pages)
+}
+
+// ipiRound is a core's IPI round, from sendIPIs to the last ACK. A core
+// spins until that ACK, so it has one round in flight at most, and one
+// record, made on its first round, serves them all. Its continuations are
+// bound once, as Core.then's are.
+type ipiRound struct {
+	c    *Core
+	sp   *obs.Span
+	h    ipiHandler
+	done func()
+	// dels[:n] are this round's deliveries, in k.Cores order. Later
+	// rounds reuse them in order, so a core holds as many as its widest
+	// round had targets.
+	dels      []*ipiDelivery
+	n         int
+	pending   int // ACKs still to land; nonzero while the round is in flight
+	spinStart sim.Time
+	sendFn    func()         // r.send: the send segment's continuation
+	ackFn     func(sim.Time) // r.ack: one target's ACK
+}
+
+// ipiDelivery is one IPI of a round: its target and landing time, with
+// the delivery event and the interrupt handler bound once.
+type ipiDelivery struct {
+	r         *ipiRound
+	t         *Core
+	at        sim.Time
+	deliverFn func(sim.Time) // d.deliver
+	handleFn  IRQHandler     // d.handle
+}
+
+// ipiRound returns c's IPI round record. Starting a round while one is in
+// flight is a bug and panics.
+func (c *Core) ipiRound() *ipiRound {
+	r := c.ipi
+	if r == nil {
+		r = &ipiRound{c: c}
+		r.sendFn, r.ackFn = r.send, r.ack
+		c.ipi = r
+	}
+	if r.pending > 0 {
+		panic(fmt.Sprintf("kernel: core %d started an IPI round while one is in flight", c.ID))
+	}
+	return r
+}
+
+// add appends the round's next delivery, to t at time at.
+func (r *ipiRound) add(t *Core, at sim.Time) {
+	if r.n == len(r.dels) {
+		d := &ipiDelivery{r: r}
+		d.deliverFn, d.handleFn = d.deliver, d.handle
+		r.dels = append(r.dels, d)
+	}
+	d := r.dels[r.n]
+	d.t, d.at = t, at
+	r.n++
+}
+
+// send ends the send segment: the initiator starts spinning and every IPI
+// is scheduled to land.
+func (r *ipiRound) send() {
+	k := r.c.k
+	r.spinStart = k.Now()
+	r.c.beginSpin()
+	for _, d := range r.dels[:r.n] {
+		k.Engine.At(max(d.at, k.Now()), d.deliverFn)
+	}
+}
+
+// ack counts one target's ACK; the last one ends the spin and runs done.
+func (r *ipiRound) ack(now sim.Time) {
+	if r.pending--; r.pending > 0 {
+		return
+	}
+	k := r.c.k
+	wait := now - r.spinStart
+	if r.h.kind == ipiShootdown && wait > 0 {
+		k.Metrics.Observe("shootdown.ack_wait", wait)
+	}
+	r.sp.Mark(obs.PhaseAck, r.c.ID, r.spinStart, wait)
+	done := r.done
+	r.sp, r.h, r.done = nil, ipiHandler{}, nil
+	r.c.endSpin(done)
+}
+
+// deliver lands the IPI on its target.
+func (d *ipiDelivery) deliver(sim.Time) { d.t.interrupt(d.handleFn) }
+
+// handle is the IPI's interrupt handler on its target: it runs the
+// round's handler, marks the invalidation and schedules the ACK.
+func (d *ipiDelivery) handle(now sim.Time) sim.Time {
+	r, k := d.r, d.t.k
+	total := r.h.run(d.t)
+	r.sp.Mark(obs.PhaseInvalidate, d.t.ID, now, total)
+	k.Engine.At(now+total, r.ackFn)
+	return total + k.Cost.IPIHandlerPollution
 }
 
 // NUMAUnmap drives the policy's NUMA-unmap entry point with a lifecycle

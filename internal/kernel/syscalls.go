@@ -161,8 +161,8 @@ func (c *Core) munmapGrant(th *Thread) {
 		k.notifySwapUnmap(mm, addr, pages)
 	}
 	// The policy keeps the frame list until the frames are reclaimed, so
-	// each unmap gets its own, sized once.
-	frames := make([]FrameRef, 0, pages)
+	// each unmap gets its own, sized once; ReleaseFrames takes it back.
+	frames := k.frameList(pages)
 	var replCost sim.Time
 	hugeEntries := 0
 	for i := 0; i < pages; i++ {

@@ -354,10 +354,7 @@ func (k *Kernel) hostSyncInvalidate(c *Core, v *VM, sp *obs.Span, done func()) {
 	if n := targets.Count(); n > 0 {
 		k.Metrics.Inc("virt.host_quiesce_ipis", uint64(n))
 	}
-	k.sendIPIs(c, sp, targets, m.VPIDFlush+m.IPISendBase, 0, func(t *Core) sim.Time {
-		t.TLB.FlushVPID(v.VPID)
-		return m.IPIHandlerEntry + m.VPIDFlush + m.IPIAckWrite
-	}, false, done)
+	k.sendIPIs(c, sp, targets, m.VPIDFlush+m.IPISendBase, 0, ipiHandler{kind: ipiFlushVPID, vm: v}, done)
 }
 
 // hatricInvalidateFrame posts precise invalidations for every TLB entry

@@ -33,6 +33,21 @@ type ABIS struct {
 	// retires masks constantly (sharerTargets deletes consumed entries), so
 	// reusing them keeps the tracking hot path allocation-free.
 	maskPool []*topo.CoreMask
+
+	// scans[core] is that core's munmap record, made on its first munmap.
+	scans []*abisScan
+}
+
+// abisScan is a core's munmap during its access-bit scan: the unmap and
+// done that the scan's end hands to the shootdown, with that continuation
+// bound once. The core is busy from the scan to the free, so one record
+// per core serves every munmap it initiates.
+type abisScan struct {
+	p      *ABIS
+	c      *kernel.Core
+	u      kernel.Unmap
+	done   func()
+	shotFn func() // s.shoot
 }
 
 // maxPooledMasks bounds maskPool; beyond it retired masks go to the GC.
@@ -101,24 +116,37 @@ func (p *ABIS) sharerTargets(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages 
 	return out
 }
 
-// Munmap implements kernel.Policy: synchronous shootdown to sharers only.
+// Munmap implements kernel.Policy: synchronous shootdown to sharers only,
+// after the access-bit scan.
 func (p *ABIS) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
-	k := p.k
-	scan := sim.Time(u.Pages) * k.Cost.ABISScanPerPage
-	c.Busy(scan, false, func() {
-		p.unmaps++
-		targets := p.sharerTargets(c, u.MM, u.Start, u.Pages)
-		if p.unmaps%conservativeEvery == 0 {
-			// A second target computation (sharerTargets ran the first):
-			// it counts shootdown.lazy_skipped and flushes skipped idle
-			// cores again, as perfbench's committed digests expect.
-			targets = k.ShootdownTargets(c, u.MM)
-			k.Metrics.Inc("abis.conservative", 1)
-		}
-		k.Shootdown(c, u.MM, u.Start, u.Pages, targets, func() {
-			k.FreeUnmapped(c, u, done)
-		})
-	})
+	if p.scans == nil {
+		p.scans = make([]*abisScan, len(p.k.Cores))
+	}
+	s := p.scans[c.ID]
+	if s == nil {
+		s = &abisScan{p: p, c: c}
+		s.shotFn = s.shoot
+		p.scans[c.ID] = s
+	}
+	s.u, s.done = u, done
+	c.Busy(sim.Time(u.Pages)*p.k.Cost.ABISScanPerPage, false, s.shotFn)
+}
+
+// shoot ends the scan: it picks the targets and shoots down and frees.
+func (s *abisScan) shoot() {
+	p, c, k := s.p, s.c, s.p.k
+	u, done := s.u, s.done
+	s.u, s.done = kernel.Unmap{}, nil
+	p.unmaps++
+	targets := p.sharerTargets(c, u.MM, u.Start, u.Pages)
+	if p.unmaps%conservativeEvery == 0 {
+		// A second target computation (sharerTargets ran the first):
+		// it counts shootdown.lazy_skipped and flushes skipped idle
+		// cores again, as perfbench's committed digests expect.
+		targets = k.ShootdownTargets(c, u.MM)
+		k.Metrics.Inc("abis.conservative", 1)
+	}
+	k.ShootdownAndFree(c, u, targets, done)
 }
 
 // SyncChange implements kernel.Policy.

@@ -37,10 +37,7 @@ func (p *Linux) Name() string { return "linux" }
 // Munmap implements kernel.Policy: the fully synchronous free path of
 // Fig 2a. Frames and VA are released only after the last ACK.
 func (p *Linux) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
-	k := p.k
-	k.Shootdown(c, u.MM, u.Start, u.Pages, k.ShootdownTargets(c, u.MM), func() {
-		k.FreeUnmapped(c, u, done)
-	})
+	p.k.ShootdownAndFree(c, u, p.k.ShootdownTargets(c, u.MM), done)
 }
 
 // SyncChange implements kernel.Policy (mprotect/mremap path).

@@ -110,9 +110,7 @@ func (p *Mutant) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 		// Correct coherence, but the frames and VA are never released.
 		k.Shootdown(c, u.MM, u.Start, u.Pages, k.ShootdownTargets(c, u.MM), done)
 	case MutSkipOneTarget:
-		k.Shootdown(c, u.MM, u.Start, u.Pages, dropHighestCore(k.ShootdownTargets(c, u.MM)), func() {
-			k.FreeUnmapped(c, u, done)
-		})
+		k.ShootdownAndFree(c, u, dropHighestCore(k.ShootdownTargets(c, u.MM)), done)
 	default:
 		p.Linux.Munmap(c, u, done)
 	}

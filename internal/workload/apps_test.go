@@ -87,27 +87,43 @@ func TestParsecSuiteShape(t *testing.T) {
 	}
 }
 
-// TestParsecSteadyStateAllocs checks that a warm canneal machine runs its
-// op loop (compute, touch, sleep, and the context switches they drive)
-// without allocating: ops are values, so a Kernel.Run slice makes no heap
-// object. Canneal's frees are off, because an madvise still allocates its
-// frame list and the policy's IPI records.
+// TestParsecSteadyStateAllocs checks that a warm PARSEC machine runs
+// without allocating: ops are values, and a synchronous shootdown or a
+// LATR state save reuses its records and frame lists, so a 1 ms
+// Kernel.Run slice makes no heap object. canneal runs its op loop
+// (compute, touch, sleep, and the context switches they drive) with its
+// frees off: at its FreeEvery of 1800 it frees too rarely to show up in
+// the 20 measured slices. dedup frees (madvise) every 12 ops, under linux
+// and under latr.
 func TestParsecSteadyStateAllocs(t *testing.T) {
-	prof, _ := ParsecProfileByName("canneal")
-	prof.FreeEvery = 0
-	spec := topo.TwoSocket16()
-	k := kernel.New(spec, cost.Default(spec), shootdown.NewLinux(), kernel.Options{Seed: 1})
-	w := NewParsec(prof, coresN(16))
-	w.Setup(k)
-	const slice = sim.Millisecond
-	k.Run(20 * slice) // warm-up: map, fill the TLBs, grow the engine's tables
-	switches := k.Metrics.Counter("sched.context_switches")
-	allocs := testing.AllocsPerRun(20, func() { k.Run(k.Now() + slice) })
-	if allocs != 0 {
-		t.Errorf("warm canneal slice allocates %v objects, want 0", allocs)
-	}
-	if w.Done() || k.Metrics.Counter("sched.context_switches") == switches {
-		t.Fatal("the measured slices ran no canneal work")
+	for _, tc := range []struct {
+		name, profile string
+		freeEvery     int
+		policy        func() kernel.Policy
+		rises         string // a counter the measured slices must move
+	}{
+		{"canneal/linux", "canneal", 0, func() kernel.Policy { return shootdown.NewLinux() }, "sched.context_switches"},
+		{"dedup/linux", "dedup", 12, func() kernel.Policy { return shootdown.NewLinux() }, "sys.madvise"},
+		{"dedup/latr", "dedup", 12, func() kernel.Policy { return latrcore.New(latrcore.Config{}) }, "sys.madvise"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prof, _ := ParsecProfileByName(tc.profile)
+			prof.FreeEvery = tc.freeEvery
+			spec := topo.TwoSocket16()
+			k := kernel.New(spec, cost.Default(spec), tc.policy(), kernel.Options{Seed: 1})
+			w := NewParsec(prof, coresN(16))
+			w.Setup(k)
+			const slice = sim.Millisecond
+			k.Run(20 * slice) // warm-up: map, fill the TLBs, grow the engine's tables
+			before := k.Metrics.Counter(tc.rises)
+			allocs := testing.AllocsPerRun(20, func() { k.Run(k.Now() + slice) })
+			if allocs != 0 {
+				t.Errorf("warm %s slice allocates %v objects, want 0", tc.name, allocs)
+			}
+			if w.Done() || k.Metrics.Counter(tc.rises) == before {
+				t.Fatalf("the measured slices did not move %s", tc.rises)
+			}
+		})
 	}
 }
 
