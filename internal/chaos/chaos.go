@@ -14,6 +14,7 @@ package chaos
 
 import (
 	"latr/internal/kernel"
+	"latr/internal/metrics"
 	"latr/internal/sim"
 	"latr/internal/topo"
 )
@@ -32,6 +33,8 @@ type Injector struct {
 	// context-switch sweep until the window closes, modelling a core that
 	// has gone offline or is stuck with interrupts disabled.
 	quiesceUntil []sim.Time
+	// quiesceWindows counts the windows opened (chaos.quiesce_window).
+	quiesceWindows metrics.Counter
 
 	faults uint64
 }
@@ -49,6 +52,7 @@ func NewInjector(seed uint64, prof Profile) *Injector {
 func (in *Injector) Install(k *kernel.Kernel) {
 	in.k = k
 	in.quiesceUntil = make([]sim.Time, k.Spec.NumCores())
+	in.quiesceWindows = k.Metrics.NewCounter("chaos.quiesce_window")
 	k.SetInjector(in)
 }
 
@@ -81,7 +85,7 @@ func (in *Injector) quiesced(id topo.CoreID) bool {
 	}
 	if in.hit(in.prof.QuiesceProb) {
 		in.quiesceUntil[id] = now + in.rng.Duration(in.prof.QuiesceMin, in.prof.QuiesceMax)
-		in.k.Metrics.Inc("chaos.quiesce_window", 1)
+		in.quiesceWindows.Inc()
 		in.k.Trace(id, "chaos", "quiesce until %v", in.quiesceUntil[id])
 		return true
 	}

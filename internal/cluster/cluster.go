@@ -359,6 +359,7 @@ type Cluster struct {
 	eng    *sim.Engine // the one engine every node and the front-end run on
 	wire   wire
 	met    *metrics.Registry
+	m      frontMetrics
 	tracer *trace.Tracer
 	spans  *obs.Collector
 	rng    *sim.Rand // arrivals, key mix, backoff jitter
@@ -392,6 +393,7 @@ func New(cfg Config) *Cluster {
 		met: metrics.NewRegistry(),
 		rng: sim.NewRand(cfg.Seed ^ 0xc1057e2f3a4b5c6d),
 	}
+	c.m = newFrontMetrics(c.met)
 	c.wire.eng = c.eng
 	if cfg.TraceLimit > 0 {
 		c.tracer = trace.New(cfg.TraceLimit)

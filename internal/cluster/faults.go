@@ -125,22 +125,22 @@ func (c *Cluster) applyCrash(n *node, pv *peerView, w window) {
 	n.k.Engine.At(w.start, func(now sim.Time) {
 		n.crashed = true
 		n.epoch++
-		n.k.Metrics.Inc("cluster.crash", 1)
+		n.met.crash.Inc()
 		n.backend.Crash()
 		q := n.queue
 		n.queue = nil
 		for _, at := range q {
 			at := at
-			n.sendFront(func(now sim.Time) { c.attemptFailed(at, "reset", now) })
+			n.sendFront(func(now sim.Time) { c.attemptFailed(at, &c.m.reset, now) })
 		}
 	})
 	n.k.Engine.At(w.end, func(now sim.Time) {
 		n.crashed = false
-		n.k.Metrics.Inc("cluster.restart", 1)
+		n.met.restart.Inc()
 	})
 
 	c.eng.At(w.start, func(now sim.Time) {
-		c.met.Inc("cluster.faults.crash", 1)
+		c.m.faultsCrash.Inc()
 		pv.crashed = true
 		pv.noteHealth(now)
 	})
@@ -161,7 +161,7 @@ func (c *Cluster) applySlow(n *node, pv *peerView, w window) {
 	})
 
 	c.eng.At(w.start, func(now sim.Time) {
-		c.met.Inc("cluster.faults.slow", 1)
+		c.m.faultsSlow.Inc()
 		pv.slowUntil = w.end
 		pv.noteHealth(now)
 	})
@@ -176,7 +176,7 @@ func (c *Cluster) applySlow(n *node, pv *peerView, w window) {
 func (c *Cluster) applyPartition(n *node, pv *peerView, w window) {
 	n.k.Engine.At(w.start, func(sim.Time) { n.partUntil = w.end })
 	c.eng.At(w.start, func(sim.Time) {
-		c.met.Inc("cluster.faults.partition", 1)
+		c.m.faultsPartition.Inc()
 		pv.partUntil = w.end
 	})
 }
@@ -188,7 +188,7 @@ func (c *Cluster) suspect(pv *peerView, now sim.Time) {
 		return
 	}
 	pv.suspected = true
-	c.met.Inc("cluster.suspected", 1)
+	c.m.suspected.Inc()
 	pv.noteHealth(now)
 	c.probe(pv)
 }
@@ -200,7 +200,7 @@ func (c *Cluster) suspect(pv *peerView, now sim.Time) {
 // rejoins rotation fully.
 func (c *Cluster) probe(pv *peerView) {
 	c.eng.After(probePeriod, func(now sim.Time) {
-		c.met.Inc("cluster.probes", 1)
+		c.m.probes.Inc()
 		if pv.crashed || now < pv.partUntil {
 			c.probe(pv)
 			return

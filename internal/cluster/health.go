@@ -94,10 +94,10 @@ func (p *peerView) noteHealth(now sim.Time) {
 	}
 	p.lastHealth = h
 	c := p.cl
-	c.met.Inc("cluster.health."+h.String(), 1)
+	c.m.health[h].Inc()
 	if c.tracer != nil {
 		if !c.tracer.Record(now, frontLane, "health", "node %d -> %s", p.id, h) {
-			c.met.Inc("trace.dropped", 1)
+			c.m.traceDropped.Inc()
 		}
 	}
 }

@@ -55,6 +55,8 @@ type node struct {
 	slowUntil  sim.Time
 	slowFactor int // percent, active while now < slowUntil
 	partUntil  sim.Time
+
+	met nodeMetrics
 }
 
 // newNode builds node id on the cluster's engine and spawns its loader
@@ -75,7 +77,7 @@ func newNode(c *Cluster, id int) *node {
 		Engine: c.eng,
 		Audit:  true,
 	})
-	n := &node{id: id, cl: c, k: k}
+	n := &node{id: id, cl: c, k: k, met: newNodeMetrics(k.Metrics)}
 
 	// Watermarks scale with the shrunken per-node memory so the swapper
 	// keeps pressure on while the hot set stays resident.
@@ -231,14 +233,14 @@ func (n *node) sendFront(fn func(now sim.Time)) {
 // outcomes count in the node's own registry, not the front-end's.
 func (n *node) finish(at *attempt, now sim.Time) {
 	n.inflight--
-	n.k.Metrics.Inc("cluster.served", 1)
+	n.met.served.Inc()
 	cl := n.cl
 	if at.epoch != n.epoch {
-		n.k.Metrics.Inc("cluster.orphans", 1)
+		n.met.orphans.Inc()
 		return
 	}
 	if now < n.partUntil {
-		n.k.Metrics.Inc("cluster.part_dropped", 1)
+		n.met.partDropped.Inc()
 		return
 	}
 	n.sendFront(func(now sim.Time) { cl.attemptDone(at, now) })

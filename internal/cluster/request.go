@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"latr/internal/metrics"
 	"latr/internal/obs"
 	"latr/internal/pt"
 	"latr/internal/sim"
@@ -28,13 +29,6 @@ type request struct {
 	dlTimer  sim.Timer
 }
 
-func (r *request) class() string {
-	if r.hot {
-		return "hot"
-	}
-	return "cold"
-}
-
 // attempt is one copy of a request sent at one node. Settling is
 // idempotent: whichever of reply, failure or timeout arrives first wins,
 // and late events (a reply racing its own timeout, a crash reset racing
@@ -55,7 +49,7 @@ type attempt struct {
 // admission control.
 func (c *Cluster) arrive(now sim.Time) {
 	cfg := c.cfg
-	c.met.Inc("cluster.offered", 1)
+	c.m.offered.Inc()
 	c.nextReqID++
 	req := &request{id: c.nextReqID, arrival: now, lastNode: -1}
 	req.hot = c.rng.Intn(100) < cfg.HotTrafficPct || cfg.HotKeys >= cfg.Keys
@@ -69,17 +63,17 @@ func (c *Cluster) arrive(now sim.Time) {
 	req.span.Mark(obs.PhaseInitiate, frontLane, now, 0)
 	if !c.bucket.allow(now) {
 		req.done = true
-		c.met.Inc("cluster.rejected", 1)
-		c.met.Inc("cluster."+req.class()+".slo_miss", 1)
+		c.m.rejected.Inc()
+		c.m.classOf(req).sloMiss.Inc()
 		req.span.Release(now)
 		return
 	}
-	c.met.Inc("cluster.admitted", 1)
+	c.m.admitted.Inc()
 	c.outstanding++
 	req.deadline = now + cfg.RequestDeadline
 	req.dlTimer = c.eng.After(cfg.RequestDeadline, func(now sim.Time) {
 		if !req.done {
-			c.failRequest(req, "deadline", now)
+			c.failRequest(req, &c.m.failedDeadline, now)
 		}
 	})
 	c.dispatch(req, -1, false, now)
@@ -97,14 +91,14 @@ func (c *Cluster) dispatch(req *request, exclude int, hedge bool, now sim.Time) 
 	req.attempts++
 	nodeID := c.router.Pick(now, req.key, exclude)
 	if nodeID < 0 {
-		c.met.Inc("cluster.unroutable", 1)
+		c.m.unroutable.Inc()
 		c.retryOrFail(req, exclude, now)
 		return
 	}
 	req.lastNode = nodeID
 	req.inflight++
 	at := &attempt{req: req, node: nodeID, idx: req.attempts, hedge: hedge, start: now}
-	c.met.Inc("cluster.attempts", 1)
+	c.m.attempts.Inc()
 	c.peers[nodeID].outstanding++
 	if hedge || at.idx > 1 {
 		req.span.MarkLazy(obs.PhaseSend, nodeLane(nodeID), now, 0)
@@ -117,16 +111,16 @@ func (c *Cluster) dispatch(req *request, exclude int, hedge bool, now sim.Time) 
 	// condition there; fast failures cross back the same way.
 	c.wire.send(0, func(now sim.Time) {
 		if now < n.partUntil {
-			n.k.Metrics.Inc("cluster.part_dropped", 1)
+			n.met.partDropped.Inc()
 			return
 		}
 		if n.crashed {
-			n.sendFront(func(now sim.Time) { c.attemptFailed(at, "refused", now) })
+			n.sendFront(func(now sim.Time) { c.attemptFailed(at, &c.m.refused, now) })
 			return
 		}
 		at.epoch = n.epoch
 		if !n.enqueue(at) {
-			n.sendFront(func(now sim.Time) { c.attemptFailed(at, "shed", now) })
+			n.sendFront(func(now sim.Time) { c.attemptFailed(at, &c.m.shed, now) })
 		}
 	})
 	// Hedge: if the sole first attempt is still unresolved after
@@ -138,7 +132,7 @@ func (c *Cluster) dispatch(req *request, exclude int, hedge bool, now sim.Time) 
 				return
 			}
 			req.hedged = true
-			c.met.Inc("cluster.hedges", 1)
+			c.m.hedges.Inc()
 			c.dispatch(req, req.lastNode, true, now)
 		})
 	}
@@ -151,7 +145,7 @@ func (c *Cluster) dispatch(req *request, exclude int, hedge bool, now sim.Time) 
 func (c *Cluster) attemptDone(at *attempt, now sim.Time) {
 	c.peers[at.node].consecTimeouts = 0
 	if at.settled {
-		c.met.Inc("cluster.late_replies", 1)
+		c.m.lateReplies.Inc()
 		return
 	}
 	at.settled = true
@@ -159,19 +153,20 @@ func (c *Cluster) attemptDone(at *attempt, now sim.Time) {
 	c.eng.Cancel(at.timer)
 	req := at.req
 	req.inflight--
-	c.met.ObservePerc("cluster.attempt_latency", now-at.start)
+	c.m.attemptLatency.Observe(now - at.start)
 	if req.done {
-		c.met.Inc("cluster.hedge_wasted", 1)
+		c.m.hedgeWasted.Inc()
 		return
 	}
 	c.completeRequest(req, now)
 }
 
-// attemptFailed settles one attempt with a fast failure — "refused"
-// (crashed node), "shed" (queue overflow), "reset" (crash killed the
-// queue) — and feeds the request back to retryOrFail. Fast failures
-// clear timeout suspicion: the node answered, just unhelpfully.
-func (c *Cluster) attemptFailed(at *attempt, reason string, now sim.Time) {
+// attemptFailed settles one attempt with a fast failure, counted in
+// reason — cluster.refused (crashed node), cluster.shed (queue overflow),
+// cluster.reset (crash killed the queue) — and feeds the request back to
+// retryOrFail. Fast failures clear timeout suspicion: the node answered,
+// just unhelpfully.
+func (c *Cluster) attemptFailed(at *attempt, reason *metrics.Counter, now sim.Time) {
 	if at.settled {
 		return
 	}
@@ -180,8 +175,8 @@ func (c *Cluster) attemptFailed(at *attempt, reason string, now sim.Time) {
 	c.eng.Cancel(at.timer)
 	req := at.req
 	req.inflight--
-	c.met.Inc("cluster."+reason, 1)
-	c.met.ObservePerc("cluster.attempt_latency", now-at.start)
+	reason.Inc()
+	c.m.attemptLatency.Observe(now - at.start)
 	c.peers[at.node].consecTimeouts = 0
 	if req.done {
 		return
@@ -202,8 +197,8 @@ func (c *Cluster) attemptTimeout(at *attempt, now sim.Time) {
 	c.peers[at.node].outstanding--
 	req := at.req
 	req.inflight--
-	c.met.Inc("cluster.timeouts", 1)
-	c.met.ObservePerc("cluster.attempt_latency", now-at.start)
+	c.m.timeouts.Inc()
+	c.m.attemptLatency.Observe(now - at.start)
 	pv := c.peers[at.node]
 	pv.consecTimeouts++
 	if pv.consecTimeouts >= suspectAfter {
@@ -226,7 +221,7 @@ func (c *Cluster) retryOrFail(req *request, exclude int, now sim.Time) {
 		return
 	}
 	if req.attempts >= c.cfg.RetryBudget {
-		c.failRequest(req, "exhausted", now)
+		c.failRequest(req, &c.m.failedExhausted, now)
 		return
 	}
 	backoff := c.cfg.BackoffBase << uint(req.attempts-1)
@@ -235,10 +230,10 @@ func (c *Cluster) retryOrFail(req *request, exclude int, now sim.Time) {
 	}
 	delay := backoff + c.rng.Duration(0, backoff/4)
 	if now+delay+2*netDelay >= req.deadline {
-		c.failRequest(req, "deadline", now)
+		c.failRequest(req, &c.m.failedDeadline, now)
 		return
 	}
-	c.met.Inc("cluster.retries", 1)
+	c.m.retries.Inc()
 	c.eng.After(delay, func(now sim.Time) {
 		if req.done {
 			return
@@ -256,35 +251,35 @@ func (c *Cluster) completeRequest(req *request, now sim.Time) {
 	c.eng.Cancel(req.dlTimer)
 	lat := now - req.arrival
 	req.span.Mark(obs.PhaseAck, frontLane, req.arrival, lat)
-	c.met.Inc("cluster.completed", 1)
+	c.m.completed.Inc()
 	if req.attempts > 1 {
-		c.met.Inc("cluster.recovered", 1)
+		c.m.recovered.Inc()
 	}
-	c.met.ObservePerc("cluster.req_latency", lat)
-	cls := req.class()
-	c.met.ObservePerc("cluster."+cls+".latency", lat)
+	c.m.reqLatency.Observe(lat)
+	cls := c.m.classOf(req)
+	cls.latency.Observe(lat)
 	slo := c.cfg.SLOCold
 	if req.hot {
 		slo = c.cfg.SLOHot
 	}
 	if lat <= slo {
-		c.met.Inc("cluster."+cls+".slo_met", 1)
+		cls.sloMet.Inc()
 	} else {
-		c.met.Inc("cluster."+cls+".slo_miss", 1)
+		cls.sloMiss.Inc()
 	}
 	c.outstanding--
 	req.span.Release(now)
 }
 
-// failRequest closes a request without a reply: budget exhausted or
-// deadline passed. The span ends without an Ack, which the request
+// failRequest closes a request without a reply, counted in reason: budget
+// exhausted or deadline passed. The span ends without an Ack, which the request
 // emitter renders as a gave-up trace line.
-func (c *Cluster) failRequest(req *request, reason string, now sim.Time) {
+func (c *Cluster) failRequest(req *request, reason *metrics.Counter, now sim.Time) {
 	req.done = true
 	c.eng.Cancel(req.dlTimer)
-	c.met.Inc("cluster.failed", 1)
-	c.met.Inc("cluster.failed_"+reason, 1)
-	c.met.Inc("cluster."+req.class()+".slo_miss", 1)
+	c.m.failed.Inc()
+	reason.Inc()
+	c.m.classOf(req).sloMiss.Inc()
 	req.span.Mark(obs.PhaseReclaim, frontLane, now, now-req.arrival)
 	c.outstanding--
 	req.span.Release(now)

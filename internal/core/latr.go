@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"latr/internal/kernel"
+	"latr/internal/metrics"
 	"latr/internal/obs"
 	"latr/internal/pt"
 	"latr/internal/sim"
@@ -105,6 +106,52 @@ type Policy struct {
 	// reclaimFn and auditFn are the two background passes, bound once in
 	// Attach: every pass reschedules itself.
 	reclaimFn, auditFn func(sim.Time)
+
+	met latrMetrics
+}
+
+// latrMetrics holds the policy's metric handles, named in Attach.
+type latrMetrics struct {
+	statesRecorded, statesCompleted, queueFull, forcedSync, fallbackIPI           metrics.Counter
+	initiated, migrationStates, migrationGated, gateTimeoutForced, sweepsWithWork metrics.Counter
+	reclaimed, reclaimDeferred, reclaimStalled, unsafeReclaim, leakedState        metrics.Counter
+	lostWaiter                                                                    metrics.Counter
+
+	fallbackInflight, lazyFrames, lazyBytes metrics.Gauge
+
+	queueOccupancy, stateSave, fallbackLatency, sweepVisit, stateLifetime metrics.Hist
+	reclaimBatch, reclaimStall                                            metrics.Hist
+}
+
+func newLATRMetrics(r *metrics.Registry) latrMetrics {
+	return latrMetrics{
+		statesRecorded:    r.NewCounter("latr.states_recorded"),
+		statesCompleted:   r.NewCounter("latr.states_completed"),
+		queueFull:         r.NewCounter("latr.queue_full"),
+		forcedSync:        r.NewCounter("latr.forced_sync"),
+		fallbackIPI:       r.NewCounter("latr.fallback_ipi"),
+		initiated:         r.NewCounter("shootdown.initiated"),
+		migrationStates:   r.NewCounter("latr.migration_states"),
+		migrationGated:    r.NewCounter("latr.migration_gated"),
+		gateTimeoutForced: r.NewCounter("latr.gate_timeout_forced"),
+		sweepsWithWork:    r.NewCounter("latr.sweeps_with_work"),
+		reclaimed:         r.NewCounter("latr.reclaimed"),
+		reclaimDeferred:   r.NewCounter("latr.reclaim_deferred"),
+		reclaimStalled:    r.NewCounter("chaos.reclaim_stalled"),
+		unsafeReclaim:     r.NewCounter("chaos.unsafe_reclaim"),
+		leakedState:       r.NewCounter("audit.leaked_state"),
+		lostWaiter:        r.NewCounter("audit.lost_waiter"),
+		fallbackInflight:  r.NewGauge("latr.fallback_inflight"),
+		lazyFrames:        r.NewGauge("latr.lazy_frames"),
+		lazyBytes:         r.NewGauge("latr.lazy_bytes"),
+		queueOccupancy:    r.NewHist("latr.queue_occupancy"),
+		stateSave:         r.NewHist("latr.state_save"),
+		fallbackLatency:   r.NewHist("latr.fallback_latency"),
+		sweepVisit:        r.NewHist("latr.sweep_visit"),
+		stateLifetime:     r.NewHist("latr.state_lifetime"),
+		reclaimBatch:      r.NewHist("latr.reclaim_batch"),
+		reclaimStall:      r.NewHist("chaos.reclaim_stall"),
+	}
 }
 
 // unmapRecord is a core's LATR munmap from Munmap to done: the lazy
@@ -146,6 +193,7 @@ func New(cfg Config) *Policy {
 func (p *Policy) Attach(k *kernel.Kernel) {
 	p.k = k
 	p.tun = k.Tunables
+	p.met = newLATRMetrics(k.Metrics)
 	n := k.Spec.NumCores()
 	p.queues = make([][]State, n)
 	p.activeCount = make([]int, n)
@@ -191,9 +239,9 @@ func (p *Policy) record(c *kernel.Core, s State) (*State, bool) {
 			free = i
 		}
 	}
-	p.k.Metrics.Observe("latr.queue_occupancy", sim.Time(occupied))
+	p.met.queueOccupancy.Observe(sim.Time(occupied))
 	if free < 0 || occupied >= p.tun.FallbackOccupancy {
-		p.k.Metrics.Inc("latr.queue_full", 1)
+		p.met.queueFull.Inc()
 		return nil, false
 	}
 	s.Active = true
@@ -202,7 +250,7 @@ func (p *Policy) record(c *kernel.Core, s State) (*State, bool) {
 	s.owner = c.ID
 	q[free] = s
 	p.activeCount[c.ID]++
-	p.k.Metrics.Inc("latr.states_recorded", 1)
+	p.met.statesRecorded.Inc()
 	return &q[free], true
 }
 
@@ -223,9 +271,9 @@ func (p *Policy) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 			// semantics (§7's opt-out flag): fall back to the synchronous
 			// IPI mechanism (§4.2) and free immediately like Linux.
 			if u.ForceSync {
-				k.Metrics.Inc("latr.forced_sync", 1)
+				p.met.forcedSync.Inc()
 			} else {
-				k.Metrics.Inc("latr.fallback_ipi", 1)
+				p.met.fallbackIPI.Inc()
 			}
 			// Backpressure accounting: the caller is stalled from here until
 			// every target ACKs. The fallback is deadlock-free by
@@ -235,17 +283,17 @@ func (p *Policy) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 			// form (chaos may stretch the wait, not wedge it).
 			r := p.unmapRecord(c)
 			r.u, r.t0, r.done = u, k.Now(), done
-			k.Metrics.GaugeAdd("latr.fallback_inflight", 1)
+			p.met.fallbackInflight.Add(1)
 			// A second target computation (mask was the first): it counts
 			// shootdown.lazy_skipped and flushes skipped idle cores again,
 			// as perfbench's committed digests expect. The IPIs always go
 			// out: an empty ForceSync target set still pays the setup.
 			targets := k.ShootdownTargets(c, u.MM)
-			k.Metrics.Inc("shootdown.initiated", 1)
+			p.met.initiated.Inc()
 			k.SendShootdownIPIs(c, u.MM, u.Start, u.Pages, targets, r.shotFn)
 			return
 		}
-		k.Metrics.Inc("shootdown.initiated", 1)
+		p.met.initiated.Inc()
 	}
 
 	// The span outlives the syscall: one reference for the state's quiesce
@@ -281,14 +329,14 @@ func (r *unmapRecord) saved() {
 	p, k, c := r.p, r.p.k, r.c
 	u, st, tS, done := r.u, r.st, r.t0, r.done
 	r.u, r.st, r.done = kernel.Unmap{}, nil, nil
-	k.Metrics.Observe("latr.state_save", k.Cost.LATRStateSave)
+	p.met.stateSave.Observe(k.Cost.LATRStateSave)
 	// Lazy reclamation (§4.2): VA and frames leave circulation but are
 	// not freed yet.
 	if !u.KeepVMA {
 		u.MM.Space.MarkLazy(u.Pages)
 	}
-	k.Metrics.GaugeAdd("latr.lazy_frames", int64(len(u.Frames)))
-	k.Metrics.GaugeAdd("latr.lazy_bytes", int64(u.Pages)*4096)
+	p.met.lazyFrames.Add(int64(len(u.Frames)))
+	p.met.lazyBytes.Add(int64(u.Pages) * 4096)
 	p.reclaim = append(p.reclaim, reclaimEntry{
 		u:         u,
 		state:     st,
@@ -308,10 +356,10 @@ func (r *unmapRecord) shot() {
 
 // freed ends the fallback once its free is done.
 func (r *unmapRecord) freed() {
-	k, done := r.p.k, r.done
+	p, done := r.p, r.done
 	r.done = nil
-	k.Metrics.GaugeAdd("latr.fallback_inflight", -1)
-	k.Metrics.Observe("latr.fallback_latency", k.Now()-r.t0)
+	p.met.fallbackInflight.Add(-1)
+	p.met.fallbackLatency.Observe(p.k.Now() - r.t0)
 	done()
 }
 
@@ -336,14 +384,14 @@ func (p *Policy) NUMAUnmap(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages in
 		// computes the targets after the hint prologue, so this is a
 		// second target computation (mask was the first) at a later
 		// instant: it repeats the lazy-TLB skip's count and flushes.
-		k.Metrics.Inc("latr.fallback_ipi", 1)
+		p.met.fallbackIPI.Inc()
 		c.Busy(k.MarkNUMAHints(c, mm, start, pages), true, func() {
 			k.Shootdown(c, mm, start, pages, k.ShootdownTargets(c, mm), done)
 		})
 		return
 	}
-	k.Metrics.Inc("shootdown.initiated", 1)
-	k.Metrics.Inc("latr.migration_states", 1)
+	p.met.initiated.Inc()
+	p.met.migrationStates.Inc()
 	if sp := c.Span(); sp != nil {
 		sp.SetTargets(mask)
 		st.span = sp
@@ -414,7 +462,7 @@ func (p *Policy) sweep(c *kernel.Core) sim.Time {
 	if len(relevant) == 0 {
 		return cost
 	}
-	k.Metrics.Inc("latr.sweeps_with_work", 1)
+	p.met.sweepsWithWork.Inc()
 
 	fullFlush := totalPages > m.FullFlushThreshold
 	if fullFlush {
@@ -443,7 +491,7 @@ func (p *Policy) sweep(c *kernel.Core) sim.Time {
 		// same visit (the ptrepl lazy ablation: replica maintenance rides
 		// the sweep instead of eager remote stores).
 		cost += k.ReplSweepApply(c, st.MM, st.Start, st.Pages)
-		k.Metrics.Observe("latr.sweep_visit", m.LATRSweepPerEntry)
+		p.met.sweepVisit.Observe(m.LATRSweepPerEntry)
 		st.span.MarkLazy(obs.PhaseInvalidate, c.ID, visitBegin, k.Now()+cost-visitBegin)
 		st.Mask.Clear(c.ID)
 		if st.Mask.Empty() {
@@ -465,8 +513,8 @@ func (p *Policy) completeState(st *State, by topo.CoreID, at sim.Time) {
 	// on a socket whose cores never swept it (no replica there, or the
 	// sweep raced the completion) drains now, before reclaim can free.
 	p.k.ReplComplete(st.MM, st.Start, st.Pages)
-	p.k.Metrics.Inc("latr.states_completed", 1)
-	p.k.Metrics.Observe("latr.state_lifetime", p.k.Now()-st.recordedAt)
+	p.met.statesCompleted.Inc()
+	p.met.stateLifetime.Observe(p.k.Now() - st.recordedAt)
 	if sp := st.span; sp != nil {
 		st.span = nil
 		sp.MarkLazy(obs.PhaseAck, by, at, 0)
@@ -497,7 +545,7 @@ func (p *Policy) GateMigration(mm *kernel.MM, vpn pt.VPN, cont func()) bool {
 			if st.Active && st.Migration && st.MM == mm &&
 				vpn >= st.Start && vpn < st.Start+pt.VPN(st.Pages) {
 				st.waiters = append(st.waiters, cont)
-				p.k.Metrics.Inc("latr.migration_gated", 1)
+				p.met.migrationGated.Inc()
 				p.armGateTimeout(st)
 				return true
 			}
@@ -521,7 +569,7 @@ func (p *Policy) armGateTimeout(st *State) {
 		if !st.Active || st.gen != gen {
 			return
 		}
-		p.k.Metrics.Inc("latr.gate_timeout_forced", 1)
+		p.met.gateTimeoutForced.Inc()
 		p.forceSweep(st)
 	})
 }
@@ -569,8 +617,8 @@ func (p *Policy) reclaimPass(now sim.Time) {
 			// Chaos: the reclaim thread is descheduled for d. Lazy memory
 			// simply ages further — correctness never depends on the thread
 			// running promptly, only on it running after the delay.
-			k.Metrics.Inc("chaos.reclaim_stalled", 1)
-			k.Metrics.Observe("chaos.reclaim_stall", d)
+			p.met.reclaimStalled.Inc()
+			p.met.reclaimStall.Observe(d)
 			k.Engine.At(now+d, p.reclaimFn)
 			return
 		}
@@ -589,7 +637,7 @@ func (p *Policy) reclaimPass(now sim.Time) {
 				// Chaos (negative tests only): deliberately free while the
 				// state is live, manufacturing the §4.2 violation so the
 				// auditor's detection can be proven.
-				k.Metrics.Inc("chaos.unsafe_reclaim", 1)
+				p.met.unsafeReclaim.Inc()
 				// The state will never legitimately quiesce once its memory
 				// is gone: abandon the span's quiesce hold here (flagged
 				// unsafe) so the lifecycle still closes while the auditor
@@ -600,7 +648,7 @@ func (p *Policy) reclaimPass(now sim.Time) {
 					sp.Release(now)
 				}
 			} else {
-				k.Metrics.Inc("latr.reclaim_deferred", 1)
+				p.met.reclaimDeferred.Inc()
 				e.deadline = now + p.tun.ReclaimPeriod
 				keep = append(keep, e)
 				continue
@@ -609,13 +657,13 @@ func (p *Policy) reclaimPass(now sim.Time) {
 		// States with no remote participants never sweep, so their parked
 		// replica invalidations drain here, at the frame-free boundary.
 		k.ReplComplete(e.u.MM, e.u.Start, e.u.Pages)
-		k.Metrics.GaugeAdd("latr.lazy_frames", -int64(len(e.u.Frames)))
+		p.met.lazyFrames.Add(-int64(len(e.u.Frames)))
 		k.ReleaseFrames(e.u.Frames)
 		if !e.u.KeepVMA {
 			e.u.MM.Space.ReleaseLazy(e.u.Start, e.u.Pages)
 		}
-		k.Metrics.GaugeAdd("latr.lazy_bytes", -int64(e.u.Pages)*4096)
-		k.Metrics.Inc("latr.reclaimed", 1)
+		p.met.lazyBytes.Add(-int64(e.u.Pages) * 4096)
+		p.met.reclaimed.Inc()
 		e.u.Span.MarkLazy(obs.PhaseReclaim, e.initiator.ID, now, k.Cost.LATRReclaimPerEntry)
 		e.u.Span.Release(now)
 		// The reclaim work steals CPU on the initiating core, like the
@@ -625,7 +673,7 @@ func (p *Policy) reclaimPass(now sim.Time) {
 	}
 	p.reclaim = keep
 	if freed > 0 {
-		k.Metrics.Observe("latr.reclaim_batch", sim.Time(freed))
+		p.met.reclaimBatch.Observe(sim.Time(freed))
 	}
 }
 
@@ -652,7 +700,7 @@ func (p *Policy) auditPass(now sim.Time) {
 			if age <= auditLeakAge {
 				continue
 			}
-			k.Metrics.Inc("audit.leaked_state", 1)
+			p.met.leakedState.Inc()
 			k.Audit.Report(tlb.Violation{
 				Kind: tlb.ViolationLeakedState,
 				Time: st.recordedAt,
@@ -671,7 +719,7 @@ func (p *Policy) auditPass(now sim.Time) {
 				sp.Release(now)
 			}
 			if n := len(st.waiters); n > 0 {
-				k.Metrics.Inc("audit.lost_waiter", uint64(n))
+				p.met.lostWaiter.Add(uint64(n))
 				k.Audit.Report(tlb.Violation{
 					Kind: tlb.ViolationLostWaiter,
 					Time: st.recordedAt,

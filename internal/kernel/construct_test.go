@@ -3,6 +3,7 @@ package kernel_test
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"latr/internal/core"
 	"latr/internal/cost"
@@ -16,9 +17,9 @@ func newLATRMachine(spec topo.Spec) *kernel.Kernel {
 	return kernel.New(spec, cost.Default(spec), core.New(core.Config{}), kernel.Options{Audit: true, Seed: 1})
 }
 
-// bytesPerBuild reports the heap bytes one build of spec allocates,
-// averaged over a few builds.
-func bytesPerBuild(spec topo.Spec) uint64 {
+// perBuild reports the heap bytes and objects one build of spec
+// allocates, averaged over a few builds.
+func perBuild(spec topo.Spec) (bytes, objects uint64) {
 	const builds = 5
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -26,7 +27,7 @@ func bytesPerBuild(spec topo.Spec) uint64 {
 		sink = newLATRMachine(spec)
 	}
 	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / builds
+	return (after.TotalAlloc - before.TotalAlloc) / builds, (after.Mallocs - before.Mallocs) / builds
 }
 
 var sink *kernel.Kernel
@@ -36,17 +37,35 @@ func TestKernelNewAllocationBudget(t *testing.T) {
 	// lines cached and LATR state arrays appear on a core's first record.
 	// Sizing them to capacity up front cost 4.8 MB per 8x15 build and
 	// 1.07 MB per 2x8 build; these bounds keep it from creeping back.
+	// Metric handles and span histogram names are resolved on first
+	// write, not here: the 2x8 build makes 169 objects, and building the
+	// collector's 56 names or resolving the kernel's handles eagerly would
+	// add one object per name or handle.
 	for _, c := range []struct {
-		name  string
-		spec  topo.Spec
-		limit uint64
+		name    string
+		spec    topo.Spec
+		limit   uint64
+		objects uint64 // 0: no object ceiling
 	}{
-		{"8x15", topo.EightSocket120(), 256 << 10},
-		{"2x8", topo.TwoSocket16(), 64 << 10},
+		{"8x15", topo.EightSocket120(), 256 << 10, 0},
+		{"2x8", topo.TwoSocket16(), 64 << 10, 180},
 	} {
-		if got := bytesPerBuild(c.spec); got > c.limit {
-			t.Errorf("kernel.New(%s, latr, audit) allocates %d bytes, budget %d", c.name, got, c.limit)
+		bytes, objects := perBuild(c.spec)
+		if bytes > c.limit {
+			t.Errorf("kernel.New(%s, latr, audit) allocates %d bytes, budget %d", c.name, bytes, c.limit)
 		}
+		if c.objects > 0 && objects > c.objects {
+			t.Errorf("kernel.New(%s, latr, audit) allocates %d objects, ceiling %d", c.name, objects, c.objects)
+		}
+	}
+}
+
+// TestCoreSize keeps Core within the allocator's 256-byte size class, one
+// of which every core of every machine costs. Per-kernel state, metric
+// handles included, belongs on Kernel or the policy instead.
+func TestCoreSize(t *testing.T) {
+	if n := unsafe.Sizeof(kernel.Core{}); n > 256 {
+		t.Fatalf("kernel.Core is %d bytes, want at most 256", n)
 	}
 }
 

@@ -128,7 +128,7 @@ func (c *Core) step() {
 	case stepMmapDone:
 		th.Proc.MM.Sem.ReleaseWrite()
 		th.LastAddr = th.op.addr
-		c.k.Metrics.Inc("sys.mmap", 1)
+		c.k.met.sysMmap.Inc()
 		c.opBoundary()
 	case stepMunmapGrant:
 		c.munmapGrant(th)

@@ -165,13 +165,13 @@ func (c *Core) interrupt(h IRQHandler) {
 	c.Interrupts++
 	if c.running && c.irqOff {
 		c.pendingIRQ = append(c.pendingIRQ, h)
-		c.k.Metrics.Inc("ipi.delayed_irqoff", 1)
+		c.k.met.ipiDelayedIrqoff.Inc()
 		return
 	}
 	start := c.k.Now()
 	if c.irqBusyUntil > start {
 		start = c.irqBusyUntil
-		c.k.Metrics.Inc("ipi.queued_behind_handler", 1)
+		c.k.met.ipiQueued.Inc()
 	}
 	cost := h(start)
 	c.irqBusyUntil = start + cost
@@ -240,7 +240,7 @@ func (c *Core) setMM(mm *MM) {
 		// pay the full flush before running anything (§2.3).
 		c.flushAllTLB()
 		c.deferredFlush = false
-		k.Metrics.Inc("shootdown.deferred_flush", 1)
+		k.met.deferredFlush.Inc()
 	}
 	if c.curMM == mm {
 		c.lazyTLB = false

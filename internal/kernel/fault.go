@@ -59,7 +59,7 @@ func (c *Core) handleFault(th *Thread) {
 
 	// NUMA-hint fault: present but marked for sampling.
 	if e.Present && e.NUMAHint {
-		k.Metrics.Inc("fault.numa_hint", 1)
+		k.met.faultNUMAHint.Inc()
 		if k.numa != nil {
 			k.numa.OnHintFault(c, th, vpn, c.then(stepTouch))
 			return
@@ -78,7 +78,7 @@ func (c *Core) handleFault(th *Thread) {
 			c.breakCoW(th, vpn, c.then(stepTouch))
 			return
 		}
-		k.Metrics.Inc("fault.prot", 1)
+		k.met.faultProt.Inc()
 		th.LastFault++
 		c.touchPages(th)
 		return
@@ -86,7 +86,7 @@ func (c *Core) handleFault(th *Thread) {
 
 	// Swap-resident pages take a major fault through the swap handler.
 	if k.swap != nil && k.swap.OnSwapFault(c, th, vpn, c.then(stepTouch)) {
-		k.Metrics.Inc("fault.major", 1)
+		k.met.faultMajor.Inc()
 		return
 	}
 
@@ -116,7 +116,7 @@ func (c *Core) faultGrant(th *Thread) {
 	if !ok {
 		// Unmapped address: segmentation fault. Programs observe it in
 		// th.LastFault (§4.4: post-sweep accesses to freed ranges).
-		k.Metrics.Inc("fault.segv", 1)
+		k.met.faultSegv.Inc()
 		th.LastFault++
 		c.faultDone(th)
 		return
@@ -142,7 +142,7 @@ func (c *Core) faultGrant(th *Thread) {
 		return
 	}
 	c.TLB.Insert(c.pcid(mm), vpn, hpfn, vma.Writable)
-	k.Metrics.Inc("fault.demand", 1)
+	k.met.faultDemand.Inc()
 	hook := k.policy.OnPageTouch(c, mm, vpn)
 	hook += k.ReplUpdateRange(c, mm, vpn, 1)
 	c.busy(k.Cost.MmapSetupPerPage+hook+extra, false, c.then(stepFaultDone))

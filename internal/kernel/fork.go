@@ -99,8 +99,8 @@ func (c *Core) doFork(th *Thread) {
 		// via the synchronous path below.
 		c.TLB.FlushAll()
 		cost += m.TLBFullFlush
-		k.Metrics.Inc("sys.fork", 1)
-		k.Metrics.Inc("fork.cow_shared_pages", uint64(shared))
+		k.met.sysFork.Inc()
+		k.met.forkCowSharedPages.Add(uint64(shared))
 
 		sp := k.Spans.Begin(obs.KindSync, c.ID, 0, k.Cost.FullFlushThreshold+1, k.Now())
 		tB := k.Now()
@@ -153,7 +153,7 @@ func (c *Core) breakCoW(th *Thread, vpn pt.VPN, cont func()) {
 			mm.PT.SetProtection(vpn, true)
 			c.TLB.Invalidate(c.pcid(mm), vpn)
 			c.TLB.Insert(c.pcid(mm), vpn, hpfn, true)
-			k.Metrics.Inc("fault.cow_reuse", 1)
+			k.met.faultCowReuse.Inc()
 			c.busy(m.PTEClearPerPage+m.InvlpgLocal+extra+k.ReplUpdateRange(c, mm, vpn, 1), false, func() {
 				mm.Sem.ReleaseRead()
 				cont()
@@ -182,7 +182,7 @@ func (c *Core) breakCoW(th *Thread, vpn pt.VPN, cont func()) {
 		}
 		mm.PT.SetProtection(vpn, true)
 		c.TLB.Invalidate(c.pcid(mm), vpn)
-		k.Metrics.Inc("fault.cow_break", 1)
+		k.met.faultCowBreak.Inc()
 		sp := k.Spans.Begin(obs.KindSync, c.ID, vpn, 1, k.Now())
 		tB := k.Now()
 		c.busy(m.PageCopy+m.PTEClearPerPage+k.ReplUpdateRange(c, mm, vpn, 1), false, func() {
@@ -244,7 +244,7 @@ func (k *Kernel) ReleaseAddressSpace(c *Core, th *Thread, p *Process, done func(
 			c.SetSpan(nil)
 			sp.Release(k.Now())
 			mm.Sem.ReleaseWrite()
-			k.Metrics.Inc("sys.exit_mmap", 1)
+			k.met.sysExitMmap.Inc()
 			done()
 		})
 	})

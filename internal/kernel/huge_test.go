@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"latr/internal/pt"
@@ -72,18 +74,92 @@ func TestHugeMmapTouchMunmap(t *testing.T) {
 	}
 }
 
+// TestPartialHugeUnmapRejected: an munmap or madvise whose range starts
+// or ends strictly inside a huge mapping would need a PMD split, which is
+// not modelled, so it fails with ErrBadArg before it changes anything:
+// the VMA list, the frames in use, the huge PTE and the cached TLB lines
+// stay as they were. A range covering the whole mapping still succeeds.
 func TestPartialHugeUnmapRejected(t *testing.T) {
 	k := testKernel()
 	p := k.NewProcess()
-	var err2 error
-	p.Spawn(0, &script{steps: []func(*Thread) Op{
-		func(*Thread) Op { return Mmap(512, true).Populate(-1).Huge() },
-		func(th *Thread) Op { return Munmap(th.LastAddr, 100) },
-		func(th *Thread) Op { err2 = th.LastErr; return Op{} },
-	}})
-	run(k, 5*sim.Millisecond)
-	if err2 == nil {
-		t.Fatal("partial huge unmap accepted (PMD split not modelled)")
+	mm, cached := p.MM, k.Cores[0].TLB
+	type state struct {
+		vmas                 string
+		frames               int64
+		huge, hugeLine, line bool
+		lines                int
+	}
+	var small, base pt.VPN
+	snap := func() state {
+		_, huge := mm.PT.GetHuge(base)
+		return state{
+			vmas:     fmt.Sprint(mm.Space.VMAs()),
+			frames:   k.Alloc.TotalInUse(),
+			huge:     huge,
+			hugeLine: cached.HasHuge(tlb.Tag{}, base),
+			line:     cached.Has(tlb.Tag{}, small),
+			lines:    cached.Len(),
+		}
+	}
+	rejected := []struct {
+		name string
+		op   func() Op
+	}{
+		{"munmap ending inside, from a small mapping below", func() Op { return Munmap(small, int(base-small)+88) }},
+		{"munmap starting inside", func() Op { return Munmap(base+256, 256) }},
+		{"munmap ending inside, from the base", func() Op { return Munmap(base, 100) }},
+		{"madvise inside", func() Op { return Madvise(base+100, 50) }},
+	}
+	var before state
+	var after []state
+	var errs []error
+	var wholeErr error
+	steps := []func(*Thread) Op{
+		func(*Thread) Op { return Mmap(4, true).Populate(-1) },
+		func(th *Thread) Op { small = th.LastAddr; return Mmap(512, true).Populate(-1).Huge() },
+		func(th *Thread) Op { base = th.LastAddr; return TouchRange(small, 4, false) },
+		func(*Thread) Op { return TouchRange(base, 8, false) },
+	}
+	for i, c := range rejected {
+		steps = append(steps, func(th *Thread) Op {
+			if i == 0 {
+				before = snap()
+			} else {
+				errs, after = append(errs, th.LastErr), append(after, snap())
+			}
+			return c.op()
+		})
+	}
+	steps = append(steps,
+		func(th *Thread) Op {
+			errs, after = append(errs, th.LastErr), append(after, snap())
+			return Munmap(base, 512)
+		},
+		func(th *Thread) Op { wholeErr = th.LastErr; return Op{} },
+	)
+	p.Spawn(0, &script{steps: steps})
+	run(k, 20*sim.Millisecond)
+
+	if small >= base || !before.huge || !before.hugeLine || !before.line || before.frames != 516 {
+		t.Fatalf("setup: small %#x, huge %#x, state %+v", uint64(small), uint64(base), before)
+	}
+	if len(errs) != len(rejected) {
+		t.Fatalf("ran %d of %d rejected cases", len(errs), len(rejected))
+	}
+	for i, c := range rejected {
+		if !errors.Is(errs[i], ErrBadArg) {
+			t.Errorf("%s: err = %v, want ErrBadArg", c.name, errs[i])
+		}
+		if after[i] != before {
+			t.Errorf("%s changed state:\n got %+v\nwant %+v", c.name, after[i], before)
+		}
+	}
+	if wholeErr != nil {
+		t.Fatalf("whole-mapping munmap: %v", wholeErr)
+	}
+	if _, ok := mm.PT.GetHuge(base); ok || k.Alloc.TotalInUse() != 4 || len(mm.Space.VMAs()) != 1 {
+		t.Fatalf("whole-mapping munmap left huge=%v, %d frames in use, VMAs %v",
+			ok, k.Alloc.TotalInUse(), mm.Space.VMAs())
 	}
 }
 

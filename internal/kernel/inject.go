@@ -55,8 +55,8 @@ func (k *Kernel) chaosIPIDelay(from, to topo.CoreID) sim.Time {
 	}
 	d := k.injector.IPIDelay(from, to)
 	if d > 0 {
-		k.Metrics.Inc("chaos.ipi_delayed", 1)
-		k.Metrics.Observe("chaos.ipi_delay", d)
+		k.met.chaosIPIDelayed.Inc()
+		k.met.chaosIPIDelay.Observe(d)
 	}
 	return d
 }

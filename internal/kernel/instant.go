@@ -43,14 +43,14 @@ func (p *InstantPolicy) Munmap(c *Core, u Unmap, done func()) {
 		p.k.ReleaseVA(u.MM, u.Start, u.Pages)
 	}
 	u.Span.Mark(obs.PhaseReclaim, c.ID, p.k.Now(), 0)
-	p.k.Metrics.Inc("shootdown.initiated", 1)
+	p.k.met.initiated.Inc()
 	done()
 }
 
 // SyncChange implements Policy.
 func (p *InstantPolicy) SyncChange(c *Core, mm *MM, start pt.VPN, pages int, done func()) {
 	p.invalidateEverywhere(mm, start, pages)
-	p.k.Metrics.Inc("shootdown.initiated", 1)
+	p.k.met.initiated.Inc()
 	done()
 }
 
@@ -60,7 +60,7 @@ func (p *InstantPolicy) NUMAUnmap(c *Core, mm *MM, start pt.VPN, pages int, done
 		mm.PT.SetNUMAHint(start+pt.VPN(i), true)
 	}
 	p.invalidateEverywhere(mm, start, pages)
-	p.k.Metrics.Inc("shootdown.initiated", 1)
+	p.k.met.initiated.Inc()
 	done()
 }
 

@@ -81,6 +81,7 @@ type Kernel struct {
 	Tunables Tunables
 
 	policy Policy
+	met    kernelMetrics
 
 	procs    []*Process
 	nextPID  int
@@ -129,16 +130,18 @@ func New(spec topo.Spec, model cost.Model, pol Policy, opts Options) *Kernel {
 	if eng == nil {
 		eng = sim.NewEngine()
 	}
+	reg := metrics.NewRegistry()
 	k := &Kernel{
 		Spec:     spec,
 		Cost:     model,
 		Engine:   eng,
 		Alloc:    mem.NewAllocator(spec),
-		Metrics:  metrics.NewRegistry(),
+		Metrics:  reg,
 		Rand:     sim.NewRand(opts.Seed ^ 0x1a7b2c3d4e5f6071),
 		Opts:     opts,
 		Tunables: tun,
 		policy:   pol,
+		met:      newKernelMetrics(reg),
 		nextPCID: 1,
 	}
 	if opts.CheckInvariants || opts.Audit {
@@ -398,7 +401,7 @@ func (k *Kernel) checkFrameReuse(pfn mem.PFN) {
 	if k.Audit == nil {
 		panic(fmt.Sprintf("kernel: TLB-coherence invariant violated: frame %d reused while still cached on cores %v", pfn, cores))
 	}
-	k.Metrics.Inc("audit.frame_reuse", 1)
+	k.met.auditFrameReuse.Inc()
 	for _, e := range firsts {
 		k.Audit.Report(tlb.Violation{
 			Kind:   tlb.ViolationFrameReuse,
@@ -438,7 +441,7 @@ func (k *Kernel) AllocFrame(node topo.NodeID) (mem.PFN, error) { return k.allocF
 // vanishing silently.
 func (k *Kernel) trace(core topo.CoreID, cat, format string, args ...any) {
 	if !k.Tracer.Record(k.Now(), core, cat, format, args...) {
-		k.Metrics.Inc("trace.dropped", 1)
+		k.met.traceDropped.Inc()
 	}
 }
 

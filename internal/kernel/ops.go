@@ -299,16 +299,16 @@ func (c *Core) touchPages(th *Thread) {
 			if k.Tracker != nil {
 				if e, ok := mm.PT.Get(vpn); !ok || !c.backsLine(mm, e.PFN, line.PFN) {
 					if write {
-						k.Metrics.Inc("race.stale_write", 1)
+						k.met.raceStaleWrite.Inc()
 					} else {
-						k.Metrics.Inc("race.stale_read", 1)
+						k.met.raceStaleRead.Inc()
 					}
 					// A stale access is benign while the frame sits on the
 					// lazy lists (refcount held); touching a frame already
 					// returned to the allocator is a coherence violation —
 					// the data belongs to nobody, or soon to someone else.
 					if k.Audit != nil && k.Alloc.Refs(line.PFN) == 0 {
-						k.Metrics.Inc("audit.stale_use", 1)
+						k.met.auditStaleUse.Inc()
 						kind := "read"
 						if write {
 							kind = "write"
@@ -362,12 +362,12 @@ func (c *Core) touchPages(th *Thread) {
 		if se, stale := k.replStaleWalk(c, mm, vpn, write); stale {
 			c.TLB.Insert(pcid, vpn, se.PFN, se.Writable)
 			if write {
-				k.Metrics.Inc("race.stale_write", 1)
+				k.met.raceStaleWrite.Inc()
 			} else {
-				k.Metrics.Inc("race.stale_read", 1)
+				k.met.raceStaleRead.Inc()
 			}
 			if k.Audit != nil && k.Alloc.Refs(se.PFN) == 0 {
-				k.Metrics.Inc("audit.stale_use", 1)
+				k.met.auditStaleUse.Inc()
 				kind := "read"
 				if write {
 					kind = "write"

@@ -172,7 +172,7 @@ func (k *Kernel) ShootdownTargets(self *Core, mm *MM) topo.CoreMask {
 			// and charges the flush cost at wake via deferredFlush.
 			c.deferredFlush = true
 			c.flushAllTLB()
-			k.Metrics.Inc("shootdown.lazy_skipped", 1)
+			k.met.lazySkipped.Inc()
 			return
 		}
 		targets.Set(id)
@@ -188,7 +188,7 @@ func (k *Kernel) Shootdown(c *Core, mm *MM, start pt.VPN, pages int, targets top
 		done()
 		return
 	}
-	k.Metrics.Inc("shootdown.initiated", 1)
+	k.met.initiated.Inc()
 	k.SendShootdownIPIs(c, mm, start, pages, targets, done)
 }
 
@@ -288,8 +288,8 @@ func (k *Kernel) SendShootdownIPIs(c *Core, mm *MM, start pt.VPN, pages int, tar
 		return
 	}
 	n := targets.Count()
-	k.Metrics.Inc("shootdown.ipi", 1)
-	k.Metrics.Inc("shootdown.ipi_targets", uint64(n))
+	k.met.ipiSent.Inc()
+	k.met.ipiTargets.Add(uint64(n))
 	sendCost, perTarget := m.IPISendBase, sim.Time(0)
 	// Yan et al.'s trap-and-fan-out amplification: a guest-initiated
 	// shootdown exits to the hypervisor (one round trip), and every IPI is
@@ -297,13 +297,13 @@ func (k *Kernel) SendShootdownIPIs(c *Core, mm *MM, start pt.VPN, pages int, tar
 	if mm.VM != nil {
 		sendCost += m.VMExitRoundTrip
 		perTarget = m.VMExitIPIInject
-		k.Metrics.Inc("virt.vm_exits", uint64(1+n))
+		k.met.vmExits.Add(uint64(1 + n))
 	}
 	h := ipiHandler{kind: ipiShootdown, mm: mm, start: start, pages: pages}
 	work := k.sendIPIs(c, c.Span(), targets, sendCost, perTarget, h, done)
 	// Table 5's "single TLB shootdown in Linux" is the initiator-side work
 	// (flush-info setup + serialized APIC sends), excluding the ACK wait.
-	k.Metrics.Observe("shootdown.initiator_work", work)
+	k.met.initiatorWork.Observe(work)
 }
 
 // shootdownHandler is the remote half of a shootdown IPI on target t: it
@@ -332,16 +332,16 @@ func (k *Kernel) shootdownHandler(t *Core, mm *MM, start pt.VPN, pages int) sim.
 		}
 		mm.CPUMask.Clear(t.ID)
 		delete(t.maskedMMs, mm)
-		k.Metrics.Inc("ipi.leave_mm", 1)
+		k.met.ipiLeaveMM.Inc()
 	}
 	total := m.IPIHandlerEntry + inval + m.IPIAckWrite
 	if mm.VM != nil {
 		// The guest handler's EOI write traps to the hypervisor.
 		total += m.VMExitEOI
-		k.Metrics.Inc("virt.vm_exits", 1)
+		k.met.vmExits.Inc()
 	}
-	k.Metrics.Inc("ipi.handled", 1)
-	k.Metrics.Observe("ipi.handler", total)
+	k.met.ipiHandled.Inc()
+	k.met.ipiHandler.Observe(total)
 	return total
 }
 
@@ -488,7 +488,7 @@ func (r *ipiRound) ack(now sim.Time) {
 	k := r.c.k
 	wait := now - r.spinStart
 	if r.h.kind == ipiShootdown && wait > 0 {
-		k.Metrics.Observe("shootdown.ack_wait", wait)
+		k.met.ackWait.Observe(wait)
 	}
 	r.sp.Mark(obs.PhaseAck, r.c.ID, r.spinStart, wait)
 	done := r.done

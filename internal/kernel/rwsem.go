@@ -41,7 +41,7 @@ func (s *RWSem) AcquireRead(c *Core, th *Thread, grant func()) {
 		return
 	}
 	s.Contended++
-	s.k.Metrics.Inc("sem.contended", 1)
+	s.k.met.semContended.Inc()
 	s.waiters = append(s.waiters, semWaiter{write: false, th: th, grant: grant})
 	c.block(th, blockedOnSem)
 }
@@ -54,7 +54,7 @@ func (s *RWSem) AcquireWrite(c *Core, th *Thread, grant func()) {
 		return
 	}
 	s.Contended++
-	s.k.Metrics.Inc("sem.contended", 1)
+	s.k.met.semContended.Inc()
 	s.waiters = append(s.waiters, semWaiter{write: true, th: th, grant: grant})
 	c.block(th, blockedOnSem)
 }

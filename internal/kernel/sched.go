@@ -48,12 +48,12 @@ func (c *Core) maybeDispatch() {
 // then address-space change and thread execution.
 func (c *Core) dispatch() {
 	k := c.k
-	k.Metrics.Inc("sched.context_switches", 1)
+	k.met.contextSwitches.Inc()
 
 	// LATR sweeps at context switches *before* any PCID change so entries
 	// of the outgoing address space are covered (§4.5).
 	if hook := c.ctxSwitchHook(); hook > 0 {
-		k.Metrics.Observe("policy.ctxswitch_hook", hook)
+		k.met.ctxswitchHook.Observe(hook)
 		if c.dispatch2Fn == nil {
 			c.dispatch2Fn = c.dispatch2
 		}
@@ -109,7 +109,7 @@ func (c *Core) opBoundary() {
 		th.State = Ready
 		c.cur = nil
 		c.runq = append(c.runq, th)
-		c.k.Metrics.Inc("sched.preemptions", 1)
+		c.k.met.preemptions.Inc()
 		c.maybeDispatch()
 		return
 	}
@@ -126,7 +126,7 @@ func (c *Core) block(th *Thread, resume func()) {
 	th.resume = resume
 	th.cpuTime += c.k.Now() - th.scheduledAt
 	c.cur = nil
-	c.k.Metrics.Inc("sched.blocks", 1)
+	c.k.met.blocks.Inc()
 	c.goIdleOrDispatch()
 }
 
@@ -149,7 +149,7 @@ func (c *Core) goIdleOrDispatch() {
 		return
 	}
 	if hook := c.ctxSwitchHook(); hook > 0 {
-		c.k.Metrics.Observe("policy.ctxswitch_hook", hook)
+		c.k.met.ctxswitchHook.Observe(hook)
 	}
 	if c.curMM != nil {
 		if c.k.Opts.Tickless {
@@ -163,7 +163,7 @@ func (c *Core) goIdleOrDispatch() {
 			delete(c.maskedMMs, c.curMM)
 			c.curMM = nil
 			c.lazyTLB = false
-			c.k.Metrics.Inc("sched.tickless_idle_flush", 1)
+			c.k.met.ticklessIdleFlush.Inc()
 		} else {
 			c.lazyTLB = true
 		}
@@ -186,7 +186,7 @@ func (c *Core) startTicks() {
 func (c *Core) ctxSwitchHook() sim.Time {
 	k := c.k
 	if inj := k.injector; inj != nil && inj.SuppressSweep(c) {
-		k.Metrics.Inc("chaos.sweep_suppressed", 1)
+		k.met.chaosSweepSuppressed.Inc()
 		return 0
 	}
 	return k.policy.OnContextSwitch(c)
@@ -199,12 +199,12 @@ func (c *Core) tick(now sim.Time) {
 		// period later) or postpone it. Both suppress the policy's tick
 		// sweep for this period — the delayed-invalidation scenario.
 		if drop, delay := inj.TickFault(c); drop {
-			k.Metrics.Inc("chaos.tick_dropped", 1)
+			k.met.chaosTickDropped.Inc()
 			k.Engine.At(now+k.Cost.SchedTickPeriod, c.tickFn)
 			return
 		} else if delay > 0 {
-			k.Metrics.Inc("chaos.tick_delayed", 1)
-			k.Metrics.Observe("chaos.tick_delay", delay)
+			k.met.chaosTickDelayed.Inc()
+			k.met.chaosTickDelay.Observe(delay)
 			k.Engine.At(now+delay, c.tickFn)
 			return
 		}
@@ -213,14 +213,14 @@ func (c *Core) tick(now sim.Time) {
 
 	if k.Opts.Tickless && c.idle() && len(c.runq) == 0 {
 		// Tickless kernels skip the tick on idle cores entirely (§7).
-		k.Metrics.Inc("sched.ticks_skipped_idle", 1)
+		k.met.ticksSkippedIdle.Inc()
 		return
 	}
-	k.Metrics.Inc("sched.ticks", 1)
+	k.met.ticks.Inc()
 
 	work := k.Cost.SchedTickWork
 	if hook := k.policy.OnTick(c); hook > 0 {
-		k.Metrics.Observe("policy.tick_hook", hook)
+		k.met.tickHook.Observe(hook)
 		work += hook
 	}
 	c.inject(work)

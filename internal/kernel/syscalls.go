@@ -32,8 +32,9 @@ var (
 // refcounts, virtual time) still panic.
 func (c *Core) internalErr(op string, err error) error {
 	k := c.k
-	k.Metrics.Inc("error.internal", 1)
-	k.Metrics.Inc("error.internal."+op, 1)
+	k.met.internalErrors.Inc()
+	perOp := k.Metrics.NewCounter("error.internal." + op)
+	perOp.Inc()
 	k.trace(c.ID, "error", "%s: %v", op, err)
 	return fmt.Errorf("%w: %s: %v", ErrInternal, op, err)
 }
@@ -107,7 +108,7 @@ func (c *Core) mmapGrant(th *Thread) {
 		// (cheap, contiguous) frame clear amortisation.
 		cost += sim.Time(o.pages()/pt.HugePages) * 8 * m.MmapSetupPerPage
 		cost += k.ReplUpdateRange(c, mm, start, o.pages())
-		k.Metrics.Inc("sys.mmap_huge", 1)
+		k.met.sysMmapHuge.Inc()
 	case o.has(opPopulate):
 		for i := 0; i < o.pages(); i++ {
 			pfn, err := k.allocFrameFor(mm, node)
@@ -151,6 +152,14 @@ func (c *Core) munmapGrant(th *Thread) {
 	mm := th.Proc.MM
 	op := th.op
 	addr, pages, keepVMA := op.addr, op.npages, op.keepVMA
+	if splitsHuge(mm, addr) || splitsHuge(mm, addr+pt.VPN(pages)) {
+		// Partial unmap of a huge mapping: splitting is not modelled
+		// (real THP would split the PMD first). Reject it before any VMA,
+		// PTE or TLB line changes.
+		mm.Sem.ReleaseWrite()
+		c.failSyscall(th, ErrBadArg)
+		return
+	}
 	if !keepVMA {
 		op.vmas = mm.Space.RemoveRange(op.vmas[:0], addr, addr+pt.VPN(pages))
 		if len(op.vmas) == 0 {
@@ -169,13 +178,6 @@ func (c *Core) munmapGrant(th *Thread) {
 		vpn := addr + pt.VPN(i)
 		if vpn == pt.HugeBase(vpn) {
 			if he, ok := mm.PT.GetHuge(vpn); ok {
-				if i+pt.HugePages > pages {
-					// Partial unmap of a huge mapping: splitting is not
-					// modelled (real THP would split the PMD first).
-					mm.Sem.ReleaseWrite()
-					c.failSyscall(th, ErrBadArg)
-					return
-				}
 				mm.PT.UnmapHuge(vpn)
 				hugeEntries++
 				for j := 0; j < pt.HugePages; j++ {
@@ -224,6 +226,16 @@ func (c *Core) munmapGrant(th *Thread) {
 
 // munmapCleared hands remote coherence and memory release for th.op's
 // range to the policy once the PTE/TLB phase is paid.
+// splitsHuge reports whether vpn lies strictly inside a huge mapping of
+// mm, so that a range boundary at vpn would split it.
+func splitsHuge(mm *MM, vpn pt.VPN) bool {
+	if vpn == pt.HugeBase(vpn) {
+		return false
+	}
+	_, ok := mm.PT.GetHuge(vpn)
+	return ok
+}
+
 func (c *Core) munmapCleared(th *Thread) {
 	k := c.k
 	op := th.op
@@ -247,12 +259,12 @@ func (c *Core) munmapDone(th *Thread) {
 	th.Proc.MM.Sem.ReleaseWrite()
 	th.LastAddr = op.addr
 	if op.keepVMA {
-		k.Metrics.Inc("sys.madvise", 1)
+		k.met.sysMadvise.Inc()
 	} else {
-		k.Metrics.Inc("sys.munmap", 1)
+		k.met.sysMunmap.Inc()
 	}
-	k.Metrics.Observe("munmap.latency", t2-op.t0)
-	k.Metrics.Observe("munmap.shootdown", t2-op.t1)
+	k.met.munmapLatency.Observe(t2 - op.t0)
+	k.met.munmapShootdown.Observe(t2 - op.t1)
 	c.opBoundary()
 }
 
@@ -309,8 +321,8 @@ func (c *Core) doMprotect(th *Thread, o Op) {
 				c.SetSpan(nil)
 				sp.Release(k.Now())
 				mm.Sem.ReleaseWrite()
-				k.Metrics.Inc("sys.mprotect", 1)
-				k.Metrics.Observe("mprotect.latency", k.Now()-t0)
+				k.met.sysMprotect.Inc()
+				k.met.mprotectLatency.Observe(k.Now() - t0)
 				c.opBoundary()
 			})
 		})
@@ -379,7 +391,7 @@ func (c *Core) doMremap(th *Thread, o Op) {
 				k.ReleaseVA(mm, o.addr(), o.pages())
 				mm.Sem.ReleaseWrite()
 				th.LastAddr = newStart
-				k.Metrics.Inc("sys.mremap", 1)
+				k.met.sysMremap.Inc()
 				c.opBoundary()
 			})
 		})

@@ -109,7 +109,7 @@ func (k *Kernel) NewVM(name string, guestFrames int) *VM {
 	}
 	k.vms = append(k.vms, v)
 	k.virtUsed = true
-	k.Metrics.Inc("virt.vm_starts", 1)
+	k.met.vmStarts.Inc()
 	return v
 }
 
@@ -159,7 +159,7 @@ func (c *Core) framePhys(mm *MM, pfn mem.PFN) (mem.PFN, sim.Time, error) {
 	// EPT violation: exit to the host, back the guest frame, resume. Not a
 	// guest-visible fault — the page is simply slow on this touch.
 	extra += k.Cost.EPTViolation
-	k.Metrics.Inc("virt.ept_violations", 1)
+	k.met.eptViolations.Inc()
 	hpfn, err := k.allocFrame(k.Spec.NodeOf(c.ID))
 	if err != nil {
 		return 0, extra, err
@@ -269,7 +269,7 @@ func (k *Kernel) BalloonReclaim(c *Core, v *VM, n int, done func()) {
 		}
 		hfreed = append(hfreed, hpfn)
 	}
-	k.Metrics.Inc("virt.balloon_reclaimed", uint64(n))
+	k.met.balloonReclaimed.Add(uint64(n))
 
 	sp := k.Spans.Begin(obs.KindBalloon, c.ID, pt.VPN(start), n, k.Now())
 	initCost := m.SyscallEntry + sim.Time(n)*m.PTEClearPerPage
@@ -301,12 +301,12 @@ func (k *Kernel) BalloonReclaim(c *Core, v *VM, n int, done func()) {
 		// window — the initiator continues immediately (host-LATR). The
 		// extra span reference keeps the lifecycle open until the deferred
 		// reclaim resolves.
-		k.Metrics.Inc("virt.lazy_batches", 1)
+		k.met.lazyBatches.Inc()
 		sp.Retain()
 		k.Engine.After(m.HostLazyReclaim, func(sim.Time) {
 			k.invvpidAll(v)
 			free()
-			k.Metrics.Inc("virt.lazy_reclaimed", uint64(len(hfreed)))
+			k.met.lazyReclaimed.Add(uint64(len(hfreed)))
 			sp.MarkLazy(obs.PhaseReclaim, c.ID, k.Now(), 0)
 			sp.Release(k.Now())
 		})
@@ -352,7 +352,7 @@ func (k *Kernel) hostSyncInvalidate(c *Core, v *VM, sp *obs.Span, done func()) {
 	targets := k.vmCoreMask(v)
 	targets.Clear(c.ID)
 	if n := targets.Count(); n > 0 {
-		k.Metrics.Inc("virt.host_quiesce_ipis", uint64(n))
+		k.met.hostQuiesceIPIs.Add(uint64(n))
 	}
 	k.sendIPIs(c, sp, targets, m.VPIDFlush+m.IPISendBase, 0, ipiHandler{kind: ipiFlushVPID, vm: v}, done)
 }
@@ -367,7 +367,7 @@ func (k *Kernel) hatricInvalidateFrame(hpfn mem.PFN) sim.Time {
 		k.Cores[e.Core].TLB.Invalidate(e.Key.Tag, e.Key.VPN)
 		k.Cores[e.Core].inject(m.HATRICInvalPerEntry)
 		cost += m.HATRICInvalPerEntry
-		k.Metrics.Inc("virt.hatric_invals", 1)
+		k.met.hatricInvals.Inc()
 	}
 	return cost
 }
@@ -391,7 +391,7 @@ func (k *Kernel) MigrateVM(c *Core, v *VM, done func()) {
 		k.Alloc.Put(hpfn)
 	}
 	v.cursor = 0
-	k.Metrics.Inc("virt.vm_migrations", 1)
+	k.met.vmMigrations.Inc()
 	c.busy(cost, false, done)
 }
 
@@ -435,7 +435,7 @@ func (k *Kernel) DestroyVM(c *Core, v *VM, done func()) error {
 	}
 	v.destroyed = true
 	k.freeVPIDs = append(k.freeVPIDs, v.VPID)
-	k.Metrics.Inc("virt.vm_destroys", 1)
+	k.met.vmDestroys.Inc()
 	cost := m.SyscallEntry +
 		sim.Time(pages)*m.PTEClearPerPage +
 		sim.Time(len(backed))*m.FreePerPage +
@@ -454,7 +454,7 @@ func (k *Kernel) auditVM(v *VM) {
 	for _, gpfn := range v.EPT.BackedGuestFrames() {
 		hpfn, _ := v.EPT.Lookup(gpfn)
 		if k.Alloc.Refs(hpfn) == 0 {
-			k.Metrics.Inc("audit.virt_leak", 1)
+			k.met.auditVirtLeak.Inc()
 			k.Audit.Report(tlb.Violation{
 				Kind:   tlb.ViolationLeakedState,
 				Time:   k.Now(),
@@ -472,7 +472,7 @@ func (k *Kernel) auditVM(v *VM) {
 					continue
 				}
 				if !v.GPhys.Live(e.PFN) {
-					k.Metrics.Inc("audit.virt_leak", 1)
+					k.met.auditVirtLeak.Inc()
 					k.Audit.Report(tlb.Violation{
 						Kind:   tlb.ViolationLeakedState,
 						Time:   k.Now(),

@@ -131,33 +131,26 @@ func (h *Histogram) String() string {
 }
 
 // Registry is a named collection of counters, gauges and histograms.
+// Writes go through the typed handles of handle.go (NewCounter, NewGauge,
+// NewHist, NewPerc), which find their entry once; reads go by name.
 type Registry struct {
 	counters map[string]*uint64
-	gauges   map[string]*int64
-	peaks    map[string]*int64
+	gauges   map[string]*gauge
 	hists    map[string]*Histogram
 	percs    map[string]*PercentileHist
 }
+
+// gauge is one gauge's current value and high-water mark.
+type gauge struct{ cur, peak int64 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*uint64{},
-		gauges:   map[string]*int64{},
-		peaks:    map[string]*int64{},
+		gauges:   map[string]*gauge{},
 		hists:    map[string]*Histogram{},
 		percs:    map[string]*PercentileHist{},
 	}
-}
-
-// Inc adds delta to the named counter.
-func (r *Registry) Inc(name string, delta uint64) {
-	c, ok := r.counters[name]
-	if !ok {
-		c = new(uint64)
-		r.counters[name] = c
-	}
-	*c += delta
 }
 
 // Counter returns the named counter's value (0 if never written).
@@ -168,44 +161,20 @@ func (r *Registry) Counter(name string) uint64 {
 	return 0
 }
 
-// GaugeAdd moves the named gauge by delta, tracking its peak.
-func (r *Registry) GaugeAdd(name string, delta int64) {
-	g, ok := r.gauges[name]
-	if !ok {
-		g = new(int64)
-		r.gauges[name] = g
-		r.peaks[name] = new(int64)
-	}
-	*g += delta
-	if p := r.peaks[name]; *g > *p {
-		*p = *g
-	}
-}
-
 // Gauge returns the named gauge's current value.
 func (r *Registry) Gauge(name string) int64 {
 	if g, ok := r.gauges[name]; ok {
-		return *g
+		return g.cur
 	}
 	return 0
 }
 
 // GaugePeak returns the named gauge's high-water mark.
 func (r *Registry) GaugePeak(name string) int64 {
-	if p, ok := r.peaks[name]; ok {
-		return *p
+	if g, ok := r.gauges[name]; ok {
+		return g.peak
 	}
 	return 0
-}
-
-// Observe records a sample into the named histogram.
-func (r *Registry) Observe(name string, v sim.Time) {
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	h.Observe(v)
 }
 
 // Hist returns the named histogram (an empty one if never written).
@@ -214,17 +183,6 @@ func (r *Registry) Hist(name string) *Histogram {
 		return h
 	}
 	return &Histogram{}
-}
-
-// ObservePerc records a sample into the named percentile histogram (the
-// fixed-bucket, bounded-error variant the tail-latency experiments use).
-func (r *Registry) ObservePerc(name string, v sim.Time) {
-	h, ok := r.percs[name]
-	if !ok {
-		h = &PercentileHist{}
-		r.percs[name] = h
-	}
-	h.Observe(v)
 }
 
 // Perc returns the named percentile histogram (an empty one if never
@@ -287,7 +245,7 @@ func (r *Registry) DumpPrefix(prefix string) string {
 			fmt.Fprintf(&b, "%-40s %d\n", n, *c)
 		}
 		if g, ok := r.gauges[n]; ok {
-			fmt.Fprintf(&b, "%-40s cur=%d peak=%d\n", n, *g, *r.peaks[n])
+			fmt.Fprintf(&b, "%-40s cur=%d peak=%d\n", n, g.cur, g.peak)
 		}
 		if h, ok := r.hists[n]; ok {
 			fmt.Fprintf(&b, "%-40s %s\n", n, h)

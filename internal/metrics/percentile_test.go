@@ -181,8 +181,9 @@ func TestPercDigestDeterminism(t *testing.T) {
 // and therefore Fingerprint, independently from plain histograms.
 func TestRegistryPercIntegration(t *testing.T) {
 	r := NewRegistry()
-	r.ObservePerc("req.latency", 10*sim.Microsecond)
-	r.ObservePerc("req.latency", 90*sim.Microsecond)
+	req := r.NewPerc("req.latency")
+	req.Observe(10 * sim.Microsecond)
+	req.Observe(90 * sim.Microsecond)
 	if r.Perc("req.latency").Count() != 2 {
 		t.Fatalf("Perc accessor lost samples")
 	}
@@ -199,7 +200,7 @@ func TestRegistryPercIntegration(t *testing.T) {
 		t.Fatalf("percentile hist missing from Names: %v", r.Names())
 	}
 	fp1 := r.Fingerprint()
-	r.ObservePerc("req.latency", 90*sim.Microsecond)
+	req.Observe(90 * sim.Microsecond)
 	if r.Fingerprint() == fp1 {
 		t.Fatalf("fingerprint must cover percentile hists")
 	}

@@ -7,6 +7,7 @@ package numa
 
 import (
 	"latr/internal/kernel"
+	"latr/internal/metrics"
 	"latr/internal/pt"
 	"latr/internal/sim"
 	"latr/internal/topo"
@@ -78,6 +79,11 @@ type AutoNUMA struct {
 	procs  []*kernel.Process
 	cursor map[*kernel.MM]pt.VPN
 	stats  map[*kernel.MM]map[pt.VPN]*pageStat
+
+	met struct {
+		scanPasses, pagesSampled, hintFaults, localRepair metrics.Counter
+		belowThreshold, migrateOOM, migrations            metrics.Counter
+	}
 }
 
 // New builds an AutoNUMA instance (zero cfg fields take defaults).
@@ -93,6 +99,14 @@ func New(cfg Config) *AutoNUMA {
 // configured core, hosted by a dedicated kernel process.
 func (a *AutoNUMA) Install(k *kernel.Kernel) {
 	a.k = k
+	r := k.Metrics
+	a.met.scanPasses = r.NewCounter("numa.scan_passes")
+	a.met.pagesSampled = r.NewCounter("numa.pages_sampled")
+	a.met.hintFaults = r.NewCounter("numa.hint_faults")
+	a.met.localRepair = r.NewCounter("numa.local_repair")
+	a.met.belowThreshold = r.NewCounter("numa.below_threshold")
+	a.met.migrateOOM = r.NewCounter("numa.migrate_oom")
+	a.met.migrations = r.NewCounter("numa.migrations")
 	k.SetNUMAHandler(a)
 	host := k.NewProcess()
 	sleep := true
@@ -169,8 +183,8 @@ func (a *AutoNUMA) scan(c *kernel.Core, th *kernel.Thread, done func()) {
 		done()
 		return
 	}
-	a.k.Metrics.Inc("numa.scan_passes", 1)
-	a.k.Metrics.Inc("numa.pages_sampled", uint64(func() int {
+	a.met.scanPasses.Inc()
+	a.met.pagesSampled.Add(uint64(func() int {
 		n := 0
 		for _, r := range runs {
 			n += r.pages
@@ -206,7 +220,7 @@ func (a *AutoNUMA) scan(c *kernel.Core, th *kernel.Thread, done func()) {
 func (a *AutoNUMA) OnHintFault(c *kernel.Core, th *kernel.Thread, vpn pt.VPN, cont func()) {
 	mm := th.Proc.MM
 	k := a.k
-	k.Metrics.Inc("numa.hint_faults", 1)
+	a.met.hintFaults.Inc()
 
 	e, ok := mm.PT.Get(vpn)
 	if !ok || !e.NUMAHint {
@@ -231,7 +245,7 @@ func (a *AutoNUMA) OnHintFault(c *kernel.Core, th *kernel.Thread, vpn pt.VPN, co
 		// Local access: repair the hint, no migration (the shootdown cost
 		// was wasted — Linux's Fig 3a overhead; LATR avoided it).
 		delete(perMM, vpn)
-		k.Metrics.Inc("numa.local_repair", 1)
+		a.met.localRepair.Inc()
 		a.repair(c, th, mm, vpn, cont)
 		return
 	}
@@ -242,7 +256,7 @@ func (a *AutoNUMA) OnHintFault(c *kernel.Core, th *kernel.Thread, vpn pt.VPN, co
 		st.count++
 	}
 	if st.count < a.cfg.MigrateThreshold {
-		k.Metrics.Inc("numa.below_threshold", 1)
+		a.met.belowThreshold.Inc()
 		a.repair(c, th, mm, vpn, cont)
 		return
 	}
@@ -275,7 +289,7 @@ func (a *AutoNUMA) migrate(c *kernel.Core, th *kernel.Thread, mm *kernel.MM, vpn
 		myNode := k.Spec.NodeOf(c.ID)
 		newPFN, err := k.AllocFrame(myNode)
 		if err != nil {
-			k.Metrics.Inc("numa.migrate_oom", 1)
+			a.met.migrateOOM.Inc()
 			mm.PT.SetNUMAHint(vpn, false)
 			c.TLB.Insert(c.PCIDOf(mm), vpn, e.PFN, e.Writable)
 			c.Busy(k.Cost.PTEClearPerPage, false, func() {
@@ -293,7 +307,7 @@ func (a *AutoNUMA) migrate(c *kernel.Core, th *kernel.Thread, mm *kernel.MM, vpn
 			k.Alloc.Put(old.PFN)
 			c.TLB.Insert(c.PCIDOf(mm), vpn, newPFN, old.Writable)
 			mm.Sem.ReleaseRead()
-			k.Metrics.Inc("numa.migrations", 1)
+			a.met.migrations.Inc()
 			k.Trace(c.ID, "numa", "migrated %#x node%d", uint64(vpn.Addr()), myNode)
 			cont()
 		})

@@ -246,7 +246,7 @@ func (s *Span) Release(now sim.Time) {
 		return
 	}
 	if s.refs <= 0 {
-		s.col.met.Inc("span.double_close", 1)
+		s.col.doubleClose.Inc()
 		return
 	}
 	s.refs--
@@ -291,21 +291,44 @@ type Collector struct {
 	retained []*Span
 	free     *Span
 
-	phaseName [numKinds][numPhases]string
-	totalName [numKinds]string
+	opened, closed, incomplete, dropped, doubleClose, traceDropped metrics.Counter
+
+	// phases holds the percentile handle of each kind's phases, the span
+	// total in the last column. Each starts as the zero handle and gets its
+	// name on its first write (observe), so a kernel builds no name for
+	// the kind/phase pairs its run never closes.
+	phases [numKinds][numPhases + 1]metrics.Perc
 }
 
 // NewCollector returns a collector labelling metrics with the policy name
 // and retaining up to limit closed spans for export. tr may be nil.
 func NewCollector(policy string, met *metrics.Registry, tr *trace.Tracer, limit int) *Collector {
-	c := &Collector{policy: policy, met: met, tr: tr, limit: limit}
-	for k := Kind(0); k < numKinds; k++ {
-		for p := Phase(0); p < numPhases; p++ {
-			c.phaseName[k][p] = "span." + policy + "." + k.String() + "." + p.String()
-		}
-		c.totalName[k] = "span." + policy + "." + k.String() + ".total"
+	return &Collector{
+		policy:       policy,
+		met:          met,
+		tr:           tr,
+		limit:        limit,
+		opened:       met.NewCounter("span.opened"),
+		closed:       met.NewCounter("span.closed"),
+		incomplete:   met.NewCounter("span.incomplete"),
+		dropped:      met.NewCounter("span.dropped"),
+		doubleClose:  met.NewCounter("span.double_close"),
+		traceDropped: met.NewCounter("trace.dropped"),
 	}
-	return c
+}
+
+// observe feeds the percentile histogram span.<policy>.<kind>.<phase>
+// (p == numPhases: span.<policy>.<kind>.total), naming it on first write.
+func (c *Collector) observe(k Kind, p Phase, v sim.Time) {
+	h := &c.phases[k][p]
+	if h.Name() == "" {
+		name := "total"
+		if p < numPhases {
+			name = p.String()
+		}
+		*h = c.met.NewPerc("span." + c.policy + "." + k.String() + "." + name)
+	}
+	h.Observe(v)
 }
 
 // Policy returns the policy label spans are attributed to.
@@ -341,7 +364,7 @@ func (c *Collector) Begin(kind Kind, initiator topo.CoreID, start pt.VPN, pages 
 	s.col = c
 	s.refs = 1
 	c.open++
-	c.met.Inc("span.opened", 1)
+	c.opened.Inc()
 	return s
 }
 
@@ -350,20 +373,20 @@ func (c *Collector) Begin(kind Kind, initiator topo.CoreID, start pt.VPN, pages 
 // recycles it through the free list.
 func (c *Collector) close(s *Span) {
 	c.open--
-	c.met.Inc("span.closed", 1)
+	c.closed.Inc()
 	if !s.complete() {
-		c.met.Inc("span.incomplete", 1)
+		c.incomplete.Inc()
 	}
 	for _, ev := range s.Events {
-		c.met.ObservePerc(c.phaseName[s.Kind][ev.Phase], ev.Dur)
+		c.observe(s.Kind, ev.Phase, ev.Dur)
 	}
-	c.met.ObservePerc(c.totalName[s.Kind], s.ClosedAt-s.OpenedAt)
+	c.observe(s.Kind, numPhases, s.ClosedAt-s.OpenedAt)
 	if c.limit > 0 && len(c.retained) < c.limit {
 		c.retained = append(c.retained, s)
 		return
 	}
 	if c.limit > 0 {
-		c.met.Inc("span.dropped", 1)
+		c.dropped.Inc()
 	}
 	s.col = nil
 	s.next = c.free
@@ -400,7 +423,7 @@ func (c *Collector) emit(s *Span, p Phase, core topo.CoreID, begin, dur sim.Time
 			ok = c.tr.Record(begin, core, "request", "gave up key=%d", int(s.Start))
 		}
 		if !ok {
-			c.met.Inc("trace.dropped", 1)
+			c.traceDropped.Inc()
 		}
 		return
 	}
@@ -453,7 +476,7 @@ func (c *Collector) emit(s *Span, p Phase, core topo.CoreID, begin, dur sim.Time
 		ok = c.tr.Record(begin, core, "swapdev", "store [%#x] (%v)", addr, dur)
 	}
 	if !ok {
-		c.met.Inc("trace.dropped", 1)
+		c.traceDropped.Inc()
 	}
 }
 

@@ -120,6 +120,30 @@ func TestSpanIncomplete(t *testing.T) {
 	}
 }
 
+// TestSpanNamesOnFirstWrite: a collector names a phase histogram when a
+// closing span first feeds it, so only the kind/phase pairs a run closes
+// appear in the registry.
+func TestSpanNamesOnFirstWrite(t *testing.T) {
+	col, met := newCollector(0)
+	if n := met.Names(); len(n) != 0 {
+		t.Fatalf("fresh collector registered %v", n)
+	}
+	sp := col.Begin(KindMadvise, 0, 0, 1, 0)
+	sp.Mark(PhaseInitiate, 0, 0, 2)
+	sp.Mark(PhaseReclaim, 0, 2, 3)
+	sp.Release(5)
+	want := []string{
+		"span.closed", "span.opened",
+		"span.testpol.madvise.initiate", "span.testpol.madvise.reclaim", "span.testpol.madvise.total",
+	}
+	if got := met.Names(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("Names = %v, want %v", got, want)
+	}
+	if p := met.Perc("span.testpol.madvise.total"); p.Count() != 1 || p.Max() != 5 {
+		t.Fatalf("total histogram n=%d max=%v, want one sample of 5", p.Count(), p.Max())
+	}
+}
+
 // TestSpanPooling: past the retention limit spans are recycled through the
 // free list (same node pointer comes back) and counted dropped.
 func TestSpanPooling(t *testing.T) {

@@ -38,6 +38,7 @@ import (
 	"fmt"
 
 	"latr/internal/kernel"
+	"latr/internal/metrics"
 	"latr/internal/pt"
 	"latr/internal/sim"
 )
@@ -164,6 +165,38 @@ type Manager struct {
 	// installed coherence policy advertising LazyReplicaSweeps.
 	lazy bool
 	mms  map[*kernel.MM]*mmState
+	met  ptreplMetrics
+}
+
+// ptreplMetrics holds the manager's metric handles, named in Install.
+type ptreplMetrics struct {
+	lazyDegraded, replicasCreated, walks, remoteWalks, staleServes metrics.Counter
+	updates, lazyParked, migrations, lazyApplied, forceApplied     metrics.Counter
+	leakedReplicas, staleLeaked                                    metrics.Counter
+
+	replicas, stale metrics.Gauge
+
+	walk metrics.Hist
+}
+
+func newPtreplMetrics(r *metrics.Registry) ptreplMetrics {
+	return ptreplMetrics{
+		lazyDegraded:    r.NewCounter("ptrepl.lazy_degraded"),
+		replicasCreated: r.NewCounter("ptrepl.replicas_created"),
+		walks:           r.NewCounter("ptrepl.walks"),
+		remoteWalks:     r.NewCounter("ptrepl.remote_walks"),
+		staleServes:     r.NewCounter("ptrepl.stale_serves"),
+		updates:         r.NewCounter("ptrepl.updates"),
+		lazyParked:      r.NewCounter("ptrepl.lazy_parked"),
+		migrations:      r.NewCounter("ptrepl.migrations"),
+		lazyApplied:     r.NewCounter("ptrepl.lazy_applied"),
+		forceApplied:    r.NewCounter("ptrepl.force_applied"),
+		leakedReplicas:  r.NewCounter("ptrepl.leaked_replicas"),
+		staleLeaked:     r.NewCounter("ptrepl.stale_leaked"),
+		replicas:        r.NewGauge("ptrepl.replicas"),
+		stale:           r.NewGauge("ptrepl.stale"),
+		walk:            r.NewHist("ptrepl.walk"),
+	}
 }
 
 var _ kernel.ReplHandler = (*Manager)(nil)
@@ -188,12 +221,13 @@ func Install(k *kernel.Kernel, cfg Config) (*Manager, error) {
 		replicateThreshold: k.Tunables.ReplicateThreshold,
 		migrateThreshold:   k.Tunables.MigrateThreshold,
 		mms:                make(map[*kernel.MM]*mmState),
+		met:                newPtreplMetrics(k.Metrics),
 	}
 	if cfg.Lazy {
 		if ld, ok := k.Policy().(lazyDriver); ok && ld.LazyReplicaSweeps() {
 			m.lazy = true
 		} else {
-			k.Metrics.Inc("ptrepl.lazy_degraded", 1)
+			m.met.lazyDegraded.Inc()
 		}
 	}
 	k.SetReplHandler(m)
@@ -238,8 +272,8 @@ func (m *Manager) getState(mm *kernel.MM, sock int) (*mmState, sim.Time) {
 func (m *Manager) createReplica(mm *kernel.MM, s *mmState, r int) sim.Time {
 	s.replicas[r] = &replica{stale: make(map[pt.VPN]pt.Entry)}
 	s.remoteWalks[r] = 0
-	m.k.Metrics.Inc("ptrepl.replicas_created", 1)
-	m.k.Metrics.GaugeAdd("ptrepl.replicas", 1)
+	m.met.replicasCreated.Inc()
+	m.met.replicas.Add(1)
 	return sim.Time(mm.PT.Tables()) * m.k.Cost.ReplTableCopy
 }
 
@@ -251,10 +285,10 @@ func (m *Manager) dropReplica(s *mmState, r int) {
 		return
 	}
 	if n := len(rep.stale); n > 0 {
-		m.k.Metrics.GaugeAdd("ptrepl.stale", -int64(n))
+		m.met.stale.Add(-int64(n))
 	}
 	s.replicas[r] = nil
-	m.k.Metrics.GaugeAdd("ptrepl.replicas", -1)
+	m.met.replicas.Add(-1)
 }
 
 // skipSock is the socket whose replica the skip-one-replica mutation
@@ -271,7 +305,7 @@ func (m *Manager) skipSock(s *mmState) int {
 // park records one lost/deferred invalidation as a stale override.
 func (m *Manager) park(rep *replica, vpn pt.VPN, old pt.Entry) {
 	if _, ok := rep.stale[vpn]; !ok {
-		m.k.Metrics.GaugeAdd("ptrepl.stale", 1)
+		m.met.stale.Add(1)
 	}
 	rep.stale[vpn] = old
 }
@@ -297,7 +331,7 @@ func (m *Manager) applyRange(rep *replica, start pt.VPN, pages int) int {
 		}
 	}
 	if n > 0 {
-		m.k.Metrics.GaugeAdd("ptrepl.stale", -int64(n))
+		m.met.stale.Add(-int64(n))
 	}
 	return n
 }
@@ -313,10 +347,10 @@ func (m *Manager) WalkCost(c *kernel.Core, mm *kernel.MM, vpn pt.VPN) sim.Time {
 	sock := k.Spec.SocketOf(c.ID)
 	s, cost := m.getState(mm, sock)
 	walk := k.Cost.PTWalk
-	k.Metrics.Inc("ptrepl.walks", 1)
+	m.met.walks.Inc()
 	if sock != s.master && s.replicas[sock] == nil {
 		walk += k.Cost.ReplWalkRemote[k.Spec.SocketHops(sock, s.master)]
-		k.Metrics.Inc("ptrepl.remote_walks", 1)
+		m.met.remoteWalks.Inc()
 		if m.cfg.Policy == PolicyAdaptive {
 			s.remoteWalks[sock]++
 			if s.remoteWalks[sock] >= m.replicateThreshold {
@@ -324,7 +358,7 @@ func (m *Manager) WalkCost(c *kernel.Core, mm *kernel.MM, vpn pt.VPN) sim.Time {
 			}
 		}
 	}
-	k.Metrics.Observe("ptrepl.walk", walk)
+	m.met.walk.Observe(walk)
 	return cost + walk
 }
 
@@ -346,7 +380,7 @@ func (m *Manager) StaleWalk(c *kernel.Core, mm *kernel.MM, vpn pt.VPN, write boo
 	if !ok || (write && !e.Writable) {
 		return pt.Entry{}, false
 	}
-	m.k.Metrics.Inc("ptrepl.stale_serves", 1)
+	m.met.staleServes.Inc()
 	return e, true
 }
 
@@ -368,7 +402,7 @@ func (m *Manager) Unmap(c *kernel.Core, mm *kernel.MM, vpn pt.VPN, old pt.Entry)
 		if r == sock {
 			delete(rep.stale, vpn)
 			cost += k.Cost.ReplPTEStore[0]
-			k.Metrics.Inc("ptrepl.updates", 1)
+			m.met.updates.Inc()
 			continue
 		}
 		if m.cfg.Mutation == MutSkipReplica && r == m.skipSock(s) {
@@ -380,10 +414,10 @@ func (m *Manager) Unmap(c *kernel.Core, mm *kernel.MM, vpn pt.VPN, old pt.Entry)
 		if m.lazy {
 			m.park(rep, vpn, old)
 			cost += k.Cost.ReplLazyPark
-			k.Metrics.Inc("ptrepl.lazy_parked", 1)
+			m.met.lazyParked.Inc()
 		} else {
 			cost += k.Cost.ReplPTEStore[k.Spec.SocketHops(sock, r)]
-			k.Metrics.Inc("ptrepl.updates", 1)
+			m.met.updates.Inc()
 		}
 	}
 	return cost
@@ -406,7 +440,7 @@ func (m *Manager) Update(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int)
 		}
 		m.applyRange(rep, start, pages)
 		cost += sim.Time(pages) * k.Cost.ReplPTEStore[k.Spec.SocketHops(sock, r)]
-		k.Metrics.Inc("ptrepl.updates", uint64(pages))
+		m.met.updates.Add(uint64(pages))
 	}
 	if m.cfg.Policy == PolicyAdaptive {
 		s.updates[sock] += pages
@@ -431,7 +465,7 @@ func (m *Manager) migrateMaster(mm *kernel.MM, s *mmState, to int) sim.Time {
 		s.updates[i] = 0
 		s.remoteWalks[i] = 0
 	}
-	m.k.Metrics.Inc("ptrepl.migrations", 1)
+	m.met.migrations.Inc()
 	return cost
 }
 
@@ -454,7 +488,7 @@ func (m *Manager) SweepApply(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages 
 	if n == 0 {
 		return 0
 	}
-	m.k.Metrics.Inc("ptrepl.lazy_applied", uint64(n))
+	m.met.lazyApplied.Add(uint64(n))
 	return sim.Time(n) * m.k.Cost.ReplLazyApply
 }
 
@@ -475,7 +509,7 @@ func (m *Manager) ForceApply(mm *kernel.MM, start pt.VPN, pages int) {
 			continue
 		}
 		if n := m.applyRange(rep, start, pages); n > 0 {
-			m.k.Metrics.Inc("ptrepl.force_applied", uint64(n))
+			m.met.forceApplied.Add(uint64(n))
 		}
 	}
 }
@@ -492,7 +526,7 @@ func (m *Manager) OnMMExit(mm *kernel.MM) {
 	if m.cfg.Mutation == MutLeakReplica {
 		for _, rep := range s.replicas {
 			if rep != nil {
-				m.k.Metrics.Inc("ptrepl.leaked_replicas", 1)
+				m.met.leakedReplicas.Inc()
 			}
 		}
 		return
@@ -507,7 +541,7 @@ func (m *Manager) OnMMExit(mm *kernel.MM) {
 		}
 		if r == skip {
 			if n := len(rep.stale); n > 0 {
-				m.k.Metrics.Inc("ptrepl.stale_leaked", uint64(n))
+				m.met.staleLeaked.Add(uint64(n))
 			}
 		}
 		m.dropReplica(s, r)

@@ -26,6 +26,7 @@ import (
 
 	"latr/internal/cost"
 	"latr/internal/kernel"
+	"latr/internal/metrics"
 	"latr/internal/obs"
 	"latr/internal/pt"
 	"latr/internal/sim"
@@ -93,6 +94,14 @@ type Backend struct {
 	framesInUse int64
 	stored      map[pageKey]location
 	inflight    map[pageKey]*flight
+
+	met struct {
+		store, load, poolFull, inflightWaits, dropped metrics.Counter
+		crashes, crashFailover                        metrics.Counter
+		frames                                        metrics.Gauge
+		nicWait                                       metrics.Hist
+		storeLatency, loadLatency                     metrics.Perc
+	}
 }
 
 // New builds a remote backend; it panics on a Validate error, like
@@ -116,6 +125,18 @@ func (b *Backend) Attach(k *kernel.Kernel) {
 	b.k = k
 	b.m = &k.Cost
 	b.nicFree = make([]sim.Time, k.Spec.NumNodes())
+	r := k.Metrics
+	b.met.store = r.NewCounter("remote.store")
+	b.met.load = r.NewCounter("remote.load")
+	b.met.poolFull = r.NewCounter("remote.pool_full")
+	b.met.inflightWaits = r.NewCounter("remote.inflight_waits")
+	b.met.dropped = r.NewCounter("remote.dropped")
+	b.met.crashes = r.NewCounter("remote.crashes")
+	b.met.crashFailover = r.NewCounter("remote.crash_failover")
+	b.met.frames = r.NewGauge("remote.frames")
+	b.met.nicWait = r.NewHist("remote.nic_wait")
+	b.met.storeLatency = r.NewPerc("remote.store_latency")
+	b.met.loadLatency = r.NewPerc("remote.load_latency")
 }
 
 // Store implements swap.Backend: a one-sided RDMA write of one page. done
@@ -135,16 +156,16 @@ func (b *Backend) Store(c *kernel.Core, mm *kernel.MM, vpn pt.VPN, done func()) 
 		loc = prev // re-store of a key whose frame is still claimed
 	} else if b.framesInUse >= b.cfg.RemoteFrames {
 		loc = onDisk
-		k.Metrics.Inc("remote.pool_full", 1)
+		b.met.poolFull.Inc()
 	} else {
 		b.framesInUse++
-		k.Metrics.GaugeAdd("remote.frames", 1)
+		b.met.frames.Add(1)
 	}
 	b.stored[key] = loc
 
 	fl := &flight{}
 	b.inflight[key] = fl
-	k.Metrics.Inc("remote.store", 1)
+	b.met.store.Inc()
 
 	c.Busy(b.m.RDMAPostCost, false, func() {
 		now := k.Now()
@@ -156,7 +177,7 @@ func (b *Backend) Store(c *kernel.Core, mm *kernel.MM, vpn pt.VPN, done func()) 
 			if b.nicFree[node] > start {
 				start = b.nicFree[node]
 			}
-			k.Metrics.Observe("remote.nic_wait", start-now)
+			b.met.nicWait.Observe(start - now)
 			b.nicFree[node] = start + b.m.RDMAPagePeriod
 			arrive := start + b.m.RDMAPagePeriod + b.m.RDMAWriteLatency
 			svc := arrive
@@ -168,7 +189,7 @@ func (b *Backend) Store(c *kernel.Core, mm *kernel.MM, vpn pt.VPN, done func()) 
 		}
 		c.Span().Mark(obs.PhaseStore, c.ID, now, complete-now)
 		k.Engine.At(complete, func(sim.Time) {
-			k.Metrics.ObservePerc("remote.store_latency", k.Now()-now)
+			b.met.storeLatency.Observe(k.Now() - now)
 			if b.inflight[key] == fl {
 				delete(b.inflight, key)
 			}
@@ -186,7 +207,7 @@ func (b *Backend) Store(c *kernel.Core, mm *kernel.MM, vpn pt.VPN, done func()) 
 func (b *Backend) Load(c *kernel.Core, mm *kernel.MM, vpn pt.VPN, done func()) {
 	key := pageKey{mm, vpn}
 	if fl, ok := b.inflight[key]; ok {
-		b.k.Metrics.Inc("remote.inflight_waits", 1)
+		b.met.inflightWaits.Inc()
 		fl.waiters = append(fl.waiters, func() { b.read(c, key, done) })
 		return
 	}
@@ -202,7 +223,7 @@ func (b *Backend) read(c *kernel.Core, key pageKey, done func()) {
 		delete(b.stored, key)
 		if loc == onRemote {
 			b.framesInUse--
-			k.Metrics.GaugeAdd("remote.frames", -1)
+			b.met.frames.Add(-1)
 		}
 	} else {
 		// The eviction marked the page swap-resident but its Store has not
@@ -211,7 +232,7 @@ func (b *Backend) read(c *kernel.Core, key pageKey, done func()) {
 		// semaphore anyway; charge the remote read cost.
 		loc = onRemote
 	}
-	k.Metrics.Inc("remote.load", 1)
+	b.met.load.Inc()
 	c.Busy(b.m.RDMAPostCost, false, func() {
 		now := k.Now()
 		var complete sim.Time
@@ -222,7 +243,7 @@ func (b *Backend) read(c *kernel.Core, key pageKey, done func()) {
 			if b.nicFree[node] > start {
 				start = b.nicFree[node]
 			}
-			k.Metrics.Observe("remote.nic_wait", start-now)
+			b.met.nicWait.Observe(start - now)
 			svc := start
 			if b.remoteFree > svc {
 				svc = b.remoteFree
@@ -233,7 +254,7 @@ func (b *Backend) read(c *kernel.Core, key pageKey, done func()) {
 			b.nicFree[node] = complete
 		}
 		k.Engine.At(complete, func(sim.Time) {
-			k.Metrics.ObservePerc("remote.load_latency", k.Now()-now)
+			b.met.loadLatency.Observe(k.Now() - now)
 			done()
 		})
 	})
@@ -250,9 +271,9 @@ func (b *Backend) Drop(mm *kernel.MM, vpn pt.VPN) {
 	delete(b.stored, key)
 	if loc == onRemote {
 		b.framesInUse--
-		b.k.Metrics.GaugeAdd("remote.frames", -1)
+		b.met.frames.Add(-1)
 	}
-	b.k.Metrics.Inc("remote.dropped", 1)
+	b.met.dropped.Inc()
 }
 
 // Crash models the memory server dying: the frame pool is lost and every
@@ -265,7 +286,6 @@ func (b *Backend) Drop(mm *kernel.MM, vpn pt.VPN) {
 // drops to zero here and reads of failed-over pages see onDisk, so they
 // never decrement it again.
 func (b *Backend) Crash() {
-	k := b.k
 	moved := uint64(0)
 	for key, loc := range b.stored {
 		if loc == onRemote {
@@ -273,9 +293,9 @@ func (b *Backend) Crash() {
 			moved++
 		}
 	}
-	k.Metrics.Inc("remote.crashes", 1)
-	k.Metrics.Inc("remote.crash_failover", moved)
-	k.Metrics.GaugeAdd("remote.frames", -b.framesInUse)
+	b.met.crashes.Inc()
+	b.met.crashFailover.Add(moved)
+	b.met.frames.Add(-b.framesInUse)
 	b.framesInUse = 0
 	// The replacement server starts with an idle DMA engine.
 	b.remoteFree = 0

@@ -2,6 +2,7 @@ package shootdown
 
 import (
 	"latr/internal/kernel"
+	"latr/internal/metrics"
 	"latr/internal/pt"
 	"latr/internal/sim"
 	"latr/internal/topo"
@@ -36,6 +37,8 @@ type ABIS struct {
 
 	// scans[core] is that core's munmap record, made on its first munmap.
 	scans []*abisScan
+
+	met struct{ tracked, ipisSaved, conservative metrics.Counter }
 }
 
 // abisScan is a core's munmap during its access-bit scan: the unmap and
@@ -67,7 +70,12 @@ func NewABIS() *ABIS {
 }
 
 // Attach implements kernel.Attacher.
-func (p *ABIS) Attach(k *kernel.Kernel) { p.k = k }
+func (p *ABIS) Attach(k *kernel.Kernel) {
+	p.k = k
+	p.met.tracked = k.Metrics.NewCounter("abis.tracked")
+	p.met.ipisSaved = k.Metrics.NewCounter("abis.ipis_saved")
+	p.met.conservative = k.Metrics.NewCounter("abis.conservative")
+}
 
 // Name implements kernel.Policy.
 func (p *ABIS) Name() string { return "abis" }
@@ -90,7 +98,7 @@ func (p *ABIS) OnPageTouch(c *kernel.Core, mm *kernel.MM, vpn pt.VPN) sim.Time {
 		return 0
 	}
 	mask.Set(c.ID)
-	p.k.Metrics.Inc("abis.tracked", 1)
+	p.met.tracked.Inc()
 	return p.k.Cost.ABISTrackPerPageTouch
 }
 
@@ -111,7 +119,7 @@ func (p *ABIS) sharerTargets(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages 
 	}
 	out := p.k.ShootdownTargets(c, mm).And(union)
 	if saved := mm.CPUMask.Count() - 1 - out.Count(); saved > 0 {
-		p.k.Metrics.Inc("abis.ipis_saved", uint64(saved))
+		p.met.ipisSaved.Add(uint64(saved))
 	}
 	return out
 }
@@ -144,7 +152,7 @@ func (s *abisScan) shoot() {
 		// it counts shootdown.lazy_skipped and flushes skipped idle
 		// cores again, as perfbench's committed digests expect.
 		targets = k.ShootdownTargets(c, u.MM)
-		k.Metrics.Inc("abis.conservative", 1)
+		p.met.conservative.Inc()
 	}
 	k.ShootdownAndFree(c, u, targets, done)
 }

@@ -2,6 +2,7 @@ package shootdown
 
 import (
 	"latr/internal/kernel"
+	"latr/internal/metrics"
 	"latr/internal/obs"
 	"latr/internal/pt"
 	"latr/internal/sim"
@@ -15,7 +16,8 @@ import (
 // interrupt cost but keeps the synchronous wait — the ablation separating
 // LATR's asynchrony from its transport (Table 2).
 type Barrelfish struct {
-	k *kernel.Kernel
+	k   *kernel.Kernel
+	met struct{ initiated, msgTargets, msgHandled metrics.Counter }
 }
 
 var (
@@ -27,7 +29,12 @@ var (
 func NewBarrelfish() *Barrelfish { return &Barrelfish{} }
 
 // Attach implements kernel.Attacher.
-func (p *Barrelfish) Attach(k *kernel.Kernel) { p.k = k }
+func (p *Barrelfish) Attach(k *kernel.Kernel) {
+	p.k = k
+	p.met.initiated = k.Metrics.NewCounter("shootdown.initiated")
+	p.met.msgTargets = k.Metrics.NewCounter("shootdown.msg_targets")
+	p.met.msgHandled = k.Metrics.NewCounter("msg.handled")
+}
 
 // Name implements kernel.Policy.
 func (p *Barrelfish) Name() string { return "barrelfish" }
@@ -44,8 +51,8 @@ func (p *Barrelfish) shoot(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages in
 		return
 	}
 	sp.SetTargets(targets)
-	k.Metrics.Inc("shootdown.initiated", 1)
-	k.Metrics.Inc("shootdown.msg_targets", uint64(n))
+	p.met.initiated.Inc()
+	p.met.msgTargets.Add(uint64(n))
 
 	m := &k.Cost
 	sendCost := sim.Time(n) * m.MsgSendPerTarget
@@ -75,7 +82,7 @@ func (p *Barrelfish) shoot(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages in
 				}
 				cost := m.MsgHandle + inval
 				t.Inject(cost)
-				k.Metrics.Inc("msg.handled", 1)
+				p.met.msgHandled.Inc()
 				sp.Mark(obs.PhaseInvalidate, t.ID, hnow, cost)
 				k.Engine.After(cost, func(anow sim.Time) {
 					pending--

@@ -3,6 +3,7 @@ package shootdown
 import (
 	latrcore "latr/internal/core"
 	"latr/internal/kernel"
+	"latr/internal/metrics"
 	"latr/internal/obs"
 	"latr/internal/pt"
 	"latr/internal/sim"
@@ -77,7 +78,8 @@ func (p *HostLATR) HostMode() kernel.HostMode { return kernel.HostLazy }
 // one fabric propagation delay. It is the paper set's hardware upper bound,
 // the same role the "ideal" line plays in LATR's Fig 9.
 type HATRIC struct {
-	k *kernel.Kernel
+	k   *kernel.Kernel
+	met struct{ initiated, batches, invals metrics.Counter }
 }
 
 var (
@@ -90,7 +92,12 @@ var (
 func NewHATRIC() *HATRIC { return &HATRIC{} }
 
 // Attach implements kernel.Attacher.
-func (p *HATRIC) Attach(k *kernel.Kernel) { p.k = k }
+func (p *HATRIC) Attach(k *kernel.Kernel) {
+	p.k = k
+	p.met.initiated = k.Metrics.NewCounter("shootdown.initiated")
+	p.met.batches = k.Metrics.NewCounter("hatric.batches")
+	p.met.invals = k.Metrics.NewCounter("hatric.invals")
+}
 
 // Name implements kernel.Policy.
 func (p *HATRIC) Name() string { return "hatric" }
@@ -115,8 +122,8 @@ func (p *HATRIC) quiesce(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int,
 		return
 	}
 	sp.SetTargets(targets)
-	k.Metrics.Inc("shootdown.initiated", 1)
-	k.Metrics.Inc("hatric.batches", 1)
+	p.met.initiated.Inc()
+	p.met.batches.Inc()
 	now := k.Now()
 	targets.ForEach(func(id topo.CoreID) {
 		t := k.Cores[id]
@@ -131,7 +138,7 @@ func (p *HATRIC) quiesce(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int,
 			inval = sim.Time(pages) * m.HATRICInvalPerEntry
 		}
 		t.Inject(inval)
-		k.Metrics.Inc("hatric.invals", uint64(max(1, min(pages, m.FullFlushThreshold))))
+		p.met.invals.Add(uint64(max(1, min(pages, m.FullFlushThreshold))))
 		sp.Mark(obs.PhaseInvalidate, t.ID, now, inval)
 	})
 	c.BeginSpin()

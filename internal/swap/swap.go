@@ -23,6 +23,7 @@ import (
 
 	"latr/internal/kernel"
 	"latr/internal/mem"
+	"latr/internal/metrics"
 	"latr/internal/obs"
 	"latr/internal/pt"
 	"latr/internal/sim"
@@ -212,6 +213,12 @@ type Swapper struct {
 	// swapped[mm][vpn] marks pages resident on the swap device.
 	swapped map[*kernel.MM]map[pt.VPN]bool
 	cursor  map[*kernel.MM]pt.VPN
+
+	met struct {
+		pressurePasses, out, in, allocRetries, dropped metrics.Counter
+		unmapWait                                      metrics.Hist
+		evictHold                                      metrics.Perc
+	}
 }
 
 // New builds a swapper over the local NVMe-class backend (zero cfg fields
@@ -244,6 +251,14 @@ func (s *Swapper) Backend() Backend { return s.backend }
 // Install starts the swapper thread and hooks swap-in into demand faults.
 func (s *Swapper) Install(k *kernel.Kernel) {
 	s.k = k
+	r := k.Metrics
+	s.met.pressurePasses = r.NewCounter("swap.pressure_passes")
+	s.met.out = r.NewCounter("swap.out")
+	s.met.in = r.NewCounter("swap.in")
+	s.met.allocRetries = r.NewCounter("swap.alloc_retries")
+	s.met.dropped = r.NewCounter("swap.dropped")
+	s.met.unmapWait = r.NewHist("swap.unmap_wait")
+	s.met.evictHold = r.NewPerc("swap.evict_hold")
 	s.backend.Attach(k)
 	k.SetSwapHandler(s)
 	host := k.NewProcess()
@@ -292,7 +307,7 @@ func (s *Swapper) pass(c *kernel.Core, th *kernel.Thread, done func()) {
 	for _, n := range nodes {
 		under[n] = true
 	}
-	s.k.Metrics.Inc("swap.pressure_passes", 1)
+	s.met.pressurePasses.Inc()
 
 	// One-hand clock: pages with the accessed bit set get a second chance
 	// (bit cleared); cold pages are victims.
@@ -388,14 +403,14 @@ func (s *Swapper) pass(c *kernel.Core, th *kernel.Thread, done func()) {
 			c.SetSpan(sp)
 			evict := func() {
 				s.k.Policy().Munmap(c, u, func() {
-					s.k.Metrics.Observe("swap.unmap_wait", s.k.Now()-t0)
+					s.met.unmapWait.Observe(s.k.Now() - t0)
 					// The span stays installed across the device write so the
 					// backend can mark its store slice on the swapper's lane.
 					s.backend.Store(c, v.mm, v.vpn, func() {
 						c.SetSpan(nil)
 						v.mm.Sem.ReleaseWrite()
-						s.k.Metrics.Inc("swap.out", 1)
-						s.k.Metrics.ObservePerc("swap.evict_hold", s.k.Now()-t0)
+						s.met.out.Inc()
+						s.met.evictHold.Observe(s.k.Now() - t0)
 						sp.Release(s.k.Now())
 						next(i + 1)
 					})
@@ -423,7 +438,7 @@ func (s *Swapper) OnSwapFault(c *kernel.Core, th *kernel.Thread, vpn pt.VPN, con
 	}
 	delete(perMM, vpn)
 	k := s.k
-	k.Metrics.Inc("swap.in", 1)
+	s.met.in.Inc()
 	s.backend.Load(c, mm, vpn, func() {
 		var attempt func(tries int)
 		attempt = func(tries int) {
@@ -448,7 +463,7 @@ func (s *Swapper) OnSwapFault(c *kernel.Core, th *kernel.Thread, vpn pt.VPN, con
 					// reclaim. Only a persistent drought is a real fault.
 					mm.Sem.ReleaseRead()
 					if tries < maxAllocRetries {
-						k.Metrics.Inc("swap.alloc_retries", 1)
+						s.met.allocRetries.Inc()
 						c.Busy(allocRetryDelay, false, func() { attempt(tries + 1) })
 						return
 					}
@@ -505,7 +520,7 @@ func (s *Swapper) OnUnmap(mm *kernel.MM, start pt.VPN, pages int) {
 		if perMM[vpn] {
 			delete(perMM, vpn)
 			s.backend.Drop(mm, vpn)
-			s.k.Metrics.Inc("swap.dropped", 1)
+			s.met.dropped.Inc()
 		}
 	}
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"latr/internal/kernel"
+	"latr/internal/metrics"
 	"latr/internal/sim"
 	"latr/internal/topo"
 )
@@ -45,6 +46,7 @@ type Apache struct {
 	cfg      ApacheConfig
 	k        *kernel.Kernel
 	requests uint64
+	met      struct{ requests metrics.Counter }
 }
 
 // NewApache returns an Apache workload.
@@ -59,6 +61,7 @@ func NewApache(cfg ApacheConfig) *Apache {
 // closed request loop.
 func (a *Apache) Setup(k *kernel.Kernel) {
 	a.k = k
+	a.met.requests = k.Metrics.NewCounter("app.requests")
 	for p := 0; p < a.cfg.Processes; p++ {
 		proc := k.NewProcess()
 		for _, c := range a.cfg.Cores {
@@ -96,7 +99,7 @@ func (a *Apache) spawnWorker(proc *kernel.Process, core topo.CoreID) {
 		case 5: // network send, then next request
 			step = 0
 			a.requests++
-			a.k.Metrics.Inc("app.requests", 1)
+			a.met.requests.Inc()
 			return kernel.Compute(cfg.NetWork)
 		default:
 			panic("unreachable")
@@ -136,6 +139,7 @@ type Nginx struct {
 	cfg      NginxConfig
 	k        *kernel.Kernel
 	requests uint64
+	met      struct{ requests metrics.Counter }
 }
 
 // NewNginx returns an Nginx workload.
@@ -149,6 +153,7 @@ func NewNginx(cfg NginxConfig) *Nginx {
 // Setup spawns one event-loop thread per core in a single process.
 func (n *Nginx) Setup(k *kernel.Kernel) {
 	n.k = k
+	n.met.requests = k.Metrics.NewCounter("app.requests")
 	proc := k.NewProcess()
 	for _, c := range n.cfg.Cores {
 		served := 0
@@ -158,7 +163,7 @@ func (n *Nginx) Setup(k *kernel.Kernel) {
 			case 0:
 				served++
 				n.requests++
-				n.k.Metrics.Inc("app.requests", 1)
+				n.met.requests.Inc()
 				if n.cfg.LogRecycleEvery > 0 && served%n.cfg.LogRecycleEvery == 0 {
 					step = 1
 				}

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"latr/internal/kernel"
+	"latr/internal/metrics"
 	"latr/internal/pt"
 	"latr/internal/sim"
 	"latr/internal/topo"
@@ -39,6 +40,7 @@ const (
 type Graph500 struct {
 	cfg Graph500Config
 	k   *kernel.Kernel
+	met struct{ pageTouches metrics.Counter }
 
 	adj    [][]int32
 	csrOff []int64 // edge-array offset per vertex
@@ -168,6 +170,7 @@ func (g *Graph500) computeTrace() {
 // Setup spawns the loader and the per-core BFS workers.
 func (g *Graph500) Setup(k *kernel.Kernel) {
 	g.k = k
+	g.met.pageTouches = k.Metrics.NewCounter("graph500.page_touches")
 	proc := k.NewProcess()
 	gate := NewGate(k)
 	totalPages := g.vertPages + g.edgePages
@@ -225,7 +228,7 @@ func (g *Graph500) Setup(k *kernel.Kernel) {
 				for _, p := range rel {
 					abs = append(abs, base+p)
 				}
-				g.k.Metrics.Inc("graph500.page_touches", uint64(len(abs)))
+				g.met.pageTouches.Add(uint64(len(abs)))
 				_ = w
 				return kernel.Touch(&abs, true).Repeat(16)
 			case 2:

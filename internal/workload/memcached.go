@@ -63,6 +63,10 @@ type Memcached struct {
 	arena    pt.VPN
 	loaded   bool
 	requests uint64
+	met      struct {
+		requests metrics.Counter
+		latency  metrics.Perc
+	}
 }
 
 // NewMemcached returns a memcached workload.
@@ -82,6 +86,8 @@ func NewMemcached(cfg MemcachedConfig) *Memcached {
 // the gate for the worker threads.
 func (m *Memcached) Setup(k *kernel.Kernel) {
 	m.k = k
+	m.met.requests = k.Metrics.NewCounter("app.requests")
+	m.met.latency = k.Metrics.NewPerc("app.req_latency")
 	m.gate = NewGate(k)
 	m.proc = k.NewProcess()
 	cfg := m.cfg
@@ -141,8 +147,8 @@ func (m *Memcached) spawnWorker(core topo.CoreID, id uint64) {
 			now := m.k.Now()
 			if started {
 				m.requests++
-				m.k.Metrics.Inc("app.requests", 1)
-				m.k.Metrics.ObservePerc("app.req_latency", now-t0)
+				m.met.requests.Inc()
+				m.met.latency.Observe(now - t0)
 			}
 			started = true
 			t0 = now

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"latr/internal/kernel"
+	"latr/internal/metrics"
 	"latr/internal/pt"
 	"latr/internal/sim"
 	"latr/internal/topo"
@@ -39,6 +40,7 @@ func DefaultMetisConfig(cores []topo.CoreID) MetisConfig {
 type Metis struct {
 	cfg MetisConfig
 	k   *kernel.Kernel
+	met struct{ chunksMapped, reducePasses metrics.Counter }
 
 	interBase []pt.VPN // per-mapper intermediate region base
 	finished  int
@@ -57,6 +59,8 @@ func NewMetis(cfg MetisConfig) *Metis {
 // Setup spawns the loader plus one mapper/reducer thread per core.
 func (w *Metis) Setup(k *kernel.Kernel) {
 	w.k = k
+	w.met.chunksMapped = k.Metrics.NewCounter("metis.chunks_mapped")
+	w.met.reducePasses = k.Metrics.NewCounter("metis.reduce_passes")
 	cfg := w.cfg
 	n := len(cfg.Cores)
 	proc := k.NewProcess()
@@ -111,7 +115,7 @@ func (w *Metis) Setup(k *kernel.Kernel) {
 			case 5:
 				chunk++
 				step = 3
-				w.k.Metrics.Inc("metis.chunks_mapped", 1)
+				w.met.chunksMapped.Inc()
 				return kernel.Compute(cfg.MapWork)
 			case 6: // reduce phase: pass over column i of every mapper
 				if pass >= cfg.ReducePasses {
@@ -122,7 +126,7 @@ func (w *Metis) Setup(k *kernel.Kernel) {
 				if col >= n {
 					col = 0
 					pass++
-					w.k.Metrics.Inc("metis.reduce_passes", 1)
+					w.met.reducePasses.Inc()
 					return kernel.Compute(cfg.ReduceWork)
 				}
 				step = 7

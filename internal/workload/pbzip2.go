@@ -2,6 +2,7 @@ package workload
 
 import (
 	"latr/internal/kernel"
+	"latr/internal/metrics"
 	"latr/internal/pt"
 	"latr/internal/sim"
 	"latr/internal/topo"
@@ -36,6 +37,7 @@ func DefaultPBZIP2Config(cores []topo.CoreID) PBZIP2Config {
 type PBZIP2 struct {
 	cfg PBZIP2Config
 	k   *kernel.Kernel
+	met struct{ blocks metrics.Counter }
 
 	nextBlock int
 	finished  int
@@ -55,6 +57,7 @@ func NewPBZIP2(cfg PBZIP2Config) *PBZIP2 {
 // Setup spawns the loader and one worker per core.
 func (w *PBZIP2) Setup(k *kernel.Kernel) {
 	w.k = k
+	w.met.blocks = k.Metrics.NewCounter("pbzip2.blocks")
 	cfg := w.cfg
 	proc := k.NewProcess()
 	gate := NewGate(k)
@@ -104,7 +107,7 @@ func (w *PBZIP2) Setup(k *kernel.Kernel) {
 				return kernel.TouchRange(th.LastAddr, cfg.OutPages, true)
 			case 5: // hand off and free the buffer
 				step = 1
-				w.k.Metrics.Inc("pbzip2.blocks", 1)
+				w.met.blocks.Inc()
 				return kernel.Munmap(th.LastAddr, cfg.OutPages)
 			default:
 				panic("unreachable")

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"latr/internal/kernel"
+	"latr/internal/metrics"
 	"latr/internal/pt"
 	"latr/internal/sim"
 	"latr/internal/topo"
@@ -56,6 +57,7 @@ func FluidanimateConfig(cores []topo.CoreID) GridConfig {
 type Grid struct {
 	cfg GridConfig
 	k   *kernel.Kernel
+	met struct{ scratchFrees metrics.Counter }
 
 	finished int
 	total    int
@@ -73,6 +75,7 @@ func NewGrid(cfg GridConfig) *Grid {
 // Setup spawns the loader and one worker per core.
 func (w *Grid) Setup(k *kernel.Kernel) {
 	w.k = k
+	w.met.scratchFrees = k.Metrics.NewCounter("grid.scratch_frees")
 	cfg := w.cfg
 	n := len(cfg.Cores)
 	proc := k.NewProcess()
@@ -153,7 +156,7 @@ func (w *Grid) Setup(k *kernel.Kernel) {
 				return kernel.Compute(cfg.IterWork)
 			case 6: // recycle the scratch buffer
 				step = 7
-				w.k.Metrics.Inc("grid.scratch_frees", 1)
+				w.met.scratchFrees.Inc()
 				return kernel.Madvise(scratch, cfg.FreePages)
 			case 7:
 				step = 3

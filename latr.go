@@ -138,8 +138,16 @@ type (
 	FrameRef = kernel.FrameRef
 	// KernelCore is one simulated CPU.
 	KernelCore = kernel.Core
-	// Registry collects counters, gauges and histograms.
+	// Registry collects counters, gauges and histograms. Reads go by
+	// name; writes go through handles (NewCounter, NewGauge, NewHist,
+	// NewPerc) that resolve their name on their first write.
 	Registry = metrics.Registry
+	// Counter, Gauge, Hist and Perc are the Registry's write handles: an
+	// owner takes each once and keeps it (as a custom policy's fields).
+	Counter = metrics.Counter
+	Gauge   = metrics.Gauge
+	Hist    = metrics.Hist
+	Perc    = metrics.Perc
 	// Tracer records timestamped events when tracing is enabled.
 	Tracer = trace.Tracer
 	// CostModel holds every latency constant of the machine model.
