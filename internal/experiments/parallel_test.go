@@ -94,12 +94,13 @@ func TestMatrixParallelDeterminism(t *testing.T) {
 }
 
 // TestPinnedRunFingerprints pins the engine, metric and trace
-// fingerprints of every policy on a small AutoNUMA matrix. Refactors of
-// the coherence paths must leave every simulated byte where it was; a
-// line here moves when one does.
+// fingerprints of every policy on a small AutoNUMA matrix: the bare-metal
+// ones and the two-level guest-latr, host-latr and hatric, whose NUMA
+// unmaps nothing else runs. Refactors of the coherence paths must leave
+// every simulated byte where it was; a line here moves when one does.
 func TestPinnedRunFingerprints(t *testing.T) {
 	m := Matrix{
-		Policies:  PolicyNames(),
+		Policies:  append(PolicyNames(), "guest-latr", "host-latr", "hatric"),
 		Workloads: []string{"micro", "apache"},
 		Machines:  []string{"2x8"},
 		Cores:     12,
@@ -115,11 +116,17 @@ func TestPinnedRunFingerprints(t *testing.T) {
 		"2x8/micro/abis/c12/seed1: sim=20000000 dispatched=16764 engine=090e6643263477dc metrics=266c75314a594f5d trace=3e4283c85f7fd339 done=true",
 		"2x8/micro/barrelfish/c12/seed1: sim=20000000 dispatched=16562 engine=5696fb78a8c47c03 metrics=c7b5005117e95bea trace=54a088c1e8a51cb4 done=true",
 		"2x8/micro/instant/c12/seed1: sim=20000000 dispatched=11763 engine=241374c2863aa931 metrics=738c27aaedbd281e trace=c3d7bdfb4535d055 done=true",
+		"2x8/micro/guest-latr/c12/seed1: sim=20000000 dispatched=18615 engine=f9a8346d1a32b672 metrics=7747ad7ce25a5cde trace=50ea6836236e3dd8 done=true",
+		"2x8/micro/host-latr/c12/seed1: sim=20000000 dispatched=16573 engine=473140ba0e7e29a0 metrics=3872891933e7e01e trace=d4e4395e0a304990 done=true",
+		"2x8/micro/hatric/c12/seed1: sim=20000000 dispatched=12162 engine=70329e9d7380acaf metrics=8118989343527831 trace=67b7870d63028122 done=true",
 		"2x8/apache/linux/c12/seed1: sim=50000000 dispatched=145153 engine=1fac1adc22af8d83 metrics=b1dc4aa86ec055fd trace=9bab00f8bf4d3d62 done=false",
 		"2x8/apache/latr/c12/seed1: sim=50000000 dispatched=163776 engine=60d030c2d5a46980 metrics=86cdaa6972520a29 trace=05853884c43a42dd done=false",
 		"2x8/apache/abis/c12/seed1: sim=50000000 dispatched=139120 engine=f7ac5cbe558e25cb metrics=06cee392ebc33cc1 trace=9898d49dc0f73c0f done=false",
 		"2x8/apache/barrelfish/c12/seed1: sim=50000000 dispatched=184536 engine=dcdfa2355404c9e1 metrics=d4872a272b807d0e trace=a3230dcaa14ba504 done=false",
 		"2x8/apache/instant/c12/seed1: sim=50000000 dispatched=137123 engine=bd9699f61a83efcf metrics=8dc006b98d0ccecb trace=d81a430cd0f3f5a3 done=false",
+		"2x8/apache/guest-latr/c12/seed1: sim=50000000 dispatched=163776 engine=60d030c2d5a46980 metrics=e4ae4d99ee5dc8de trace=05853884c43a42dd done=false",
+		"2x8/apache/host-latr/c12/seed1: sim=50000000 dispatched=145153 engine=1fac1adc22af8d83 metrics=61edacd554605227 trace=9bab00f8bf4d3d62 done=false",
+		"2x8/apache/hatric/c12/seed1: sim=50000000 dispatched=150298 engine=8bfafb5032d4cc5f metrics=00224cb2ced39831 trace=ddc00374d368a28c done=false",
 	}
 	got := RunMatrix(m.Specs(), 2, Options{})
 	if len(got) != len(want) {
