@@ -3,7 +3,10 @@
 // shootdown policy from scratch — it accumulates unmaps and flushes remote
 // TLBs with one full-flush IPI burst every N frees (a design point between
 // Linux's per-munmap IPIs and LATR's fully lazy sweeps) — and races it
-// against the built-in policies on the microbenchmark.
+// against the built-in policies on the microbenchmark. It embeds
+// latr.SyncDefaults, which supplies the NUMA unmap (the AutoNUMA hint
+// prologue, then SyncChange) and hooks that cost nothing, so it writes
+// only Name, SyncChange and the Munmap that batches.
 //
 // Run with: go run ./examples/custom-policy
 package main
@@ -14,7 +17,6 @@ import (
 	"latr"
 	"latr/internal/kernel"
 	"latr/internal/pt"
-	"latr/internal/sim"
 )
 
 // batching groups free-operation shootdowns: every batchSize-th munmap
@@ -22,18 +24,17 @@ import (
 // then releases the batch's memory. Correctness argument: memory of a
 // batch is only reused after the flush that closes the batch, exactly like
 // LATR's invariant but with an IPI instead of a sweep as the closer.
-// The kernel's ShootdownTargets, Shootdown and MarkNUMAHints supply the
-// synchronous protocol, so the policy holds only its batching.
+// The kernel's ShootdownTargets and Shootdown supply the synchronous
+// protocol, so the policy holds only its batching.
 type batching struct {
-	k         *kernel.Kernel
+	latr.SyncDefaults
 	batchSize int
 	pending   []kernel.Unmap
 }
 
 var _ kernel.Policy = (*batching)(nil)
 
-func (b *batching) Attach(k *kernel.Kernel) { b.k = k }
-func (b *batching) Name() string            { return "batching" }
+func (b *batching) Name() string { return "batching" }
 
 func (b *batching) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 	b.pending = append(b.pending, u)
@@ -44,14 +45,15 @@ func (b *batching) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 	}
 	batch := b.pending
 	b.pending = nil
+	k := c.Kernel()
 	// pages=0 → full flush on the targets: one IPI burst covers the batch.
-	b.k.Shootdown(c, u.MM, 0, 0, b.k.ShootdownTargets(c, u.MM), func() {
+	k.Shootdown(c, u.MM, 0, 0, k.ShootdownTargets(c, u.MM), func() {
 		for _, bu := range batch {
 			// ReleaseFrames takes the frame list back for reuse: bu.Frames
 			// is not read after this.
-			b.k.ReleaseFrames(bu.Frames)
+			k.ReleaseFrames(bu.Frames)
 			if !bu.KeepVMA {
-				b.k.ReleaseVA(bu.MM, bu.Start, bu.Pages)
+				k.ReleaseVA(bu.MM, bu.Start, bu.Pages)
 			}
 		}
 		done()
@@ -59,19 +61,9 @@ func (b *batching) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 }
 
 func (b *batching) SyncChange(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
-	b.k.Shootdown(c, mm, start, pages, b.k.ShootdownTargets(c, mm), done)
+	k := c.Kernel()
+	k.Shootdown(c, mm, start, pages, k.ShootdownTargets(c, mm), done)
 }
-
-func (b *batching) NUMAUnmap(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
-	c.Busy(b.k.MarkNUMAHints(c, mm, start, pages), true, func() {
-		b.SyncChange(c, mm, start, pages, done)
-	})
-}
-
-func (b *batching) OnTick(*kernel.Core) sim.Time                          { return 0 }
-func (b *batching) OnContextSwitch(*kernel.Core) sim.Time                 { return 0 }
-func (b *batching) OnPageTouch(*kernel.Core, *kernel.MM, pt.VPN) sim.Time { return 0 }
-func (b *batching) OnMMExit(*kernel.MM)                                   {}
 
 func measure(name string, pol latr.Policy, kind latr.PolicyKind) {
 	cfg := latr.Config{Machine: latr.TwoSocket16}

@@ -78,8 +78,15 @@ type State struct {
 	owner topo.CoreID
 }
 
-// Policy is the LATR coherence policy.
+// Policy is the LATR coherence policy. Its states and reclaim entries
+// hold per-MM references that it keeps past the MM's exit (the default
+// OnMMExit does nothing): frames are not reusable until their states are
+// fully swept and the reclaim delay elapses, so dropping them at exit
+// would break the reuse invariant. Both sets drain on their own within
+// one sweep round or reclaim period, so nothing accumulates across
+// fork/exit churn.
 type Policy struct {
+	kernel.SyncDefaults
 	k   *kernel.Kernel
 	cfg Config
 	// tun holds the knobs Attach copied from Kernel.Tunables: QueueDepth,
@@ -385,9 +392,7 @@ func (p *Policy) NUMAUnmap(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages in
 		// second target computation (mask was the first) at a later
 		// instant: it repeats the lazy-TLB skip's count and flushes.
 		p.met.fallbackIPI.Inc()
-		c.Busy(k.MarkNUMAHints(c, mm, start, pages), true, func() {
-			k.Shootdown(c, mm, start, pages, k.ShootdownTargets(c, mm), done)
-		})
+		p.SyncDefaults.NUMAUnmap(c, mm, start, pages, done)
 		return
 	}
 	p.met.initiated.Inc()
@@ -417,17 +422,6 @@ func (p *Policy) OnContextSwitch(c *kernel.Core) sim.Time {
 	}
 	return p.sweep(c)
 }
-
-// OnPageTouch implements kernel.Policy.
-func (p *Policy) OnPageTouch(*kernel.Core, *kernel.MM, pt.VPN) sim.Time { return 0 }
-
-// OnMMExit implements kernel.Policy. LATR deliberately keeps its per-MM
-// references (pending states and reclaim entries) alive past exit: frames
-// are not reusable until their states are fully swept and the reclaim delay
-// elapses, so dropping them here would break the reuse invariant. Both sets
-// drain on their own within one sweep round / reclaim period, so nothing
-// accumulates across fork/exit churn.
-func (p *Policy) OnMMExit(*kernel.MM) {}
 
 // sweep scans all cores' state arrays on behalf of core c (§4.1
 // "Asynchronous remote shootdown"), invalidating c's TLB for every state

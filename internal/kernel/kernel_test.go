@@ -518,7 +518,7 @@ func TestInvariantCatchesPrematureReuse(t *testing.T) {
 
 // brokenPolicy frees frames immediately without any remote invalidation —
 // the bug class the invariant checker exists to catch.
-type brokenPolicy struct{ inner InstantPolicy }
+type brokenPolicy struct{ SyncDefaults }
 
 func (b brokenPolicy) Name() string { return "broken" }
 func (b brokenPolicy) Munmap(c *Core, u Unmap, done func()) {
@@ -530,10 +530,6 @@ func (b brokenPolicy) Munmap(c *Core, u Unmap, done func()) {
 }
 func (b brokenPolicy) SyncChange(c *Core, mm *MM, start pt.VPN, pages int, done func()) { done() }
 func (b brokenPolicy) NUMAUnmap(c *Core, mm *MM, start pt.VPN, pages int, done func())  { done() }
-func (b brokenPolicy) OnTick(*Core) sim.Time                                            { return 0 }
-func (b brokenPolicy) OnContextSwitch(*Core) sim.Time                                   { return 0 }
-func (b brokenPolicy) OnPageTouch(*Core, *MM, pt.VPN) sim.Time                          { return 0 }
-func (b brokenPolicy) OnMMExit(*MM)                                                     {}
 
 func TestRWSemFIFOWriterPriority(t *testing.T) {
 	k := testKernel()

@@ -54,11 +54,12 @@ type Unmap struct {
 // The kernel has already removed the VMAs, cleared the PTEs and invalidated
 // the initiating core's own TLB before calling Munmap.
 //
-// A synchronous policy is built from the kernel's shootdown helpers:
-// ShootdownTargets (the remote cores to make coherent), Shootdown (count
-// and send the IPIs, or finish at once with no targets), FreeUnmapped
-// (the free after the last ACK) and MarkNUMAHints (the AutoNUMA prologue),
-// so it keeps only what sets it apart.
+// A synchronous policy embeds SyncDefaults and writes Name and
+// SyncChange, the one path where mechanisms differ (Table 1), usually from
+// the kernel's shootdown helpers: ShootdownTargets (the remote cores to
+// make coherent) and Shootdown (count and send the IPIs, or finish at once
+// with no targets). SyncDefaults builds its munmap and NUMA unmap from
+// that SyncChange, so the policy keeps only what sets it apart.
 type Policy interface {
 	Name() string
 
@@ -88,7 +89,7 @@ type Policy interface {
 
 	// OnMMExit runs when the last thread of mm exits. Policies that keep
 	// per-MM bookkeeping (ABIS sharer maps) must drop it here so long
-	// fork/exit churn cannot leak; stateless policies implement a no-op.
+	// fork/exit churn cannot leak; SyncDefaults' does nothing.
 	// The MM's pending unmaps (lazy reclaim, in-flight shootdowns) are NOT
 	// cancelled — only per-MM caches may be discarded.
 	OnMMExit(mm *MM)
@@ -98,6 +99,42 @@ type Policy interface {
 type Attacher interface {
 	Attach(k *Kernel)
 }
+
+// SyncDefaults supplies every Policy method but Name and SyncChange, for
+// embedding: the munmap and NUMA unmap of a synchronous mechanism, built
+// on the installed policy's SyncChange, and hooks that cost nothing. A
+// policy overrides what it does differently.
+type SyncDefaults struct{}
+
+// Munmap makes u's range coherent through the installed policy's
+// SyncChange, then frees it (FreeUnmapped): frames and VA are released
+// only once no remote TLB caches them (Fig 2a).
+func (SyncDefaults) Munmap(c *Core, u Unmap, done func()) {
+	r := c.unmapRecord(u, done)
+	c.k.policy.SyncChange(c, u.MM, u.Start, u.Pages, r.freeFn)
+}
+
+// NUMAUnmap is change_prot_numa: it charges MarkNUMAHints with IRQs off,
+// then makes the range coherent through the installed policy's SyncChange
+// (Fig 3a), a cost paid even when the later faults do not migrate.
+func (SyncDefaults) NUMAUnmap(c *Core, mm *MM, start pt.VPN, pages int, done func()) {
+	k := c.k
+	c.busy(k.MarkNUMAHints(c, mm, start, pages), true, func() {
+		k.policy.SyncChange(c, mm, start, pages, done)
+	})
+}
+
+// OnTick returns 0.
+func (SyncDefaults) OnTick(*Core) sim.Time { return 0 }
+
+// OnContextSwitch returns 0.
+func (SyncDefaults) OnContextSwitch(*Core) sim.Time { return 0 }
+
+// OnPageTouch returns 0.
+func (SyncDefaults) OnPageTouch(*Core, *MM, pt.VPN) sim.Time { return 0 }
+
+// OnMMExit does nothing: the defaults keep no per-MM state.
+func (SyncDefaults) OnMMExit(*MM) {}
 
 // ReleaseFrames drops the policy's reference on unmapped frames, making
 // them reusable. Under invariant checking this is the moment the shadow
@@ -208,9 +245,9 @@ func (k *Kernel) FreeUnmapped(c *Core, u Unmap, done func()) {
 	c.unmapRecord(u, done).free()
 }
 
-// syncUnmap is a core's synchronous unmap from its shootdown (under
-// ShootdownAndFree) to the end of its free: the Unmap and done, with the
-// two continuations bound once. The core is busy or spinning for all of
+// syncUnmap is a core's synchronous unmap from its coherence step (under
+// SyncDefaults.Munmap or ShootdownAndFree) to the end of its free: the
+// Unmap and done, with the two continuations bound once. The core is busy or spinning for all of
 // that time, so it has one unmap in flight at most, and one record, made
 // on its first, serves them all.
 type syncUnmap struct {

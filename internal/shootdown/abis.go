@@ -18,6 +18,7 @@ import (
 // The shootdown itself remains fully synchronous, which is the gap LATR
 // targets: ABIS reduces *how many* IPIs are sent, not the waiting.
 type ABIS struct {
+	kernel.SyncDefaults
 	k *kernel.Kernel
 
 	// sharers[mm][vpn] = cores that filled a TLB entry for vpn since the
@@ -174,12 +175,6 @@ func (p *ABIS) NUMAUnmap(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int,
 		k.Shootdown(c, mm, start, pages, p.sharerTargets(c, mm, start, pages), done)
 	})
 }
-
-// OnTick implements kernel.Policy.
-func (p *ABIS) OnTick(*kernel.Core) sim.Time { return 0 }
-
-// OnContextSwitch implements kernel.Policy.
-func (p *ABIS) OnContextSwitch(*kernel.Core) sim.Time { return 0 }
 
 // OnMMExit implements kernel.Policy: drop the exited address space's sharer
 // tracking. Without this every fork/exit cycle left one permanent

@@ -16,6 +16,7 @@ import (
 // interrupt cost but keeps the synchronous wait — the ablation separating
 // LATR's asynchrony from its transport (Table 2).
 type Barrelfish struct {
+	kernel.SyncDefaults
 	k   *kernel.Kernel
 	met struct{ initiated, msgTargets, msgHandled metrics.Counter }
 }
@@ -39,9 +40,9 @@ func (p *Barrelfish) Attach(k *kernel.Kernel) {
 // Name implements kernel.Policy.
 func (p *Barrelfish) Name() string { return "barrelfish" }
 
-// shoot performs the message-passing protocol and calls done when all ACKs
-// are in.
-func (p *Barrelfish) shoot(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
+// SyncChange implements kernel.Policy: the message-passing protocol,
+// calling done when all ACKs are in.
+func (p *Barrelfish) SyncChange(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
 	k := p.k
 	sp := c.Span()
 	targets := k.ShootdownTargets(c, mm)
@@ -95,33 +96,3 @@ func (p *Barrelfish) shoot(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages in
 		})
 	})
 }
-
-// Munmap implements kernel.Policy.
-func (p *Barrelfish) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
-	p.shoot(c, u.MM, u.Start, u.Pages, func() { p.k.FreeUnmapped(c, u, done) })
-}
-
-// SyncChange implements kernel.Policy.
-func (p *Barrelfish) SyncChange(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
-	p.shoot(c, mm, start, pages, done)
-}
-
-// NUMAUnmap implements kernel.Policy.
-func (p *Barrelfish) NUMAUnmap(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
-	c.Busy(p.k.MarkNUMAHints(c, mm, start, pages), true, func() {
-		p.shoot(c, mm, start, pages, done)
-	})
-}
-
-// OnTick implements kernel.Policy.
-func (p *Barrelfish) OnTick(*kernel.Core) sim.Time { return 0 }
-
-// OnContextSwitch implements kernel.Policy.
-func (p *Barrelfish) OnContextSwitch(*kernel.Core) sim.Time { return 0 }
-
-// OnPageTouch implements kernel.Policy.
-func (p *Barrelfish) OnPageTouch(*kernel.Core, *kernel.MM, pt.VPN) sim.Time { return 0 }
-
-// OnMMExit implements kernel.Policy: the message transport keeps no per-MM
-// state (in-flight broadcasts reference cores, not address spaces).
-func (p *Barrelfish) OnMMExit(*kernel.MM) {}

@@ -53,16 +53,16 @@ func Mutations() []Mutation {
 	return []Mutation{MutEarlyFree, MutSkipSyncInval, MutLeakFrames, MutSkipOneTarget, MutSkipHostInval, MutLeakEPT}
 }
 
-// Mutant wraps the Linux policy with one seeded bug.
+// Mutant wraps the Linux policy with one seeded bug. Each mutation stays
+// on the path its doc names: the defaults Linux embeds would route the
+// munmap and NUMA unmap through the mutated SyncChange, so the munmap is
+// Linux's own unless a mutation names it, and the NUMA unmap is Linux's.
 type Mutant struct {
 	Linux
 	mut Mutation
 }
 
-var (
-	_ kernel.Policy   = (*Mutant)(nil)
-	_ kernel.Attacher = (*Mutant)(nil)
-)
+var _ kernel.Policy = (*Mutant)(nil)
 
 // NewMutant builds the mutant policy for one bug class.
 func NewMutant(mut Mutation) (kernel.Policy, error) {
@@ -96,7 +96,7 @@ func (p *Mutant) HostMode() kernel.HostMode {
 
 // Munmap implements kernel.Policy with the mutation applied.
 func (p *Mutant) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
-	k := p.k
+	k := c.Kernel()
 	switch p.mut {
 	case MutEarlyFree:
 		// Free everything immediately; no remote invalidation at all.
@@ -110,10 +110,19 @@ func (p *Mutant) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
 		// Correct coherence, but the frames and VA are never released.
 		k.Shootdown(c, u.MM, u.Start, u.Pages, k.ShootdownTargets(c, u.MM), done)
 	case MutSkipOneTarget:
-		k.ShootdownAndFree(c, u, dropHighestCore(k.ShootdownTargets(c, u.MM)), done)
-	default:
+		// The defaults' munmap: the mutated SyncChange, then the free.
 		p.Linux.Munmap(c, u, done)
+	default:
+		k.ShootdownAndFree(c, u, k.ShootdownTargets(c, u.MM), done)
 	}
+}
+
+// NUMAUnmap implements kernel.Policy as Linux's, with no mutation: the
+// hint prologue, then Linux's SyncChange.
+func (p *Mutant) NUMAUnmap(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
+	c.Busy(c.Kernel().MarkNUMAHints(c, mm, start, pages), true, func() {
+		p.Linux.SyncChange(c, mm, start, pages, done)
+	})
 }
 
 // SyncChange implements kernel.Policy with the mutation applied.
@@ -123,7 +132,8 @@ func (p *Mutant) SyncChange(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages i
 		// Pretend the remote TLBs were invalidated.
 		done()
 	case MutSkipOneTarget:
-		p.k.Shootdown(c, mm, start, pages, dropHighestCore(p.k.ShootdownTargets(c, mm)), done)
+		k := c.Kernel()
+		k.Shootdown(c, mm, start, pages, dropHighestCore(k.ShootdownTargets(c, mm)), done)
 	default:
 		p.Linux.SyncChange(c, mm, start, pages, done)
 	}

@@ -78,6 +78,7 @@ func (p *HostLATR) HostMode() kernel.HostMode { return kernel.HostLazy }
 // one fabric propagation delay. It is the paper set's hardware upper bound,
 // the same role the "ideal" line plays in LATR's Fig 9.
 type HATRIC struct {
+	kernel.SyncDefaults
 	k   *kernel.Kernel
 	met struct{ initiated, batches, invals metrics.Counter }
 }
@@ -106,12 +107,14 @@ func (p *HATRIC) Name() string { return "hatric" }
 // same fabric.
 func (p *HATRIC) HostMode() kernel.HostMode { return kernel.HostHardware }
 
-// quiesce invalidates every remote cached copy over the coherence fabric.
-// Hardware sees actual TLB contents, so unlike the IPI path there is no
-// lazy-TLB shortcut to model — but there is also no interrupt: remote cores
-// absorb the invalidations as pipeline stalls (Inject) while the initiator
-// waits only for fabric propagation.
-func (p *HATRIC) quiesce(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
+// SyncChange implements kernel.Policy: it invalidates every remote cached
+// copy over the coherence fabric. Hardware sees actual TLB contents, so
+// unlike the IPI path there is no lazy-TLB shortcut to model — but there is
+// also no interrupt: remote cores absorb the invalidations as pipeline
+// stalls (Inject) while the initiator waits only for fabric propagation.
+// A munmap's frames are thus reusable one propagation delay after the PTE
+// clear: the fabric guarantees no stale copy survives.
+func (p *HATRIC) SyncChange(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
 	k := p.k
 	m := &k.Cost
 	sp := c.Span()
@@ -147,34 +150,3 @@ func (p *HATRIC) quiesce(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int,
 		c.EndSpin(done)
 	})
 }
-
-// Munmap implements kernel.Policy: frames become reusable one propagation
-// delay after the PTE clear — the fabric guarantees no stale copy survives.
-func (p *HATRIC) Munmap(c *kernel.Core, u kernel.Unmap, done func()) {
-	p.quiesce(c, u.MM, u.Start, u.Pages, func() { p.k.FreeUnmapped(c, u, done) })
-}
-
-// SyncChange implements kernel.Policy.
-func (p *HATRIC) SyncChange(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
-	p.quiesce(c, mm, start, pages, done)
-}
-
-// NUMAUnmap implements kernel.Policy.
-func (p *HATRIC) NUMAUnmap(c *kernel.Core, mm *kernel.MM, start pt.VPN, pages int, done func()) {
-	c.Busy(p.k.MarkNUMAHints(c, mm, start, pages), true, func() {
-		p.quiesce(c, mm, start, pages, done)
-	})
-}
-
-// OnTick implements kernel.Policy.
-func (p *HATRIC) OnTick(*kernel.Core) sim.Time { return 0 }
-
-// OnContextSwitch implements kernel.Policy.
-func (p *HATRIC) OnContextSwitch(*kernel.Core) sim.Time { return 0 }
-
-// OnPageTouch implements kernel.Policy.
-func (p *HATRIC) OnPageTouch(*kernel.Core, *kernel.MM, pt.VPN) sim.Time { return 0 }
-
-// OnMMExit implements kernel.Policy: the fabric tracks cores, not address
-// spaces; no per-MM state.
-func (p *HATRIC) OnMMExit(*kernel.MM) {}

@@ -130,8 +130,14 @@ type (
 	// Op is one unit of thread work.
 	Op = kernel.Op
 	// Policy is the TLB-coherence extension point; implement it to plug a
-	// custom mechanism into the kernel (see examples/custom-policy).
+	// custom mechanism into the kernel (see examples/custom-policy). A
+	// synchronous mechanism embeds SyncDefaults and writes Name and
+	// SyncChange.
 	Policy = kernel.Policy
+	// SyncDefaults supplies every Policy method but Name and SyncChange:
+	// munmap and NUMA unmap built on the installed policy's SyncChange,
+	// and hooks that cost nothing. Embed it and override what differs.
+	SyncDefaults = kernel.SyncDefaults
 	// Unmap describes a free operation handed to a Policy.
 	Unmap = kernel.Unmap
 	// FrameRef pairs an unmapped virtual page with its physical frame.
