@@ -139,6 +139,47 @@ func TestWarmHandleWritesAllocateNothing(t *testing.T) {
 	}
 }
 
+// readH and readP hold what the unwritten reads below return, as a
+// caller that keeps it would, so an empty value made per read would have
+// to live on the heap.
+var (
+	readH *Histogram
+	readP *PercentileHist
+)
+
+// TestUnwrittenReadAllocatesNothing: reading a histogram that was never
+// written allocates no object.
+func TestUnwrittenReadAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	read := func() { readH, readP = r.Hist("h"), r.Perc("p") }
+	if a := testing.AllocsPerRun(100, read); a != 0 {
+		t.Fatalf("unwritten reads allocate %v objects per round, want 0", a)
+	}
+	if readH.Count() != 0 || readP.Count() != 0 {
+		t.Fatalf("unwritten reads hold %d and %d samples, want 0", readH.Count(), readP.Count())
+	}
+}
+
+// TestWriteAfterUnwrittenRead: a handle written after a read of its
+// unwritten name gets an entry of its own, and the value that read
+// returned stays empty.
+func TestWriteAfterUnwrittenRead(t *testing.T) {
+	r := NewRegistry()
+	eh, ep := r.Hist("h"), r.Perc("p")
+	h, p := r.NewHist("h"), r.NewPerc("p")
+	h.Observe(10)
+	p.Observe(10)
+	if r.Hist("h") == eh || r.Perc("p") == ep {
+		t.Fatal("a written name still reads the shared empty value")
+	}
+	if r.Hist("h").Count() != 1 || r.Perc("p").Count() != 1 {
+		t.Fatalf("written histograms hold %d and %d samples, want 1 each", r.Hist("h").Count(), r.Perc("p").Count())
+	}
+	if eh.Count() != 0 || ep.Count() != 0 || r.Hist("x").Count() != 0 || r.Perc("x").Count() != 0 {
+		t.Fatalf("shared empty values hold %d and %d samples, want 0", eh.Count(), ep.Count())
+	}
+}
+
 func BenchmarkCounterInc(b *testing.B) {
 	c := NewRegistry().NewCounter("sched.ticks")
 	c.Inc()

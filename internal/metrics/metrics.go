@@ -132,7 +132,8 @@ func (h *Histogram) String() string {
 
 // Registry is a named collection of counters, gauges and histograms.
 // Writes go through the typed handles of handle.go (NewCounter, NewGauge,
-// NewHist, NewPerc), which find their entry once; reads go by name.
+// NewHist, NewPerc), which find their entry once; reads go by name, and
+// what they return is read-only.
 type Registry struct {
 	counters map[string]*uint64
 	gauges   map[string]*gauge
@@ -177,21 +178,31 @@ func (r *Registry) GaugePeak(name string) int64 {
 	return 0
 }
 
-// Hist returns the named histogram (an empty one if never written).
+// emptyHist and emptyPerc are what Hist and Perc return for a name never
+// written: one shared, never-written value per kind, so such a read
+// allocates nothing.
+var (
+	emptyHist Histogram
+	emptyPerc PercentileHist
+)
+
+// Hist returns the named histogram, or a shared empty one if the name was
+// never written. It is read-only: write through a Hist handle.
 func (r *Registry) Hist(name string) *Histogram {
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
-	return &Histogram{}
+	return &emptyHist
 }
 
-// Perc returns the named percentile histogram (an empty one if never
-// written).
+// Perc returns the named percentile histogram, or a shared empty one if
+// the name was never written. It is read-only: write through a Perc
+// handle.
 func (r *Registry) Perc(name string) *PercentileHist {
 	if h, ok := r.percs[name]; ok {
 		return h
 	}
-	return &PercentileHist{}
+	return &emptyPerc
 }
 
 // Names returns all metric names, sorted, for report rendering.
