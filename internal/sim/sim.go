@@ -91,21 +91,11 @@ func (t Timer) Pending() bool {
 	return t.ev != nil && t.ev.gen == t.gen && !t.ev.dead
 }
 
-// When reports the virtual time the event is scheduled for, or -1 if the
-// timer is no longer pending.
-func (t Timer) When() Time {
-	if !t.Pending() {
-		return -1
-	}
-	return t.ev.when
-}
-
 // Engine is the event loop. The zero value is not usable; call NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64
-	queue   []entry // binary min-heap by (when, seq)
-	stopped bool
+	now   Time
+	seq   uint64
+	queue []entry // binary min-heap by (when, seq)
 
 	// nodes is the node table, indexed by entry id. Nodes are allocated
 	// individually and never move, so a Timer may hold a node's address;
@@ -266,10 +256,10 @@ func (e *Engine) Reschedule(tm Timer, t Time) Timer {
 }
 
 // Step dispatches the single next event. It reports false when the queue is
-// empty or the engine has been stopped.
+// empty.
 func (e *Engine) Step() bool {
 	for {
-		if e.stopped || len(e.queue) == 0 {
+		if len(e.queue) == 0 {
 			return false
 		}
 		ev := e.nodes[e.queue[0].id]
@@ -293,7 +283,7 @@ func (e *Engine) Step() bool {
 	}
 }
 
-// Run dispatches events until the queue drains or the engine is stopped.
+// Run dispatches events until the queue drains.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
@@ -306,7 +296,7 @@ func (e *Engine) Run() {
 // the cluster's wire runs one short RunUntil per window, and popping
 // far-future cancelled timers there was pure overhead.
 func (e *Engine) RunUntil(deadline Time) {
-	for !e.stopped && len(e.queue) > 0 {
+	for len(e.queue) > 0 {
 		next := e.queue[0]
 		if next.when > deadline {
 			break
@@ -317,7 +307,7 @@ func (e *Engine) RunUntil(deadline Time) {
 		}
 		e.Step()
 	}
-	if e.now < deadline && !e.stopped {
+	if e.now < deadline {
 		e.now = deadline
 	}
 }
@@ -327,7 +317,7 @@ func (e *Engine) RunUntil(deadline Time) {
 // discarded on the way (bulk-compacted when they dominate), so repeated
 // peeks stay cheap.
 func (e *Engine) NextLive() (Time, bool) {
-	for !e.stopped && len(e.queue) > 0 {
+	for len(e.queue) > 0 {
 		next := e.queue[0]
 		if !e.nodes[next.id].dead {
 			return next.when, true
@@ -361,12 +351,6 @@ func (e *Engine) Fingerprint() uint64 {
 	mix(e.dispatched)
 	return h
 }
-
-// Stop halts the engine: Run/RunUntil/Step return immediately afterwards.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
 
 // Pending reports the number of live (non-cancelled) queued events.
 func (e *Engine) Pending() int { return len(e.queue) - e.dead }

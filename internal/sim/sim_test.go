@@ -151,20 +151,6 @@ func TestEnginePastPanics(t *testing.T) {
 	e.At(5, func(Time) {})
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	e.At(1, func(Time) { n++; e.Stop() })
-	e.At(2, func(Time) { n++ })
-	e.Run()
-	if n != 1 {
-		t.Fatalf("events after Stop fired: n=%d", n)
-	}
-	if !e.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
-	}
-}
-
 func TestEngineRescheduleZeroTimer(t *testing.T) {
 	e := NewEngine()
 	// Rescheduling the zero Timer must be a safe no-op (it used to panic on
