@@ -10,9 +10,9 @@ package main
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"latr"
+	"latr/internal/fan"
 )
 
 // clusterFlags carries the -cluster mode configuration.
@@ -72,24 +72,11 @@ func runCluster(stdout, stderr io.Writer, f clusterFlags) int {
 		}
 	}
 
-	parallel := f.parallel
-	if parallel < 1 {
-		parallel = 1
-	}
-	results := make([]latr.ClusterResult, len(cells))
-	sem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
-	for i, c := range cells {
-		wg.Add(1)
-		go func(i int, c clusterCell) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			prof, _ := latr.ClusterFaultProfileByName(c.profile)
-			results[i] = latr.NewCluster(clusterConfig(f, c, prof)).Run()
-		}(i, c)
-	}
-	wg.Wait()
+	// At least one worker: fan.Run reads 0 or less as GOMAXPROCS.
+	results := fan.Run(max(f.parallel, 1), cells, func(_ int, c clusterCell) latr.ClusterResult {
+		prof, _ := latr.ClusterFaultProfileByName(c.profile)
+		return latr.NewCluster(clusterConfig(f, c, prof)).Run()
+	})
 
 	nodes := f.nodes
 	if nodes <= 0 {

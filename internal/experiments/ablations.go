@@ -5,6 +5,7 @@ import (
 
 	latrcore "latr/internal/core"
 	"latr/internal/cost"
+	"latr/internal/fan"
 	"latr/internal/kernel"
 	"latr/internal/sim"
 	"latr/internal/topo"
@@ -45,7 +46,7 @@ func AblationQueueDepth(o Options) *Table {
 		mean             float64
 		fallback, states uint64
 	}
-	rows := fan(o.workers(), depths, func(_ int, depth int) row {
+	rows := fan.Run(o.workers(), depths, func(_ int, depth int) row {
 		spec := topo.TwoSocket16()
 		k := kernel.New(spec, cost.Default(spec), latrcore.New(latrcore.Config{}),
 			kernel.Options{Seed: o.Seed, Tunables: &kernel.Tunables{QueueDepth: depth}})

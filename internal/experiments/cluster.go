@@ -5,6 +5,7 @@ import (
 
 	"latr/internal/chaos"
 	"latr/internal/cluster"
+	"latr/internal/fan"
 	"latr/internal/sim"
 )
 
@@ -89,7 +90,7 @@ func Cluster(o Options) *Table {
 	}
 	dur := o.scaleT(120*sim.Millisecond, 25*sim.Millisecond)
 	cells := clusterCells()
-	res := fan(o.workers(), cells, func(_ int, c clusterCell) cluster.Result {
+	res := fan.Run(o.workers(), cells, func(_ int, c clusterCell) cluster.Result {
 		return runClusterCell(c, dur, o)
 	})
 	for i, c := range cells {

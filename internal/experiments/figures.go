@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"latr/internal/fan"
 	"latr/internal/sim"
 	"latr/internal/topo"
 	"latr/internal/workload"
@@ -22,7 +23,7 @@ func Fig6(o Options) *Table {
 	iters := o.scale(250, 40)
 	spec := topo.TwoSocket16()
 	coresList := []int{1, 2, 4, 6, 8, 10, 12, 14, 16}
-	rows := fan(o.workers(), coresList, func(_ int, cores int) [2]microResult {
+	rows := fan.Run(o.workers(), coresList, func(_ int, cores int) [2]microResult {
 		return [2]microResult{
 			runMicro(spec, "linux", cores, 1, iters, o),
 			runMicro(spec, "latr", cores, 1, iters, o),
@@ -58,7 +59,7 @@ func Fig7(o Options) *Table {
 	iters := o.scale(60, 12)
 	spec := topo.EightSocket120()
 	coresList := []int{15, 30, 45, 60, 75, 90, 105, 120}
-	rows := fan(o.workers(), coresList, func(_ int, cores int) [2]microResult {
+	rows := fan.Run(o.workers(), coresList, func(_ int, cores int) [2]microResult {
 		return [2]microResult{
 			runMicro(spec, "linux", cores, 1, iters, o),
 			runMicro(spec, "latr", cores, 1, iters, o),
@@ -89,7 +90,7 @@ func Fig8(o Options) *Table {
 	iters := o.scale(120, 25)
 	spec := topo.TwoSocket16()
 	pagesList := []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
-	rows := fan(o.workers(), pagesList, func(_ int, pages int) [2]microResult {
+	rows := fan.Run(o.workers(), pagesList, func(_ int, pages int) [2]microResult {
 		return [2]microResult{
 			runMicro(spec, "linux", 16, pages, iters, o),
 			runMicro(spec, "latr", 16, pages, iters, o),
@@ -133,7 +134,7 @@ func Fig9(o Options) *Table {
 			jobs = append(jobs, job{cores, p})
 		}
 	}
-	res := fan(o.workers(), jobs, func(_ int, j job) apacheResult {
+	res := fan.Run(o.workers(), jobs, func(_ int, j job) apacheResult {
 		return runApache(j.policy, j.cores, dur, o)
 	})
 	var linux12, abis12, latr12 float64
@@ -164,7 +165,7 @@ func Fig10(o Options) *Table {
 	}
 	var sumRatio float64
 	suite := workload.ParsecSuite()
-	rows := fan(o.workers(), suite, func(_ int, prof workload.ParsecProfile) [2]parsecResult {
+	rows := fan.Run(o.workers(), suite, func(_ int, prof workload.ParsecProfile) [2]parsecResult {
 		return [2]parsecResult{
 			runParsec("linux", prof, 16, o),
 			runParsec("latr", prof, 16, o),
@@ -227,7 +228,7 @@ func Fig11(o Options) *Table {
 			return workload.NewMetis(workload.DefaultMetisConfig(cores))
 		}},
 	}
-	rows := fan(o.workers(), entries, func(_ int, e entry) [2]numaResult {
+	rows := fan.Run(o.workers(), entries, func(_ int, e entry) [2]numaResult {
 		return [2]numaResult{
 			runWithNUMA("linux", e.build, o),
 			runWithNUMA("latr", e.build, o),
@@ -284,7 +285,7 @@ func Fig12(o Options) *Table {
 			return lin.ShootdownPerSec, float64(lin.Runtime) / float64(lat.Runtime)
 		}})
 	}
-	results := fan(o.workers(), rowDefs, func(_ int, r row) [2]float64 {
+	results := fan.Run(o.workers(), rowDefs, func(_ int, r row) [2]float64 {
 		sd, perf := r.run()
 		return [2]float64{sd, perf}
 	})

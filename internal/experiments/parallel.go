@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"latr/internal/cost"
-	fanpool "latr/internal/fan"
+	"latr/internal/fan"
 	"latr/internal/kernel"
 	"latr/internal/numa"
 	"latr/internal/sim"
@@ -15,17 +15,10 @@ import (
 // This file is the parallel experiment harness. Every simulation run owns a
 // private Engine, Kernel, RNG and metrics registry and shares no mutable
 // state with any other run, so the (policy × workload × seed × topology)
-// matrix is embarrassingly parallel: fan distributes runs across a worker
-// pool while keeping results in deterministic matrix order, and the
+// matrix is embarrassingly parallel: fan.Run distributes runs across a
+// worker pool while keeping results in deterministic matrix order, and the
 // regression tests prove per-run fingerprints are byte-identical to a
 // sequential execution.
-
-// fan executes run(i, items[i]) for every item across a pool of workers,
-// returning results in input order; it is the internal/fan pool, which the
-// litmus runner shares. See fan.Run for the worker-count semantics.
-func fan[T, R any](workers int, items []T, run func(int, T) R) []R {
-	return fanpool.Run(workers, items, run)
-}
 
 // RunSpec identifies one cell of the experiment matrix.
 type RunSpec struct {
@@ -212,7 +205,7 @@ func DefaultMatrix(quick bool) Matrix {
 // isolated, so the results — including all three fingerprints per run — are
 // identical for every worker count.
 func RunMatrix(specs []RunSpec, workers int, o Options) []RunResult {
-	return fan(workers, specs, func(_ int, s RunSpec) RunResult {
+	return fan.Run(workers, specs, func(_ int, s RunSpec) RunResult {
 		return RunOne(s, o)
 	})
 }

@@ -17,6 +17,7 @@ package experiments
 import (
 	"fmt"
 
+	"latr/internal/fan"
 	"latr/internal/kernel"
 	"latr/internal/pt"
 	"latr/internal/ptrepl"
@@ -170,7 +171,7 @@ func Ptrepl(o Options) *Table {
 			jobs = append(jobs, ptreplJob{row.policy, row.mode, mach})
 		}
 	}
-	res := fan(o.workers(), jobs, func(_ int, j ptreplJob) ptreplResult {
+	res := fan.Run(o.workers(), jobs, func(_ int, j ptreplJob) ptreplResult {
 		return runPtreplCell(mustMachine(j.machine), j.policy, j.mode, o)
 	})
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"latr/internal/cost"
+	"latr/internal/fan"
 	"latr/internal/kernel"
 	"latr/internal/remote"
 	"latr/internal/sim"
@@ -102,7 +103,7 @@ func RemoteMemory(o Options) *Table {
 			jobs = append(jobs, job{m, p})
 		}
 	}
-	res := fan(o.workers(), jobs, func(_ int, j job) remoteResult {
+	res := fan.Run(o.workers(), jobs, func(_ int, j job) remoteResult {
 		return runRemoteMemory(j.machine, j.policy, dur, o)
 	})
 	for i, j := range jobs {

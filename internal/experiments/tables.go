@@ -6,6 +6,7 @@ import (
 
 	"latr/internal/cache"
 	"latr/internal/cost"
+	"latr/internal/fan"
 	"latr/internal/kernel"
 	"latr/internal/obs"
 	"latr/internal/sim"
@@ -103,7 +104,7 @@ func Table4(o Options) *Table {
 	apache(12, 0.0123)
 
 	names := []string{"canneal", "dedup", "ferret", "streamcluster", "swaptions"}
-	rows := fan(o.workers(), names, func(_ int, name string) [2]parsecResult {
+	rows := fan.Run(o.workers(), names, func(_ int, name string) [2]parsecResult {
 		prof, ok := workload.ParsecProfileByName(name)
 		if !ok {
 			panic("missing profile " + name)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"latr/internal/fan"
 	"latr/internal/kernel"
 	"latr/internal/tune"
 )
@@ -95,7 +96,7 @@ func Tune(o Options) *Table {
 			})
 		}
 	}
-	scores := fan(o.workers(), probes, func(_ int, pr probe) tune.Fitness {
+	scores := fan.Run(o.workers(), probes, func(_ int, pr probe) tune.Fitness {
 		return ev.Fitness(pr.genome)
 	})
 	for i, pr := range probes {

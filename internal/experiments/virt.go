@@ -11,6 +11,7 @@ package experiments
 import (
 	"fmt"
 
+	"latr/internal/fan"
 	"latr/internal/kernel"
 	"latr/internal/sim"
 	"latr/internal/topo"
@@ -111,7 +112,7 @@ func Virt(o Options) *Table {
 			jobs = append(jobs, virtJob{pol, mach, false})
 		}
 	}
-	res := fan(o.workers(), jobs, func(_ int, j virtJob) virtResult {
+	res := fan.Run(o.workers(), jobs, func(_ int, j virtJob) virtResult {
 		spec := mustMachine(j.machine)
 		if j.native {
 			return virtResult{micro: runMicro(spec, j.policy, spec.NumCores(), pages, iters, o)}
