@@ -247,9 +247,9 @@ func (k *Kernel) FreeUnmapped(c *Core, u Unmap, done func()) {
 
 // syncUnmap is a core's synchronous unmap from its coherence step (under
 // SyncDefaults.Munmap or ShootdownAndFree) to the end of its free: the
-// Unmap and done, with the two continuations bound once. The core is busy or spinning for all of
-// that time, so it has one unmap in flight at most, and one record, made
-// on its first, serves them all.
+// Unmap and done, with the two continuations bound once. The core is busy
+// or spinning for all of that time, so it has one unmap in flight at
+// most, and one record, made on its first, serves them all.
 type syncUnmap struct {
 	c         *Core
 	u         Unmap

@@ -32,9 +32,10 @@ const (
 	// unmapped frames or VA. Detected by frame accounting (kernel frames in
 	// use exceed the model's).
 	MutLeakFrames Mutation = "leak-frames"
-	// MutSkipOneTarget drops the highest-numbered core from every shootdown
-	// IPI set — one core's TLB silently stays stale. Detected by the
-	// auditor when the freed frame is reallocated.
+	// MutSkipOneTarget drops the highest-numbered core from the IPI set of
+	// every munmap and sync-change shootdown — one core's TLB silently
+	// stays stale. Detected by the auditor when the freed frame is
+	// reallocated.
 	MutSkipOneTarget Mutation = "skip-one-target"
 	// MutSkipHostInval is a two-level bug: when the hypervisor reclaims EPT
 	// backings (ballooning / host swap-out), the backing frames are freed

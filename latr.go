@@ -145,8 +145,9 @@ type (
 	// KernelCore is one simulated CPU.
 	KernelCore = kernel.Core
 	// Registry collects counters, gauges and histograms. Reads go by
-	// name; writes go through handles (NewCounter, NewGauge, NewHist,
-	// NewPerc) that resolve their name on their first write.
+	// name and return read-only values; writes go through handles
+	// (NewCounter, NewGauge, NewHist, NewPerc) that resolve their name on
+	// their first write.
 	Registry = metrics.Registry
 	// Counter, Gauge, Hist and Perc are the Registry's write handles: an
 	// owner takes each once and keeps it (as a custom policy's fields).
