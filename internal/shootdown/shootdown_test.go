@@ -6,10 +6,12 @@ import (
 	latrcore "latr/internal/core"
 	"latr/internal/cost"
 	"latr/internal/kernel"
+	"latr/internal/numa"
 	"latr/internal/pt"
 	"latr/internal/sim"
 	"latr/internal/tlb"
 	"latr/internal/topo"
+	"latr/internal/workload"
 )
 
 func newK(pol kernel.Policy) *kernel.Kernel {
@@ -321,5 +323,42 @@ func TestABISSharerMapDrainsOnForkExitChurn(t *testing.T) {
 	}
 	if k.Metrics.Counter("abis.tracked") == 0 {
 		t.Fatal("no sharer tracking recorded")
+	}
+}
+
+// TestMutantsOffTheirPathRunLinux: a mutation changes only the path its
+// doc names, so a mutant whose bug is in sync changes or on the host level
+// runs Linux's munmap and NUMA unmap. A bare-metal Apache run with
+// AutoNUMA, which makes no sync change, must fire Linux's events at
+// Linux's instants under each such mutant.
+func TestMutantsOffTheirPathRunLinux(t *testing.T) {
+	run := func(pol kernel.Policy) (uint64, uint64) {
+		spec := topo.TwoSocket16()
+		k := kernel.New(spec, cost.Default(spec), pol, kernel.Options{Seed: 1, TraceLimit: 1 << 16})
+		an := numa.New(numa.Config{ScanPeriod: 2 * sim.Millisecond, PagesPerScan: 1024})
+		an.Install(k)
+		w, err := workload.ByName("apache", 12, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Setup(k)
+		for _, p := range k.Processes() {
+			an.Register(p)
+		}
+		k.Run(20 * sim.Millisecond)
+		if k.Metrics.Counter("numa.pages_sampled") == 0 || k.Metrics.Counter("sys.munmap") == 0 {
+			t.Fatalf("%s: run made no NUMA unmap or no munmap", pol.Name())
+		}
+		return k.Engine.Fingerprint(), k.Tracer.Digest()
+	}
+	engine, trace := run(NewLinux())
+	for _, mut := range []Mutation{MutSkipSyncInval, MutSkipHostInval, MutLeakEPT} {
+		pol, err := NewMutant(mut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e, tr := run(pol); e != engine || tr != trace {
+			t.Errorf("%s: engine %016x trace %016x, want Linux's %016x and %016x", mut, e, tr, engine, trace)
+		}
 	}
 }
