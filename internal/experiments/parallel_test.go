@@ -4,8 +4,36 @@ import (
 	"fmt"
 	"testing"
 
+	"latr/internal/fan"
 	"latr/internal/sim"
 )
+
+// The experiment runners fan their cells out through fan.Run and print
+// the results in the order they went in; these two tests pin that
+// contract at the worker counts the runners pass.
+func TestFanPreservesOrder(t *testing.T) {
+	items := make([]int, 100)
+	for i := range items {
+		items[i] = i * 3
+	}
+	for _, workers := range []int{-1, 0, 1, 2, 7, 100, 1000} {
+		got := fan.Run(workers, items, func(i int, v int) int { return v + i })
+		for i, v := range got {
+			if v != i*3+i {
+				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*3+i)
+			}
+		}
+	}
+}
+
+func TestFanEmptyAndSingle(t *testing.T) {
+	if got := fan.Run(4, nil, func(int, int) int { return 1 }); len(got) != 0 {
+		t.Fatalf("empty fan returned %v", got)
+	}
+	if got := fan.Run(4, []int{9}, func(_ int, v int) int { return v * 2 }); len(got) != 1 || got[0] != 18 {
+		t.Fatalf("single-item fan returned %v", got)
+	}
+}
 
 func TestMatrixSpecsDeterministicOrder(t *testing.T) {
 	m := DefaultMatrix(true)
