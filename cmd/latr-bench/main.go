@@ -15,17 +15,16 @@
 // each experiment's wall time goes to stderr.
 //
 // Regression gate: -compare re-runs each committed baseline's experiment
-// with the baseline's recorded options and fails when any result cell
-// drifts out of tolerance. The simulator is deterministic, so identical
-// code reproduces every baseline exactly; drift means the model changed.
+// with the baseline's recorded options and fails when any result cell's
+// text differs. The simulator is deterministic, so identical code
+// reproduces every baseline exactly; a differing cell means the model
+// changed.
 //
 //	latr-bench -compare baselines/              # all BENCH_*.json in the dir
 //	latr-bench -compare BENCH_table5.json       # one baseline
-//	latr-bench -compare baselines/ -tolerance 0.02
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -69,65 +68,16 @@ func baselineFiles(path string) ([]string, error) {
 	return files, nil
 }
 
-// harnessBaseline is the BENCH_harness.json schema written by
-// BenchmarkHarnessMatrix: wall clock and speedup per worker count at a
-// recorded GOMAXPROCS. It has no experiment id or result cells.
-type harnessBaseline struct {
-	GoMaxProcs int `json:"gomaxprocs"`
-	Runs       int `json:"runs"`
-	Entries    []struct {
-		Workers int     `json:"workers"`
-		WallSec float64 `json:"wall_sec"`
-		Speedup float64 `json:"speedup"`
-	} `json:"entries"`
-}
-
-// loadHarness reports whether path holds a harness wall-clock snapshot
-// rather than a deterministic experiment baseline.
-func loadHarness(path string) (*harnessBaseline, bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	var probe struct {
-		ID string `json:"id"`
-		harnessBaseline
-	}
-	if json.Unmarshal(data, &probe) != nil {
-		return nil, false
-	}
-	if probe.ID != "" || probe.GoMaxProcs == 0 || len(probe.Entries) == 0 {
-		return nil, false
-	}
-	return &probe.harnessBaseline, true
-}
-
 // runCompare executes the regression gate for every baseline and reports
 // per-experiment PASS/FAIL. Any diff or error makes the exit code 1.
-func runCompare(stdout, stderr io.Writer, path string, tol latr.BenchTolerance, workers int) int {
+func runCompare(stdout, stderr io.Writer, path string, workers int) int {
 	files, err := baselineFiles(path)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	failed, gated := 0, 0
+	failed := 0
 	for _, f := range files {
-		if h, ok := loadHarness(f); ok {
-			// BENCH_harness.json is a wall-clock snapshot from
-			// BenchmarkHarnessMatrix, not a deterministic baseline — it
-			// never gates. A copy recorded at GOMAXPROCS=1 additionally
-			// gets a warning: single-core speedups describe a machine
-			// where parallel dispatch can't show a regression.
-			if h.GoMaxProcs == 1 {
-				fmt.Fprintf(stdout, "warn harness  %s: recorded at GOMAXPROCS=1 — speedups are meaningless on one core; re-record per EXPERIMENTS.md (not gated)\n",
-					filepath.Base(f))
-			} else {
-				fmt.Fprintf(stdout, "skip harness  %s: wall-clock snapshot (gomaxprocs=%d), not a deterministic baseline\n",
-					filepath.Base(f), h.GoMaxProcs)
-			}
-			continue
-		}
-		gated++
 		base, err := latr.LoadBenchJSON(f)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
@@ -145,13 +95,13 @@ func runCompare(stdout, stderr io.Writer, path string, tol latr.BenchTolerance, 
 			continue
 		}
 		cur := latr.BenchJSONFromTable(tbl, o, time.Since(start).Seconds())
-		diffs, err := latr.CompareBench(base, cur, tol)
+		diffs, err := latr.CompareBench(base, cur)
 		switch {
 		case err != nil:
 			fmt.Fprintf(stdout, "FAIL %-8s %s: %v\n", base.ID, filepath.Base(f), err)
 			failed++
 		case len(diffs) > 0:
-			fmt.Fprintf(stdout, "FAIL %-8s %s: %d cell(s) out of tolerance\n", base.ID, filepath.Base(f), len(diffs))
+			fmt.Fprintf(stdout, "FAIL %-8s %s: %d cell(s) differ\n", base.ID, filepath.Base(f), len(diffs))
 			for _, d := range diffs {
 				fmt.Fprintf(stdout, "     %s\n", d)
 			}
@@ -161,10 +111,10 @@ func runCompare(stdout, stderr io.Writer, path string, tol latr.BenchTolerance, 
 		}
 	}
 	if failed > 0 {
-		fmt.Fprintf(stderr, "latr-bench: %d of %d baseline(s) failed the regression gate\n", failed, gated)
+		fmt.Fprintf(stderr, "latr-bench: %d of %d baseline(s) failed the regression gate\n", failed, len(files))
 		return 1
 	}
-	fmt.Fprintf(stdout, "latr-bench: %d baseline(s) reproduced within tolerance\n", gated)
+	fmt.Fprintf(stdout, "latr-bench: %d baseline(s) reproduced exactly\n", len(files))
 	return 0
 }
 
@@ -181,9 +131,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 		check     = fs.Bool("check", false, "enable the TLB reuse-invariant checker (slower)")
 		parallel  = fs.Int("parallel", runtime.NumCPU(), "worker pool size for each experiment's independent runs (1 = sequential)")
 		emitJSON  = fs.Bool("json", false, "also write BENCH_<id>.json for each experiment run")
-		compare   = fs.String("compare", "", "regression gate: re-run the experiments recorded in this baseline file (or every BENCH_*.json in this directory) and fail on drift")
-		tolRel    = fs.Float64("tolerance", 0, "compare: relative tolerance for scalar cells (0 = default 0.10)")
-		tolPct    = fs.Float64("tolerance-pct", 0, "compare: absolute percentage-point tolerance for % cells (0 = default 5.0)")
+		compare   = fs.String("compare", "", "regression gate: re-run the experiments recorded in this baseline file (or every BENCH_*.json in this directory) and fail on any differing cell")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -197,7 +145,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 	}
 
 	if *compare != "" {
-		return runCompare(stdout, stderr, *compare, latr.BenchTolerance{Rel: *tolRel, Pct: *tolPct}, *parallel)
+		return runCompare(stdout, stderr, *compare, *parallel)
 	}
 
 	o := latr.ExperimentOptions{Quick: *quick, Seed: *seed, CheckInvariants: *check, Workers: *parallel}

@@ -65,6 +65,7 @@ import (
 	"time"
 
 	"latr"
+	"latr/internal/remote"
 )
 
 func main() {
@@ -434,43 +435,33 @@ type remoteFlags struct {
 	remoteFrames       int64
 }
 
-// remoteMemFrames shrinks each node's memory below the KV arena so the
-// working set pages over the network — the Infiniswap precondition.
-const remoteMemFrames = 1500
-
 // runRemote executes the §6.2 Infiniswap case study once and prints the
 // request-latency percentiles.
 func runRemote(stdout, stderr io.Writer, f remoteFlags) int {
+	backend := remote.Config{RemoteFrames: f.remoteFrames}
+	if err := backend.Validate(); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 	spec, err := machineFor(f.machine, f.policy, f.cores)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	spec.MemPerNodeBytes = remoteMemFrames * 4096
+	spec = remote.Machine(spec)
 	cores, err := spec.SpreadCores(f.cores)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	sys := latr.NewSystem(latr.Config{
-		Machine: spec,
-		Policy:  latr.PolicyKind(f.policy),
-		Seed:    f.seed,
-		Swap: &latr.SwapConfig{
-			LowWatermarkFrames:  300,
-			HighWatermarkFrames: 500,
-			ScanPeriod:          latr.Millisecond,
-			BatchPages:          512,
-		},
-		SwapBackend:     latr.NewRemoteBackend(latr.RemoteBackendConfig{RemoteFrames: f.remoteFrames}),
+		Machine:         spec,
+		Policy:          latr.PolicyKind(f.policy),
+		Seed:            f.seed,
 		CheckInvariants: f.check,
 		Audit:           f.audit,
 	})
-	cfg := latr.DefaultMemcachedConfig(cores)
-	cfg.Seed = f.seed + 1
-	w := latr.NewMemcached(cfg)
-	w.Setup(sys.Kernel())
-	sys.RegisterAllForNUMA()
+	w := remote.Memcached(sys.Kernel(), cores, f.seed, backend)
 	sys.Run(f.duration)
 	if !w.Loaded() {
 		fmt.Fprintln(stderr, "remote: KV warm-up never finished; raise -duration")

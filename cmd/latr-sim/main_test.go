@@ -43,6 +43,7 @@ func TestBadInputIsAnError(t *testing.T) {
 		{[]string{"-workload", "micro", "-pages", "0"}, "pages 0", 1},
 		{[]string{"-workload", "micro", "-iters", "0"}, "iters 0", 1},
 		{[]string{"-remote", "-cores", "16"}, "16 workers", 1},
+		{[]string{"-remote", "-remote-frames", "-1"}, "RemoteFrames -1 is negative", 1},
 		{[]string{"-cluster", "-cluster-machine", "2x2"}, "2x2", 1},
 		{[]string{"-cluster", "-check"}, "-check", 1},
 		{[]string{"-matrix", "-audit"}, "-audit", 1},

@@ -28,11 +28,10 @@ type RunConfig struct {
 	// 4x Duration). Defaults: 60 ms / 240 ms.
 	Duration sim.Time
 	Deadline sim.Time
-
-	// TraceLimit bounds the trace used for the determinism digest
-	// (default 20000 events).
-	TraceLimit int
 }
+
+// traceLimit bounds the trace used for the determinism digest.
+const traceLimit = 20000
 
 func (cfg RunConfig) withDefaults() RunConfig {
 	if cfg.Sockets == 0 {
@@ -46,9 +45,6 @@ func (cfg RunConfig) withDefaults() RunConfig {
 	}
 	if cfg.Deadline == 0 {
 		cfg.Deadline = 4 * cfg.Duration
-	}
-	if cfg.TraceLimit == 0 {
-		cfg.TraceLimit = 20000
 	}
 	return cfg
 }
@@ -110,7 +106,7 @@ func Run(cfg RunConfig) Result {
 	k := kernel.New(spec, cost.Default(spec), core.New(core.Config{}), kernel.Options{
 		Audit:      true,
 		Seed:       cfg.Seed,
-		TraceLimit: cfg.TraceLimit,
+		TraceLimit: traceLimit,
 		Tunables:   cfg.Profile.Tunables(),
 	})
 	inj := NewInjector(cfg.Seed, cfg.Profile)

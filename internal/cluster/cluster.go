@@ -482,7 +482,7 @@ func (c *Cluster) Run() Result {
 // loaded reports whether every node finished warming its arena.
 func (c *Cluster) loaded() bool {
 	for _, n := range c.nodes {
-		if !n.loaded {
+		if !n.arena.Loaded {
 			return false
 		}
 	}

@@ -37,9 +37,7 @@ type node struct {
 	backend *remote.Backend
 	swapper *swap.Swapper
 	proc    *kernel.Process
-	gate    *workload.Gate
-	arena   pt.VPN
-	loaded  bool
+	arena   *workload.Arena
 
 	// Pull queue: enqueue wakes one idle worker; workers block when empty.
 	queue    []*attempt
@@ -90,63 +88,25 @@ func newNode(c *Cluster, id int) *node {
 	}, n.backend)
 	n.swapper.Install(k)
 
-	n.gate = workload.NewGate(k)
+	gate := workload.NewGate(k)
 	n.proc = k.NewProcess()
 	cores, err := spec.SpreadCores(cfg.WorkersPerNode)
 	if err != nil {
 		panic(err)
 	}
-	n.setupLoader(cores[0])
+	n.arena = workload.LoadArena(n.proc, cores[0], cfg.Keys*cfg.ValuePages, gate)
 	for _, core := range cores {
-		n.spawnWorker(core)
+		n.spawnWorker(core, gate)
 	}
 	n.swapper.Register(n.proc)
 	return n
-}
-
-// setupLoader spawns the warm-up thread: map the arena, touch it end to
-// end (pushing memory past the watermark like a KV server reaching its
-// configured cache size), then open the gate for the workers.
-func (n *node) setupLoader(core topo.CoreID) {
-	cfg := n.cl.cfg
-	total := cfg.Keys * cfg.ValuePages
-	warmed := 0
-	const warmChunk = 128
-	step := 0
-	n.proc.Spawn(core, kernel.Loop(func(th *kernel.Thread) kernel.Op {
-		switch step {
-		case 0:
-			step = 1
-			return kernel.Mmap(total, true)
-		case 1:
-			n.arena = th.LastAddr
-			step = 2
-			fallthrough
-		case 2:
-			if warmed < total {
-				chunk := total - warmed
-				if chunk > warmChunk {
-					chunk = warmChunk
-				}
-				op := kernel.TouchRange(n.arena+pt.VPN(warmed), chunk, true)
-				warmed += chunk
-				return op
-			}
-			n.loaded = true
-			n.gate.Open()
-			step = 3
-			fallthrough
-		default:
-			return kernel.Op{}
-		}
-	}))
 }
 
 // spawnWorker starts one server thread: dequeue (or block), think, touch
 // the value pages — hot keys TLB-hit, cold keys major-fault through the
 // swap/remote path — think again, reply. Service time stretches by the
 // slow-node factor while a slow window is open.
-func (n *node) spawnWorker(core topo.CoreID) {
+func (n *node) spawnWorker(core topo.CoreID, gate *workload.Gate) {
 	cl := n.cl
 	const (
 		stepGate = iota
@@ -162,7 +122,7 @@ func (n *node) spawnWorker(core topo.CoreID) {
 		switch step {
 		case stepGate:
 			step = stepDequeue
-			return n.gate.Wait()
+			return gate.Wait()
 		case stepDequeue:
 			return kernel.Call(func(c *kernel.Core, th *kernel.Thread, done func()) {
 				if len(n.queue) > 0 {
@@ -181,7 +141,7 @@ func (n *node) spawnWorker(core topo.CoreID) {
 			return kernel.Compute(n.scale(cl.cfg.Think / 2))
 		case stepTouch:
 			step = stepThink2
-			return kernel.TouchRange(n.arena+pt.VPN(cur.req.key*cl.cfg.ValuePages), cl.cfg.ValuePages, cur.req.write)
+			return kernel.TouchRange(n.arena.Base+pt.VPN(cur.req.key*cl.cfg.ValuePages), cl.cfg.ValuePages, cur.req.write)
 		case stepThink2:
 			step = stepReply
 			return kernel.Compute(n.scale(cl.cfg.Think - cl.cfg.Think/2))

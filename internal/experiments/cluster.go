@@ -51,8 +51,6 @@ func runClusterCell(c clusterCell, dur sim.Time, o Options) cluster.Result {
 	// queueing, shedding and retries, which is the pipeline under test.
 	cfg.ArrivalRate = 700_000
 	cfg.RateLimit = 0
-	cfg.TraceLimit = o.TraceLimit
-	cfg.SpanLimit = o.SpanLimit
 	return cluster.New(cfg).Run()
 }
 

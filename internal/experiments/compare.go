@@ -1,19 +1,16 @@
 package experiments
 
 // This file is the benchmark regression gate: the machine-readable form of
-// a Table (what `latr-bench -json` writes as BENCH_<id>.json) plus a
-// tolerance diff against a committed baseline. CI runs the cheap
-// experiments and fails when any cell drifts past the tolerance.
+// a Table (what `latr-bench -json` writes as BENCH_<id>.json) plus an
+// exact diff against a committed baseline. The gate re-runs the cheap
+// experiments and fails when any cell's text differs.
 
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
-	"time"
 )
 
 // BenchJSON is one experiment's archived result. The deterministic engine
@@ -78,79 +75,26 @@ func LoadBenchJSON(path string) (BenchJSON, error) {
 	return b, nil
 }
 
-// Tolerance bounds the acceptable drift per cell. Comparison is symmetric
-// (an improvement past the bound fails too): the gate detects *unintended
-// model drift*, and a speedup nobody can explain is exactly as suspicious
-// as a slowdown.
-type Tolerance struct {
-	// Rel is the relative bound for scalar cells (latencies, rates,
-	// runtimes): |cur-base| / max(|base|, |cur|) must not exceed it.
-	Rel float64
-	// Pct is the absolute percentage-point bound for "%"-suffixed cells
-	// (overheads, speedups), which are already relative quantities.
-	Pct float64
-}
-
-// DefaultTolerance is deliberately loose: quick-mode runs are small, so
-// genuine model changes move cells by far more than this, while identical
-// code reproduces them exactly.
-func DefaultTolerance() Tolerance { return Tolerance{Rel: 0.10, Pct: 5.0} }
-
-// CellDiff is one cell that drifted out of tolerance.
+// CellDiff is one cell whose text differs from the baseline's.
 type CellDiff struct {
 	Row, Col int
 	Column   string // column header
 	Label    string // first cell of the row, the series label
 	Baseline string
 	Current  string
-	// Delta is the measured drift: relative for scalar cells, percentage
-	// points for % cells, NaN for non-numeric text mismatches.
-	Delta float64
 }
 
 func (d CellDiff) String() string {
-	kind := fmt.Sprintf("drift %.1f%%", d.Delta*100)
-	if math.IsNaN(d.Delta) {
-		kind = "text mismatch"
-	} else if strings.HasSuffix(strings.TrimSpace(d.Baseline), "%") {
-		kind = fmt.Sprintf("drift %.1f points", d.Delta)
-	}
-	return fmt.Sprintf("row %q col %q: baseline %q vs current %q (%s)",
-		d.Label, d.Column, d.Baseline, d.Current, kind)
-}
-
-// parseCell extracts the numeric value of one formatted cell. The second
-// result reports whether the cell is a percentage (already-relative).
-func parseCell(s string) (val float64, pct, ok bool) {
-	s = strings.TrimSpace(s)
-	switch {
-	case strings.HasSuffix(s, "%"):
-		v, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimPrefix(s, "+"), "%"), 64)
-		return v, true, err == nil
-	case strings.HasSuffix(s, "k/s"):
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "k/s"), 64)
-		return v, false, err == nil
-	case strings.HasSuffix(s, "/s"):
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "/s"), 64)
-		return v, false, err == nil
-	case strings.HasSuffix(s, "us"):
-		// fmtUS's "us" is not a Go duration suffix ("µs" is).
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "us"), 64)
-		return v, false, err == nil
-	}
-	if d, err := time.ParseDuration(s); err == nil {
-		return d.Seconds(), false, true
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	return v, false, err == nil
+	return fmt.Sprintf("row %q col %q: baseline %q vs current %q", d.Label, d.Column, d.Baseline, d.Current)
 }
 
 // CompareBench diffs current against baseline cell by cell. A structural
-// mismatch — different experiment, run options, columns or row labels —
-// is an error (the runs are not comparable); out-of-tolerance cells come
-// back as diffs. wall_sec is ignored: host wall-clock is the one
-// non-deterministic field.
-func CompareBench(baseline, current BenchJSON, tol Tolerance) ([]CellDiff, error) {
+// mismatch — different experiment, run options, GOMAXPROCS, columns, or
+// row or cell counts — is an error (the runs are not comparable); every
+// cell whose text differs comes back as a diff. The engine is
+// deterministic, so identical code reproduces every cell exactly. wall_sec
+// is ignored: host wall-clock is the one non-deterministic field.
+func CompareBench(baseline, current BenchJSON) ([]CellDiff, error) {
 	if baseline.ID != current.ID {
 		return nil, fmt.Errorf("experiments: comparing %q against baseline %q", current.ID, baseline.ID)
 	}
@@ -174,51 +118,22 @@ func CompareBench(baseline, current BenchJSON, tol Tolerance) ([]CellDiff, error
 		return nil, fmt.Errorf("experiments: %s row count changed (baseline %d, current %d) — regenerate the baseline",
 			baseline.ID, len(baseline.Rows), len(current.Rows))
 	}
-	if tol.Rel == 0 && tol.Pct == 0 {
-		tol = DefaultTolerance()
-	}
 	var diffs []CellDiff
-	for r := range baseline.Rows {
-		brow, crow := baseline.Rows[r], current.Rows[r]
+	for r, brow := range baseline.Rows {
+		crow := current.Rows[r]
 		if len(brow) != len(crow) {
 			return nil, fmt.Errorf("experiments: %s row %d cell count changed (baseline %d, current %d)",
 				baseline.ID, r, len(brow), len(crow))
 		}
-		label := ""
-		if len(brow) > 0 {
-			label = brow[0]
-		}
-		for cix := range brow {
-			bcell, ccell := brow[cix], crow[cix]
-			if bcell == ccell {
+		for c := range brow {
+			if brow[c] == crow[c] {
 				continue
 			}
-			col := ""
-			if cix < len(baseline.Columns) {
-				col = baseline.Columns[cix]
+			d := CellDiff{Row: r, Col: c, Label: brow[0], Baseline: brow[c], Current: crow[c]}
+			if c < len(baseline.Columns) {
+				d.Column = baseline.Columns[c]
 			}
-			bv, bpct, bok := parseCell(bcell)
-			cv, cpct, cok := parseCell(ccell)
-			if !bok || !cok || bpct != cpct {
-				diffs = append(diffs, CellDiff{Row: r, Col: cix, Column: col, Label: label,
-					Baseline: bcell, Current: ccell, Delta: math.NaN()})
-				continue
-			}
-			if bpct {
-				if delta := math.Abs(cv - bv); delta > tol.Pct {
-					diffs = append(diffs, CellDiff{Row: r, Col: cix, Column: col, Label: label,
-						Baseline: bcell, Current: ccell, Delta: delta})
-				}
-				continue
-			}
-			denom := math.Max(math.Abs(bv), math.Abs(cv))
-			if denom == 0 {
-				continue
-			}
-			if delta := math.Abs(cv-bv) / denom; delta > tol.Rel {
-				diffs = append(diffs, CellDiff{Row: r, Col: cix, Column: col, Label: label,
-					Baseline: bcell, Current: ccell, Delta: delta})
-			}
+			diffs = append(diffs, d)
 		}
 	}
 	return diffs, nil

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -25,36 +24,9 @@ func baseBench() BenchJSON {
 	}
 }
 
-// TestParseCell covers every cell format the tables emit.
-func TestParseCell(t *testing.T) {
-	for _, tc := range []struct {
-		in  string
-		val float64
-		pct bool
-		ok  bool
-	}{
-		{"881.0ns", 881e-9, false, true}, // time.ParseDuration -> seconds
-		{"12.5us", 12.5, false, true},    // fmtUS suffix, kept as-is
-		{"1.5ms", 0.0015, false, true},
-		{"54.3k/s", 54.3, false, true},
-		{"200/s", 200, false, true},
-		{"12.0%", 12.0, true, true},
-		{"+3.4%", 3.4, true, true},
-		{"  7 ", 7, false, true},
-		{"linux", 0, false, false},
-		{"n/a", 0, false, false},
-	} {
-		val, pct, ok := parseCell(tc.in)
-		if ok != tc.ok || pct != tc.pct || (ok && math.Abs(val-tc.val) > 1e-12) {
-			t.Errorf("parseCell(%q) = (%v, %v, %v), want (%v, %v, %v)",
-				tc.in, val, pct, ok, tc.val, tc.pct, tc.ok)
-		}
-	}
-}
-
 // TestCompareIdentical: identical results produce no diffs.
 func TestCompareIdentical(t *testing.T) {
-	diffs, err := CompareBench(baseBench(), baseBench(), Tolerance{})
+	diffs, err := CompareBench(baseBench(), baseBench())
 	if err != nil || len(diffs) != 0 {
 		t.Fatalf("identical compare: diffs=%v err=%v", diffs, err)
 	}
@@ -64,18 +36,18 @@ func TestCompareIdentical(t *testing.T) {
 func TestCompareWallSecIgnored(t *testing.T) {
 	cur := baseBench()
 	cur.WallSec = 99.0
-	if diffs, err := CompareBench(baseBench(), cur, Tolerance{}); err != nil || len(diffs) != 0 {
+	if diffs, err := CompareBench(baseBench(), cur); err != nil || len(diffs) != 0 {
 		t.Fatalf("wall_sec drift flagged: diffs=%v err=%v", diffs, err)
 	}
 }
 
-// TestCompareScalarDrift: a scalar cell past Rel is flagged, and the
-// comparison is symmetric (an equally large improvement fails too).
+// TestCompareScalarDrift: a drifted scalar cell is flagged at its
+// location with both texts, whichever way it moved.
 func TestCompareScalarDrift(t *testing.T) {
 	for _, cell := range []string{"1210.0ns", "640.0ns"} { // +37% / -27%
 		cur := baseBench()
 		cur.Rows[0][1] = cell
-		diffs, err := CompareBench(baseBench(), cur, Tolerance{})
+		diffs, err := CompareBench(baseBench(), cur)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,56 +58,56 @@ func TestCompareScalarDrift(t *testing.T) {
 		if d.Row != 0 || d.Col != 1 || d.Column != "lat" || d.Label != "linux" {
 			t.Errorf("diff location wrong: %+v", d)
 		}
-		if math.IsNaN(d.Delta) || d.Delta <= 0.10 {
-			t.Errorf("delta = %v, want > Rel", d.Delta)
+		if d.Baseline != "881.0ns" || d.Current != cell {
+			t.Errorf("diff texts = %q vs %q, want %q vs %q", d.Baseline, d.Current, "881.0ns", cell)
 		}
-		if !strings.Contains(d.String(), "drift") {
+		if !strings.Contains(d.String(), `"881.0ns"`) || !strings.Contains(d.String(), cell) {
 			t.Errorf("String() = %q", d.String())
 		}
 	}
 }
 
-// TestCompareScalarWithinTolerance: small drift passes; a wider explicit
-// tolerance admits larger drift.
-func TestCompareScalarWithinTolerance(t *testing.T) {
-	cur := baseBench()
-	cur.Rows[0][1] = "900.0ns" // ~2%
-	if diffs, _ := CompareBench(baseBench(), cur, Tolerance{}); len(diffs) != 0 {
-		t.Errorf("2%% drift flagged at default tolerance: %v", diffs)
-	}
-	cur.Rows[0][1] = "1210.0ns"
-	if diffs, _ := CompareBench(baseBench(), cur, Tolerance{Rel: 0.5, Pct: 5}); len(diffs) != 0 {
-		t.Errorf("37%% drift flagged at Rel=0.5: %v", diffs)
+// TestCompareAnyCellDrift: the gate is exact, so a change in the last
+// digit of a latency, a rate or a percentage cell is one diff naming
+// that cell.
+func TestCompareAnyCellDrift(t *testing.T) {
+	for _, tc := range []struct {
+		row, col         int
+		column, was, now string
+	}{
+		{0, 1, "lat", "881.0ns", "881.1ns"},
+		{1, 2, "rate", "61.0k/s", "61.1k/s"},
+		{0, 3, "overhead", "12.0%", "12.1%"},
+	} {
+		cur := baseBench()
+		if cur.Rows[tc.row][tc.col] != tc.was {
+			t.Fatalf("fixture cell (%d,%d) = %q, want %q", tc.row, tc.col, cur.Rows[tc.row][tc.col], tc.was)
+		}
+		cur.Rows[tc.row][tc.col] = tc.now
+		diffs, err := CompareBench(baseBench(), cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(diffs) != 1 {
+			t.Fatalf("%s -> %s: diffs = %v, want exactly 1", tc.was, tc.now, diffs)
+		}
+		d := diffs[0]
+		if d.Row != tc.row || d.Col != tc.col || d.Column != tc.column || d.Baseline != tc.was || d.Current != tc.now {
+			t.Errorf("%s -> %s: diff = %+v", tc.was, tc.now, d)
+		}
 	}
 }
 
-// TestComparePctCells: "%" cells use the absolute point bound, not Rel.
-func TestComparePctCells(t *testing.T) {
-	cur := baseBench()
-	cur.Rows[0][3] = "15.0%" // +3 points = 25% relative; only Pct applies
-	if diffs, _ := CompareBench(baseBench(), cur, Tolerance{}); len(diffs) != 0 {
-		t.Errorf("3-point drift flagged under Pct=5: %v", diffs)
-	}
-	cur.Rows[0][3] = "19.0%" // +7 points
-	diffs, _ := CompareBench(baseBench(), cur, Tolerance{})
-	if len(diffs) != 1 || diffs[0].Delta != 7.0 {
-		t.Errorf("7-point drift: %v", diffs)
-	}
-	if !strings.Contains(diffs[0].String(), "points") {
-		t.Errorf("pct diff rendered as %q", diffs[0].String())
-	}
-}
-
-// TestCompareTextMismatch: non-numeric cells that differ are NaN diffs.
+// TestCompareTextMismatch: non-numeric cells that differ are diffs too.
 func TestCompareTextMismatch(t *testing.T) {
 	cur := baseBench()
 	cur.Rows[0][0] = "linux-v2"
-	diffs, err := CompareBench(baseBench(), cur, Tolerance{})
-	if err != nil || len(diffs) != 1 || !math.IsNaN(diffs[0].Delta) {
+	diffs, err := CompareBench(baseBench(), cur)
+	if err != nil || len(diffs) != 1 {
 		t.Fatalf("diffs=%v err=%v", diffs, err)
 	}
-	if !strings.Contains(diffs[0].String(), "text mismatch") {
-		t.Errorf("String() = %q", diffs[0].String())
+	if d := diffs[0]; d.Baseline != "linux" || d.Current != "linux-v2" || d.Column != "policy" {
+		t.Errorf("diff = %+v", d)
 	}
 }
 
@@ -153,7 +125,7 @@ func TestCompareStructuralErrors(t *testing.T) {
 	for name, fn := range mutate {
 		cur := baseBench()
 		fn(&cur)
-		if _, err := CompareBench(baseBench(), cur, Tolerance{}); err == nil {
+		if _, err := CompareBench(baseBench(), cur); err == nil {
 			t.Errorf("%s mismatch did not error", name)
 		}
 	}
@@ -165,13 +137,13 @@ func TestCompareStructuralErrors(t *testing.T) {
 func TestCompareGoMaxProcs(t *testing.T) {
 	cur := baseBench()
 	cur.GoMaxProcs = 8
-	_, err := CompareBench(baseBench(), cur, Tolerance{})
+	_, err := CompareBench(baseBench(), cur)
 	if err == nil || !strings.Contains(err.Error(), "GOMAXPROCS=4") {
 		t.Fatalf("GOMAXPROCS 4 vs 8 compare: err=%v, want refusal naming the recorded value", err)
 	}
 	stale := baseBench()
 	stale.GoMaxProcs = 0
-	if _, err := CompareBench(stale, baseBench(), Tolerance{}); err == nil {
+	if _, err := CompareBench(stale, baseBench()); err == nil {
 		t.Fatal("baseline without a gomaxprocs header was accepted")
 	}
 }
@@ -192,7 +164,7 @@ func TestBenchJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diffs, err := CompareBench(baseBench(), got, Tolerance{}); err != nil || len(diffs) != 0 {
+	if diffs, err := CompareBench(baseBench(), got); err != nil || len(diffs) != 0 {
 		t.Fatalf("round trip changed the baseline: diffs=%v err=%v", diffs, err)
 	}
 

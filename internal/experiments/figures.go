@@ -230,8 +230,8 @@ func Fig11(o Options) *Table {
 	}
 	rows := fan.Run(o.workers(), entries, func(_ int, e entry) [2]numaResult {
 		return [2]numaResult{
-			runWithNUMA("linux", e.build, o),
-			runWithNUMA("latr", e.build, o),
+			runWithNUMA(newKernel(topo.TwoSocket16(), "linux", o), e.build()),
+			runWithNUMA(newKernel(topo.TwoSocket16(), "latr", o), e.build()),
 		}
 	})
 	for i, e := range entries {

@@ -8,15 +8,8 @@ import (
 	"latr/internal/kernel"
 	"latr/internal/remote"
 	"latr/internal/sim"
-	"latr/internal/swap"
 	"latr/internal/topo"
-	"latr/internal/workload"
 )
-
-// remoteMemFramesPerNode shrinks each node's memory so the KV arena
-// (4096 pages) cannot fit locally — the Infiniswap precondition. The hot
-// set (800 pages) still fits comfortably under the high watermark.
-const remoteMemFramesPerNode = 1500
 
 // remoteWorkerCount is the number of memcached server threads; they are
 // spread round-robin across sockets so evictions shoot down cross-socket
@@ -37,30 +30,16 @@ type remoteResult struct {
 // shootdown either on (Linux/ABIS) or off (LATR) the eviction critical
 // path.
 func runRemoteMemory(machine, policy string, dur sim.Time, o Options) remoteResult {
-	spec := mustMachine(machine)
+	spec := remote.Machine(mustMachine(machine))
 	workers, err := spec.SpreadCores(remoteWorkerCount)
 	if err != nil {
 		panic(err)
 	}
-	spec.MemPerNodeBytes = remoteMemFramesPerNode * 4096
 	k := kernel.New(spec, cost.Default(spec), mustPolicy(policy), kernel.Options{
 		Seed:            o.Seed ^ 0x9e3779b9,
 		CheckInvariants: o.CheckInvariants,
-		TraceLimit:      o.TraceLimit,
 	})
-	s := swap.NewWithBackend(swap.Config{
-		LowWatermarkFrames:  300,
-		HighWatermarkFrames: 500,
-		ScanPeriod:          sim.Millisecond,
-		BatchPages:          512,
-	}, remote.New(remote.Config{}))
-	s.Install(k)
-
-	cfg := workload.DefaultMemcachedConfig(workers)
-	cfg.Seed = o.Seed + 1
-	w := workload.NewMemcached(cfg)
-	w.Setup(k)
-	s.Register(w.Proc())
+	w := remote.Memcached(k, workers, o.Seed, remote.Config{})
 
 	k.Run(dur)
 	if !w.Loaded() {

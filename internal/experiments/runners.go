@@ -20,11 +20,6 @@ type Options struct {
 	Seed  uint64
 	// CheckInvariants turns on the shadow-tracker audit (slower).
 	CheckInvariants bool
-	// TraceLimit enables event tracing on the kernels built by runners.
-	TraceLimit int
-	// SpanLimit retains up to this many closed obs spans per kernel for
-	// Perfetto export (0 keeps the hot path retention-free).
-	SpanLimit int
 	// Workers sets the experiment-level fan-out: independent runs within a
 	// figure/table execute on up to Workers goroutines (each run still owns
 	// a private kernel). 0 or 1 means sequential; -1 means GOMAXPROCS.
@@ -95,8 +90,6 @@ func newKernel(spec topo.Spec, policy string, o Options) *kernel.Kernel {
 	return kernel.New(spec, cost.Default(spec), mustPolicy(policy), kernel.Options{
 		Seed:            o.Seed ^ 0x9e3779b9,
 		CheckInvariants: o.CheckInvariants,
-		TraceLimit:      o.TraceLimit,
-		SpanLimit:       o.SpanLimit,
 	})
 }
 
@@ -214,15 +207,13 @@ type numaResult struct {
 	Kernel           *kernel.Kernel
 }
 
-// runWithNUMA executes a workload with AutoNUMA balancing enabled.
-func runWithNUMA(policy string, build func() numaRunnable, o Options) numaResult {
-	k := newKernel(topo.TwoSocket16(), policy, o)
+// runWithNUMA executes w on k with AutoNUMA balancing enabled.
+func runWithNUMA(k *kernel.Kernel, w numaRunnable) numaResult {
 	an := numa.New(numa.Config{
 		ScanPeriod:   2 * sim.Millisecond,
 		PagesPerScan: 1024,
 	})
 	an.Install(k)
-	w := build()
 	w.Setup(k)
 	for _, p := range k.Processes() {
 		an.Register(p)
@@ -232,7 +223,7 @@ func runWithNUMA(policy string, build func() numaRunnable, o Options) numaResult
 		k.Run(k.Now() + 50*sim.Millisecond)
 	}
 	if !w.Done() {
-		panic(fmt.Sprintf("experiments: NUMA workload under %s did not finish", policy))
+		panic(fmt.Sprintf("experiments: NUMA workload under %s did not finish", k.Policy().Name()))
 	}
 	rt := w.FinishTime()
 	return numaResult{

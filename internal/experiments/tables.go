@@ -207,78 +207,95 @@ func IPITable(o Options) *Table {
 	return t
 }
 
+// figurePolicies are the two sides of the Fig 2 and Fig 3 timelines.
+var figurePolicies = [2]string{"linux", "latr"}
+
+// figureLimit bounds event tracing and span retention on the figure
+// kernels; the scenarios record far fewer of either, so nothing is
+// dropped.
+const figureLimit = 4096
+
+// figureKernel builds a machine for the Fig 2 and Fig 3 scenarios. It
+// traces events and retains spans, so one run renders both as a text
+// timeline and as Perfetto JSON; neither changes the simulation.
+func figureKernel(spec topo.Spec, policy string, seed uint64, check bool) *kernel.Kernel {
+	return kernel.New(spec, cost.Default(spec), mustPolicy(policy), kernel.Options{
+		Seed: seed, CheckInvariants: check, TraceLimit: figureLimit, SpanLimit: figureLimit,
+	})
+}
+
+// fig2Kernels runs the Fig 2 scenario, a munmap of one shared page on a
+// 3-core machine, under each of figurePolicies.
+func fig2Kernels(o Options) [2]*kernel.Kernel {
+	var ks [2]*kernel.Kernel
+	for i, policy := range figurePolicies {
+		k := figureKernel(topo.Custom(1, 3), policy, o.Seed, true)
+		m := workload.NewMicro(workload.MicroConfig{Cores: 3, Pages: 1, Iters: 1})
+		m.Setup(k)
+		for k.Now() < sim.Second && !m.Done() {
+			k.Run(k.Now() + 10*sim.Millisecond)
+		}
+		k.Run(k.Now() + 5*sim.Millisecond)
+		ks[i] = k
+	}
+	return ks
+}
+
+// fig3Runs runs the Fig 3 scenario, ocean with AutoNUMA sampling and
+// migration on the 2-socket machine, under each of figurePolicies.
+func fig3Runs(o Options) [2]numaResult {
+	var rs [2]numaResult
+	for i, policy := range figurePolicies {
+		cfg := workload.OceanConfig(coresN(16))
+		cfg.Iterations = 20
+		k := figureKernel(topo.TwoSocket16(), policy, o.Seed^0x9e3779b9, o.CheckInvariants)
+		rs[i] = runWithNUMA(k, workload.NewGrid(cfg))
+	}
+	return rs
+}
+
 // Fig2Timeline renders the Fig 2 munmap timelines (Linux then LATR) as
 // traced event logs on a 3-core machine.
 func Fig2Timeline(o Options) string {
 	out := ""
-	for _, policy := range []string{"linux", "latr"} {
-		spec := topo.Custom(1, 3)
-		k := kernel.New(spec, cost.Default(spec), mustPolicy(policy), kernel.Options{
-			Seed: o.Seed, TraceLimit: 4096, CheckInvariants: true,
-		})
-		m := workload.NewMicro(workload.MicroConfig{Cores: 3, Pages: 1, Iters: 1})
-		m.Setup(k)
-		for k.Now() < sim.Second && !m.Done() {
-			k.Run(k.Now() + 10*sim.Millisecond)
-		}
-		k.Run(k.Now() + 5*sim.Millisecond)
+	for i, k := range fig2Kernels(o) {
 		out += fmt.Sprintf("--- Fig 2 (%s): munmap of one shared page on 3 cores ---\n%s\n",
-			policy, k.Tracer.Render())
+			figurePolicies[i], k.Tracer.Render())
 	}
 	return out
 }
 
-// figureSpanLimit bounds span retention on the figure-export kernels; the
-// scenarios open far fewer spans than this, so nothing is dropped.
-const figureSpanLimit = 4096
-
-// Fig2Perfetto runs the Fig 2 munmap scenario under Linux and LATR and
-// renders the retained spans as Chrome trace-event JSON — one process per
-// policy, one thread lane per core (loadable in ui.perfetto.dev).
+// Fig2Perfetto renders the Fig 2 munmap scenario under Linux and LATR as
+// Chrome trace-event JSON — one process per policy, one thread lane per
+// core (loadable in ui.perfetto.dev).
 func Fig2Perfetto(o Options) (string, error) {
 	var groups []obs.Group
-	for i, policy := range []string{"linux", "latr"} {
-		spec := topo.Custom(1, 3)
-		k := kernel.New(spec, cost.Default(spec), mustPolicy(policy), kernel.Options{
-			Seed: o.Seed, SpanLimit: figureSpanLimit, CheckInvariants: true,
-		})
-		m := workload.NewMicro(workload.MicroConfig{Cores: 3, Pages: 1, Iters: 1})
-		m.Setup(k)
-		for k.Now() < sim.Second && !m.Done() {
-			k.Run(k.Now() + 10*sim.Millisecond)
-		}
-		k.Run(k.Now() + 5*sim.Millisecond)
+	for i, k := range fig2Kernels(o) {
 		groups = append(groups, obs.Group{
-			Label: "fig2 " + policy + ": munmap of one shared page",
+			Label: "fig2 " + figurePolicies[i] + ": munmap of one shared page",
 			Pid:   i + 1,
 			Spans: k.Spans.Retained(),
 		})
 	}
-	var b strings.Builder
-	if err := obs.WritePerfetto(&b, groups...); err != nil {
-		return "", err
-	}
-	return b.String(), nil
+	return renderPerfetto(groups)
 }
 
-// Fig3Perfetto runs the Fig 3 AutoNUMA scenario under Linux and LATR and
-// renders the spans as Chrome trace-event JSON, like Fig2Perfetto.
+// Fig3Perfetto renders the Fig 3 AutoNUMA scenario under Linux and LATR
+// as Chrome trace-event JSON, like Fig2Perfetto.
 func Fig3Perfetto(o Options) (string, error) {
-	spanned := o
-	spanned.SpanLimit = figureSpanLimit
 	var groups []obs.Group
-	for i, policy := range []string{"linux", "latr"} {
-		res := runWithNUMA(policy, func() numaRunnable {
-			cfg := workload.OceanConfig(coresN(16))
-			cfg.Iterations = 20
-			return workload.NewGrid(cfg)
-		}, spanned)
+	for i, res := range fig3Runs(o) {
 		groups = append(groups, obs.Group{
-			Label: "fig3 " + policy + ": AutoNUMA sampling + migration",
+			Label: "fig3 " + figurePolicies[i] + ": AutoNUMA sampling + migration",
 			Pid:   i + 1,
 			Spans: res.Kernel.Spans.Retained(),
 		})
 	}
+	return renderPerfetto(groups)
+}
+
+// renderPerfetto writes groups as one Chrome trace-event JSON document.
+func renderPerfetto(groups []obs.Group) (string, error) {
 	var b strings.Builder
 	if err := obs.WritePerfetto(&b, groups...); err != nil {
 		return "", err
@@ -290,15 +307,8 @@ func Fig3Perfetto(o Options) (string, error) {
 // sampling unmap of one remotely-accessed page and the following migration.
 func Fig3Timeline(o Options) string {
 	out := ""
-	traced := o
-	traced.TraceLimit = 4096
-	for _, policy := range []string{"linux", "latr"} {
-		out += fmt.Sprintf("--- Fig 3 (%s): AutoNUMA sampling + migration ---\n", policy)
-		res := runWithNUMA(policy, func() numaRunnable {
-			cfg := workload.OceanConfig(coresN(16))
-			cfg.Iterations = 20
-			return workload.NewGrid(cfg)
-		}, traced)
+	for i, res := range fig3Runs(o) {
+		out += fmt.Sprintf("--- Fig 3 (%s): AutoNUMA sampling + migration ---\n", figurePolicies[i])
 		out += fmt.Sprintf("migrations/s=%.0f runtime=%v\n", res.MigrationsPerSec, res.Runtime)
 		events := res.Kernel.Tracer.Filter("numa", "latr", "ipi")
 		if len(events) > 60 {

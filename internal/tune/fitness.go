@@ -10,9 +10,7 @@ import (
 	"latr/internal/ptrepl"
 	"latr/internal/remote"
 	"latr/internal/sim"
-	"latr/internal/swap"
 	"latr/internal/topo"
-	"latr/internal/workload"
 )
 
 // Cell is one (workload × topology) fitness cell.
@@ -263,11 +261,6 @@ func runChurn(spec topo.Spec, targets []topo.CoreID, t kernel.Tunables, quick bo
 	}
 }
 
-// memcachedFramesPerNode recreates the Infiniswap precondition from the
-// remote-memory experiment: the KV arena cannot fit locally, so cold GETs
-// swap in over RDMA while the swapper concurrently evicts.
-const memcachedFramesPerNode = 1500
-
 // runMemcached is the tail-latency cell: the §6.2 memcached-over-remote-
 // memory case study, measuring p99 request latency and the fallback rate
 // of the eviction path's lazy frees.
@@ -276,21 +269,8 @@ func runMemcached(spec topo.Spec, workers []topo.CoreID, t kernel.Tunables, quic
 	if quick {
 		dur = 100 * sim.Millisecond
 	}
-	spec.MemPerNodeBytes = memcachedFramesPerNode * 4096
-	k := newTunedKernel(spec, t, seed, spanLimit)
-	s := swap.NewWithBackend(swap.Config{
-		LowWatermarkFrames:  300,
-		HighWatermarkFrames: 500,
-		ScanPeriod:          sim.Millisecond,
-		BatchPages:          512,
-	}, remote.New(remote.Config{}))
-	s.Install(k)
-
-	cfg := workload.DefaultMemcachedConfig(workers)
-	cfg.Seed = seed + 1
-	w := workload.NewMemcached(cfg)
-	w.Setup(k)
-	s.Register(w.Proc())
+	k := newTunedKernel(remote.Machine(spec), t, seed, spanLimit)
+	w := remote.Memcached(k, workers, seed, remote.Config{})
 
 	k.Run(dur)
 	if !w.Loaded() {

@@ -59,9 +59,7 @@ type Memcached struct {
 	cfg      MemcachedConfig
 	k        *kernel.Kernel
 	proc     *kernel.Process
-	gate     *Gate
-	arena    pt.VPN
-	loaded   bool
+	arena    *Arena
 	requests uint64
 	met      struct {
 		requests metrics.Counter
@@ -80,57 +78,67 @@ func NewMemcached(cfg MemcachedConfig) *Memcached {
 	return &Memcached{cfg: cfg}
 }
 
-// Setup creates the server process: a loader thread that maps the slab
-// arena and warms it end to end (filling memory past the watermark, like
-// a memcached instance reaching its configured cache size), then opens
-// the gate for the worker threads.
+// Setup creates the server process: a loader thread that maps and warms
+// the slab arena (LoadArena), then the worker threads, which wait at the
+// loader's gate.
 func (m *Memcached) Setup(k *kernel.Kernel) {
 	m.k = k
 	m.met.requests = k.Metrics.NewCounter("app.requests")
 	m.met.latency = k.Metrics.NewPerc("app.req_latency")
-	m.gate = NewGate(k)
+	gate := NewGate(k)
 	m.proc = k.NewProcess()
-	cfg := m.cfg
-
-	total := cfg.Keys * cfg.ValuePages
-	warmed := 0
-	const warmChunk = 128
-	step := 0
-	m.proc.Spawn(cfg.Cores[0], kernel.Loop(func(th *kernel.Thread) kernel.Op {
-		switch step {
-		case 0:
-			step = 1
-			return kernel.Mmap(total, true)
-		case 1:
-			m.arena = th.LastAddr
-			step = 2
-			fallthrough
-		case 2:
-			if warmed < total {
-				n := total - warmed
-				if n > warmChunk {
-					n = warmChunk
-				}
-				op := kernel.TouchRange(m.arena+pt.VPN(warmed), n, true)
-				warmed += n
-				return op
-			}
-			m.loaded = true
-			m.gate.Open()
-			step = 3
-			fallthrough
-		default:
-			// The loader core becomes a regular worker after the load phase.
-			return kernel.Op{}
-		}
-	}))
-
-	for i, core := range cfg.Cores {
-		m.spawnWorker(core, uint64(i))
+	m.arena = LoadArena(m.proc, m.cfg.Cores[0], m.ArenaPages(), gate)
+	for i, core := range m.cfg.Cores {
+		m.spawnWorker(core, gate, uint64(i))
 	}
 }
 
-func (m *Memcached) spawnWorker(core topo.CoreID, id uint64) {
+// Arena is a KV server's slab arena, mapped and warmed by LoadArena.
+type Arena struct {
+	// Base is the arena's first page, set when its mmap returns.
+	Base pt.VPN
+	// Loaded reports whether the warm-up finished and the gate opened.
+	Loaded bool
+}
+
+// LoadArena spawns p's loader thread on core. It maps a pages-page arena
+// and write-touches it end to end in 128-page chunks, filling memory past
+// the swapper's watermark like a KV server reaching its configured cache
+// size. It then marks the arena loaded, opens gate for the worker threads
+// and exits.
+func LoadArena(p *kernel.Process, core topo.CoreID, pages int, gate *Gate) *Arena {
+	a := &Arena{}
+	warmed := 0
+	const warmChunk = 128
+	step := 0
+	p.Spawn(core, kernel.Loop(func(th *kernel.Thread) kernel.Op {
+		switch step {
+		case 0:
+			step = 1
+			return kernel.Mmap(pages, true)
+		case 1:
+			a.Base = th.LastAddr
+			step = 2
+			fallthrough
+		case 2:
+			if warmed < pages {
+				n := min(pages-warmed, warmChunk)
+				op := kernel.TouchRange(a.Base+pt.VPN(warmed), n, true)
+				warmed += n
+				return op
+			}
+			a.Loaded = true
+			gate.Open()
+			step = 3
+			fallthrough
+		default:
+			return kernel.Op{}
+		}
+	}))
+	return a
+}
+
+func (m *Memcached) spawnWorker(core topo.CoreID, gate *Gate, id uint64) {
 	cfg := m.cfg
 	rng := sim.NewRand(cfg.Seed<<8 ^ id ^ 0x9e3779b9)
 	var t0 sim.Time
@@ -142,7 +150,7 @@ func (m *Memcached) spawnWorker(core topo.CoreID, id uint64) {
 		switch step {
 		case 0:
 			step = 1
-			return m.gate.Wait()
+			return gate.Wait()
 		case 1:
 			now := m.k.Now()
 			if started {
@@ -158,7 +166,7 @@ func (m *Memcached) spawnWorker(core topo.CoreID, id uint64) {
 			} else {
 				key = cfg.HotKeys + rng.Intn(cfg.Keys-cfg.HotKeys)
 			}
-			vpn = m.arena + pt.VPN(key*cfg.ValuePages)
+			vpn = m.arena.Base + pt.VPN(key*cfg.ValuePages)
 			write = rng.Intn(100) < cfg.SetPct
 			step = 2
 			return kernel.Compute(cfg.Think / 2)
@@ -181,7 +189,7 @@ func (m *Memcached) Proc() *kernel.Process { return m.proc }
 func (m *Memcached) Requests() uint64 { return m.requests }
 
 // Loaded reports whether the warm-up phase finished (for tests).
-func (m *Memcached) Loaded() bool { return m.loaded }
+func (m *Memcached) Loaded() bool { return m.arena.Loaded }
 
 // Done always reports false: the server runs until the experiment
 // deadline.

@@ -1,4 +1,4 @@
-package workload
+package workload_test
 
 import (
 	"testing"
@@ -11,11 +11,12 @@ import (
 	"latr/internal/sim"
 	"latr/internal/swap"
 	"latr/internal/topo"
+	"latr/internal/workload"
 )
 
 // runMemcached drives the KV server under memory pressure with the
 // remote-memory backend for runFor of simulated time.
-func runMemcached(t *testing.T, pol kernel.Policy, seed uint64, runFor sim.Time) (*kernel.Kernel, *Memcached) {
+func runMemcached(t *testing.T, pol kernel.Policy, seed uint64, runFor sim.Time) (*kernel.Kernel, *workload.Memcached) {
 	t.Helper()
 	spec := topo.Custom(2, 2)
 	spec.MemPerNodeBytes = 1500 * 4096
@@ -27,9 +28,9 @@ func runMemcached(t *testing.T, pol kernel.Policy, seed uint64, runFor sim.Time)
 		BatchPages:          512,
 	}, remote.New(remote.Config{}))
 	s.Install(k)
-	cfg := DefaultMemcachedConfig([]topo.CoreID{1, 2, 3})
+	cfg := workload.DefaultMemcachedConfig([]topo.CoreID{1, 2, 3})
 	cfg.Seed = seed
-	w := NewMemcached(cfg)
+	w := workload.NewMemcached(cfg)
 	w.Setup(k)
 	s.Register(w.Proc())
 	k.Run(runFor)

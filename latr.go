@@ -719,13 +719,11 @@ func Fig2Perfetto(o ExperimentOptions) (string, error) { return experiments.Fig2
 // Chrome trace-event JSON.
 func Fig3Perfetto(o ExperimentOptions) (string, error) { return experiments.Fig3Perfetto(o) }
 
-// Benchmark baseline comparison, re-exported for cmd/latr-bench and CI.
+// Benchmark baseline comparison, re-exported for cmd/latr-bench.
 type (
 	// BenchJSON is one experiment's archived machine-readable result.
 	BenchJSON = experiments.BenchJSON
-	// BenchTolerance bounds acceptable per-cell drift in a comparison.
-	BenchTolerance = experiments.Tolerance
-	// BenchCellDiff is one out-of-tolerance cell.
+	// BenchCellDiff is one cell whose text differs from the baseline's.
 	BenchCellDiff = experiments.CellDiff
 )
 
@@ -737,11 +735,9 @@ func BenchJSONFromTable(t *ExperimentTable, o ExperimentOptions, wallSec float64
 // LoadBenchJSON reads one BENCH_<id>.json baseline file.
 func LoadBenchJSON(path string) (BenchJSON, error) { return experiments.LoadBenchJSON(path) }
 
-// DefaultBenchTolerance returns the standard regression-gate tolerance.
-func DefaultBenchTolerance() BenchTolerance { return experiments.DefaultTolerance() }
-
 // CompareBench diffs a current run against a committed baseline; structural
-// mismatches are errors, out-of-tolerance cells come back as diffs.
-func CompareBench(baseline, current BenchJSON, tol BenchTolerance) ([]BenchCellDiff, error) {
-	return experiments.CompareBench(baseline, current, tol)
+// mismatches are errors, and every cell whose text differs comes back as a
+// diff.
+func CompareBench(baseline, current BenchJSON) ([]BenchCellDiff, error) {
+	return experiments.CompareBench(baseline, current)
 }
