@@ -19,19 +19,16 @@ const PageSize = 4096
 // PFN is a physical frame number.
 type PFN uint64
 
-// frameState tracks one allocated frame.
-type frameState struct {
-	refs int
-	node topo.NodeID
-}
-
 // nodePool is one NUMA node's allocator: a bump pointer over the node's PFN
-// range plus a free list of returned frames.
+// range plus a free list of returned frames. refs[i] is frame lo+i's
+// refcount, 0 while it is free; it grows as the bump pointer advances, so
+// it holds the frames handed out so far, never the node's capacity.
 type nodePool struct {
 	node     topo.NodeID
 	lo, hi   PFN // [lo, hi)
 	next     PFN
 	freeList []PFN
+	refs     []int32
 	inUse    int64
 }
 
@@ -39,9 +36,6 @@ type nodePool struct {
 type Allocator struct {
 	spec  topo.Spec
 	pools []nodePool
-	// frames holds each allocated frame's state by value, so handing out
-	// a frame creates no heap object.
-	frames map[PFN]frameState
 
 	// peakInUse tracks the high-water mark of allocated frames, for the
 	// §6.4 memory-overhead experiment.
@@ -52,10 +46,7 @@ type Allocator struct {
 // NewAllocator sizes one pool per NUMA node from the machine spec.
 func NewAllocator(spec topo.Spec) *Allocator {
 	framesPerNode := PFN(spec.MemPerNodeBytes / PageSize)
-	a := &Allocator{
-		spec:   spec,
-		frames: make(map[PFN]frameState),
-	}
+	a := &Allocator{spec: spec}
 	for n := 0; n < spec.NumNodes(); n++ {
 		lo := PFN(n) * framesPerNode
 		a.pools = append(a.pools, nodePool{
@@ -79,16 +70,17 @@ func (a *Allocator) Alloc(node topo.NodeID) (PFN, error) {
 	case len(p.freeList) > 0:
 		pfn = p.freeList[len(p.freeList)-1]
 		p.freeList = p.freeList[:len(p.freeList)-1]
+		if p.refs[pfn-p.lo] != 0 {
+			panic(fmt.Sprintf("mem: frame %d handed out twice", pfn))
+		}
+		p.refs[pfn-p.lo] = 1
 	case p.next < p.hi:
 		pfn = p.next
 		p.next++
+		p.refs = append(p.refs, 1)
 	default:
 		return 0, fmt.Errorf("mem: node %d out of memory (%d frames)", node, p.hi-p.lo)
 	}
-	if _, dup := a.frames[pfn]; dup {
-		panic(fmt.Sprintf("mem: frame %d handed out twice", pfn))
-	}
-	a.frames[pfn] = frameState{refs: 1, node: node}
 	p.inUse++
 	a.totalIn++
 	if a.totalIn > a.peakInUse {
@@ -112,11 +104,7 @@ func (a *Allocator) AllocContig(node topo.NodeID, n int) (PFN, error) {
 	base := p.next
 	p.next += PFN(n)
 	for i := 0; i < n; i++ {
-		pfn := base + PFN(i)
-		if _, dup := a.frames[pfn]; dup {
-			panic(fmt.Sprintf("mem: frame %d handed out twice", pfn))
-		}
-		a.frames[pfn] = frameState{refs: 1, node: node}
+		p.refs = append(p.refs, 1)
 	}
 	p.inUse += int64(n)
 	a.totalIn += int64(n)
@@ -128,46 +116,47 @@ func (a *Allocator) AllocContig(node topo.NodeID, n int) (PFN, error) {
 
 // Get increments the refcount of an allocated frame.
 func (a *Allocator) Get(pfn PFN) {
-	f := a.mustFrame(pfn, "Get")
-	f.refs++
-	a.frames[pfn] = f
+	_, r := a.mustRef(pfn, "Get")
+	*r++
 }
 
 // Put decrements the refcount; at zero the frame returns to its node's free
 // list and becomes reusable.
 func (a *Allocator) Put(pfn PFN) {
-	f := a.mustFrame(pfn, "Put")
-	f.refs--
-	if f.refs > 0 {
-		a.frames[pfn] = f
+	p, r := a.mustRef(pfn, "Put")
+	*r--
+	if *r > 0 {
 		return
 	}
-	if f.refs < 0 {
-		panic(fmt.Sprintf("mem: frame %d refcount went negative", pfn))
-	}
-	p := &a.pools[f.node]
 	p.freeList = append(p.freeList, pfn)
 	p.inUse--
 	a.totalIn--
-	delete(a.frames, pfn)
 }
 
 // Refs returns the current refcount (0 for unallocated frames).
 func (a *Allocator) Refs(pfn PFN) int {
-	if f, ok := a.frames[pfn]; ok {
-		return f.refs
+	if p := a.pool(pfn); p != nil && pfn < p.next {
+		return int(p.refs[pfn-p.lo])
 	}
 	return 0
 }
 
 // NodeOf returns the NUMA node owning a PFN (valid even if unallocated).
 func (a *Allocator) NodeOf(pfn PFN) topo.NodeID {
-	for i := range a.pools {
-		if pfn >= a.pools[i].lo && pfn < a.pools[i].hi {
-			return a.pools[i].node
-		}
+	if p := a.pool(pfn); p != nil {
+		return p.node
 	}
 	panic(fmt.Sprintf("mem: PFN %d outside all nodes", pfn))
+}
+
+// pool returns the pool whose range holds pfn, or nil. Every node has the
+// same number of frames, so the node is pfn divided by that number.
+func (a *Allocator) pool(pfn PFN) *nodePool {
+	per := PFN(a.FramesPerNode())
+	if per == 0 || pfn/per >= PFN(len(a.pools)) {
+		return nil
+	}
+	return &a.pools[pfn/per]
 }
 
 // InUse returns the number of allocated frames on a node.
@@ -190,10 +179,11 @@ func (a *Allocator) PeakInUse() int64 { return a.peakInUse }
 // ResetPeak restarts high-water-mark tracking from the current usage.
 func (a *Allocator) ResetPeak() { a.peakInUse = a.totalIn }
 
-func (a *Allocator) mustFrame(pfn PFN, op string) frameState {
-	f, ok := a.frames[pfn]
-	if !ok {
-		panic(fmt.Sprintf("mem: %s on unallocated frame %d", op, pfn))
+// mustRef returns an allocated frame's pool and refcount, and panics if
+// the frame is not allocated.
+func (a *Allocator) mustRef(pfn PFN, op string) (*nodePool, *int32) {
+	if p := a.pool(pfn); p != nil && pfn < p.next && p.refs[pfn-p.lo] > 0 {
+		return p, &p.refs[pfn-p.lo]
 	}
-	return f
+	panic(fmt.Sprintf("mem: %s on unallocated frame %d", op, pfn))
 }

@@ -105,6 +105,33 @@ func TestOOM(t *testing.T) {
 	}
 }
 
+// TestAllocContigRefcounts: contiguous frames start at refcount 1 each,
+// follow any frames already handed out, and return one by one to the free
+// list.
+func TestAllocContigRefcounts(t *testing.T) {
+	a := newTestAlloc()
+	first, _ := a.Alloc(1)
+	base, err := a.AllocContig(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base != first+1 || a.InUse(1) != 5 {
+		t.Fatalf("AllocContig after frame %d gave base %d with %d in use, want %d and 5", first, base, a.InUse(1), first+1)
+	}
+	for pfn := base; pfn < base+4; pfn++ {
+		if a.Refs(pfn) != 1 || a.NodeOf(pfn) != 1 {
+			t.Fatalf("frame %d: refs %d on node %d, want 1 on node 1", pfn, a.Refs(pfn), a.NodeOf(pfn))
+		}
+		a.Put(pfn)
+	}
+	if got, _ := a.Alloc(1); got != base+3 {
+		t.Fatalf("Alloc after freeing the run = %d, want the last freed frame %d", got, base+3)
+	}
+	if _, err := a.AllocContig(1, 256); err == nil {
+		t.Fatal("AllocContig past the node's end should fail")
+	}
+}
+
 func TestBadNode(t *testing.T) {
 	a := newTestAlloc()
 	if _, err := a.Alloc(9); err == nil {
@@ -224,5 +251,36 @@ func TestPropertyRefcountNeverReusedWhileHeld(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWarmChurnAllocatesNothing: once the frames it cycles through have
+// been handed out, alloc/get/put churn on both nodes allocates nothing:
+// refcounts live in per-node slices that grow only with the bump pointer.
+func TestWarmChurnAllocatesNothing(t *testing.T) {
+	a := newTestAlloc()
+	held := make([]PFN, 96)
+	churn := func() {
+		for i := range held {
+			pfn, err := a.Alloc(topo.NodeID(i % 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			held[i] = pfn
+			a.Get(pfn)
+		}
+		for _, pfn := range held {
+			a.Put(pfn)
+			a.Put(pfn)
+		}
+	}
+	churn()
+	for i := 0; i < 200; i++ {
+		if n := testing.AllocsPerRun(1, churn); n != 0 {
+			t.Fatalf("warm churn round %d allocates %v objects, want 0", i, n)
+		}
+	}
+	if a.TotalInUse() != 0 {
+		t.Fatalf("TotalInUse = %d after churn, want 0", a.TotalInUse())
 	}
 }

@@ -1,6 +1,8 @@
 // Package metrics provides the counters, gauges and latency histograms the
-// experiments report. Histograms are log-bucketed so millions of samples
-// cost constant memory while percentiles stay within ~3% relative error.
+// experiments report. Histograms are log-bucketed, so percentiles stay
+// within ~3% relative error however many samples there are, and a
+// histogram's memory grows with the span of buckets its samples reach, up
+// to 8 KB for a Histogram and 4 KB for a PercentileHist.
 package metrics
 
 import (
@@ -17,14 +19,17 @@ import (
 // Histogram accumulates latency samples in log2 buckets with 16 linear
 // sub-buckets each, covering 1 ns to ~18 s.
 type Histogram struct {
-	count   uint64
-	sum     float64
-	min     sim.Time
-	max     sim.Time
-	buckets [64 * subBuckets]uint64
+	count uint64
+	sum   float64
+	min   sim.Time
+	max   sim.Time
+	span  bucketSpan
 }
 
-const subBuckets = 16
+const (
+	subBuckets  = 16
+	histBuckets = 64 * subBuckets
+)
 
 func bucketOf(v sim.Time) int {
 	if v < 0 {
@@ -38,8 +43,8 @@ func bucketOf(v sim.Time) int {
 	exp := 63 - bits.LeadingZeros64(uint64(v))
 	sub := int((uint64(v) >> (uint(exp) - 4)) & (subBuckets - 1))
 	idx := exp*subBuckets + sub
-	if idx >= len((&Histogram{}).buckets) {
-		idx = len((&Histogram{}).buckets) - 1
+	if idx >= histBuckets {
+		idx = histBuckets - 1
 	}
 	return idx
 }
@@ -65,7 +70,12 @@ func (h *Histogram) Observe(v sim.Time) {
 	}
 	h.count++
 	h.sum += float64(v)
-	h.buckets[bucketOf(v)]++
+	i := bucketOf(v)
+	if j := uint(i - h.span.lo); j < uint(len(h.span.n)) {
+		h.span.n[j]++
+	} else {
+		h.span.n[h.span.grow(i, i+1, subBuckets, histBuckets)]++
+	}
 }
 
 // Count returns the number of samples.
@@ -98,10 +108,10 @@ func (h *Histogram) Quantile(q float64) sim.Time {
 	}
 	target := uint64(q * float64(h.count))
 	var cum uint64
-	for i, c := range h.buckets {
+	for j, c := range h.span.n {
 		cum += c
 		if cum > target {
-			return bucketMid(i)
+			return bucketMid(h.span.lo + j)
 		}
 	}
 	return h.max
@@ -120,9 +130,7 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.count += o.count
 	h.sum += o.sum
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
+	h.span.add(&o.span, subBuckets, histBuckets)
 }
 
 func (h *Histogram) String() string {

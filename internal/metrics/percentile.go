@@ -19,11 +19,11 @@ import (
 // makes Digest byte-deterministic across merges, worker counts and
 // platforms.
 type PercentileHist struct {
-	count   uint64
-	sum     uint64 // total nanoseconds; request latencies stay far below overflow
-	min     sim.Time
-	max     sim.Time
-	buckets [percBuckets]uint64
+	count uint64
+	sum   uint64 // total nanoseconds; request latencies stay far below overflow
+	min   sim.Time
+	max   sim.Time
+	span  bucketSpan
 }
 
 // percSubBits splits each octave into 2^percSubBits linear sub-buckets.
@@ -86,7 +86,12 @@ func (h *PercentileHist) Observe(v sim.Time) {
 	}
 	h.count++
 	h.sum += uint64(v)
-	h.buckets[percBucketOf(v)]++
+	i := percBucketOf(v)
+	if j := uint(i - h.span.lo); j < uint(len(h.span.n)) {
+		h.span.n[j]++
+	} else {
+		h.span.n[h.span.grow(i, i+1, percSub, percBuckets)]++
+	}
 }
 
 // Count returns the number of samples.
@@ -128,10 +133,10 @@ func (h *PercentileHist) Quantile(q float64) sim.Time {
 		rank = 1
 	}
 	var cum uint64
-	for i, c := range h.buckets {
+	for j, c := range h.span.n {
 		cum += c
 		if cum >= rank {
-			v := percBucketMid(i)
+			v := percBucketMid(h.span.lo + j)
 			if v < h.min {
 				v = h.min
 			}
@@ -172,9 +177,7 @@ func (h *PercentileHist) Merge(o *PercentileHist) {
 	}
 	h.count += o.count
 	h.sum += o.sum
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
+	h.span.add(&o.span, percSub, percBuckets)
 }
 
 // Digest folds the exact histogram contents — count, sum, extremes, and
@@ -191,9 +194,9 @@ func (h *PercentileHist) Digest() uint64 {
 	w(h.sum)
 	w(uint64(h.min))
 	w(uint64(h.max))
-	for i, c := range h.buckets {
+	for j, c := range h.span.n {
 		if c != 0 {
-			w(uint64(i))
+			w(uint64(h.span.lo + j))
 			w(c)
 		}
 	}
