@@ -25,6 +25,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -134,6 +135,9 @@ func run(stdout, stderr io.Writer, args []string) int {
 		compare   = fs.String("compare", "", "regression gate: re-run the experiments recorded in this baseline file (or every BENCH_*.json in this directory) and fail on any differing cell")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
 

@@ -31,6 +31,23 @@ func TestList(t *testing.T) {
 	}
 }
 
+// TestHelpAndBadFlag: -h prints the usage and exits 0; an unknown flag
+// exits 2.
+func TestHelpAndBadFlag(t *testing.T) {
+	for _, tc := range []struct {
+		arg  string
+		code int
+	}{{"-h", 0}, {"-no-such-flag", 2}} {
+		var out, errb strings.Builder
+		if code := run(&out, &errb, []string{tc.arg}); code != tc.code {
+			t.Errorf("%s exited %d, want %d", tc.arg, code, tc.code)
+		}
+		if !strings.Contains(errb.String(), "-compare") {
+			t.Errorf("%s printed no usage: %q", tc.arg, errb.String())
+		}
+	}
+}
+
 // TestRunExperimentJSON runs one static experiment and archives it.
 func TestRunExperimentJSON(t *testing.T) {
 	t.Chdir(t.TempDir())

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,6 +28,9 @@ func run(stdout, stderr io.Writer, args []string) int {
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	perfetto := fs.Bool("perfetto", false, "emit Chrome trace-event JSON (load in ui.perfetto.dev) instead of the text timeline")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
 

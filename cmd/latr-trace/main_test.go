@@ -130,4 +130,11 @@ func TestBadArgs(t *testing.T) {
 	if code := run(&out, &errOut, []string{"-definitely-not-a-flag"}); code != 2 {
 		t.Errorf("bad flag: exit %d, want 2", code)
 	}
+	errOut.Reset()
+	if code := run(&out, &errOut, []string{"-h"}); code != 0 {
+		t.Errorf("-h: exit %d, want 0", code)
+	}
+	if !strings.Contains(errOut.String(), "-scenario") {
+		t.Errorf("-h printed no usage: %q", errOut.String())
+	}
 }

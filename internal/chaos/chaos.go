@@ -86,7 +86,7 @@ func (in *Injector) quiesced(id topo.CoreID) bool {
 	if in.hit(in.prof.QuiesceProb) {
 		in.quiesceUntil[id] = now + in.rng.Duration(in.prof.QuiesceMin, in.prof.QuiesceMax)
 		in.quiesceWindows.Inc()
-		in.k.Trace(id, "chaos", "quiesce until %v", in.quiesceUntil[id])
+		in.k.Spans.Note(now, id, "chaos", "quiesce until %v", in.quiesceUntil[id])
 		return true
 	}
 	return false

@@ -139,7 +139,7 @@ func Run(cfg RunConfig) Result {
 		LiveThreads:  live,
 		FallbackIPIs: k.Metrics.Counter("latr.fallback_ipi"),
 		Faults:       inj.Faults(),
-		TraceDigest:  k.Tracer.Digest(),
+		TraceDigest:  k.Spans.TraceDigest(),
 		MetricsFP:    k.Metrics.Fingerprint(),
 		EngineFP:     k.Engine.Fingerprint(),
 

@@ -34,7 +34,6 @@ import (
 	"latr/internal/shootdown"
 	"latr/internal/sim"
 	"latr/internal/topo"
-	"latr/internal/trace"
 )
 
 // Fixed model constants. These are part of the cluster model, not tuning
@@ -58,7 +57,8 @@ const (
 
 // Config tunes one cluster run. The zero value of every field means "use
 // the default" (mirroring swap.Config); negative values and impossible
-// combinations are rejected by Validate.
+// combinations are rejected by Validate. Every node runs the coherence
+// auditor, and Result.Violations counts what it found.
 type Config struct {
 	// Nodes is the number of simulated machines (default 3, max 64).
 	Nodes int
@@ -127,12 +127,6 @@ type Config struct {
 
 	// Duration is the measured traffic window after warm-up (default 100ms).
 	Duration sim.Time
-
-	// TraceLimit/SpanLimit bound the front-end request trace and retained
-	// request spans. Every node runs the coherence auditor, and
-	// Result.Violations counts what it found.
-	TraceLimit int
-	SpanLimit  int
 }
 
 // DefaultConfig returns the default cluster shape.
@@ -360,7 +354,6 @@ type Cluster struct {
 	wire   wire
 	met    *metrics.Registry
 	m      frontMetrics
-	tracer *trace.Tracer
 	spans  *obs.Collector
 	rng    *sim.Rand // arrivals, key mix, backoff jitter
 	router router
@@ -395,10 +388,7 @@ func New(cfg Config) *Cluster {
 	}
 	c.m = newFrontMetrics(c.met)
 	c.wire.eng = c.eng
-	if cfg.TraceLimit > 0 {
-		c.tracer = trace.New(cfg.TraceLimit)
-	}
-	c.spans = obs.NewCollector("cluster", c.met, c.tracer, cfg.SpanLimit)
+	c.spans = obs.NewCollector("cluster", c.met, 0, 0)
 	c.bucket = newTokenBucket(cfg.RateLimit, cfg.Burst)
 	c.queueDepth = cfg.QueueDepth
 	if cfg.Profile.QueueDepth > 0 {
@@ -555,13 +545,6 @@ func (c *Cluster) Digest() uint64 {
 
 // Metrics returns the front-end metrics registry.
 func (c *Cluster) Metrics() *metrics.Registry { return c.met }
-
-// Spans returns the front-end request-span collector (for Perfetto
-// export: lane 0 is the front-end, lane 1+i node i).
-func (c *Cluster) Spans() *obs.Collector { return c.spans }
-
-// Tracer returns the front-end request tracer (nil unless TraceLimit set).
-func (c *Cluster) Tracer() *trace.Tracer { return c.tracer }
 
 // NodeKernel returns node i's kernel (for tests and span export).
 func (c *Cluster) NodeKernel(i int) *kernel.Kernel { return c.nodes[i].k }

@@ -84,20 +84,14 @@ func (p *peerView) health(now sim.Time) Health {
 	return Healthy
 }
 
-// noteHealth re-derives the node's state and records the transition when
+// noteHealth re-derives the node's state and counts the transition when
 // it changed, so the metrics expose the state machine's edge counts
-// (cluster.health.<state>) and the trace shows when routing's view moved.
+// (cluster.health.<state>).
 func (p *peerView) noteHealth(now sim.Time) {
 	h := p.health(now)
 	if h == p.lastHealth {
 		return
 	}
 	p.lastHealth = h
-	c := p.cl
-	c.m.health[h].Inc()
-	if c.tracer != nil {
-		if !c.tracer.Record(now, frontLane, "health", "node %d -> %s", p.id, h) {
-			c.m.traceDropped.Inc()
-		}
-	}
+	p.cl.m.health[h].Inc()
 }

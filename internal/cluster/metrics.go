@@ -7,7 +7,6 @@ type frontMetrics struct {
 	offered, admitted, rejected, completed, recovered, failed       metrics.Counter
 	attempts, unroutable, hedges, hedgeWasted, lateReplies, retries metrics.Counter
 	suspected, probes, faultsCrash, faultsSlow, faultsPartition     metrics.Counter
-	traceDropped                                                    metrics.Counter
 
 	// The fast failures an attempt settles with (cluster.<reason>), the
 	// silent one, and the reasons a request gives up (cluster.failed_<reason>).
@@ -47,7 +46,6 @@ func newFrontMetrics(r *metrics.Registry) frontMetrics {
 		faultsCrash:     r.NewCounter("cluster.faults.crash"),
 		faultsSlow:      r.NewCounter("cluster.faults.slow"),
 		faultsPartition: r.NewCounter("cluster.faults.partition"),
-		traceDropped:    r.NewCounter("trace.dropped"),
 		reset:           r.NewCounter("cluster.reset"),
 		refused:         r.NewCounter("cluster.refused"),
 		shed:            r.NewCounter("cluster.shed"),

@@ -12,9 +12,8 @@ import (
 	"latr/internal/workload"
 )
 
-// Span/trace lanes: the front-end is lane 0, node i is lane 1+i, so a
-// Perfetto export of request spans shows arrivals on one track and each
-// node's attempts on its own.
+// Span lanes: the front-end is lane 0, node i is lane 1+i, so a request
+// span's phase events name the node that ran each attempt.
 const frontLane topo.CoreID = 0
 
 func nodeLane(i int) topo.CoreID { return topo.CoreID(1 + i) }

@@ -65,7 +65,7 @@ func (r RunResult) Fingerprint() string {
 		r.Spec.Name(), int64(r.SimTime), r.Dispatched, r.EngineFP, r.MetricsFP, r.TraceDigest, r.Completed)
 }
 
-// matrixTraceLimit keeps a bounded event trace on every matrix run so the
+// matrixTraceLimit keeps a bounded timeline on every matrix run so the
 // trace digest is a meaningful third determinism witness.
 const matrixTraceLimit = 2048
 
@@ -136,7 +136,7 @@ func RunOne(s RunSpec, o Options) RunResult {
 	res.Dispatched = k.Engine.Dispatched()
 	res.EngineFP = k.Engine.Fingerprint()
 	res.MetricsFP = k.Metrics.Fingerprint()
-	res.TraceDigest = k.Tracer.Digest()
+	res.TraceDigest = k.Spans.TraceDigest()
 	res.Completed = w.Done()
 	return res
 }

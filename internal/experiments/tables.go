@@ -210,14 +210,14 @@ func IPITable(o Options) *Table {
 // figurePolicies are the two sides of the Fig 2 and Fig 3 timelines.
 var figurePolicies = [2]string{"linux", "latr"}
 
-// figureLimit bounds event tracing and span retention on the figure
+// figureLimit bounds the timeline and span retention on the figure
 // kernels; the scenarios record far fewer of either, so nothing is
 // dropped.
 const figureLimit = 4096
 
 // figureKernel builds a machine for the Fig 2 and Fig 3 scenarios. It
-// traces events and retains spans, so one run renders both as a text
-// timeline and as Perfetto JSON; neither changes the simulation.
+// keeps a timeline and retains spans, so one run renders both as text and
+// as Perfetto JSON; neither changes the simulation.
 func figureKernel(spec topo.Spec, policy string, seed uint64, check bool) *kernel.Kernel {
 	return kernel.New(spec, cost.Default(spec), mustPolicy(policy), kernel.Options{
 		Seed: seed, CheckInvariants: check, TraceLimit: figureLimit, SpanLimit: figureLimit,
@@ -260,7 +260,7 @@ func Fig2Timeline(o Options) string {
 	out := ""
 	for i, k := range fig2Kernels(o) {
 		out += fmt.Sprintf("--- Fig 2 (%s): munmap of one shared page on 3 cores ---\n%s\n",
-			figurePolicies[i], k.Tracer.Render())
+			figurePolicies[i], k.Spans.Render())
 	}
 	return out
 }
@@ -310,12 +310,15 @@ func Fig3Timeline(o Options) string {
 	for i, res := range fig3Runs(o) {
 		out += fmt.Sprintf("--- Fig 3 (%s): AutoNUMA sampling + migration ---\n", figurePolicies[i])
 		out += fmt.Sprintf("migrations/s=%.0f runtime=%v\n", res.MigrationsPerSec, res.Runtime)
-		events := res.Kernel.Tracer.Filter("numa", "latr", "ipi")
-		if len(events) > 60 {
-			events = events[:60]
-		}
-		for _, e := range events {
-			out += fmt.Sprintf("%12v core%-3d %-8s %s\n", e.Time, int(e.Core), e.Cat, e.Msg)
+		shown := 0
+		for _, l := range res.Kernel.Spans.Timeline() {
+			if shown == 60 {
+				break
+			}
+			if l.Cat == "numa" || l.Cat == "latr" || l.Cat == "ipi" {
+				out += fmt.Sprintf("%12v core%-3d %-8s %s\n", l.Time, int(l.Core), l.Cat, l.Msg)
+				shown++
+			}
 		}
 	}
 	return out

@@ -19,7 +19,6 @@ import (
 	"latr/internal/sim"
 	"latr/internal/tlb"
 	"latr/internal/topo"
-	"latr/internal/trace"
 	"latr/internal/vm"
 )
 
@@ -38,10 +37,11 @@ type Options struct {
 	// structured violations on Kernel.Audit instead of panicking, so a
 	// chaos run completes and reports every breach with provenance.
 	Audit bool
-	// TraceLimit bounds recorded trace events (0 disables tracing).
+	// TraceLimit bounds the lines of the span collector's timeline (0
+	// keeps no timeline).
 	TraceLimit int
 	// SpanLimit bounds closed lifecycle spans retained for Perfetto export
-	// (0 retains none; metrics and trace emission are always on).
+	// (0 retains none; span metrics are always on).
 	SpanLimit int
 	// Seed feeds all kernel-side randomness.
 	Seed uint64
@@ -72,7 +72,6 @@ type Kernel struct {
 	Tracker *tlb.Tracker
 	Audit   *tlb.Auditor
 	Metrics *metrics.Registry
-	Tracer  *trace.Tracer
 	Spans   *obs.Collector
 	Rand    *sim.Rand
 	Opts    Options
@@ -150,10 +149,7 @@ func New(spec topo.Spec, model cost.Model, pol Policy, opts Options) *Kernel {
 	if opts.Audit {
 		k.Audit = tlb.NewAuditor(4096)
 	}
-	if opts.TraceLimit > 0 {
-		k.Tracer = trace.New(opts.TraceLimit)
-	}
-	k.Spans = obs.NewCollector(pol.Name(), k.Metrics, k.Tracer, opts.SpanLimit)
+	k.Spans = obs.NewCollector(pol.Name(), k.Metrics, opts.TraceLimit, opts.SpanLimit)
 	for i := 0; i < spec.NumCores(); i++ {
 		k.Cores = append(k.Cores, newCore(k, topo.CoreID(i)))
 	}
@@ -412,7 +408,7 @@ func (k *Kernel) checkFrameReuse(pfn mem.PFN) {
 			Detail: fmt.Sprintf("frame reallocated while cached on %d core(s)", len(cores)),
 		})
 	}
-	k.trace(cores[0], "audit", "frame %d reused while cached on %v", uint64(pfn), cores)
+	k.Spans.Note(k.Now(), cores[0], "audit", "frame %d reused while cached on %v", uint64(pfn), cores)
 }
 
 // tlbs returns every core's TLB, in core order.
@@ -435,20 +431,6 @@ func (k *Kernel) Processes() []*Process {
 // AllocFrame allocates a frame on node with the reuse-invariant check,
 // exported for kernel extensions (page migration).
 func (k *Kernel) AllocFrame(node topo.NodeID) (mem.PFN, error) { return k.allocFrame(node) }
-
-// trace records a trace event if tracing is enabled. Events discarded by
-// a full buffer are surfaced as the trace.dropped counter instead of
-// vanishing silently.
-func (k *Kernel) trace(core topo.CoreID, cat, format string, args ...any) {
-	if !k.Tracer.Record(k.Now(), core, cat, format, args...) {
-		k.met.traceDropped.Inc()
-	}
-}
-
-// Trace exposes trace recording to policy and workload packages.
-func (k *Kernel) Trace(core topo.CoreID, cat, format string, args ...any) {
-	k.trace(core, cat, format, args...)
-}
 
 // Wake makes a blocked thread runnable (exported for kernel extensions
 // such as the AutoNUMA fault gate).

@@ -30,8 +30,8 @@ type kernelMetrics struct {
 	chaosTickDropped, chaosTickDelayed, chaosSweepSuppressed, chaosIPIDelayed metrics.Counter
 	chaosTickDelay, chaosIPIDelay                                             metrics.Hist
 
-	// Auditing, races and tracing.
-	auditFrameReuse, auditStaleUse, auditVirtLeak, raceStaleRead, raceStaleWrite, traceDropped metrics.Counter
+	// Auditing and races.
+	auditFrameReuse, auditStaleUse, auditVirtLeak, raceStaleRead, raceStaleWrite metrics.Counter
 
 	// Virtualization.
 	vmStarts, vmDestroys, vmMigrations, vmExits, eptViolations                  metrics.Counter
@@ -96,7 +96,6 @@ func newKernelMetrics(r *metrics.Registry) kernelMetrics {
 		auditVirtLeak:   r.NewCounter("audit.virt_leak"),
 		raceStaleRead:   r.NewCounter("race.stale_read"),
 		raceStaleWrite:  r.NewCounter("race.stale_write"),
-		traceDropped:    r.NewCounter("trace.dropped"),
 
 		vmStarts:         r.NewCounter("virt.vm_starts"),
 		vmDestroys:       r.NewCounter("virt.vm_destroys"),

@@ -39,7 +39,7 @@ type Unmap struct {
 	// Span is the operation's lifecycle span; the kernel sets it for every
 	// unmap it issues. Tests that call a policy directly may leave it nil:
 	// every Span method is nil-safe, so such an unmap marks no phases and
-	// emits no trace.
+	// records no timeline line.
 	Span *obs.Span
 }
 

@@ -20,14 +20,14 @@ var (
 	// ErrInternal marks a kernel-state inconsistency detected on a
 	// user-reachable syscall/fault path (e.g. the VA allocator handing out
 	// an already-mapped range). The operation fails structurally — counted
-	// in metrics, visible in the trace, delivered via th.LastErr — instead
+	// in metrics, visible in the timeline, delivered via th.LastErr — instead
 	// of crashing the whole simulation, so long chaos runs survive and
 	// report. Match with errors.Is(err, ErrInternal).
 	ErrInternal = errors.New("kernel: internal inconsistency")
 )
 
 // internalErr builds the structured error for an unexpected inconsistency
-// on a user-reachable path and records it in metrics and the trace. True
+// on a user-reachable path and records it in metrics and the timeline. True
 // invariant breaches in non-recoverable machinery (scheduler segment state,
 // refcounts, virtual time) still panic.
 func (c *Core) internalErr(op string, err error) error {
@@ -35,7 +35,7 @@ func (c *Core) internalErr(op string, err error) error {
 	k.met.internalErrors.Inc()
 	perOp := k.Metrics.NewCounter("error.internal." + op)
 	perOp.Inc()
-	k.trace(c.ID, "error", "%s: %v", op, err)
+	k.Spans.Note(k.Now(), c.ID, "error", "%s: %v", op, err)
 	return fmt.Errorf("%w: %s: %v", ErrInternal, op, err)
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"testing"
 
 	"latr/internal/sim"
@@ -12,13 +13,32 @@ import (
 
 // refHist and refPerc are Histogram and PercentileHist as they were before
 // bucket spans: every bucket of the layout in one fixed array, allocated
-// whole. They share bucketOf, percBucketOf and the midpoint functions with
-// the span layout, so any difference the tests below find is in the span.
+// whole. refPerc shares percBucketOf and its midpoints with the span
+// layout, so any difference the tests below find is in the span. refHist
+// keeps Histogram's first layout, whose octave of exp started at index
+// exp*16 and so left indexes 16-63 and 1008-1023 unused; a difference there
+// is in the span or in the renumbering.
 type refHist struct {
 	count    uint64
 	sum      float64
 	min, max sim.Time
-	buckets  [histBuckets]uint64
+	buckets  [64 * subBuckets]uint64
+}
+
+func refBucketOf(v sim.Time) int {
+	if v < subBuckets {
+		return int(max(v, 0))
+	}
+	exp := 63 - bits.LeadingZeros64(uint64(v))
+	return exp*subBuckets + int((uint64(v)>>(uint(exp)-4))&(subBuckets-1))
+}
+
+func refBucketMid(idx int) sim.Time {
+	if idx < subBuckets {
+		return sim.Time(idx)
+	}
+	width := uint64(1) << uint(idx/subBuckets-4)
+	return sim.Time(uint64(1)<<uint(idx/subBuckets) + uint64(idx%subBuckets)*width + width/2)
 }
 
 func (h *refHist) Observe(v sim.Time) {
@@ -30,7 +50,7 @@ func (h *refHist) Observe(v sim.Time) {
 	}
 	h.count++
 	h.sum += float64(v)
-	h.buckets[bucketOf(v)]++
+	h.buckets[refBucketOf(v)]++
 }
 
 func (h *refHist) Count() uint64 { return h.count }
@@ -59,7 +79,7 @@ func (h *refHist) Quantile(q float64) sim.Time {
 	for i, c := range h.buckets {
 		cum += c
 		if cum > target {
-			return bucketMid(i)
+			return refBucketMid(i)
 		}
 	}
 	return h.max
@@ -334,6 +354,25 @@ func TestSpanMergeMatchesFixedArrays(t *testing.T) {
 	}
 }
 
+// TestHistBucketsHaveNoGap: every Histogram bucket is some value's, the
+// last is the largest int64's, and each value's midpoint is the one the
+// first layout gave it.
+func TestHistBucketsHaveNoGap(t *testing.T) {
+	for idx := 0; idx < histBuckets; idx++ {
+		if got := bucketOf(bucketMid(idx)); got != idx {
+			t.Fatalf("bucketOf(bucketMid(%d)) = %d", idx, got)
+		}
+	}
+	if got := bucketOf(math.MaxInt64); got != histBuckets-1 {
+		t.Errorf("bucketOf(MaxInt64) = %d, want %d", got, histBuckets-1)
+	}
+	for v := sim.Time(-1); v < math.MaxInt64/2; v += v/7 + 1 {
+		if got, want := bucketMid(bucketOf(v)), refBucketMid(refBucketOf(v)); got != want {
+			t.Fatalf("midpoint of %d is %d, want %d", v, got, want)
+		}
+	}
+}
+
 // TestSpanGrowth pins how a span is laid out: the first sample's octave
 // plus one octave on each side, growth toward a sample outside the span
 // to at least twice the length in whole octaves, and the layout's ends.
@@ -348,11 +387,11 @@ func TestSpanGrowth(t *testing.T) {
 	}{
 		{"hist first mid", subBuckets, histBuckets, []int{175}, []want{{144, 192}}},
 		{"hist first at 0", subBuckets, histBuckets, []int{3}, []want{{0, 32}}},
-		{"hist first at top", subBuckets, histBuckets, []int{1007}, []want{{976, 1024}}},
+		{"hist first at top", subBuckets, histBuckets, []int{959}, []want{{928, 960}}},
 		{"hist grow up", subBuckets, histBuckets, []int{175, 192, 300}, []want{{144, 192}, {144, 240}, {144, 336}}},
 		{"hist grow down", subBuckets, histBuckets, []int{175, 143, 50}, []want{{144, 192}, {96, 192}, {0, 192}}},
 		{"hist in span", subBuckets, histBuckets, []int{175, 144, 191}, []want{{144, 192}, {144, 192}, {144, 192}}},
-		{"hist grow to both ends", subBuckets, histBuckets, []int{500, 1023, 0}, []want{{480, 528}, {480, 1024}, {0, 1024}}},
+		{"hist grow to both ends", subBuckets, histBuckets, []int{500, 959, 0}, []want{{480, 528}, {480, 960}, {0, 960}}},
 		{"perc first mid", percSub, percBuckets, []int{100}, []want{{88, 112}}},
 		{"perc first at top", percSub, percBuckets, []int{519}, []want{{504, 520}}},
 		{"perc grow up", percSub, percBuckets, []int{100, 112, 200}, []want{{88, 112}, {88, 136}, {88, 208}}},

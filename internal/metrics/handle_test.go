@@ -122,6 +122,17 @@ func TestHandleDumpMatchesStringWrites(t *testing.T) {
 	}
 }
 
+// allocs100 returns the objects 100 calls of f allocate in all.
+// testing.AllocsPerRun divides its count by the runs in integers, so its
+// one run here makes 100 calls, and one object among them shows.
+func allocs100(f func()) float64 {
+	return testing.AllocsPerRun(1, func() {
+		for i := 0; i < 100; i++ {
+			f()
+		}
+	})
+}
+
 // TestWarmHandleWritesAllocateNothing: once resolved, no write kind
 // allocates.
 func TestWarmHandleWritesAllocateNothing(t *testing.T) {
@@ -136,8 +147,8 @@ func TestWarmHandleWritesAllocateNothing(t *testing.T) {
 		p.Observe(1500)
 	}
 	write()
-	if n := testing.AllocsPerRun(100, write); n != 0 {
-		t.Fatalf("warm handle writes allocate %v objects per round, want 0", n)
+	if n := allocs100(write); n != 0 {
+		t.Fatalf("100 rounds of warm handle writes allocate %v objects, want 0", n)
 	}
 }
 
@@ -199,8 +210,8 @@ var (
 func TestUnwrittenReadAllocatesNothing(t *testing.T) {
 	r := NewRegistry()
 	read := func() { readH, readP = r.Hist("h"), r.Perc("p") }
-	if a := testing.AllocsPerRun(100, read); a != 0 {
-		t.Fatalf("unwritten reads allocate %v objects per round, want 0", a)
+	if n := allocs100(read); n != 0 {
+		t.Fatalf("100 rounds of unwritten reads allocate %v objects, want 0", n)
 	}
 	if readH.Count() != 0 || readP.Count() != 0 {
 		t.Fatalf("unwritten reads hold %d and %d samples, want 0", readH.Count(), readP.Count())

@@ -2,7 +2,7 @@
 // experiments report. Histograms are log-bucketed, so percentiles stay
 // within ~3% relative error however many samples there are, and a
 // histogram's memory grows with the span of buckets its samples reach, up
-// to 8 KB for a Histogram and 4 KB for a PercentileHist.
+// to 7.5 KB for a Histogram and 4 KB for a PercentileHist.
 package metrics
 
 import (
@@ -26,34 +26,29 @@ type Histogram struct {
 	span  bucketSpan
 }
 
+// The layout: values below 16 get exact buckets (indexes 0..15), and the
+// octave [2^exp, 2^(exp+1)) of each exp from 4 to 62 (the largest an
+// int64 sample reaches) gets 16 linear sub-buckets from index
+// (exp-3)*16, so the octaves follow the exact buckets with no gap.
 const (
 	subBuckets  = 16
-	histBuckets = 64 * subBuckets
+	histBuckets = (1 + 62 - 3) * subBuckets // the exact buckets, then octaves 4 to 62
 )
 
 func bucketOf(v sim.Time) int {
-	if v < 0 {
-		v = 0
-	}
-	// Values below 16 get exact buckets (indexes 0..15); larger values use
-	// exp*16+sub with exp >= 4, so idx >= 64 and the ranges cannot collide.
 	if v < subBuckets {
-		return int(v)
+		return int(max(v, 0))
 	}
 	exp := 63 - bits.LeadingZeros64(uint64(v))
 	sub := int((uint64(v) >> (uint(exp) - 4)) & (subBuckets - 1))
-	idx := exp*subBuckets + sub
-	if idx >= histBuckets {
-		idx = histBuckets - 1
-	}
-	return idx
+	return (exp-3)*subBuckets + sub
 }
 
 func bucketMid(idx int) sim.Time {
 	if idx < subBuckets {
 		return sim.Time(idx)
 	}
-	exp := idx / subBuckets
+	exp := idx/subBuckets + 3
 	sub := idx % subBuckets
 	base := uint64(1) << uint(exp)
 	width := base / subBuckets

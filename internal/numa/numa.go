@@ -308,7 +308,7 @@ func (a *AutoNUMA) migrate(c *kernel.Core, th *kernel.Thread, mm *kernel.MM, vpn
 			c.TLB.Insert(c.PCIDOf(mm), vpn, newPFN, old.Writable)
 			mm.Sem.ReleaseRead()
 			a.met.migrations.Inc()
-			k.Trace(c.ID, "numa", "migrated %#x node%d", uint64(vpn.Addr()), myNode)
+			k.Spans.Note(k.Now(), c.ID, "numa", "migrated %#x node%d", uint64(vpn.Addr()), myNode)
 			cont()
 		})
 	})

@@ -10,10 +10,10 @@ import (
 
 // BenchmarkSpanLifecycle opens a munmap span, marks every phase of a
 // two-target synchronous shootdown and releases it, so each round feeds
-// six of the collector's percentile histograms. No tracer and no
+// six of the collector's percentile histograms. No timeline and no
 // retention, as on a machine built without them.
 func BenchmarkSpanLifecycle(b *testing.B) {
-	col := NewCollector("latr", metrics.NewRegistry(), nil, 0)
+	col := NewCollector("latr", metrics.NewRegistry(), 0, 0)
 	mask := topo.MaskOf(1, 2)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -10,10 +10,11 @@
 //	         → reclaim (frame + VA release)
 //
 // Phase durations feed per-policy metrics.PercentileHist breakdowns named
-// span.<policy>.<kind>.<phase>, each mark emits one canonical trace event
-// (replacing the ad-hoc trace.Record calls that used to live on the
-// shootdown path), and closed spans are retained (up to a limit) for
-// Chrome trace-event / Perfetto JSON export.
+// span.<policy>.<kind>.<phase>, each mark appends one canonical line to the
+// collector's timeline (the text of Figs 2 and 3), and closed spans are
+// retained (up to a limit) for Chrome trace-event / Perfetto JSON export.
+// Lines that belong to no span, such as syscall errors and NUMA
+// migrations, go on the same timeline through Collector.Note.
 //
 // Spans are reference counted: the kernel holds one reference for the
 // syscall itself and lazy policies retain extra references for deferred
@@ -28,12 +29,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"sort"
+	"strings"
 
 	"latr/internal/metrics"
 	"latr/internal/pt"
 	"latr/internal/sim"
 	"latr/internal/topo"
-	"latr/internal/trace"
 )
 
 // Kind classifies the operation a span covers.
@@ -47,7 +49,7 @@ const (
 	KindNUMA                // AutoNUMA page migration unmap
 	KindSwap                // swap-out eviction of one victim page
 	KindExit                // exit_mmap address-space teardown
-	KindRequest             // one cluster front-end request (routing + attempts)
+	KindRequest             // one cluster front-end request (routing + attempts); the cluster keeps no timeline
 	KindBalloon             // hypervisor balloon reclaim of EPT backings
 	numKinds
 )
@@ -193,7 +195,9 @@ func (s *Span) mark(p Phase, core topo.CoreID, begin, dur sim.Time, lazy, unsafe
 	}
 	s.seen[p] = true
 	s.Events = append(s.Events, PhaseEvent{Phase: p, Lazy: lazy, Core: core, Begin: begin, Dur: dur})
-	s.col.emit(s, p, core, begin, dur, lazy, unsafe)
+	if s.col.traceLimit > 0 {
+		s.col.emit(s, p, core, begin, dur, lazy, unsafe)
+	}
 }
 
 // PhaseTotal sums the span's recorded events for phase p: how many times
@@ -277,19 +281,21 @@ func (s *Span) complete() bool {
 	return true
 }
 
-// Collector owns span allocation, metrics, trace emission and retention
+// Collector owns span allocation, metrics, the timeline and retention
 // for one kernel. A nil collector hands out nil spans, so callers can
 // instrument unconditionally.
 type Collector struct {
 	policy string
 	met    *metrics.Registry
-	tr     *trace.Tracer
 
-	nextID   uint64
-	open     int
-	limit    int // max retained closed spans (0 = retain nothing)
-	retained []*Span
-	free     *Span
+	nextID    uint64
+	open      int
+	spanLimit int // max retained closed spans (0 = retain nothing)
+	retained  []*Span
+	free      *Span
+
+	traceLimit int    // max timeline lines (0 = keep no timeline)
+	lines      []Line // in record order
 
 	opened, closed, incomplete, dropped, doubleClose, traceDropped metrics.Counter
 
@@ -300,14 +306,24 @@ type Collector struct {
 	phases [numKinds][numPhases + 1]metrics.Perc
 }
 
-// NewCollector returns a collector labelling metrics with the policy name
-// and retaining up to limit closed spans for export. tr may be nil.
-func NewCollector(policy string, met *metrics.Registry, tr *trace.Tracer, limit int) *Collector {
+// Line is one timeline entry: the canonical line of a phase mark, or a
+// Note.
+type Line struct {
+	Time sim.Time
+	Core topo.CoreID
+	Cat  string // e.g. "munmap", "ipi", "sweep", "reclaim"
+	Msg  string
+}
+
+// NewCollector returns a collector labelling metrics with the policy name,
+// keeping a timeline of up to traceLimit lines and retaining up to
+// spanLimit closed spans for export. A limit of 0 keeps none.
+func NewCollector(policy string, met *metrics.Registry, traceLimit, spanLimit int) *Collector {
 	return &Collector{
 		policy:       policy,
 		met:          met,
-		tr:           tr,
-		limit:        limit,
+		traceLimit:   traceLimit,
+		spanLimit:    spanLimit,
 		opened:       met.NewCounter("span.opened"),
 		closed:       met.NewCounter("span.closed"),
 		incomplete:   met.NewCounter("span.incomplete"),
@@ -381,11 +397,11 @@ func (c *Collector) close(s *Span) {
 		c.observe(s.Kind, ev.Phase, ev.Dur)
 	}
 	c.observe(s.Kind, numPhases, s.ClosedAt-s.OpenedAt)
-	if c.limit > 0 && len(c.retained) < c.limit {
+	if c.spanLimit > 0 && len(c.retained) < c.spanLimit {
 		c.retained = append(c.retained, s)
 		return
 	}
-	if c.limit > 0 {
+	if c.spanLimit > 0 {
 		c.dropped.Inc()
 	}
 	s.col = nil
@@ -393,91 +409,119 @@ func (c *Collector) close(s *Span) {
 	c.free = s
 }
 
-// emit writes the canonical trace event for one phase mark, preserving
-// the category vocabulary of the old ad-hoc calls ("munmap", "ipi",
-// "latr", "sweep", "reclaim", …) so figure timelines keep their shape.
+// emit appends the canonical timeline line for one phase mark, in the
+// category vocabulary of Figs 2 and 3 ("munmap", "ipi", "latr", "sweep",
+// "reclaim", …).
 func (c *Collector) emit(s *Span, p Phase, core topo.CoreID, begin, dur sim.Time, lazy, unsafe bool) {
-	if c.tr == nil {
+	if !c.room() {
 		return
 	}
 	addr := s.Start.Addr()
-	var ok bool
-	if s.Kind == KindRequest {
-		// Cluster request lifecycle: Start carries the request key, core is
-		// the front-end (0) or node (1+id) lane. The lazy bit marks the
-		// attempt as a hedge/retry rather than a LATR deferred path.
-		switch p {
-		case PhaseInitiate:
-			ok = c.tr.Record(begin, core, "request", "arrive key=%d", int(s.Start))
-		case PhaseSend:
-			if lazy {
-				ok = c.tr.Record(begin, core, "request", "hedge/retry dispatch key=%d", int(s.Start))
-			} else {
-				ok = c.tr.Record(begin, core, "request", "dispatch key=%d", int(s.Start))
-			}
-		case PhaseInvalidate:
-			ok = c.tr.Record(begin, core, "request", "attempt failed key=%d", int(s.Start))
-		case PhaseAck:
-			ok = c.tr.Record(begin+dur, core, "request", "completed key=%d (wait %v)", int(s.Start), dur)
-		default:
-			ok = c.tr.Record(begin, core, "request", "gave up key=%d", int(s.Start))
-		}
-		if !ok {
-			c.traceDropped.Inc()
-		}
-		return
-	}
 	switch p {
 	case PhaseInitiate:
 		switch s.Kind {
 		case KindMunmap, KindMadvise:
-			ok = c.tr.Record(begin, core, "munmap", "clear PTE + local inval [%#x,+%d)", addr, s.Pages)
+			c.line(begin, core, "munmap", "clear PTE + local inval [%#x,+%d)", addr, s.Pages)
 		case KindSync:
-			ok = c.tr.Record(begin, core, "sync", "sync change [%#x,+%d)", addr, s.Pages)
+			c.line(begin, core, "sync", "sync change [%#x,+%d)", addr, s.Pages)
 		case KindNUMA:
-			ok = c.tr.Record(begin, core, "numa", "migration unmap [%#x,+%d)", addr, s.Pages)
+			c.line(begin, core, "numa", "migration unmap [%#x,+%d)", addr, s.Pages)
 		case KindSwap:
-			ok = c.tr.Record(begin, core, "swapout", "evict [%#x,+%d)", addr, s.Pages)
+			c.line(begin, core, "swapout", "evict [%#x,+%d)", addr, s.Pages)
 		case KindBalloon:
-			ok = c.tr.Record(begin, core, "virt", "balloon reclaim %d backings", s.Pages)
+			c.line(begin, core, "virt", "balloon reclaim %d backings", s.Pages)
 		default:
-			ok = c.tr.Record(begin, core, "exit", "address-space teardown")
+			c.line(begin, core, "exit", "address-space teardown")
 		}
 	case PhaseSend:
 		if lazy {
-			ok = c.tr.Record(begin, core, "latr", "state saved [%#x,+%d) mask=%v", addr, s.Pages, s.Targets)
+			c.line(begin, core, "latr", "state saved [%#x,+%d) mask=%v", addr, s.Pages, s.Targets)
 		} else {
-			ok = c.tr.Record(begin, core, "ipi", "shootdown sent to %d cores (%d pages)", s.Targets.Count(), s.Pages)
+			c.line(begin, core, "ipi", "shootdown sent to %d cores (%d pages)", s.Targets.Count(), s.Pages)
 		}
 	case PhaseInvalidate:
 		if lazy {
-			ok = c.tr.Record(begin, core, "sweep", "invalidate [%#x,+%d), clear bit", addr, s.Pages)
+			c.line(begin, core, "sweep", "invalidate [%#x,+%d), clear bit", addr, s.Pages)
 		} else {
-			ok = c.tr.Record(begin, core, "ipi", "handler: invalidate %d pages + ACK (%v)", s.Pages, dur)
+			c.line(begin, core, "ipi", "handler: invalidate %d pages + ACK (%v)", s.Pages, dur)
 		}
 	case PhaseAck:
 		switch {
 		case unsafe:
-			ok = c.tr.Record(begin, core, "chaos", "unsafe reclaim: abandoning live state [%#x,+%d)", addr, s.Pages)
+			c.line(begin, core, "chaos", "unsafe reclaim: abandoning live state [%#x,+%d)", addr, s.Pages)
 		case lazy:
-			ok = c.tr.Record(begin, core, "latr", "state quiesced [%#x,+%d)", addr, s.Pages)
+			c.line(begin, core, "latr", "state quiesced [%#x,+%d)", addr, s.Pages)
 		default:
-			// The ack phase *spans* the spin wait; the trace line belongs at
-			// its end, when the last ACK actually arrived.
-			ok = c.tr.Record(begin+dur, core, "ipi", "all ACKs in (wait %v)", dur)
+			// The ack phase *spans* the spin wait; the line belongs at its
+			// end, when the last ACK actually arrived.
+			c.line(begin+dur, core, "ipi", "all ACKs in (wait %v)", dur)
 		}
 	case PhaseReclaim:
 		if lazy {
-			ok = c.tr.Record(begin, core, "reclaim", "freed [%#x,+%d) after %v", addr, s.Pages, begin-s.OpenedAt)
+			c.line(begin, core, "reclaim", "freed [%#x,+%d) after %v", addr, s.Pages, begin-s.OpenedAt)
 		} else {
-			ok = c.tr.Record(begin, core, "free", "release [%#x,+%d)", addr, s.Pages)
+			c.line(begin, core, "free", "release [%#x,+%d)", addr, s.Pages)
 		}
 	default: // PhaseStore
-		ok = c.tr.Record(begin, core, "swapdev", "store [%#x] (%v)", addr, dur)
+		c.line(begin, core, "swapdev", "store [%#x] (%v)", addr, dur)
 	}
-	if !ok {
+}
+
+// Note appends a timeline line that belongs to no span: a syscall error,
+// an audit finding, a chaos window, a page migration.
+func (c *Collector) Note(now sim.Time, core topo.CoreID, cat, format string, args ...any) {
+	if c != nil && c.room() {
+		c.line(now, core, cat, format, args...)
+	}
+}
+
+// room reports whether the timeline takes one more line. A collector
+// keeping no timeline takes none and counts nothing; a full timeline
+// counts the line it refuses in trace.dropped, so truncation shows
+// instead of silently losing the tail.
+func (c *Collector) room() bool {
+	if len(c.lines) < c.traceLimit {
+		return true
+	}
+	if c.traceLimit > 0 {
 		c.traceDropped.Inc()
 	}
+	return false
+}
+
+func (c *Collector) line(now sim.Time, core topo.CoreID, cat, format string, args ...any) {
+	c.lines = append(c.lines, Line{now, core, cat, fmt.Sprintf(format, args...)})
+}
+
+// Timeline returns the timeline's lines in time order; lines of one
+// instant keep the order they were recorded in.
+func (c *Collector) Timeline() []Line {
+	if c == nil {
+		return nil
+	}
+	out := make([]Line, len(c.lines))
+	copy(out, c.lines)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
+	return out
+}
+
+// Render formats the timeline one line per entry with the core's lane,
+// mirroring the horizontal per-core lanes of Figs 2 and 3.
+func (c *Collector) Render() string {
+	var b strings.Builder
+	for _, l := range c.Timeline() {
+		fmt.Fprintf(&b, "%12v  core%-3d %-10s %s\n", l.Time, int(l.Core), l.Cat, l.Msg)
+	}
+	return b.String()
+}
+
+// TraceDigest returns an FNV-1a hash of the rendered timeline. Two runs
+// of the same seeded simulation must produce identical digests. A
+// collector keeping no timeline digests to the empty hash.
+func (c *Collector) TraceDigest() uint64 {
+	h := fnv.New64a()
+	io.WriteString(h, c.Render())
+	return h.Sum64()
 }
 
 // OpenSpans returns how many spans are currently open — the lifecycle

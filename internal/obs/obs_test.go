@@ -7,12 +7,22 @@ import (
 	"latr/internal/metrics"
 	"latr/internal/sim"
 	"latr/internal/topo"
-	"latr/internal/trace"
 )
 
 func newCollector(limit int) (*Collector, *metrics.Registry) {
 	met := metrics.NewRegistry()
-	return NewCollector("testpol", met, trace.New(256), limit), met
+	return NewCollector("testpol", met, 256, limit), met
+}
+
+// linesIn returns the timeline lines of category cat.
+func linesIn(c *Collector, cat string) []Line {
+	var out []Line
+	for _, l := range c.Timeline() {
+		if l.Cat == cat {
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
 // TestSpanLifecycle walks one synchronous span through the full pipeline
@@ -239,12 +249,10 @@ func TestDigestDeterminism(t *testing.T) {
 	}
 }
 
-// TestEmitCanonicalTrace: each phase mark lands one event in the expected
-// category, matching the old ad-hoc vocabulary.
+// TestEmitCanonicalTrace: each phase mark lands one timeline line in the
+// expected category, matching the figures' vocabulary.
 func TestEmitCanonicalTrace(t *testing.T) {
-	met := metrics.NewRegistry()
-	tr := trace.New(64)
-	col := NewCollector("latr", met, tr, 0)
+	col := NewCollector("latr", metrics.NewRegistry(), 64, 0)
 	sp := col.Begin(KindMunmap, 0, 0x2000, 1, 0)
 	var mask topo.CoreMask
 	mask.Set(1)
@@ -256,23 +264,21 @@ func TestEmitCanonicalTrace(t *testing.T) {
 	sp.MarkLazy(PhaseReclaim, 0, 4, 1)
 	sp.Release(5)
 	for _, cat := range []string{"munmap", "latr", "sweep", "reclaim"} {
-		if len(tr.Filter(cat)) == 0 {
-			t.Errorf("no %q event emitted", cat)
+		if len(linesIn(col, cat)) == 0 {
+			t.Errorf("no %q line recorded", cat)
 		}
 	}
-	if evs := tr.Filter("latr"); len(evs) != 2 {
-		t.Errorf("latr events = %d, want state-saved + quiesced", len(evs))
+	if ls := linesIn(col, "latr"); len(ls) != 2 {
+		t.Errorf("latr lines = %d, want state-saved + quiesced", len(ls))
 	}
-	if !strings.Contains(tr.Render(), "state quiesced") {
-		t.Errorf("missing quiesce line:\n%s", tr.Render())
+	if !strings.Contains(col.Render(), "state quiesced") {
+		t.Errorf("missing quiesce line:\n%s", col.Render())
 	}
 }
 
-// TestUnsafeMark flags the span and emits the chaos category.
+// TestUnsafeMark flags the span and records the chaos category.
 func TestUnsafeMark(t *testing.T) {
-	met := metrics.NewRegistry()
-	tr := trace.New(64)
-	col := NewCollector("latr", met, tr, 4)
+	col := NewCollector("latr", metrics.NewRegistry(), 64, 4)
 	sp := col.Begin(KindMunmap, 0, 0, 1, 0)
 	sp.Mark(PhaseInitiate, 0, 0, 1)
 	sp.MarkUnsafe(PhaseAck, 0, 1, 0)
@@ -282,7 +288,105 @@ func TestUnsafeMark(t *testing.T) {
 	if !r.Unsafe || !r.Lazy {
 		t.Errorf("Unsafe=%v Lazy=%v, want both true", r.Unsafe, r.Lazy)
 	}
-	if len(tr.Filter("chaos")) != 1 {
-		t.Error("unsafe ack did not emit a chaos event")
+	if len(linesIn(col, "chaos")) != 1 {
+		t.Error("unsafe ack did not record a chaos line")
+	}
+}
+
+// TestTimelineNilCollector: a nil collector takes notes and answers
+// reads, with nothing recorded.
+func TestTimelineNilCollector(t *testing.T) {
+	var col *Collector
+	col.Note(1, 0, "x", "msg %d", 1)
+	if col.Timeline() != nil || col.Render() != "" {
+		t.Fatalf("nil collector recorded %v", col.Timeline())
+	}
+	if col.TraceDigest() != NewCollector("p", metrics.NewRegistry(), 0, 0).TraceDigest() {
+		t.Error("nil collector's digest differs from an empty timeline's")
+	}
+}
+
+// markOne opens one munmap span, marks its initiate phase at now and
+// releases it: one timeline line.
+func markOne(col *Collector, now sim.Time) {
+	sp := col.Begin(KindMunmap, 0, 0x1000, 1, now)
+	sp.Mark(PhaseInitiate, 0, now, 1)
+	sp.Release(now)
+}
+
+// TestTimelineOff: a limit of 0 keeps no timeline and counts no dropped
+// line, as tracing being off is not data loss.
+func TestTimelineOff(t *testing.T) {
+	met := metrics.NewRegistry()
+	col := NewCollector("p", met, 0, 0)
+	for i := 0; i < 5; i++ {
+		col.Note(sim.Time(i), 0, "x", "note")
+		markOne(col, sim.Time(i))
+	}
+	if n := len(col.Timeline()); n != 0 {
+		t.Errorf("limit 0 recorded %d lines", n)
+	}
+	if d := met.Counter("trace.dropped"); d != 0 {
+		t.Errorf("limit 0 counted %d dropped lines", d)
+	}
+}
+
+// TestTimelineLimit: a limit of N keeps the first N lines and counts each
+// later one once in trace.dropped, whether it comes from a Note or a mark.
+func TestTimelineLimit(t *testing.T) {
+	met := metrics.NewRegistry()
+	col := NewCollector("p", met, 3, 0)
+	col.Note(0, 0, "x", "kept %d", 0)
+	markOne(col, 1)
+	col.Note(2, 0, "x", "kept %d", 2)
+	if d := met.Counter("trace.dropped"); d != 0 {
+		t.Fatalf("dropped %d lines below the limit", d)
+	}
+	col.Note(3, 0, "x", "over")
+	markOne(col, 4)
+	markOne(col, 5)
+	col.Note(6, 0, "x", "over")
+	if d := met.Counter("trace.dropped"); d != 4 {
+		t.Errorf("trace.dropped = %d, want 4", d)
+	}
+	ls := col.Timeline()
+	if len(ls) != 3 || ls[0].Msg != "kept 0" || ls[1].Cat != "munmap" || ls[2].Msg != "kept 2" {
+		t.Errorf("kept %+v, want the first three lines", ls)
+	}
+}
+
+// TestTimelineOrder: an earlier time sorts first, and lines of one
+// instant keep the order they were recorded in.
+func TestTimelineOrder(t *testing.T) {
+	col := NewCollector("p", metrics.NewRegistry(), 16, 0)
+	col.Note(20, 1, "b", "late")
+	col.Note(10, 0, "a", "first %d", 42)
+	markOne(col, 10)
+	col.Note(10, 2, "c", "third")
+	var got []string
+	for _, l := range col.Timeline() {
+		got = append(got, l.Cat)
+	}
+	if want := "a munmap c b"; strings.Join(got, " ") != want {
+		t.Fatalf("categories %v, want %s", got, want)
+	}
+	if ls := col.Timeline(); ls[0].Msg != "first 42" || ls[3].Core != 1 {
+		t.Errorf("lines %+v", ls)
+	}
+}
+
+// TestTimelineRender: one line per entry, with the time, the core's lane,
+// the category and the message.
+func TestTimelineRender(t *testing.T) {
+	col := NewCollector("p", metrics.NewRegistry(), 4, 0)
+	col.Note(1500, 2, "munmap", "clear PTE")
+	col.Note(2*sim.Microsecond, 11, "ipi", "all ACKs in")
+	want := "     1.500us  core2   munmap     clear PTE\n" +
+		"     2.000us  core11  ipi        all ACKs in\n"
+	if got := col.Render(); got != want {
+		t.Fatalf("Render =\n%q\nwant\n%q", got, want)
+	}
+	if col.TraceDigest() == NewCollector("p", metrics.NewRegistry(), 4, 0).TraceDigest() {
+		t.Error("a timeline digests like an empty one")
 	}
 }

@@ -13,7 +13,7 @@ import (
 // buildSpans makes a collector with two closed, retained spans.
 func buildSpans(t *testing.T) *Collector {
 	t.Helper()
-	col := NewCollector("latr", metrics.NewRegistry(), nil, 16)
+	col := NewCollector("latr", metrics.NewRegistry(), 0, 16)
 	var mask topo.CoreMask
 	mask.Set(1)
 

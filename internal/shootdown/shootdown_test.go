@@ -349,7 +349,7 @@ func TestMutantsOffTheirPathRunLinux(t *testing.T) {
 		if k.Metrics.Counter("numa.pages_sampled") == 0 || k.Metrics.Counter("sys.munmap") == 0 {
 			t.Fatalf("%s: run made no NUMA unmap or no munmap", pol.Name())
 		}
-		return k.Engine.Fingerprint(), k.Tracer.Digest()
+		return k.Engine.Fingerprint(), k.Spans.TraceDigest()
 	}
 	engine, trace := run(NewLinux())
 	for _, mut := range []Mutation{MutSkipSyncInval, MutSkipHostInval, MutLeakEPT} {

@@ -411,6 +411,17 @@ func checkTracker(tr *Tracker, tlbs []*TLB) error {
 	return nil
 }
 
+// allocs100 returns the objects 100 calls of f allocate in all.
+// testing.AllocsPerRun divides its count by the runs in integers, so its
+// one run here makes 100 calls, and one object among them shows.
+func allocs100(f func()) float64 {
+	return testing.AllocsPerRun(1, func() {
+		for i := 0; i < 100; i++ {
+			f()
+		}
+	})
+}
+
 func TestTrackedChurnAllocatesNothing(t *testing.T) {
 	// Caching a frame again after its last line was invalidated reuses the
 	// count map's slot: a tracked insert/invalidate cycle allocates
@@ -422,8 +433,8 @@ func TestTrackedChurnAllocatesNothing(t *testing.T) {
 		tb.Invalidate(tag, 7)
 	}
 	cycle()
-	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-		t.Fatalf("tracked insert/invalidate allocated %.1f times per cycle, want 0", allocs)
+	if n := allocs100(cycle); n != 0 {
+		t.Fatalf("100 tracked insert/invalidate cycles allocate %v objects, want 0", n)
 	}
 	if tr.Frames() != 0 {
 		t.Fatalf("%d frames counted after the cycle", tr.Frames())
@@ -466,15 +477,15 @@ func TestLRUNodeRecycling(t *testing.T) {
 		t.Fatalf("evicted %v (%v), want VPN 10", victim.Key.VPN, evicted)
 	}
 	// Steady-state churn through the free list allocates nothing.
-	allocs := testing.AllocsPerRun(100, func() {
+	n := allocs100(func() {
 		for i := 10; i < 14; i++ {
 			c.remove(Key{VPN: pt.VPN(i)})
 		}
 		c.remove(Key{VPN: 99})
 		refill()
 	})
-	if allocs != 0 {
-		t.Fatalf("refill allocated %.1f times per run, want 0", allocs)
+	if n != 0 {
+		t.Fatalf("100 remove/refill rounds allocate %v objects, want 0", n)
 	}
 }
 

@@ -54,7 +54,6 @@ import (
 	"latr/internal/swap"
 	"latr/internal/tlb"
 	"latr/internal/topo"
-	"latr/internal/trace"
 	"latr/internal/tune"
 )
 
@@ -155,8 +154,6 @@ type (
 	Gauge   = metrics.Gauge
 	Hist    = metrics.Hist
 	Perc    = metrics.Perc
-	// Tracer records timestamped events when tracing is enabled.
-	Tracer = trace.Tracer
 	// CostModel holds every latency constant of the machine model.
 	CostModel = cost.Model
 	// Span is the lifecycle record of one coherence operation.
@@ -401,11 +398,12 @@ type Config struct {
 	// are collected as structured violations (System.Audit) instead of
 	// panicking. Always on in chaos runs.
 	Audit bool
-	// TraceLimit enables event tracing, keeping at most this many events.
+	// TraceLimit keeps a timeline of up to this many lines on the span
+	// collector (System.Spans().Render()).
 	TraceLimit int
 	// SpanLimit retains up to this many closed observability spans for
-	// Perfetto export (System.WritePerfetto). Span metrics and canonical
-	// trace emission are always on; only retention is bounded by this.
+	// Perfetto export (System.WritePerfetto). Span metrics are always on;
+	// only retention is bounded by this.
 	SpanLimit int
 	// Seed drives all simulation randomness (default 1).
 	Seed uint64
@@ -525,15 +523,12 @@ func (s *System) Now() Time { return s.k.Now() }
 // Metrics returns the system's metric registry.
 func (s *System) Metrics() *Registry { return s.k.Metrics }
 
-// Trace returns the tracer (nil unless TraceLimit was set).
-func (s *System) Trace() *Tracer { return s.k.Tracer }
-
 // Audit returns the coherence auditor (nil unless Config.Audit was set).
 func (s *System) Audit() *Auditor { return s.k.Audit }
 
 // Spans returns the observability span collector: per-policy phase
-// histograms, lifecycle counters, and (with Config.SpanLimit) the retained
-// spans for export.
+// histograms, lifecycle counters, (with Config.TraceLimit) the timeline,
+// and (with Config.SpanLimit) the retained spans for export.
 func (s *System) Spans() *SpanCollector { return s.k.Spans }
 
 // WritePerfetto writes the system's retained spans as Chrome trace-event
