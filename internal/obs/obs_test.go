@@ -331,14 +331,34 @@ func TestTimelineOff(t *testing.T) {
 	}
 }
 
-// TestTimelineLimit: a limit of N keeps the first N lines and counts each
-// later one once in trace.dropped, whether it comes from a Note or a mark.
+// TestTimelineLimit: a limit of N keeps the first N lines, whether they
+// come from a Note or a mark, and refuses every later one.
 func TestTimelineLimit(t *testing.T) {
-	met := metrics.NewRegistry()
-	col := NewCollector("p", met, 3, 0)
+	col := NewCollector("p", metrics.NewRegistry(), 3, 0)
 	col.Note(0, 0, "x", "kept %d", 0)
 	markOne(col, 1)
 	col.Note(2, 0, "x", "kept %d", 2)
+	for i := 3; i < 10; i++ {
+		col.Note(sim.Time(i), 0, "x", "over")
+		markOne(col, sim.Time(i))
+	}
+	ls := col.Timeline()
+	if len(ls) != 3 || ls[0].Msg != "kept 0" || ls[1].Cat != "munmap" || ls[2].Msg != "kept 2" {
+		t.Errorf("kept %+v, want the first three lines", ls)
+	}
+}
+
+// TestTimelineDroppedCounter: no line is counted in trace.dropped below the
+// limit, and each later one is counted once, whether it comes from a Note
+// or a mark.
+func TestTimelineDroppedCounter(t *testing.T) {
+	met := metrics.NewRegistry()
+	col := NewCollector("p", met, 2, 0)
+	if d := met.Counter("trace.dropped"); d != 0 {
+		t.Fatalf("fresh collector dropped %d lines", d)
+	}
+	col.Note(0, 0, "x", "kept")
+	markOne(col, 1)
 	if d := met.Counter("trace.dropped"); d != 0 {
 		t.Fatalf("dropped %d lines below the limit", d)
 	}
@@ -349,9 +369,8 @@ func TestTimelineLimit(t *testing.T) {
 	if d := met.Counter("trace.dropped"); d != 4 {
 		t.Errorf("trace.dropped = %d, want 4", d)
 	}
-	ls := col.Timeline()
-	if len(ls) != 3 || ls[0].Msg != "kept 0" || ls[1].Cat != "munmap" || ls[2].Msg != "kept 2" {
-		t.Errorf("kept %+v, want the first three lines", ls)
+	if n := len(col.Timeline()); n != 2 {
+		t.Errorf("kept %d lines, want 2", n)
 	}
 }
 
