@@ -86,10 +86,10 @@ func runCluster(stdout, stderr io.Writer, f clusterFlags) int {
 	for i, c := range cells {
 		r := results[i]
 		fmt.Fprintf(stdout, "cluster policy=%s router=%s profile=%s seed=%d nodes=%d "+
-			"offered=%d completed=%d failed=%d rejected=%d retries=%d hedges=%d timeouts=%d shed=%d "+
+			"offered=%d completed=%d failed=%d retries=%d hedges=%d timeouts=%d shed=%d "+
 			"goodput=%.0f/s p50=%v p99=%v violations=%d digest=%016x\n",
 			c.policy, c.router, c.profile, f.seed, nodes,
-			r.Offered, r.Completed, r.Failed, r.Rejected, r.Retries, r.Hedges, r.Timeouts, r.Shed,
+			r.Offered, r.Completed, r.Failed, r.Retries, r.Hedges, r.Timeouts, r.Shed,
 			r.GoodputPerSec, r.Latency.P50(), r.Latency.P99(), r.Violations, r.Digest)
 		violations += r.Violations
 	}

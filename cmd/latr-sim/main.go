@@ -32,7 +32,7 @@
 //	latr-sim -remote -policy linux -machine 8x15 -remote-frames 2000
 //
 // Cluster mode runs the fault-tolerant multi-machine fleet: N simulated
-// machines behind a routing/admission/retry front-end, swept over
+// machines behind a routing/retry front-end, swept over
 // (policy × router × fault profile), one deterministic digest line per
 // cell (byte-identical at any -parallel):
 //

@@ -118,3 +118,21 @@ func TestCounterfactualSelectsItself(t *testing.T) {
 		t.Errorf("stdout = %q", stdout)
 	}
 }
+
+// TestClusterLine pins the whole stdout of one -cluster run. Its digest is
+// the one the cluster package pins for the same node-crash run, so the
+// flags' config assembly and the line format are tied to that pin.
+func TestClusterLine(t *testing.T) {
+	code, stdout, stderr := runCmd(t, "-cluster", "-policies", "latr", "-cluster-routers", "round-robin",
+		"-cluster-profiles", "node-crash", "-duration", "40ms", "-seed", "11")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	const want = "cluster policy=latr router=round-robin profile=node-crash seed=11 nodes=3 " +
+		"offered=5981 completed=5981 failed=0 retries=0 hedges=3 timeouts=3 shed=0 " +
+		"goodput=149525/s p50=21.504us p99=38.912us violations=0 digest=0ddfe5a424676aa7\n" +
+		"cluster: 1 cells, 0 violation(s)\n"
+	if stdout != want {
+		t.Errorf("stdout = %q\nwant     %q", stdout, want)
+	}
+}

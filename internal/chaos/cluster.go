@@ -48,7 +48,7 @@ type ClusterProfile struct {
 	PartitionMin     sim.Time
 	PartitionMax     sim.Time
 
-	// QueueDepth, when > 0, overrides the per-node admission queue bound so
+	// QueueDepth, when > 0, overrides the per-node request queue bound so
 	// overflow load shedding carries real traffic.
 	QueueDepth int
 }

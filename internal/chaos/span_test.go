@@ -7,7 +7,7 @@ import (
 )
 
 // spanRun gives the workload 20 ms and then three more workload-lengths of
-// drain (the default deadline is 4x the duration): scheduler ticks keep
+// drain (a run stops at 4x its duration): scheduler ticks keep
 // firing on idle cores, so every outstanding LATR state quiesces and every
 // lazy entry ages past ReclaimDelay before the run ends.
 func spanRun(seed uint64, prof Profile) Result {

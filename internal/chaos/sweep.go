@@ -23,11 +23,10 @@ type RunConfig struct {
 	Sockets        int
 	CoresPerSocket int
 
-	// Duration bounds the workload's virtual time; Deadline is the hard
-	// cap after which still-live threads count as deadlocked (default
-	// 4x Duration). Defaults: 60 ms / 240 ms.
+	// Duration bounds the workload's virtual time (default 60 ms). The
+	// run stops at 4x Duration, and threads still live then count as
+	// deadlocked.
 	Duration sim.Time
-	Deadline sim.Time
 }
 
 // traceLimit bounds the trace used for the determinism digest.
@@ -42,9 +41,6 @@ func (cfg RunConfig) withDefaults() RunConfig {
 	}
 	if cfg.Duration == 0 {
 		cfg.Duration = 60 * sim.Millisecond
-	}
-	if cfg.Deadline == 0 {
-		cfg.Deadline = 4 * cfg.Duration
 	}
 	return cfg
 }
@@ -127,7 +123,7 @@ func Run(cfg RunConfig) Result {
 		}
 	}
 
-	k.Run(cfg.Deadline)
+	k.Run(4 * cfg.Duration)
 
 	live := k.LiveThreads()
 	return Result{

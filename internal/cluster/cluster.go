@@ -1,16 +1,16 @@
 // Package cluster is the multi-machine layer: N simulated machines — each
 // a full kernel+workload instance from the existing stack — share one
-// event engine behind a front-end that routes, admits and retries
-// requests. The cluster question is the paper's tail-latency question at
-// fleet scale: every node runs the same memcached-shaped KV service whose
-// cold keys major-fault through the swap/remote-memory path, so the
-// per-node coherence policy (linux/abis/latr) sets the per-attempt tail,
-// and the front-end's robustness pipeline — deadline, timeout, bounded
-// retries with exponential backoff and deterministic jitter, optional
-// hedging, health-aware routing, token-bucket admission — decides how
-// much of that tail millions of users actually see, especially once the
-// chaos cluster fault family (node crash/restart, slow nodes, partition
-// windows, queue-overflow shedding) makes the fleet unreliable.
+// event engine behind a front-end that routes and retries requests. The
+// cluster question is the paper's tail-latency question at fleet scale:
+// every node runs the same memcached-shaped KV service whose cold keys
+// major-fault through the swap/remote-memory path, so the per-node
+// coherence policy (linux/abis/latr) sets the per-attempt tail, and the
+// front-end's robustness pipeline — deadline, timeout, bounded retries
+// with exponential backoff and deterministic jitter, optional hedging,
+// health-aware routing — decides how much of that tail millions of users
+// actually see, especially once the chaos cluster fault family (node
+// crash/restart, slow nodes, partition windows, queue-overflow shedding)
+// makes the fleet unreliable.
 //
 // The front-end and every node run on one sim.Engine. Every front↔node
 // interaction crosses the wire (wire.go) as a message that takes netDelay
@@ -50,9 +50,54 @@ const (
 	// maxNodes bounds Config.Nodes; beyond this the shared-clock model
 	// stops being a simulation and starts being a space heater.
 	maxNodes = 64
+	// maxArrivalRate bounds Config.ArrivalRate: above one arrival per
+	// nanosecond the mean gap truncates to 0 and arrivals never advance
+	// the clock.
+	maxArrivalRate = int64(sim.Second)
 	// warmLimit caps the warm-up phase; a cluster that cannot load its
 	// arenas by then is misconfigured.
 	warmLimit = 2 * sim.Second
+)
+
+// The KV service and front-end shape every run shares.
+const (
+	// The memcached case-study mix: hotTrafficPct percent of requests go
+	// to a hot prefix of hotKeys keys, and the arena of keys values,
+	// valuePages pages each, exceeds local memory, so cold keys fault
+	// through the remote-memory swap path.
+	keys          = 4096
+	valuePages    = 1
+	hotKeys       = 400
+	hotTrafficPct = 90
+	setPct        = 10                   // percent of requests that write
+	think         = 10 * sim.Microsecond // per-request CPU cost on the node
+
+	// workersPerNode server threads run on each node, and
+	// memFramesPerNode shrinks each NUMA node's memory so the arena
+	// cannot fit locally.
+	workersPerNode   = 4
+	memFramesPerNode = 900
+
+	// requestTimeout bounds one attempt and requestDeadline the whole
+	// request. retryBudget is the attempt budget per request, first try
+	// included; the backoff before a retry starts at backoffBase and
+	// doubles per attempt up to backoffCap, plus deterministic jitter in
+	// [0, backoff/4].
+	requestTimeout  = 2 * sim.Millisecond
+	requestDeadline = 20 * sim.Millisecond
+	retryBudget     = 3
+	backoffBase     = 200 * sim.Microsecond
+	backoffCap      = 5 * sim.Millisecond
+
+	// queueDepth bounds each node's pending-request queue; overflow is
+	// shed back to the front-end. A fault profile's QueueDepth overrides
+	// it.
+	queueDepth = 64
+
+	// sloHot and sloCold are the per-class latency targets completions
+	// are scored against.
+	sloHot  = sim.Millisecond
+	sloCold = 5 * sim.Millisecond
 )
 
 // Config tunes one cluster run. The zero value of every field means "use
@@ -77,53 +122,12 @@ type Config struct {
 	// Seed drives every random stream in the run.
 	Seed uint64
 
-	// KV service shape, shared by every node (the memcached case-study
-	// mix: a hot prefix takes most traffic, cold keys fault through the
-	// remote-memory swap path).
-	Keys          int      // keyspace size (default 4096: the arena exceeds local memory)
-	ValuePages    int      // pages per value (default 1)
-	HotKeys       int      // popular prefix size (default 400)
-	HotTrafficPct int      // percent of requests on the hot prefix (default 90)
-	SetPct        int      // percent of requests that write (default 10)
-	Think         sim.Time // per-request CPU cost on the node (default 10µs)
-	// WorkersPerNode is the number of server threads per node (default 4).
-	WorkersPerNode int
-	// MemFramesPerNode shrinks each NUMA node's memory so the arena
-	// cannot fit locally and cold keys page remotely (default 900).
-	MemFramesPerNode int64
-
 	// ArrivalRate is the offered load in requests/second, Poisson
-	// arrivals (default 150000).
+	// arrivals (default 150000, at most one per nanosecond).
 	ArrivalRate int64
-	// RateLimit is the admission token-bucket refill rate in tokens/second;
-	// 0 leaves admission unlimited. Burst is the bucket depth (default 64
-	// when RateLimit is set).
-	RateLimit int64
-	Burst     int64
-
-	// RequestTimeout is the per-attempt timeout (default 2ms);
-	// RequestDeadline the end-to-end budget per request (default 20ms).
-	RequestTimeout  sim.Time
-	RequestDeadline sim.Time
-	// RetryBudget is the total attempt budget per request, first try
-	// included (default 3; set 1 to disable retries).
-	RetryBudget int
-	// BackoffBase doubles per retry up to BackoffCap, plus deterministic
-	// jitter in [0, backoff/4] (defaults 200µs / 5ms).
-	BackoffBase sim.Time
-	BackoffCap  sim.Time
 	// HedgeDelay, when > 0, dispatches one hedged duplicate to a second
 	// node if the first attempt has not replied after this long (0: off).
 	HedgeDelay sim.Time
-	// QueueDepth bounds each node's pending-request queue; overflow is
-	// shed back to the front-end (default 64). Profile.QueueDepth
-	// overrides it when set.
-	QueueDepth int
-
-	// SLOHot / SLOCold are the per-class latency targets the accounting
-	// scores completions against (defaults 1ms / 5ms).
-	SLOHot  sim.Time
-	SLOCold sim.Time
 
 	// Duration is the measured traffic window after warm-up (default 100ms).
 	Duration sim.Time
@@ -132,36 +136,19 @@ type Config struct {
 // DefaultConfig returns the default cluster shape.
 func DefaultConfig() Config {
 	return Config{
-		Nodes:            3,
-		Machine:          "2x4",
-		Policy:           "latr",
-		Router:           "round-robin",
-		Keys:             4096,
-		ValuePages:       1,
-		HotKeys:          400,
-		HotTrafficPct:    90,
-		SetPct:           10,
-		Think:            10 * sim.Microsecond,
-		WorkersPerNode:   4,
-		MemFramesPerNode: 900,
-		ArrivalRate:      150000,
-		Burst:            64,
-		RequestTimeout:   2 * sim.Millisecond,
-		RequestDeadline:  20 * sim.Millisecond,
-		RetryBudget:      3,
-		BackoffBase:      200 * sim.Microsecond,
-		BackoffCap:       5 * sim.Millisecond,
-		QueueDepth:       64,
-		SLOHot:           sim.Millisecond,
-		SLOCold:          5 * sim.Millisecond,
-		Duration:         100 * sim.Millisecond,
+		Nodes:       3,
+		Machine:     "2x4",
+		Policy:      "latr",
+		Router:      "round-robin",
+		ArrivalRate: 150000,
+		Duration:    100 * sim.Millisecond,
 	}
 }
 
 // Validate rejects configurations that could never have been intended,
 // mirroring swap.Config.Validate: zero fields mean "default" and are
-// legal; negative fields, inverted pairs and a machine with too few cores
-// for WorkersPerNode are errors.
+// legal; negative fields, an arrival rate the clock cannot space out and
+// a machine with too few cores for workersPerNode are errors.
 func (c Config) Validate() error {
 	if c.Nodes < 0 {
 		return fmt.Errorf("cluster: Nodes %d is negative", c.Nodes)
@@ -179,93 +166,29 @@ func (c Config) Validate() error {
 			return fmt.Errorf("cluster: unknown router %q (have %v)", c.Router, RouterNames())
 		}
 	}
-	if c.Keys < 0 {
-		return fmt.Errorf("cluster: Keys %d is negative", c.Keys)
-	}
-	if c.ValuePages < 0 {
-		return fmt.Errorf("cluster: ValuePages %d is negative", c.ValuePages)
-	}
-	if c.HotKeys < 0 {
-		return fmt.Errorf("cluster: HotKeys %d is negative", c.HotKeys)
-	}
-	if c.Keys > 0 && c.HotKeys > c.Keys {
-		return fmt.Errorf("cluster: HotKeys %d exceeds Keys %d", c.HotKeys, c.Keys)
-	}
-	if c.HotTrafficPct < 0 || c.HotTrafficPct > 100 {
-		return fmt.Errorf("cluster: HotTrafficPct %d outside [0,100]", c.HotTrafficPct)
-	}
-	if c.SetPct < 0 || c.SetPct > 100 {
-		return fmt.Errorf("cluster: SetPct %d outside [0,100]", c.SetPct)
-	}
-	if c.Think < 0 {
-		return fmt.Errorf("cluster: Think %v is negative", c.Think)
-	}
-	if c.WorkersPerNode < 0 {
-		return fmt.Errorf("cluster: WorkersPerNode %d is negative", c.WorkersPerNode)
-	}
-	if c.MemFramesPerNode < 0 {
-		return fmt.Errorf("cluster: MemFramesPerNode %d is negative", c.MemFramesPerNode)
-	}
 	if c.ArrivalRate < 0 {
 		return fmt.Errorf("cluster: ArrivalRate %d is negative", c.ArrivalRate)
 	}
-	if c.RateLimit < 0 {
-		return fmt.Errorf("cluster: RateLimit %d is negative", c.RateLimit)
-	}
-	if c.Burst < 0 {
-		return fmt.Errorf("cluster: Burst %d is negative", c.Burst)
-	}
-	if c.RequestTimeout < 0 {
-		return fmt.Errorf("cluster: RequestTimeout %v is negative", c.RequestTimeout)
-	}
-	if c.RequestDeadline < 0 {
-		return fmt.Errorf("cluster: RequestDeadline %v is negative", c.RequestDeadline)
-	}
-	if c.RequestTimeout > 0 && c.RequestDeadline > 0 && c.RequestDeadline < c.RequestTimeout {
-		return fmt.Errorf("cluster: RequestDeadline %v shorter than RequestTimeout %v",
-			c.RequestDeadline, c.RequestTimeout)
-	}
-	if c.RetryBudget < 0 {
-		return fmt.Errorf("cluster: RetryBudget %d is negative", c.RetryBudget)
-	}
-	if c.RetryBudget > 16 {
-		return fmt.Errorf("cluster: RetryBudget %d exceeds the maximum 16", c.RetryBudget)
-	}
-	if c.BackoffBase < 0 {
-		return fmt.Errorf("cluster: BackoffBase %v is negative", c.BackoffBase)
-	}
-	if c.BackoffCap < 0 {
-		return fmt.Errorf("cluster: BackoffCap %v is negative", c.BackoffCap)
-	}
-	if c.BackoffBase > 0 && c.BackoffCap > 0 && c.BackoffCap < c.BackoffBase {
-		return fmt.Errorf("cluster: BackoffCap %v shorter than BackoffBase %v",
-			c.BackoffCap, c.BackoffBase)
+	if c.ArrivalRate > maxArrivalRate {
+		return fmt.Errorf("cluster: ArrivalRate %d exceeds the maximum %d (one arrival per nanosecond)",
+			c.ArrivalRate, maxArrivalRate)
 	}
 	if c.HedgeDelay < 0 {
 		return fmt.Errorf("cluster: HedgeDelay %v is negative", c.HedgeDelay)
 	}
-	if c.QueueDepth < 0 {
-		return fmt.Errorf("cluster: QueueDepth %d is negative", c.QueueDepth)
-	}
-	if c.SLOHot < 0 {
-		return fmt.Errorf("cluster: SLOHot %v is negative", c.SLOHot)
-	}
-	if c.SLOCold < 0 {
-		return fmt.Errorf("cluster: SLOCold %v is negative", c.SLOCold)
-	}
 	if c.Duration < 0 {
 		return fmt.Errorf("cluster: Duration %v is negative", c.Duration)
 	}
-	// The machine is checked after defaults, together with the worker
-	// count, so a small machine fails against the default WorkersPerNode.
-	d := c.withDefaults()
-	spec, err := topo.ByName(d.Machine)
+	// The machine is checked after defaults, so a small machine fails
+	// whether it was named or defaulted.
+	machine := c.withDefaults().Machine
+	spec, err := topo.ByName(machine)
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
-	if _, err := spec.SpreadCores(d.WorkersPerNode); err != nil {
-		return fmt.Errorf("cluster: machine %q is too small for WorkersPerNode %d (core 0 is the swapper's): %w",
-			d.Machine, d.WorkersPerNode, err)
+	if _, err := spec.SpreadCores(workersPerNode); err != nil {
+		return fmt.Errorf("cluster: machine %q is too small for %d workers per node (core 0 is the swapper's): %w",
+			machine, workersPerNode, err)
 	}
 	return nil
 }
@@ -284,62 +207,8 @@ func (c Config) withDefaults() Config {
 	if c.Router == "" {
 		c.Router = d.Router
 	}
-	if c.Keys == 0 {
-		c.Keys = d.Keys
-	}
-	if c.ValuePages == 0 {
-		c.ValuePages = d.ValuePages
-	}
-	if c.HotKeys == 0 {
-		c.HotKeys = d.HotKeys
-	}
-	if c.HotKeys > c.Keys {
-		c.HotKeys = c.Keys
-	}
-	if c.HotTrafficPct == 0 {
-		c.HotTrafficPct = d.HotTrafficPct
-	}
-	if c.SetPct == 0 {
-		c.SetPct = d.SetPct
-	}
-	if c.Think == 0 {
-		c.Think = d.Think
-	}
-	if c.WorkersPerNode == 0 {
-		c.WorkersPerNode = d.WorkersPerNode
-	}
-	if c.MemFramesPerNode == 0 {
-		c.MemFramesPerNode = d.MemFramesPerNode
-	}
 	if c.ArrivalRate == 0 {
 		c.ArrivalRate = d.ArrivalRate
-	}
-	if c.Burst == 0 {
-		c.Burst = d.Burst
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = d.RequestTimeout
-	}
-	if c.RequestDeadline == 0 {
-		c.RequestDeadline = d.RequestDeadline
-	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = d.RetryBudget
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = d.BackoffBase
-	}
-	if c.BackoffCap == 0 {
-		c.BackoffCap = d.BackoffCap
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = d.QueueDepth
-	}
-	if c.SLOHot == 0 {
-		c.SLOHot = d.SLOHot
-	}
-	if c.SLOCold == 0 {
-		c.SLOCold = d.SLOCold
 	}
 	if c.Duration == 0 {
 		c.Duration = d.Duration
@@ -357,7 +226,6 @@ type Cluster struct {
 	spans  *obs.Collector
 	rng    *sim.Rand // arrivals, key mix, backoff jitter
 	router router
-	bucket *tokenBucket
 	nodes  []*node
 	// peers is the front-end's mirror of each node — health flags derived
 	// from the scheduled fault windows plus the front's own attempt
@@ -389,8 +257,7 @@ func New(cfg Config) *Cluster {
 	c.m = newFrontMetrics(c.met)
 	c.wire.eng = c.eng
 	c.spans = obs.NewCollector("cluster", c.met, 0, 0)
-	c.bucket = newTokenBucket(cfg.RateLimit, cfg.Burst)
-	c.queueDepth = cfg.QueueDepth
+	c.queueDepth = queueDepth
 	if cfg.Profile.QueueDepth > 0 {
 		c.queueDepth = cfg.Profile.QueueDepth
 	}
@@ -403,22 +270,19 @@ func New(cfg Config) *Cluster {
 }
 
 // Result is the outcome of one cluster run. The request-count identity
-// Offered = Admitted + Rejected and Admitted = Completed + Failed holds
-// exactly: every admitted request finishes exactly once, however many
-// attempts it took.
+// Offered = Completed + Failed holds exactly: every request finishes
+// exactly once, however many attempts it took.
 type Result struct {
 	Policy, Router, Profile string
 
 	Offered   uint64 // requests that arrived at the front-end
-	Admitted  uint64 // passed admission control
-	Rejected  uint64 // shed by the token bucket
 	Completed uint64 // finished successfully (counted once each)
 	Failed    uint64 // gave up: deadline, retries exhausted, unroutable
 
 	Attempts uint64 // node dispatches, hedges and retries included
 	Retries  uint64 // re-dispatches after a failed/timed-out attempt
 	Hedges   uint64 // hedged duplicate dispatches
-	Timeouts uint64 // attempts that hit RequestTimeout
+	Timeouts uint64 // attempts that hit requestTimeout
 	Shed     uint64 // attempts dropped by a full node queue
 	Refused  uint64 // attempts fast-failed by a crashed node
 	Orphans  uint64 // node completions whose epoch or request had expired
@@ -431,7 +295,7 @@ type Result struct {
 }
 
 // Run executes the cluster once: warm every node's arena, open traffic
-// for cfg.Duration, then drain until every admitted request has resolved.
+// for cfg.Duration, then drain until every request has resolved.
 func (c *Cluster) Run() Result {
 	if c.ran {
 		panic("cluster: Run called twice")
@@ -456,9 +320,9 @@ func (c *Cluster) Run() Result {
 	c.wire.runUntil(c.trafficEnd)
 
 	// Drain: the engine never empties (scheduler ticks), so run in chunks
-	// until the last admitted request resolves. The request deadline
-	// bounds this at one RequestDeadline past the traffic window.
-	drainLimit := c.trafficEnd + c.cfg.RequestDeadline + 10*sim.Millisecond
+	// until the last request resolves. The request deadline bounds this
+	// at one requestDeadline past the traffic window.
+	drainLimit := c.trafficEnd + requestDeadline + 10*sim.Millisecond
 	for c.outstanding > 0 && c.eng.Now() < drainLimit {
 		c.wire.runUntil(c.eng.Now() + sim.Millisecond)
 	}
@@ -498,8 +362,6 @@ func (c *Cluster) result() Result {
 		Router:        c.cfg.Router,
 		Profile:       c.cfg.Profile.String(),
 		Offered:       c.met.Counter("cluster.offered"),
-		Admitted:      c.met.Counter("cluster.admitted"),
-		Rejected:      c.met.Counter("cluster.rejected"),
 		Completed:     c.met.Counter("cluster.completed"),
 		Failed:        c.met.Counter("cluster.failed"),
 		Attempts:      c.met.Counter("cluster.attempts"),

@@ -24,18 +24,14 @@ func profile(t *testing.T, name string) chaos.ClusterProfile {
 }
 
 // checkIdentities asserts the request-count identities that make the
-// accounting trustworthy: every offered request is either rejected or
-// admitted, every admitted request resolves exactly once, the latency
-// histogram holds exactly the completed requests (a retried or hedged
-// request appears once, not once per attempt), and the per-class SLO
-// counters partition the offered stream.
+// accounting trustworthy: every offered request resolves exactly once,
+// the latency histogram holds exactly the completed requests (a retried
+// or hedged request appears once, not once per attempt), and the
+// per-class SLO counters partition the offered stream.
 func checkIdentities(t *testing.T, cl *Cluster, r Result) {
 	t.Helper()
-	if r.Offered != r.Admitted+r.Rejected {
-		t.Errorf("offered %d != admitted %d + rejected %d", r.Offered, r.Admitted, r.Rejected)
-	}
-	if r.Admitted != r.Completed+r.Failed {
-		t.Errorf("admitted %d != completed %d + failed %d", r.Admitted, r.Completed, r.Failed)
+	if r.Offered != r.Completed+r.Failed {
+		t.Errorf("offered %d != completed %d + failed %d", r.Offered, r.Completed, r.Failed)
 	}
 	if got := r.Latency.Count(); got != r.Completed {
 		t.Errorf("latency histogram holds %d samples, want completed %d", got, r.Completed)
@@ -57,11 +53,11 @@ func TestFaultFreeRunCompletesEverything(t *testing.T) {
 	if r.Completed == 0 {
 		t.Fatal("no requests completed")
 	}
-	if r.Failed != 0 || r.Rejected != 0 {
-		t.Fatalf("fault-free underloaded run failed %d / rejected %d requests", r.Failed, r.Rejected)
+	if r.Failed != 0 {
+		t.Fatalf("fault-free underloaded run failed %d requests", r.Failed)
 	}
-	if r.Attempts != r.Admitted {
-		t.Fatalf("fault-free run took %d attempts for %d requests", r.Attempts, r.Admitted)
+	if r.Attempts != r.Offered {
+		t.Fatalf("fault-free run took %d attempts for %d requests", r.Attempts, r.Offered)
 	}
 	if r.Violations != 0 {
 		t.Fatalf("%d coherence violations in a clean run", r.Violations)
@@ -92,8 +88,8 @@ func TestRetriesNeverDoubleCount(t *testing.T) {
 	if r.Refused == 0 {
 		t.Fatal("crash storm produced no refused attempts")
 	}
-	if r.Attempts <= r.Admitted {
-		t.Fatalf("attempts %d should exceed admitted %d under retries", r.Attempts, r.Admitted)
+	if r.Attempts <= r.Offered {
+		t.Fatalf("attempts %d should exceed offered %d under retries", r.Attempts, r.Offered)
 	}
 	if r.Completed == 0 {
 		t.Fatal("nothing completed under the crash storm")
@@ -125,36 +121,12 @@ func TestNodeCrashProfile(t *testing.T) {
 	checkIdentities(t, cl, r)
 }
 
-// TestAdmissionControlRejects: a token bucket refilling far below the
-// offered load sheds most requests at the front door, and rejected
-// requests still balance the books.
-func TestAdmissionControlRejects(t *testing.T) {
-	cfg := testConfig()
-	cfg.RateLimit = 20000
-	cfg.Burst = 16
-	cl := New(cfg)
-	r := cl.Run()
-	if r.Rejected == 0 {
-		t.Fatal("rate limit at 20k/s rejected nothing against 150k/s offered")
-	}
-	if r.Admitted == 0 {
-		t.Fatal("rate limit admitted nothing")
-	}
-	// Admitted load must track the refill rate, not the offered rate.
-	admittedPerSec := float64(r.Admitted) / cfg.Duration.Seconds()
-	if admittedPerSec > 1.5*float64(cfg.RateLimit) {
-		t.Fatalf("admitted %.0f/s against a %d/s bucket", admittedPerSec, cfg.RateLimit)
-	}
-	checkIdentities(t, cl, r)
-}
-
-// TestQueueOverflowSheds: one worker per node against an overload means
-// node queues hit the profile's tiny depth and shed; shed attempts feed
-// retries and the identities still hold.
+// TestQueueOverflowSheds: an overload against four workers per node
+// means node queues hit the profile's tiny depth and shed; shed attempts
+// feed retries and the identities still hold.
 func TestQueueOverflowSheds(t *testing.T) {
 	cfg := testConfig()
-	cfg.WorkersPerNode = 1
-	cfg.ArrivalRate = 400000
+	cfg.ArrivalRate = 700000
 	cfg.Duration = 10 * sim.Millisecond
 	cfg.Profile = profile(t, "queue-overflow")
 	cl := New(cfg)

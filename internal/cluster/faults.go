@@ -94,10 +94,9 @@ func (c *Cluster) drawSchedule(start, horizon sim.Time) [][3][]window {
 // startFaults draws and applies the fault schedule. It runs between wire
 // windows, when no message is held, just before traffic opens. The
 // horizon covers the drain window: a node may crash while the last
-// admitted requests are still settling, exactly as the lazy chains
-// allowed.
+// requests are still settling, exactly as the lazy chains allowed.
 func (c *Cluster) startFaults(start sim.Time) {
-	horizon := c.trafficEnd + c.cfg.RequestDeadline + 10*sim.Millisecond
+	horizon := c.trafficEnd + requestDeadline + 10*sim.Millisecond
 	sched := c.drawSchedule(start, horizon)
 	for i, n := range c.nodes {
 		pv := c.peers[i]

@@ -15,53 +15,6 @@ func newFleet(t *testing.T, routerName string) *Cluster {
 	return New(cfg)
 }
 
-func TestTokenBucketExactRefill(t *testing.T) {
-	b := newTokenBucket(1000, 10) // 1000/s, depth 10, starts full
-	for i := 0; i < 10; i++ {
-		if !b.allow(0) {
-			t.Fatalf("full bucket denied token %d", i)
-		}
-	}
-	if b.allow(0) {
-		t.Fatal("empty bucket granted an 11th token at the same instant")
-	}
-	// 1000 tokens/s refills exactly one token per millisecond.
-	if !b.allow(sim.Millisecond) {
-		t.Fatal("one refilled token denied after 1ms")
-	}
-	if b.allow(sim.Millisecond) {
-		t.Fatal("second token granted from a single-token refill")
-	}
-	// Half a millisecond buys half a token: not enough.
-	if b.allow(sim.Millisecond + 500*sim.Microsecond) {
-		t.Fatal("half a token admitted a request")
-	}
-	// The other half arrives; the accumulated fraction must not be lost.
-	if !b.allow(2 * sim.Millisecond) {
-		t.Fatal("integer refill lost the fractional remainder")
-	}
-	// Idle time caps at the burst, never beyond.
-	bb := newTokenBucket(1000, 4)
-	for i := 0; i < 4; i++ {
-		bb.allow(0)
-	}
-	for i := 0; i < 4; i++ {
-		if !bb.allow(sim.Second) {
-			t.Fatalf("burst refill missing token %d", i)
-		}
-	}
-	if bb.allow(sim.Second) {
-		t.Fatal("bucket exceeded its burst after a long idle gap")
-	}
-	// Zero rate disables limiting entirely.
-	unlimited := newTokenBucket(0, 1)
-	for i := 0; i < 100; i++ {
-		if !unlimited.allow(0) {
-			t.Fatal("unlimited bucket denied a request")
-		}
-	}
-}
-
 func TestRoundRobinCyclesAndSkipsDown(t *testing.T) {
 	c := newFleet(t, "round-robin")
 	got := []int{}

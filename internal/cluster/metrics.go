@@ -4,7 +4,7 @@ import "latr/internal/metrics"
 
 // frontMetrics holds the front-end's metric handles, named in New.
 type frontMetrics struct {
-	offered, admitted, rejected, completed, recovered, failed       metrics.Counter
+	offered, admitted, completed, recovered, failed                 metrics.Counter
 	attempts, unroutable, hedges, hedgeWasted, lateReplies, retries metrics.Counter
 	suspected, probes, faultsCrash, faultsSlow, faultsPartition     metrics.Counter
 
@@ -31,7 +31,6 @@ func newFrontMetrics(r *metrics.Registry) frontMetrics {
 	m := frontMetrics{
 		offered:         r.NewCounter("cluster.offered"),
 		admitted:        r.NewCounter("cluster.admitted"),
-		rejected:        r.NewCounter("cluster.rejected"),
 		completed:       r.NewCounter("cluster.completed"),
 		recovered:       r.NewCounter("cluster.recovered"),
 		failed:          r.NewCounter("cluster.failed"),

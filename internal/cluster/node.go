@@ -64,7 +64,7 @@ func newNode(c *Cluster, id int) *node {
 	if err != nil {
 		panic(err)
 	}
-	spec.MemPerNodeBytes = cfg.MemFramesPerNode * 4096
+	spec.MemPerNodeBytes = memFramesPerNode * 4096
 	pol, err := shootdown.ByName(cfg.Policy)
 	if err != nil {
 		panic(err)
@@ -80,8 +80,8 @@ func newNode(c *Cluster, id int) *node {
 	// keeps pressure on while the hot set stays resident.
 	n.backend = remote.New(remote.Config{})
 	n.swapper = swap.NewWithBackend(swap.Config{
-		LowWatermarkFrames:  cfg.MemFramesPerNode / 5,
-		HighWatermarkFrames: cfg.MemFramesPerNode / 3,
+		LowWatermarkFrames:  memFramesPerNode / 5,
+		HighWatermarkFrames: memFramesPerNode / 3,
 		ScanPeriod:          sim.Millisecond,
 		BatchPages:          256,
 	}, n.backend)
@@ -89,11 +89,11 @@ func newNode(c *Cluster, id int) *node {
 
 	gate := workload.NewGate(k)
 	n.proc = k.NewProcess()
-	cores, err := spec.SpreadCores(cfg.WorkersPerNode)
+	cores, err := spec.SpreadCores(workersPerNode)
 	if err != nil {
 		panic(err)
 	}
-	n.arena = workload.LoadArena(n.proc, cores[0], cfg.Keys*cfg.ValuePages, gate)
+	n.arena = workload.LoadArena(n.proc, cores[0], keys*valuePages, gate)
 	for _, core := range cores {
 		n.spawnWorker(core, gate)
 	}
@@ -106,7 +106,6 @@ func newNode(c *Cluster, id int) *node {
 // swap/remote path — think again, reply. Service time stretches by the
 // slow-node factor while a slow window is open.
 func (n *node) spawnWorker(core topo.CoreID, gate *workload.Gate) {
-	cl := n.cl
 	const (
 		stepGate = iota
 		stepDequeue
@@ -137,13 +136,13 @@ func (n *node) spawnWorker(core topo.CoreID, gate *workload.Gate) {
 			})
 		case stepThink1:
 			step = stepTouch
-			return kernel.Compute(n.scale(cl.cfg.Think / 2))
+			return kernel.Compute(n.scale(think / 2))
 		case stepTouch:
 			step = stepThink2
-			return kernel.TouchRange(n.arena.Base+pt.VPN(cur.req.key*cl.cfg.ValuePages), cl.cfg.ValuePages, cur.req.write)
+			return kernel.TouchRange(n.arena.Base+pt.VPN(cur.req.key*valuePages), valuePages, cur.req.write)
 		case stepThink2:
 			step = stepReply
-			return kernel.Compute(n.scale(cl.cfg.Think - cl.cfg.Think/2))
+			return kernel.Compute(n.scale(think - think/2))
 		case stepReply:
 			step = stepDequeue
 			at := cur

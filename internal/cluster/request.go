@@ -8,11 +8,11 @@ import (
 )
 
 // request is one client operation flowing through the front-end
-// robustness pipeline: admission, dispatch, timeout, bounded retries
-// with backoff, optional hedging, and a request deadline that caps the
-// whole dance. A request completes at most once — `done` flips exactly
-// once per admitted request, on the first reply or the first terminal
-// failure, so throughput counters never double-count a retried request.
+// robustness pipeline: dispatch, timeout, bounded retries with backoff,
+// optional hedging, and a request deadline that caps the whole dance. A
+// request completes at most once — `done` flips exactly once per
+// request, on the first reply or the first terminal failure, so
+// throughput counters never double-count a retried request.
 type request struct {
 	id       uint64
 	key      int
@@ -45,33 +45,27 @@ type attempt struct {
 }
 
 // arrive is the client tick: draw the key (hot set vs cold tail) and
-// operation, open the request span, and push the request through
-// admission control.
+// operation, open the request span, and dispatch the first attempt.
 func (c *Cluster) arrive(now sim.Time) {
-	cfg := c.cfg
 	c.m.offered.Inc()
 	c.nextReqID++
 	req := &request{id: c.nextReqID, arrival: now, lastNode: -1}
-	req.hot = c.rng.Intn(100) < cfg.HotTrafficPct || cfg.HotKeys >= cfg.Keys
+	req.hot = c.rng.Intn(100) < hotTrafficPct
 	if req.hot {
-		req.key = c.rng.Intn(cfg.HotKeys)
+		req.key = c.rng.Intn(hotKeys)
 	} else {
-		req.key = cfg.HotKeys + c.rng.Intn(cfg.Keys-cfg.HotKeys)
+		req.key = hotKeys + c.rng.Intn(keys-hotKeys)
 	}
-	req.write = c.rng.Intn(100) < cfg.SetPct
-	req.span = c.spans.Begin(obs.KindRequest, frontLane, pt.VPN(req.key), cfg.ValuePages, now)
+	req.write = c.rng.Intn(100) < setPct
+	req.span = c.spans.Begin(obs.KindRequest, frontLane, pt.VPN(req.key), valuePages, now)
 	req.span.Mark(obs.PhaseInitiate, frontLane, now, 0)
-	if !c.bucket.allow(now) {
-		req.done = true
-		c.m.rejected.Inc()
-		c.m.classOf(req).sloMiss.Inc()
-		req.span.Release(now)
-		return
-	}
+	// cluster.admitted always equals cluster.offered, but it is a line of
+	// the front-end dump that Digest hashes: dropping it would move every
+	// pinned cluster digest.
 	c.m.admitted.Inc()
 	c.outstanding++
-	req.deadline = now + cfg.RequestDeadline
-	req.dlTimer = c.eng.After(cfg.RequestDeadline, func(now sim.Time) {
+	req.deadline = now + requestDeadline
+	req.dlTimer = c.eng.After(requestDeadline, func(now sim.Time) {
 		if !req.done {
 			c.failRequest(req, &c.m.failedDeadline, now)
 		}
@@ -106,7 +100,7 @@ func (c *Cluster) dispatch(req *request, exclude int, hedge bool, now sim.Time) 
 		req.span.Mark(obs.PhaseSend, nodeLane(nodeID), now, 0)
 	}
 	n := c.nodes[nodeID]
-	at.timer = c.eng.After(c.cfg.RequestTimeout, func(now sim.Time) { c.attemptTimeout(at, now) })
+	at.timer = c.eng.After(requestTimeout, func(now sim.Time) { c.attemptTimeout(at, now) })
 	// The attempt crosses the wire to the node and meets the node's
 	// condition there; fast failures cross back the same way.
 	c.wire.send(0, func(now sim.Time) {
@@ -185,7 +179,7 @@ func (c *Cluster) attemptFailed(at *attempt, reason *metrics.Counter, now sim.Ti
 	c.retryOrFail(req, at.node, now)
 }
 
-// attemptTimeout fires when an attempt got no answer for RequestTimeout
+// attemptTimeout fires when an attempt got no answer for requestTimeout
 // — the silent-failure path (partition drops, overload). Consecutive
 // timeouts at one node accumulate into suspicion, which is how the
 // front-end ever learns about a partition.
@@ -220,13 +214,13 @@ func (c *Cluster) retryOrFail(req *request, exclude int, now sim.Time) {
 	if req.inflight > 0 {
 		return
 	}
-	if req.attempts >= c.cfg.RetryBudget {
+	if req.attempts >= retryBudget {
 		c.failRequest(req, &c.m.failedExhausted, now)
 		return
 	}
-	backoff := c.cfg.BackoffBase << uint(req.attempts-1)
-	if backoff > c.cfg.BackoffCap || backoff <= 0 {
-		backoff = c.cfg.BackoffCap
+	backoff := backoffBase << uint(req.attempts-1)
+	if backoff > backoffCap || backoff <= 0 {
+		backoff = backoffCap
 	}
 	delay := backoff + c.rng.Duration(0, backoff/4)
 	if now+delay+2*netDelay >= req.deadline {
@@ -258,9 +252,9 @@ func (c *Cluster) completeRequest(req *request, now sim.Time) {
 	c.m.reqLatency.Observe(lat)
 	cls := c.m.classOf(req)
 	cls.latency.Observe(lat)
-	slo := c.cfg.SLOCold
+	slo := sloCold
 	if req.hot {
-		slo = c.cfg.SLOHot
+		slo = sloHot
 	}
 	if lat <= slo {
 		cls.sloMet.Inc()

@@ -47,10 +47,9 @@ func runClusterCell(c clusterCell, dur sim.Time, o Options) cluster.Result {
 	cfg.HedgeDelay = sim.Millisecond
 	// Run the fleet near capacity so losing a machine actually hurts: at the
 	// default offered load the survivors absorb a crash for free and every
-	// degradation curve is flat. No admission cap — overload resolves through
-	// queueing, shedding and retries, which is the pipeline under test.
+	// degradation curve is flat. Overload resolves through queueing,
+	// shedding and retries, which is the pipeline under test.
 	cfg.ArrivalRate = 700_000
-	cfg.RateLimit = 0
 	return cluster.New(cfg).Run()
 }
 

@@ -28,24 +28,25 @@ type Config struct {
 	ScanPeriod sim.Time
 	// PagesPerScan bounds pages sampled per process per pass.
 	PagesPerScan int
-	// MigrateThreshold is the number of faults from the same remote node
-	// that trigger a migration ("accessed twice" in §2.1).
-	MigrateThreshold int
-	// RunPages caps the contiguous range handed to one NUMAUnmap call
-	// (change_prot_numa works in bounded chunks; this is what makes the
-	// per-migration shootdown share 5.8-21.1%% under Linux — §2.1).
-	RunPages int
-	// ScanCore hosts the background scan task.
-	ScanCore topo.CoreID
 }
+
+const (
+	// migrateThreshold is the number of faults from the same remote node
+	// that trigger a migration ("accessed twice" in §2.1).
+	migrateThreshold = 2
+	// runPages caps the contiguous range handed to one NUMAUnmap call
+	// (change_prot_numa works in bounded chunks; this is what makes the
+	// per-migration shootdown share 5.8-21.1% under Linux — §2.1).
+	runPages = 16
+	// scanCore hosts the background scan task.
+	scanCore topo.CoreID = 0
+)
 
 // DefaultConfig returns the simulation defaults.
 func DefaultConfig() Config {
 	return Config{
-		ScanPeriod:       10 * sim.Millisecond,
-		PagesPerScan:     128,
-		MigrateThreshold: 2,
-		RunPages:         16,
+		ScanPeriod:   10 * sim.Millisecond,
+		PagesPerScan: 128,
 	}
 }
 
@@ -56,12 +57,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PagesPerScan == 0 {
 		c.PagesPerScan = d.PagesPerScan
-	}
-	if c.MigrateThreshold == 0 {
-		c.MigrateThreshold = d.MigrateThreshold
-	}
-	if c.RunPages == 0 {
-		c.RunPages = d.RunPages
 	}
 	return c
 }
@@ -78,7 +73,7 @@ type AutoNUMA struct {
 
 	procs  []*kernel.Process
 	cursor map[*kernel.MM]pt.VPN
-	stats  map[*kernel.MM]map[pt.VPN]*pageStat
+	stats  map[*kernel.MM]map[pt.VPN]pageStat
 
 	met struct {
 		scanPasses, pagesSampled, hintFaults, localRepair metrics.Counter
@@ -91,12 +86,12 @@ func New(cfg Config) *AutoNUMA {
 	return &AutoNUMA{
 		cfg:    cfg.withDefaults(),
 		cursor: make(map[*kernel.MM]pt.VPN),
-		stats:  make(map[*kernel.MM]map[pt.VPN]*pageStat),
+		stats:  make(map[*kernel.MM]map[pt.VPN]pageStat),
 	}
 }
 
-// Install registers the fault handler and starts the scan task on the
-// configured core, hosted by a dedicated kernel process.
+// Install registers the fault handler and starts the scan task on
+// scanCore, hosted by a dedicated kernel process.
 func (a *AutoNUMA) Install(k *kernel.Kernel) {
 	a.k = k
 	r := k.Metrics
@@ -110,7 +105,7 @@ func (a *AutoNUMA) Install(k *kernel.Kernel) {
 	k.SetNUMAHandler(a)
 	host := k.NewProcess()
 	sleep := true
-	host.SpawnKernel(a.cfg.ScanCore, kernel.Loop(func(*kernel.Thread) kernel.Op {
+	host.SpawnKernel(scanCore, kernel.Loop(func(*kernel.Thread) kernel.Op {
 		if sleep {
 			sleep = false
 			return kernel.Sleep(a.cfg.ScanPeriod)
@@ -167,10 +162,10 @@ func (a *AutoNUMA) scan(c *kernel.Core, th *kernel.Thread, done func()) {
 			continue
 		}
 		a.cursor[mm] = cand[len(cand)-1] + 1
-		// Coalesce candidates into contiguous runs, bounded by RunPages.
+		// Coalesce candidates into contiguous runs, bounded by runPages.
 		start, n := cand[0], 1
 		for _, vpn := range cand[1:] {
-			if vpn == start+pt.VPN(n) && n < a.cfg.RunPages {
+			if vpn == start+pt.VPN(n) && n < runPages {
 				n++
 				continue
 			}
@@ -233,14 +228,12 @@ func (a *AutoNUMA) OnHintFault(c *kernel.Core, th *kernel.Thread, vpn pt.VPN, co
 
 	perMM := a.stats[mm]
 	if perMM == nil {
-		perMM = make(map[pt.VPN]*pageStat)
+		perMM = make(map[pt.VPN]pageStat)
 		a.stats[mm] = perMM
 	}
+	// A page seen for the first time reads as the zero pageStat, which
+	// the remote path below turns into one fault from myNode.
 	st := perMM[vpn]
-	if st == nil {
-		st = &pageStat{lastNode: myNode}
-		perMM[vpn] = st
-	}
 	if myNode == pageNode {
 		// Local access: repair the hint, no migration (the shootdown cost
 		// was wasted — Linux's Fig 3a overhead; LATR avoided it).
@@ -255,7 +248,8 @@ func (a *AutoNUMA) OnHintFault(c *kernel.Core, th *kernel.Thread, vpn pt.VPN, co
 	} else {
 		st.count++
 	}
-	if st.count < a.cfg.MigrateThreshold {
+	if st.count < migrateThreshold {
+		perMM[vpn] = st
 		a.met.belowThreshold.Inc()
 		a.repair(c, th, mm, vpn, cont)
 		return
@@ -308,7 +302,11 @@ func (a *AutoNUMA) migrate(c *kernel.Core, th *kernel.Thread, mm *kernel.MM, vpn
 			c.TLB.Insert(c.PCIDOf(mm), vpn, newPFN, old.Writable)
 			mm.Sem.ReleaseRead()
 			a.met.migrations.Inc()
-			k.Spans.Note(k.Now(), c.ID, "numa", "migrated %#x node%d", uint64(vpn.Addr()), myNode)
+			// Note boxes its arguments even into a collector that keeps no
+			// timeline, so skip the call when there is none.
+			if k.Opts.TraceLimit > 0 {
+				k.Spans.Note(k.Now(), c.ID, "numa", "migrated %#x node%d", uint64(vpn.Addr()), myNode)
+			}
 			cont()
 		})
 	})

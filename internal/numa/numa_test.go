@@ -200,7 +200,7 @@ func TestMigrationPreservesData(t *testing.T) {
 
 func TestConfigDefaultsApplied(t *testing.T) {
 	a := New(Config{})
-	if a.cfg.ScanPeriod != 10*sim.Millisecond || a.cfg.PagesPerScan != 128 || a.cfg.MigrateThreshold != 2 {
+	if a.cfg.ScanPeriod != 10*sim.Millisecond || a.cfg.PagesPerScan != 128 {
 		t.Fatalf("defaults = %+v", a.cfg)
 	}
 }

@@ -23,7 +23,7 @@ import (
 
 // backendFactories enumerates the conformance subjects.
 var backendFactories = map[string]func() swap.Backend{
-	"nvme":   func() swap.Backend { return swap.NewLocalBackend(0, 0) },
+	"nvme":   func() swap.Backend { return swap.NewLocalBackend() },
 	"remote": func() swap.Backend { return remote.New(remote.Config{}) },
 }
 

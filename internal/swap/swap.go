@@ -65,25 +65,26 @@ type Config struct {
 	ScanPeriod sim.Time
 	// BatchPages caps pages swapped per pass.
 	BatchPages int
-	// WritePerPage / ReadPerPage are device costs (NVMe-class defaults),
-	// used by the default LocalBackend; custom backends model their own.
-	WritePerPage sim.Time
-	ReadPerPage  sim.Time
-	// Core hosts the swapper thread.
-	Core topo.CoreID
 }
 
-// DefaultConfig returns NVMe-class defaults.
+// DefaultConfig returns the default watermarks, period and batch.
 func DefaultConfig() Config {
 	return Config{
 		LowWatermarkFrames:  256,
 		HighWatermarkFrames: 512,
 		ScanPeriod:          2 * sim.Millisecond,
 		BatchPages:          128,
-		WritePerPage:        8 * sim.Microsecond,
-		ReadPerPage:         10 * sim.Microsecond,
 	}
 }
+
+const (
+	// writePerPage and readPerPage are the LocalBackend's NVMe-class
+	// device costs; other backends model their own.
+	writePerPage = 8 * sim.Microsecond
+	readPerPage  = 10 * sim.Microsecond
+	// swapperCore hosts the swapper thread.
+	swapperCore topo.CoreID = 0
+)
 
 // minScanPeriod is the clamp floor for ScanPeriod: scanning more often
 // than this would let the daemon monopolise its core, mirroring the
@@ -122,15 +123,6 @@ func (c Config) Validate() error {
 	if c.BatchPages < 0 {
 		return fmt.Errorf("swap: BatchPages %d is negative", c.BatchPages)
 	}
-	if c.WritePerPage < 0 {
-		return fmt.Errorf("swap: WritePerPage %v is negative", c.WritePerPage)
-	}
-	if c.ReadPerPage < 0 {
-		return fmt.Errorf("swap: ReadPerPage %v is negative", c.ReadPerPage)
-	}
-	if c.Core < 0 {
-		return fmt.Errorf("swap: Core %d is negative", c.Core)
-	}
 	return nil
 }
 
@@ -151,12 +143,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchPages == 0 {
 		c.BatchPages = d.BatchPages
 	}
-	if c.WritePerPage == 0 {
-		c.WritePerPage = d.WritePerPage
-	}
-	if c.ReadPerPage == 0 {
-		c.ReadPerPage = d.ReadPerPage
-	}
 	return c
 }
 
@@ -164,22 +150,11 @@ func (c Config) withDefaults() Config {
 // experiments used: a fixed per-page write/read latency charged as busy
 // time on the initiating core, no queueing, no capacity limit.
 type LocalBackend struct {
-	k           *kernel.Kernel
-	write, read sim.Time
+	k *kernel.Kernel
 }
 
-// NewLocalBackend builds the NVMe-class backend (zero costs take the
-// DefaultConfig device constants).
-func NewLocalBackend(write, read sim.Time) *LocalBackend {
-	d := DefaultConfig()
-	if write <= 0 {
-		write = d.WritePerPage
-	}
-	if read <= 0 {
-		read = d.ReadPerPage
-	}
-	return &LocalBackend{write: write, read: read}
-}
+// NewLocalBackend builds the NVMe-class backend.
+func NewLocalBackend() *LocalBackend { return &LocalBackend{} }
 
 // Name identifies the backend.
 func (b *LocalBackend) Name() string { return "nvme" }
@@ -190,14 +165,14 @@ func (b *LocalBackend) Attach(k *kernel.Kernel) { b.k = k }
 // Store charges the device write as busy time on the initiating core.
 func (b *LocalBackend) Store(c *kernel.Core, _ *kernel.MM, _ pt.VPN, done func()) {
 	if b.k != nil {
-		c.Span().Mark(obs.PhaseStore, c.ID, b.k.Now(), b.write)
+		c.Span().Mark(obs.PhaseStore, c.ID, b.k.Now(), writePerPage)
 	}
-	c.Busy(b.write, false, done)
+	c.Busy(writePerPage, false, done)
 }
 
 // Load charges the device read as busy time on the faulting core.
 func (b *LocalBackend) Load(c *kernel.Core, _ *kernel.MM, _ pt.VPN, done func()) {
-	c.Busy(b.read, false, done)
+	c.Busy(readPerPage, false, done)
 }
 
 // Drop implements Backend (nothing to reclaim on the local device).
@@ -235,7 +210,7 @@ func NewWithBackend(cfg Config, b Backend) *Swapper {
 	}
 	cfg = cfg.withDefaults()
 	if b == nil {
-		b = NewLocalBackend(cfg.WritePerPage, cfg.ReadPerPage)
+		b = NewLocalBackend()
 	}
 	return &Swapper{
 		cfg:     cfg,
@@ -263,7 +238,7 @@ func (s *Swapper) Install(k *kernel.Kernel) {
 	k.SetSwapHandler(s)
 	host := k.NewProcess()
 	sleep := true
-	host.SpawnKernel(s.cfg.Core, kernel.Loop(func(*kernel.Thread) kernel.Op {
+	host.SpawnKernel(swapperCore, kernel.Loop(func(*kernel.Thread) kernel.Op {
 		if sleep {
 			sleep = false
 			return kernel.Sleep(s.cfg.ScanPeriod)

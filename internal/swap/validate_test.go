@@ -21,9 +21,6 @@ func TestConfigValidate(t *testing.T) {
 		{"low-only", Config{LowWatermarkFrames: 600}, ""}, // high defaults later; not inverted per se
 		{"neg-period", Config{ScanPeriod: -sim.Millisecond}, "ScanPeriod"},
 		{"neg-batch", Config{BatchPages: -4}, "BatchPages"},
-		{"neg-write", Config{WritePerPage: -1}, "WritePerPage"},
-		{"neg-read", Config{ReadPerPage: -1}, "ReadPerPage"},
-		{"neg-core", Config{Core: -3}, "Core"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()

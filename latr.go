@@ -264,9 +264,9 @@ func ChaosRun(cfg ChaosRunConfig) ChaosResult { return chaos.Run(cfg) }
 
 // Fault-tolerant multi-machine cluster (DESIGN.md §12), re-exported.
 type (
-	// ClusterConfig tunes one multi-machine cluster run: fleet shape, KV
-	// service mix, routing, admission control, the retry/hedge pipeline
-	// and the fault profile.
+	// ClusterConfig tunes one multi-machine cluster run: fleet shape,
+	// coherence policy, routing, offered load, hedging, run length and the
+	// fault profile.
 	ClusterConfig = cluster.Config
 	// Cluster is an assembled fleet of kernel+workload machines behind
 	// the routing/retry front-end, all on one shared engine.
