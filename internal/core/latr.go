@@ -103,6 +103,11 @@ type Policy struct {
 	// queues outright — on big topologies most queues are empty most ticks,
 	// and the full scan was ~10% of reproduction CPU time.
 	activeCount []int
+	// pending[core] counts the active states whose mask holds that core:
+	// record adds one per mask bit and each Mask.Clear (in sweep and
+	// forceSweep) takes one away. A sweep with nothing pending returns at
+	// once, and any other sweep stops once it has found them all.
+	pending []int
 	// sweepScratch is the reusable relevant-state buffer for sweep; the
 	// per-sweep allocation showed up in the allocation profile.
 	sweepScratch []*State
@@ -204,6 +209,7 @@ func (p *Policy) Attach(k *kernel.Kernel) {
 	n := k.Spec.NumCores()
 	p.queues = make([][]State, n)
 	p.activeCount = make([]int, n)
+	p.pending = make([]int, n)
 	p.reclaimFn = p.reclaimPass
 	k.Engine.At(p.tun.ReclaimPeriod/2, p.reclaimFn)
 	if k.Audit != nil {
@@ -257,6 +263,7 @@ func (p *Policy) record(c *kernel.Core, s State) (*State, bool) {
 	s.owner = c.ID
 	q[free] = s
 	p.activeCount[c.ID]++
+	s.Mask.ForEach(func(id topo.CoreID) { p.pending[id]++ })
 	p.met.statesRecorded.Inc()
 	return &q[free], true
 }
@@ -431,8 +438,13 @@ func (p *Policy) OnContextSwitch(c *kernel.Core) sim.Time {
 func (p *Policy) sweep(c *kernel.Core) sim.Time {
 	k := p.k
 	m := &k.Cost
+	want := p.pending[c.ID]
+	if want == 0 {
+		return m.LATRSweepBase
+	}
 	relevant := p.sweepScratch[:0]
 	totalPages := 0
+scan:
 	for coreIdx := range p.queues {
 		if p.activeCount[coreIdx] == 0 {
 			continue
@@ -443,6 +455,9 @@ func (p *Policy) sweep(c *kernel.Core) sim.Time {
 			if st.Active && st.Mask.Has(c.ID) {
 				relevant = append(relevant, st)
 				totalPages += st.Pages
+				if len(relevant) == want {
+					break scan
+				}
 			}
 		}
 	}
@@ -453,9 +468,6 @@ func (p *Policy) sweep(c *kernel.Core) sim.Time {
 		p.sweepScratch = relevant[:0]
 	}()
 	cost := m.LATRSweepBase
-	if len(relevant) == 0 {
-		return cost
-	}
 	p.met.sweepsWithWork.Inc()
 
 	fullFlush := totalPages > m.FullFlushThreshold
@@ -488,6 +500,7 @@ func (p *Policy) sweep(c *kernel.Core) sim.Time {
 		p.met.sweepVisit.Observe(m.LATRSweepPerEntry)
 		st.span.MarkLazy(obs.PhaseInvalidate, c.ID, visitBegin, k.Now()+cost-visitBegin)
 		st.Mask.Clear(c.ID)
+		p.pending[c.ID]--
 		if st.Mask.Empty() {
 			p.completeState(st, c.ID, k.Now()+cost)
 		}
@@ -589,6 +602,7 @@ func (p *Policy) forceSweep(st *State) {
 		c.TLB.InvalidateRange(c.PCIDOf(st.MM), st.Start, st.Start+pt.VPN(st.Pages))
 		c.Inject(forcedCost)
 		st.Mask.Clear(id)
+		p.pending[id]--
 		st.span.MarkLazy(obs.PhaseInvalidate, id, k.Now(), forcedCost)
 		last = id
 	}

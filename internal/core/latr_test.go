@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"latr/internal/cost"
@@ -27,6 +28,27 @@ func latrKernelTuned(cfg Config, tun *kernel.Tunables) (*kernel.Kernel, *Policy)
 // spin keeps a thread alive computing, so its core stays in the mm mask.
 func spin(d sim.Time) kernel.Program {
 	return kernel.Script(func(*kernel.Thread) kernel.Op { return kernel.Compute(d) })
+}
+
+// runCountingPending runs k to until in 100 µs steps and, after each,
+// recounts from the queues the active states whose mask holds each core:
+// the sweep's early return relies on pol.pending matching that count.
+func runCountingPending(t *testing.T, k *kernel.Kernel, pol *Policy, until sim.Time) {
+	t.Helper()
+	for k.Now() < until {
+		k.Run(min(k.Now()+100*sim.Microsecond, until))
+		want := make([]int, len(pol.pending))
+		for _, q := range pol.queues {
+			for i := range q {
+				if q[i].Active {
+					q[i].Mask.ForEach(func(id topo.CoreID) { want[id]++ })
+				}
+			}
+		}
+		if !slices.Equal(pol.pending, want) {
+			t.Fatalf("at %v: pending = %v, recounted from the queues %v", k.Now(), pol.pending, want)
+		}
+	}
 }
 
 func TestMunmapReturnsWithoutWaiting(t *testing.T) {
@@ -192,7 +214,7 @@ func TestStaleAccessWindowThenSegfault(t *testing.T) {
 }
 
 func TestQueueOverflowFallsBackToIPIs(t *testing.T) {
-	k, _ := latrKernelTuned(Config{}, &kernel.Tunables{QueueDepth: 4})
+	k, pol := latrKernelTuned(Config{}, &kernel.Tunables{QueueDepth: 4})
 	p := k.NewProcess()
 	// A second thread keeps another core in the mask so states are needed.
 	p.Spawn(1, spin(50*sim.Millisecond))
@@ -211,7 +233,9 @@ func TestQueueOverflowFallsBackToIPIs(t *testing.T) {
 		n++
 		return kernel.Munmap(addr, 1)
 	}))
-	k.Run(5 * sim.Millisecond)
+	// A munmap that falls back records no state, so it moves no pending
+	// count.
+	runCountingPending(t, k, pol, 5*sim.Millisecond)
 	if k.Metrics.Counter("latr.fallback_ipi") == 0 {
 		t.Fatal("expected fallback IPIs with a 4-entry queue and a munmap burst")
 	}
@@ -331,7 +355,7 @@ func TestTable5StateCosts(t *testing.T) {
 func TestInvariantHoldsUnderChurn(t *testing.T) {
 	// Random mmap/touch/munmap churn across all cores with the shadow
 	// tracker on: any premature reuse panics inside the kernel.
-	k, _ := latrKernel(Config{})
+	k, pol := latrKernel(Config{})
 	p := k.NewProcess()
 	for c := 0; c < 4; c++ {
 		c := c
@@ -357,7 +381,7 @@ func TestInvariantHoldsUnderChurn(t *testing.T) {
 			}
 		}))
 	}
-	k.Run(100 * sim.Millisecond) // churn + reclaim cycles; panics on violation
+	runCountingPending(t, k, pol, 100*sim.Millisecond) // churn + reclaim cycles; panics on violation
 	if k.Metrics.Counter("latr.reclaimed") == 0 {
 		t.Fatal("no reclaims happened during churn")
 	}
@@ -412,7 +436,8 @@ func TestGateTimeoutForcesSweep(t *testing.T) {
 			return kernel.Compute(20 * sim.Millisecond)
 		},
 	))
-	k.Run(30 * sim.Millisecond)
+	// The forced sweep clears the laggard cores' bits for them.
+	runCountingPending(t, k, pol, 30*sim.Millisecond)
 	if !released {
 		t.Fatal("gate timeout never released the waiter")
 	}
@@ -428,4 +453,30 @@ func TestGateTimeoutForcesSweep(t *testing.T) {
 	if pol.PendingWaiters() != 0 {
 		t.Fatal("waiters leaked")
 	}
+}
+
+// BenchmarkLATRSweep times one core's sweep on an 8x15 machine where core
+// 0's queue holds a state for cores 1-3. In idle, core 100 has nothing to
+// do, as in almost every tick sweep; in work, core 5 records a one-page
+// state for core 100 and core 100's sweep completes it.
+func BenchmarkLATRSweep(b *testing.B) {
+	spec := topo.EightSocket120()
+	pol := New(Config{})
+	k := kernel.New(spec, cost.Default(spec), pol, kernel.Options{Seed: 7})
+	mm := k.NewProcess().MM
+	pol.record(k.Cores[0], State{MM: mm, Start: 0x1000, Pages: 1, Mask: topo.MaskOf(1, 2, 3)})
+	sweeper := k.Cores[100]
+	b.Run("idle", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pol.sweep(sweeper)
+		}
+	})
+	b.Run("work", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pol.record(k.Cores[5], State{MM: mm, Start: 0x2000, Pages: 1, Mask: topo.MaskOf(sweeper.ID)})
+			pol.sweep(sweeper)
+		}
+	})
 }

@@ -74,6 +74,10 @@ type AutoNUMA struct {
 	procs  []*kernel.Process
 	cursor map[*kernel.MM]pt.VPN
 	stats  map[*kernel.MM]map[pt.VPN]pageStat
+	// idle holds the repair records no hint fault is using. A record cannot
+	// belong to a core: a thread that waits for mmap_sem blocks, and its
+	// core may run another thread into a hint fault of its own.
+	idle []*repairRecord
 
 	met struct {
 		scanPasses, pagesSampled, hintFaults, localRepair metrics.Counter
@@ -312,18 +316,48 @@ func (a *AutoNUMA) migrate(c *kernel.Core, th *kernel.Thread, mm *kernel.MM, vpn
 	})
 }
 
+// repairRecord is one hint-fault repair from its mmap_sem request to its
+// continuation, with the grant and the Busy completion bound once.
+type repairRecord struct {
+	a                 *AutoNUMA
+	c                 *kernel.Core
+	mm                *kernel.MM
+	vpn               pt.VPN
+	cont              func()
+	grantedFn, doneFn func()
+}
+
 // repair clears the hint and refills the TLB without migrating, under the
 // shared mmap_sem (the PTE flip is page-table-lock work).
 func (a *AutoNUMA) repair(c *kernel.Core, th *kernel.Thread, mm *kernel.MM, vpn pt.VPN, cont func()) {
-	k := a.k
-	mm.Sem.AcquireRead(c, th, func() {
-		if e, ok := mm.PT.Get(vpn); ok && e.NUMAHint {
-			mm.PT.SetNUMAHint(vpn, false)
-			c.TLB.Insert(c.PCIDOf(mm), vpn, e.PFN, e.Writable)
-		}
-		c.Busy(k.Cost.PTEClearPerPage, false, func() {
-			mm.Sem.ReleaseRead()
-			cont()
-		})
-	})
+	var r *repairRecord
+	if n := len(a.idle) - 1; n >= 0 {
+		r = a.idle[n]
+		a.idle = a.idle[:n]
+	} else {
+		r = &repairRecord{a: a}
+		r.grantedFn, r.doneFn = r.granted, r.done
+	}
+	r.c, r.mm, r.vpn, r.cont = c, mm, vpn, cont
+	mm.Sem.AcquireRead(c, th, r.grantedFn)
+}
+
+// granted runs with mmap_sem held: the hint flip and the TLB refill.
+func (r *repairRecord) granted() {
+	c, mm, vpn := r.c, r.mm, r.vpn
+	if e, ok := mm.PT.Get(vpn); ok && e.NUMAHint {
+		mm.PT.SetNUMAHint(vpn, false)
+		c.TLB.Insert(c.PCIDOf(mm), vpn, e.PFN, e.Writable)
+	}
+	c.Busy(r.a.k.Cost.PTEClearPerPage, false, r.doneFn)
+}
+
+// done ends the repair. The record goes back to the idle list before the
+// continuation runs, which may start another repair.
+func (r *repairRecord) done() {
+	mm, cont := r.mm, r.cont
+	r.c, r.mm, r.cont = nil, nil, nil
+	r.a.idle = append(r.a.idle, r)
+	mm.Sem.ReleaseRead()
+	cont()
 }

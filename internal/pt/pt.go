@@ -18,7 +18,6 @@ const (
 	PageSize  = 1 << PageShift
 	levelBits = 9
 	levelSize = 1 << levelBits // 512 entries per table
-	numLevels = 4
 )
 
 // VPN is a virtual page number (VA >> PageShift).
@@ -40,16 +39,20 @@ type Entry struct {
 	NUMAHint bool // PROT_NONE NUMA-sampling marker (change_prot_numa)
 }
 
-type table struct {
-	entries   [levelSize]*table // interior levels
-	leaves    []Entry           // leaf level only, allocated lazily
-	populated int
-}
+// The four levels of the radix tree, each one 4 KB page of 512 slots
+// (x86-64's PML4, PDPT, PD and PT): a level holds pointers to the next,
+// and only the leaf level holds entries.
+type (
+	pgd  [levelSize]*pud
+	pud  [levelSize]*pmd
+	pmd  [levelSize]*leaf
+	leaf [levelSize]Entry
+)
 
 // PageTable is one address space's table. It also counts structural
 // statistics used by the cost model (tables touched on a walk).
 type PageTable struct {
-	root       *table
+	root       *pgd
 	mapped     int
 	tableCount int
 
@@ -61,7 +64,7 @@ type PageTable struct {
 
 // New returns an empty page table.
 func New() *PageTable {
-	return &PageTable{root: &table{}, tableCount: 1}
+	return &PageTable{root: new(pgd), tableCount: 1}
 }
 
 // Mapped returns the number of present leaf entries.
@@ -75,39 +78,49 @@ func indexAt(vpn VPN, level int) int {
 	return int(vpn>>(uint(level)*levelBits)) & (levelSize - 1)
 }
 
-// lookup returns the leaf slot for vpn, optionally creating the path.
-func (p *PageTable) lookup(vpn VPN, create bool) *Entry {
-	t := p.root
-	for level := numLevels - 1; level >= 1; level-- {
-		idx := indexAt(vpn, level)
-		next := t.entries[idx]
-		if next == nil {
-			if !create {
-				return nil
-			}
-			next = &table{}
-			if level == 1 {
-				next.leaves = make([]Entry, levelSize)
-			}
-			t.entries[idx] = next
-			t.populated++
-			p.tableCount++
-		}
-		t = next
+// lookup returns the leaf slot for vpn, or nil when a table on its path
+// is missing.
+func (p *PageTable) lookup(vpn VPN) *Entry {
+	u := p.root[indexAt(vpn, 3)]
+	if u == nil {
+		return nil
 	}
-	if t.leaves == nil {
-		if !create {
-			return nil
-		}
-		t.leaves = make([]Entry, levelSize)
+	m := u[indexAt(vpn, 2)]
+	if m == nil {
+		return nil
 	}
-	return &t.leaves[indexAt(vpn, 0)]
+	l := m[indexAt(vpn, 1)]
+	if l == nil {
+		return nil
+	}
+	return &l[indexAt(vpn, 0)]
+}
+
+// slot returns the leaf slot for vpn, building the missing tables on its
+// path.
+func (p *PageTable) slot(vpn VPN) *Entry {
+	u := &p.root[indexAt(vpn, 3)]
+	if *u == nil {
+		*u = new(pud)
+		p.tableCount++
+	}
+	m := &(*u)[indexAt(vpn, 2)]
+	if *m == nil {
+		*m = new(pmd)
+		p.tableCount++
+	}
+	l := &(*m)[indexAt(vpn, 1)]
+	if *l == nil {
+		*l = new(leaf)
+		p.tableCount++
+	}
+	return &(*l)[indexAt(vpn, 0)]
 }
 
 // Map installs vpn → pfn. Mapping over a present entry is an error: callers
 // must unmap first (mirrors the kernel, where silent remap would leak).
 func (p *PageTable) Map(vpn VPN, pfn mem.PFN, writable bool) error {
-	e := p.lookup(vpn, true)
+	e := p.slot(vpn)
 	if e.Present {
 		return fmt.Errorf("pt: vpn %#x already mapped to pfn %d", uint64(vpn), e.PFN)
 	}
@@ -119,7 +132,7 @@ func (p *PageTable) Map(vpn VPN, pfn mem.PFN, writable bool) error {
 // Unmap clears the entry for vpn, returning the old entry. ok is false if
 // the entry was not present.
 func (p *PageTable) Unmap(vpn VPN) (old Entry, ok bool) {
-	e := p.lookup(vpn, false)
+	e := p.lookup(vpn)
 	if e == nil || !e.Present {
 		return Entry{}, false
 	}
@@ -134,7 +147,7 @@ func (p *PageTable) Unmap(vpn VPN) (old Entry, ok bool) {
 // non-present or NUMA-hinted entry faults (ok=false); the NUMA-hint case
 // returns the entry so the fault handler can see it.
 func (p *PageTable) Walk(vpn VPN, write bool) (Entry, bool) {
-	e := p.lookup(vpn, false)
+	e := p.lookup(vpn)
 	if e == nil || !e.Present {
 		return Entry{}, false
 	}
@@ -153,7 +166,7 @@ func (p *PageTable) Walk(vpn VPN, write bool) (Entry, bool) {
 
 // Get returns the entry without touching A/D bits (a software lookup).
 func (p *PageTable) Get(vpn VPN) (Entry, bool) {
-	e := p.lookup(vpn, false)
+	e := p.lookup(vpn)
 	if e == nil || !e.Present {
 		return Entry{}, false
 	}
@@ -162,7 +175,7 @@ func (p *PageTable) Get(vpn VPN) (Entry, bool) {
 
 // SetNUMAHint marks or clears the NUMA-sampling hint on a present entry.
 func (p *PageTable) SetNUMAHint(vpn VPN, on bool) bool {
-	e := p.lookup(vpn, false)
+	e := p.lookup(vpn)
 	if e == nil || !e.Present {
 		return false
 	}
@@ -172,7 +185,7 @@ func (p *PageTable) SetNUMAHint(vpn VPN, on bool) bool {
 
 // SetProtection updates the writable bit on a present entry (mprotect).
 func (p *PageTable) SetProtection(vpn VPN, writable bool) bool {
-	e := p.lookup(vpn, false)
+	e := p.lookup(vpn)
 	if e == nil || !e.Present {
 		return false
 	}
@@ -183,7 +196,7 @@ func (p *PageTable) SetProtection(vpn VPN, writable bool) bool {
 // Replace atomically swaps the frame backing vpn (page migration) and
 // clears A/D bits for the new frame. The old entry is returned.
 func (p *PageTable) Replace(vpn VPN, pfn mem.PFN) (Entry, bool) {
-	e := p.lookup(vpn, false)
+	e := p.lookup(vpn)
 	if e == nil || !e.Present {
 		return Entry{}, false
 	}
@@ -194,7 +207,7 @@ func (p *PageTable) Replace(vpn VPN, pfn mem.PFN) (Entry, bool) {
 
 // ClearAccessed clears and returns the A bit (ABIS-style sampling).
 func (p *PageTable) ClearAccessed(vpn VPN) (was bool, ok bool) {
-	e := p.lookup(vpn, false)
+	e := p.lookup(vpn)
 	if e == nil || !e.Present {
 		return false, false
 	}
@@ -207,15 +220,16 @@ func (p *PageTable) ClearAccessed(vpn VPN) (was bool, ok bool) {
 // (for cost modelling): 4 for a full walk of a mapped page; fewer when the
 // walk aborts early at a missing interior table.
 func (p *PageTable) WalkLevels(vpn VPN) int {
-	t := p.root
-	levels := 1
-	for level := numLevels - 1; level >= 1; level-- {
-		next := t.entries[indexAt(vpn, level)]
-		if next == nil {
-			return levels
-		}
-		levels++
-		t = next
+	u := p.root[indexAt(vpn, 3)]
+	if u == nil {
+		return 1
 	}
-	return levels
+	m := u[indexAt(vpn, 2)]
+	if m == nil {
+		return 2
+	}
+	if m[indexAt(vpn, 1)] == nil {
+		return 3
+	}
+	return 4
 }

@@ -4,10 +4,18 @@
 // nanoseconds and a priority queue of events. Events scheduled for the same
 // instant fire in the order they were scheduled, which makes every run fully
 // reproducible. Timers may be cancelled or rescheduled; cancellation is
-// implemented by invalidating the queued entry rather than removing it, so
-// all queue operations stay O(log n). Cancelled entries are compacted away
-// once they dominate the queue, and event nodes are recycled through a
-// free list so steady-state dispatch allocates nothing.
+// implemented by invalidating the queued entry rather than removing it.
+// Cancelled entries are compacted away once they dominate the queue, and
+// event nodes are recycled through a free list so steady-state dispatch
+// allocates nothing.
+//
+// The queue is two structures. An event scheduled at or after the latest
+// time in the lane, a FIFO ring, is appended there in O(1); staggered
+// periodic timers such as the scheduler ticks arrive in that order. Any
+// other event goes into a binary min-heap, whose push and pop stay
+// O(log n) in the heap's own size. Dispatch takes whichever of the lane's
+// head and the heap's top comes first, so events fire in exactly the order
+// one heap would give them.
 package sim
 
 import "fmt"
@@ -60,9 +68,9 @@ type event struct {
 	dead bool
 }
 
-// entry is one slot of the event heap: the node's ordering key and its id
-// in the engine's node table. It holds no pointer, so sifting entries costs
-// no garbage-collector write barrier (DESIGN.md §8).
+// entry is one slot of the event heap or lane: the node's ordering key and
+// its id in the engine's node table. It holds no pointer, so moving entries
+// costs no garbage-collector write barrier (DESIGN.md §8).
 type entry struct {
 	when Time
 	seq  uint64
@@ -97,13 +105,21 @@ type Engine struct {
 	seq   uint64
 	queue []entry // binary min-heap by (when, seq)
 
+	// lane is a FIFO ring of the entries pushed in time order: its
+	// laneLen entries start at laneHead, and its length is zero or a power
+	// of two. An entry joins it only when its when is at or after the last
+	// one's, and every new entry has the largest seq yet, so the ring is
+	// sorted by (when, seq) with that single comparison.
+	lane              []entry
+	laneHead, laneLen int
+
 	// nodes is the node table, indexed by entry id. Nodes are allocated
 	// individually and never move, so a Timer may hold a node's address;
 	// the table only grows, and it never holds more nodes than were ever
 	// queued at once.
 	nodes []*event
-	// dead counts cancelled entries still sitting in the queue; once they
-	// outnumber the live ones the heap is compacted.
+	// dead counts cancelled entries still sitting in the heap or the lane;
+	// once they outnumber the live ones both are compacted.
 	dead int
 	// free lists the ids of recycled nodes so the schedule/dispatch hot
 	// path does not allocate.
@@ -199,20 +215,30 @@ func (e *Engine) Cancel(tm Timer) bool {
 	ev.dead = true
 	e.dead++
 	// Far-future timers that are repeatedly rescheduled (core segment
-	// deadlines, watchdogs) would otherwise accumulate as dead heap entries
-	// for the whole run; compact once they outnumber the live ones.
-	if e.dead > 32 && e.dead*2 > len(e.queue) {
+	// deadlines, watchdogs) would otherwise accumulate as dead entries for
+	// the whole run; compact once they outnumber the live ones.
+	if e.deadDominates() {
 		e.compact()
 	}
 	return true
 }
 
-// compact removes dead entries from the queue and re-establishes the heap
-// property. Ordering is preserved exactly: entries compare by (when, seq)
-// and both survive compaction untouched.
+// queued counts the entries in the heap and the lane, dead ones included.
+func (e *Engine) queued() int { return len(e.queue) + e.laneLen }
+
+// deadDominates reports whether compaction is due: more than 32 dead
+// entries, and more dead than live.
+func (e *Engine) deadDominates() bool {
+	return e.dead > 32 && e.dead*2 > e.queued()
+}
+
+// compact removes dead entries from the heap and the lane and
+// re-establishes the heap property. Ordering is preserved exactly: entries
+// compare by (when, seq) and both survive compaction untouched, and the
+// lane is filtered in place, in order.
 func (e *Engine) compact() {
 	e.compactions++
-	e.compactScanned += uint64(len(e.queue))
+	e.compactScanned += uint64(e.queued())
 	live := e.queue[:0]
 	for _, en := range e.queue {
 		if e.nodes[en.id].dead {
@@ -222,21 +248,39 @@ func (e *Engine) compact() {
 		}
 	}
 	e.queue = live
-	e.dead = 0
 	for i := len(live)/2 - 1; i >= 0; i-- {
 		e.siftDown(i)
 	}
+	kept := 0
+	for i := 0; i < e.laneLen; i++ {
+		en := *e.laneAt(i)
+		if e.nodes[en.id].dead {
+			e.recycle(en.id)
+		} else {
+			*e.laneAt(kept) = en
+			kept++
+		}
+	}
+	e.laneLen = kept
+	e.dead = 0
 }
 
-// dropDeadTop discards the cancelled entry at the top of the queue. When
-// cancelled timers dominate the queue — mass hedging cancellations — one
-// O(n) compaction replaces O(n) sift-downs instead.
-func (e *Engine) dropDeadTop() {
-	if e.dead > 32 && e.dead*2 > len(e.queue) {
+// dropDeadTop discards the cancelled entry that comes first, at the lane's
+// head (inLane) or the heap's top. When cancelled timers dominate the
+// queue — mass hedging cancellations — one O(n) compaction replaces O(n)
+// sift-downs instead.
+func (e *Engine) dropDeadTop(inLane bool) {
+	if e.deadDominates() {
 		e.compact()
 		return
 	}
-	e.recycle(e.pop().id)
+	var top entry
+	if inLane {
+		top = e.popLane()
+	} else {
+		top = e.pop()
+	}
+	e.recycle(top.id)
 	e.dead--
 }
 
@@ -259,15 +303,20 @@ func (e *Engine) Reschedule(tm Timer, t Time) Timer {
 // empty.
 func (e *Engine) Step() bool {
 	for {
-		if len(e.queue) == 0 {
+		top, inLane, ok := e.first()
+		if !ok {
 			return false
 		}
-		ev := e.nodes[e.queue[0].id]
+		ev := e.nodes[top.id]
 		if ev.dead {
-			e.dropDeadTop()
+			e.dropDeadTop(inLane)
 			continue
 		}
-		top := e.pop()
+		if inLane {
+			e.popLane()
+		} else {
+			e.pop()
+		}
 		if top.when < e.now {
 			panic("sim: time went backwards")
 		}
@@ -296,13 +345,13 @@ func (e *Engine) Run() {
 // the cluster's wire runs one short RunUntil per window, and popping
 // far-future cancelled timers there was pure overhead.
 func (e *Engine) RunUntil(deadline Time) {
-	for len(e.queue) > 0 {
-		next := e.queue[0]
-		if next.when > deadline {
+	for {
+		next, inLane, ok := e.first()
+		if !ok || next.when > deadline {
 			break
 		}
 		if e.nodes[next.id].dead {
-			e.dropDeadTop()
+			e.dropDeadTop(inLane)
 			continue
 		}
 		e.Step()
@@ -317,14 +366,16 @@ func (e *Engine) RunUntil(deadline Time) {
 // discarded on the way (bulk-compacted when they dominate), so repeated
 // peeks stay cheap.
 func (e *Engine) NextLive() (Time, bool) {
-	for len(e.queue) > 0 {
-		next := e.queue[0]
+	for {
+		next, inLane, ok := e.first()
+		if !ok {
+			return 0, false
+		}
 		if !e.nodes[next.id].dead {
 			return next.when, true
 		}
-		e.dropDeadTop()
+		e.dropDeadTop(inLane)
 	}
-	return 0, false
 }
 
 // Fingerprint summarises the engine's dynamic history — current time,
@@ -353,10 +404,47 @@ func (e *Engine) Fingerprint() uint64 {
 }
 
 // Pending reports the number of live (non-cancelled) queued events.
-func (e *Engine) Pending() int { return len(e.queue) - e.dead }
+func (e *Engine) Pending() int { return e.queued() - e.dead }
 
-// push adds an entry to the heap.
+// first returns the entry that comes first, dead or live, and whether it
+// heads the lane rather than the heap. ok is false when nothing is queued.
+func (e *Engine) first() (en entry, inLane, ok bool) {
+	if e.laneLen > 0 {
+		en = *e.laneAt(0)
+		if len(e.queue) == 0 || en.before(e.queue[0]) {
+			return en, true, true
+		}
+	}
+	if len(e.queue) == 0 {
+		return entry{}, false, false
+	}
+	return e.queue[0], false, true
+}
+
+// laneAt returns the lane's i-th entry, counted from its head.
+func (e *Engine) laneAt(i int) *entry {
+	return &e.lane[(e.laneHead+i)&(len(e.lane)-1)]
+}
+
+// popLane removes and returns the lane's head.
+func (e *Engine) popLane() entry {
+	en := *e.laneAt(0)
+	e.laneHead = (e.laneHead + 1) & (len(e.lane) - 1)
+	e.laneLen--
+	return en
+}
+
+// push queues an entry: at the lane's tail when it comes at or after the
+// lane's last entry, in the heap otherwise.
 func (e *Engine) push(en entry) {
+	if e.laneLen == 0 || en.when >= e.laneAt(e.laneLen-1).when {
+		if e.laneLen == len(e.lane) {
+			e.growLane()
+		}
+		*e.laneAt(e.laneLen) = en
+		e.laneLen++
+		return
+	}
 	e.queue = append(e.queue, en)
 	q := e.queue
 	i := len(q) - 1
@@ -369,6 +457,16 @@ func (e *Engine) push(en entry) {
 		i = p
 	}
 	q[i] = en
+}
+
+// growLane doubles the lane's ring (to 8 entries at first), moving its
+// entries to the front in order.
+func (e *Engine) growLane() {
+	ring := make([]entry, max(8, 2*len(e.lane)))
+	for i := 0; i < e.laneLen; i++ {
+		ring[i] = *e.laneAt(i)
+	}
+	e.lane, e.laneHead = ring, 0
 }
 
 // pop removes and returns the heap's minimum entry.

@@ -215,8 +215,8 @@ func TestEngineCompaction(t *testing.T) {
 		tm := e.At(Time(500_000+i), func(Time) { t.Fatal("cancelled event fired") })
 		e.Cancel(tm)
 	}
-	if n := len(e.queue); n > 100 {
-		t.Fatalf("queue holds %d entries after cancel churn, want compacted (≤100)", n)
+	if n := e.queued(); n > 100 {
+		t.Fatalf("heap and lane hold %d entries after cancel churn, want compacted (≤100)", n)
 	}
 	if e.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", e.Pending())
@@ -364,43 +364,85 @@ func TestEngineFreeListReuse(t *testing.T) {
 	}
 }
 
+// inLane reports whether tm's queued entry sits in the engine's lane.
+func (e *Engine) inLane(tm Timer) bool {
+	for i := 0; i < e.laneLen; i++ {
+		if e.nodes[e.laneAt(i).id] == tm.ev {
+			return true
+		}
+	}
+	return false
+}
+
 func TestEngineRandomScheduleMatchesReference(t *testing.T) {
-	// Random At/Cancel/Reschedule traffic interleaved with Step and
-	// RunUntil, with cancel bursts that force compaction, must dispatch in
-	// exactly sorted (when, seq) order — checked against a reference list of
-	// the pending events.
+	// Random At/Cancel/Reschedule traffic interleaved with Step, RunUntil
+	// and NextLive, with cancel bursts that force compaction, must
+	// dispatch in exactly sorted (when, seq) order — checked against a
+	// reference list of the pending events. Staggered periodic timers,
+	// the scheduler ticks' shape, ride along: they fill the lane while
+	// the random traffic lands in both the lane and the heap.
 	type ref struct {
 		when Time
 		seq  uint64
 		id   int
 	}
-	var compactions uint64
+	const (
+		chains = 6  // periodic timers kept running
+		period = 40 // their period
+	)
+	var compactions, ties, laneCancels, laneReschedules, laneCompactions, bothHeld int
 	for seed := uint64(1); seed <= 10; seed++ {
 		r := NewRand(seed)
 		e := NewEngine()
 		var pending []ref // the reference: every live scheduled event
 		timers := map[int]Timer{}
+		periodic := map[int]bool{} // ids of the periodic chains' next ticks
+		ticking := true
 		var fired []int
 		nextID := 0
-		schedule := func(when Time) {
+		// at schedules an event that records its firing and then runs then.
+		at := func(when Time, then func(now Time)) int {
 			id := nextID
 			nextID++
 			pending = append(pending, ref{when, e.Scheduled(), id})
-			timers[id] = e.At(when, func(Time) { fired = append(fired, id) })
+			timers[id] = e.At(when, func(now Time) {
+				fired = append(fired, id)
+				then(now)
+			})
+			return id
+		}
+		schedule := func(when Time) { at(when, func(Time) {}) }
+		var tick func(when Time)
+		tick = func(when Time) {
+			var id int
+			id = at(when, func(now Time) {
+				delete(periodic, id)
+				if ticking {
+					tick(now + period)
+				}
+			})
+			periodic[id] = true
+		}
+		for j := 0; j < chains; j++ {
+			tick(Time(j * period / chains))
 		}
 		removeAt := func(i int) ref {
 			rf := pending[i]
 			pending = append(pending[:i], pending[i+1:]...)
+			delete(periodic, rf.id)
 			return rf
+		}
+		sortPending := func() {
+			sort.Slice(pending, func(i, j int) bool {
+				a, b := pending[i], pending[j]
+				return a.when < b.when || (a.when == b.when && a.seq < b.seq)
+			})
 		}
 		// expectFired checks the events fired since mark against the
 		// reference events due by deadline (at most max of them), in sorted
 		// (when, seq) order.
 		expectFired := func(mark int, deadline Time, max int) {
-			sort.Slice(pending, func(i, j int) bool {
-				a, b := pending[i], pending[j]
-				return a.when < b.when || (a.when == b.when && a.seq < b.seq)
-			})
+			sortPending()
 			var want []int
 			for len(pending) > 0 && pending[0].when <= deadline && len(want) < max {
 				want = append(want, removeAt(0).id)
@@ -410,17 +452,38 @@ func TestEngineRandomScheduleMatchesReference(t *testing.T) {
 			}
 		}
 		for step := 0; step < 1500; step++ {
-			switch k := r.Intn(10); {
+			if e.laneLen > 0 && len(e.queue) > 0 {
+				bothHeld++
+				if e.laneAt(0).when == e.queue[0].when {
+					ties++
+				}
+			}
+			deadInLane := false
+			for i := 0; i < e.laneLen; i++ {
+				deadInLane = deadInLane || e.nodes[e.laneAt(i).id].dead
+			}
+			passes, _ := e.CompactStats()
+			switch k := r.Intn(11); {
 			case k < 4:
-				schedule(e.Now() + Time(r.Intn(50)))
+				if len(periodic) < chains {
+					tick(e.Now() + Time(r.Intn(period)))
+				} else {
+					schedule(e.Now() + Time(r.Intn(50)))
+				}
 			case k < 5 && len(pending) > 0:
 				rf := removeAt(r.Intn(len(pending)))
+				if e.inLane(timers[rf.id]) {
+					laneCancels++
+				}
 				if !e.Cancel(timers[rf.id]) {
 					t.Fatalf("seed %d: Cancel of pending event %d returned false", seed, rf.id)
 				}
 			case k < 6 && len(pending) > 0:
 				i := r.Intn(len(pending))
 				when := e.Now() + Time(r.Intn(50))
+				if e.inLane(timers[pending[i].id]) {
+					laneReschedules++
+				}
 				pending[i].when, pending[i].seq = when, e.Scheduled()
 				timers[pending[i].id] = e.Reschedule(timers[pending[i].id], when)
 			case k < 7:
@@ -431,30 +494,51 @@ func TestEngineRandomScheduleMatchesReference(t *testing.T) {
 				}
 				for j := 0; j < 72; j++ {
 					rf := removeAt(len(pending) - 1 - r.Intn(8))
+					if e.inLane(timers[rf.id]) {
+						laneCancels++
+					}
 					e.Cancel(timers[rf.id])
 				}
 			case k < 9:
 				mark := len(fired)
 				e.Step()
 				expectFired(mark, 1<<62, 1)
-			default:
+			case k < 10:
 				mark := len(fired)
 				deadline := e.Now() + Time(r.Intn(40))
 				e.RunUntil(deadline)
 				expectFired(mark, deadline, len(pending))
+			default:
+				got, ok := e.NextLive()
+				sortPending()
+				if ok != (len(pending) > 0) || ok && got != pending[0].when {
+					t.Fatalf("seed %d step %d: NextLive = %v, %v; reference %v", seed, step, got, ok, pending)
+				}
+			}
+			if p, _ := e.CompactStats(); p > passes && deadInLane {
+				laneCompactions++
 			}
 			if e.Pending() != len(pending) {
 				t.Fatalf("seed %d step %d: Pending = %d, reference holds %d", seed, step, e.Pending(), len(pending))
 			}
 		}
+		ticking = false
 		mark := len(fired)
 		e.Run()
 		expectFired(mark, 1<<62, len(pending))
 		passes, _ := e.CompactStats()
-		compactions += passes
+		compactions += int(passes)
 	}
-	if compactions == 0 {
-		t.Fatal("no schedule forced a compaction")
+	t.Logf("%d compactions (%d with dead lane entries), %d steps with both lane and heap holding entries, %d head ties, %d lane cancels, %d lane reschedules",
+		compactions, laneCompactions, bothHeld, ties, laneCancels, laneReschedules)
+	if compactions == 0 || laneCompactions == 0 {
+		t.Fatal("no schedule forced a compaction with dead entries in the lane")
+	}
+	if bothHeld == 0 || ties == 0 {
+		t.Fatal("the lane and the heap never held entries at once, or never tied at their heads")
+	}
+	if laneCancels == 0 || laneReschedules == 0 {
+		t.Fatal("no lane entry was cancelled or rescheduled")
 	}
 }
 
@@ -482,6 +566,32 @@ func BenchmarkEngineRescheduleChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		deadline = e.Reschedule(deadline, e.Now()+1<<40)
+		e.Step()
+	}
+}
+
+// BenchmarkEngineStaggeredTicks has the shape of an 8x15 machine: 120
+// cores each with a 1 ms tick, staggered across the period, and every
+// fourth tick starting a short one-shot event (a compute segment's end or
+// an IPI delivery) a few microseconds out.
+func BenchmarkEngineStaggeredTicks(b *testing.B) {
+	const cores = 120
+	e := NewEngine()
+	oneShot := func(Time) {}
+	var ticks [cores]func(now Time)
+	n := 0
+	for i := range ticks {
+		ticks[i] = func(now Time) {
+			e.At(now+Millisecond, ticks[i])
+			if n++; n%4 == 0 {
+				e.At(now+Time(1+n%50)*Microsecond, oneShot)
+			}
+		}
+		e.At(Time(i)*Millisecond/cores, ticks[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		e.Step()
 	}
 }
