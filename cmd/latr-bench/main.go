@@ -7,7 +7,7 @@
 //	latr-bench -exp fig6,fig9       # run a subset
 //	latr-bench -list                # list experiment ids
 //	latr-bench -quick               # smaller runs, same shapes
-//	latr-bench -ablations           # run the ablation studies
+//	latr-bench -ablations           # run every registered experiment
 //	latr-bench -parallel 8          # fan each experiment's runs across 8 workers
 //	latr-bench -exp remote -json    # also write BENCH_remote.json
 //
@@ -127,7 +127,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 		list      = fs.Bool("list", false, "list experiment ids and exit")
 		exp       = fs.String("exp", "", "comma-separated experiment ids (default: all figures+tables)")
 		quick     = fs.Bool("quick", false, "smaller runs (same shapes, less precision)")
-		ablations = fs.Bool("ablations", false, "also run the ablation studies")
+		ablations = fs.Bool("ablations", false, "run every registered experiment: the paper's, then the ablation studies and the cluster, virt, ptrepl and tune extensions")
 		seed      = fs.Uint64("seed", 1, "simulation seed")
 		check     = fs.Bool("check", false, "enable the TLB reuse-invariant checker (slower)")
 		parallel  = fs.Int("parallel", runtime.NumCPU(), "worker pool size for each experiment's independent runs (1 = sequential)")

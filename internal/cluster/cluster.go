@@ -28,7 +28,6 @@ import (
 	"hash/fnv"
 
 	"latr/internal/chaos"
-	"latr/internal/kernel"
 	"latr/internal/metrics"
 	"latr/internal/obs"
 	"latr/internal/shootdown"
@@ -61,16 +60,11 @@ const (
 
 // The KV service and front-end shape every run shares.
 const (
-	// The memcached case-study mix: hotTrafficPct percent of requests go
-	// to a hot prefix of hotKeys keys, and the arena of keys values,
-	// valuePages pages each, exceeds local memory, so cold keys fault
+	// Every node serves the memcached case study's mix, the
+	// workload.Memcached* constants, except that its hot prefix is
+	// hotKeys keys. The arena exceeds local memory, so cold keys fault
 	// through the remote-memory swap path.
-	keys          = 4096
-	valuePages    = 1
-	hotKeys       = 400
-	hotTrafficPct = 90
-	setPct        = 10                   // percent of requests that write
-	think         = 10 * sim.Microsecond // per-request CPU cost on the node
+	hotKeys = 400
 
 	// workersPerNode server threads run on each node, and
 	// memFramesPerNode shrinks each NUMA node's memory so the arena
@@ -407,9 +401,6 @@ func (c *Cluster) Digest() uint64 {
 
 // Metrics returns the front-end metrics registry.
 func (c *Cluster) Metrics() *metrics.Registry { return c.met }
-
-// NodeKernel returns node i's kernel (for tests and span export).
-func (c *Cluster) NodeKernel(i int) *kernel.Kernel { return c.nodes[i].k }
 
 // NumNodes reports the fleet size.
 func (c *Cluster) NumNodes() int { return len(c.nodes) }

@@ -93,7 +93,7 @@ func newNode(c *Cluster, id int) *node {
 	if err != nil {
 		panic(err)
 	}
-	n.arena = workload.LoadArena(n.proc, cores[0], keys*valuePages, gate)
+	n.arena = workload.LoadArena(n.proc, cores[0], workload.MemcachedKeys*workload.MemcachedValuePages, gate)
 	for _, core := range cores {
 		n.spawnWorker(core, gate)
 	}
@@ -136,13 +136,13 @@ func (n *node) spawnWorker(core topo.CoreID, gate *workload.Gate) {
 			})
 		case stepThink1:
 			step = stepTouch
-			return kernel.Compute(n.scale(think / 2))
+			return kernel.Compute(n.scale(workload.MemcachedThink / 2))
 		case stepTouch:
 			step = stepThink2
-			return kernel.TouchRange(n.arena.Base+pt.VPN(cur.req.key*valuePages), valuePages, cur.req.write)
+			return kernel.TouchRange(n.arena.Base+pt.VPN(cur.req.key*workload.MemcachedValuePages), workload.MemcachedValuePages, cur.req.write)
 		case stepThink2:
 			step = stepReply
-			return kernel.Compute(n.scale(think - think/2))
+			return kernel.Compute(n.scale(workload.MemcachedThink - workload.MemcachedThink/2))
 		case stepReply:
 			step = stepDequeue
 			at := cur

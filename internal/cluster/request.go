@@ -5,6 +5,7 @@ import (
 	"latr/internal/obs"
 	"latr/internal/pt"
 	"latr/internal/sim"
+	"latr/internal/workload"
 )
 
 // request is one client operation flowing through the front-end
@@ -50,14 +51,14 @@ func (c *Cluster) arrive(now sim.Time) {
 	c.m.offered.Inc()
 	c.nextReqID++
 	req := &request{id: c.nextReqID, arrival: now, lastNode: -1}
-	req.hot = c.rng.Intn(100) < hotTrafficPct
+	req.hot = c.rng.Intn(100) < workload.MemcachedHotTrafficPct
 	if req.hot {
 		req.key = c.rng.Intn(hotKeys)
 	} else {
-		req.key = hotKeys + c.rng.Intn(keys-hotKeys)
+		req.key = hotKeys + c.rng.Intn(workload.MemcachedKeys-hotKeys)
 	}
-	req.write = c.rng.Intn(100) < setPct
-	req.span = c.spans.Begin(obs.KindRequest, frontLane, pt.VPN(req.key), valuePages, now)
+	req.write = c.rng.Intn(100) < workload.MemcachedSetPct
+	req.span = c.spans.Begin(obs.KindRequest, frontLane, pt.VPN(req.key), workload.MemcachedValuePages, now)
 	req.span.Mark(obs.PhaseInitiate, frontLane, now, 0)
 	// cluster.admitted always equals cluster.offered, but it is a line of
 	// the front-end dump that Digest hashes: dropping it would move every

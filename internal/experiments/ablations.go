@@ -12,12 +12,17 @@ import (
 	"latr/internal/workload"
 )
 
+// latrKernel builds the 2x8 machine under LATR with cfg and opts, taking
+// the seed and the invariant checker from o.
+func latrKernel(cfg latrcore.Config, opts kernel.Options, o Options) *kernel.Kernel {
+	opts.Seed, opts.CheckInvariants = o.Seed, o.CheckInvariants
+	spec := topo.TwoSocket16()
+	return kernel.New(spec, cost.Default(spec), latrcore.New(cfg), opts)
+}
+
 // runMicroWithLATR runs the microbenchmark under LATR with custom knobs.
 func runMicroWithLATR(t kernel.Tunables, cores, pages, iters int, o Options) (*kernel.Kernel, microResult) {
-	spec := topo.TwoSocket16()
-	k := kernel.New(spec, cost.Default(spec), latrcore.New(latrcore.Config{}), kernel.Options{
-		Seed: o.Seed, CheckInvariants: o.CheckInvariants, Tunables: &t,
-	})
+	k := latrKernel(latrcore.Config{}, kernel.Options{Tunables: &t}, o)
 	m := workload.NewMicro(workload.MicroConfig{Cores: cores, Pages: pages, Iters: iters})
 	m.Setup(k)
 	for k.Now() < 60*sim.Second && !m.Done() {
@@ -47,9 +52,7 @@ func AblationQueueDepth(o Options) *Table {
 		fallback, states uint64
 	}
 	rows := fan.Run(o.workers(), depths, func(_ int, depth int) row {
-		spec := topo.TwoSocket16()
-		k := kernel.New(spec, cost.Default(spec), latrcore.New(latrcore.Config{}),
-			kernel.Options{Seed: o.Seed, Tunables: &kernel.Tunables{QueueDepth: depth}})
+		k := latrKernel(latrcore.Config{}, kernel.Options{Tunables: &kernel.Tunables{QueueDepth: depth}}, o)
 		p := k.NewProcess()
 		for c := 1; c < 16; c++ {
 			c := c
@@ -105,8 +108,7 @@ func AblationSweepTriggers(o Options) *Table {
 		{"both (paper)", latrcore.Config{}},
 	}
 	for _, c := range cases {
-		spec := topo.TwoSocket16()
-		k := kernel.New(spec, cost.Default(spec), latrcore.New(c.cfg), kernel.Options{Seed: o.Seed})
+		k := latrKernel(c.cfg, kernel.Options{}, o)
 		w := workload.NewParsec(prof, coresN(16))
 		w.Setup(k)
 		for k.Now() < 120*sim.Second && !w.Done() {
@@ -175,10 +177,7 @@ func AblationPCIDAndTickless(o Options) *Table {
 		{"pcid", kernel.Options{UsePCID: true}},
 		{"tickless", kernel.Options{Tickless: true}},
 	} {
-		opts := v.opts
-		opts.Seed = o.Seed
-		spec := topo.TwoSocket16()
-		k := kernel.New(spec, cost.Default(spec), latrcore.New(latrcore.Config{}), opts)
+		k := latrKernel(latrcore.Config{}, v.opts, o)
 		a := workload.NewApache(workload.DefaultApacheConfig(coresN(8)))
 		a.Setup(k)
 		k.Run(dur)

@@ -5,6 +5,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	latrcore "latr/internal/core"
+	"latr/internal/kernel"
 )
 
 // num parses the leading float out of a formatted cell ("9.40us",
@@ -170,6 +173,21 @@ func TestAblationQueueDepthFallbacks(t *testing.T) {
 	deep := num(t, tb.Rows[len(tb.Rows)-1][2])
 	if shallow <= deep {
 		t.Errorf("shallow queue (%v fallbacks) should fall back more than deep (%v)", shallow, deep)
+	}
+}
+
+// TestLATRKernelTakesSeedAndCheck checks that the ablations' kernels
+// carry the shadow tracker exactly when -check asks for it, with o's seed
+// and the caller's other options.
+func TestLATRKernelTakesSeedAndCheck(t *testing.T) {
+	for _, check := range []bool{false, true} {
+		k := latrKernel(latrcore.Config{}, kernel.Options{UsePCID: true}, Options{Seed: 9, CheckInvariants: check})
+		if (k.Tracker != nil) != check {
+			t.Errorf("CheckInvariants %v: kernel has a tracker = %v", check, k.Tracker != nil)
+		}
+		if k.Opts.Seed != 9 || !k.Opts.UsePCID {
+			t.Errorf("CheckInvariants %v: kernel options %+v, want seed 9 and PCID", check, k.Opts)
+		}
 	}
 }
 

@@ -225,7 +225,7 @@ func Fig11(o Options) *Table {
 			return workload.NewPBZIP2(cfg)
 		}},
 		{"metis", func() numaRunnable {
-			return workload.NewMetis(workload.DefaultMetisConfig(cores))
+			return workload.NewMetis(cores)
 		}},
 	}
 	rows := fan.Run(o.workers(), entries, func(_ int, e entry) [2]numaResult {

@@ -152,7 +152,7 @@ func runApache(policy string, cores int, dur sim.Time, o Options) apacheResult {
 // runNginx executes the Fig 12 nginx case.
 func runNginx(policy string, cores int, dur sim.Time, o Options) apacheResult {
 	k := newKernel(topo.TwoSocket16(), policy, o)
-	n := workload.NewNginx(workload.DefaultNginxConfig(coresN(cores)))
+	n := workload.NewNginx(coresN(cores))
 	n.Setup(k)
 	k.Run(dur)
 	secs := dur.Seconds()

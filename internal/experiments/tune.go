@@ -109,8 +109,8 @@ func Tune(o Options) *Table {
 
 	t.Note("fitness per cell = 0.50*munmap + 0.35*p99 + 0.15*fallback, each normalized to the paper-default run of the same cell (1.0 = paper config; lower is better; absent objectives renormalized away)")
 	t.Note("search: population %d x %d generations, tournament k=%d, elite %d, mutation %.2f, seed %d",
-		res.Config.Population, res.Config.Generations, res.Config.TournamentK,
-		res.Config.Elite, res.Config.MutationRate, res.Config.Seed)
+		res.Config.Population, res.Config.Generations, tune.TournamentK,
+		tune.Elite, tune.MutationRate, res.Config.Seed)
 	t.Note("best genome: %s", res.Best.Encoded)
 	t.Note("best mean score %.4f vs paper default %.4f; history digest %016x (byte-identical at any -parallel)",
 		res.Best.Fitness.Score, res.Baseline.Fitness.Score, res.HistoryDigest())

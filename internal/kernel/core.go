@@ -224,9 +224,6 @@ func (c *Core) SetSpan(sp *obs.Span) { c.span = sp }
 // kernel options.
 func (c *Core) PCIDOf(mm *MM) tlb.Tag { return c.pcid(mm) }
 
-// Idle reports whether no thread is currently scheduled on the core.
-func (c *Core) Idle() bool { return c.idle() }
-
 // Block parks the current thread th; resume runs when the thread is next
 // scheduled after a Wake. Exported for kernel extensions.
 func (c *Core) Block(th *Thread, resume func()) { c.block(th, resume) }

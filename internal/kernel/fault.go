@@ -45,9 +45,6 @@ func (k *Kernel) notifySwapUnmap(mm *MM, start pt.VPN, pages int) {
 	}
 }
 
-// NUMAHandlerInstalled reports whether AutoNUMA is active.
-func (k *Kernel) NUMAHandlerInstalled() bool { return k.numa != nil }
-
 // handleFault resolves the faulting access th.op records (faultVPN,
 // faultEntry). The PageFaultEntry cost has already been charged by the
 // caller; handleFault runs at a segment boundary, and the touch resumes at

@@ -102,20 +102,12 @@ func (c *Core) doFork(th *Thread) {
 		k.met.sysFork.Inc()
 		k.met.forkCowSharedPages.Add(uint64(shared))
 
-		sp := k.Spans.Begin(obs.KindSync, c.ID, 0, k.Cost.FullFlushThreshold+1, k.Now())
-		tB := k.Now()
-		c.busy(cost, true, func() {
-			sp.Mark(obs.PhaseInitiate, c.ID, tB, k.Now()-tB)
-			c.SetSpan(sp)
-			// Ownership change: remote writable entries must be gone before
-			// fork returns (full flush on every participating core).
-			k.policy.SyncChange(c, mm, 0, k.Cost.FullFlushThreshold+1, func() {
-				c.SetSpan(nil)
-				sp.Release(k.Now())
-				mm.Sem.ReleaseWrite()
-				th.LastProc = child
-				c.opBoundary()
-			})
+		// Ownership change: remote writable entries must be gone before
+		// fork returns (full flush on every participating core).
+		c.syncChange(mm, 0, k.Cost.FullFlushThreshold+1, k.Now(), cost, true, func() {
+			mm.Sem.ReleaseWrite()
+			th.LastProc = child
+			c.opBoundary()
 		})
 	})
 }
@@ -183,21 +175,13 @@ func (c *Core) breakCoW(th *Thread, vpn pt.VPN, cont func()) {
 		mm.PT.SetProtection(vpn, true)
 		c.TLB.Invalidate(c.pcid(mm), vpn)
 		k.met.faultCowBreak.Inc()
-		sp := k.Spans.Begin(obs.KindSync, c.ID, vpn, 1, k.Now())
-		tB := k.Now()
-		c.busy(m.PageCopy+m.PTEClearPerPage+k.ReplUpdateRange(c, mm, vpn, 1), false, func() {
-			sp.Mark(obs.PhaseInitiate, c.ID, tB, k.Now()-tB)
-			c.SetSpan(sp)
-			// The old shared translation must die system-wide before the
-			// write proceeds (Table 1: sync required).
-			k.policy.SyncChange(c, mm, vpn, 1, func() {
-				c.SetSpan(nil)
-				sp.Release(k.Now())
-				k.Alloc.Put(old.PFN)
-				c.TLB.Insert(c.pcid(mm), vpn, npfn, true)
-				mm.Sem.ReleaseRead()
-				cont()
-			})
+		// The old shared translation must die system-wide before the
+		// write proceeds.
+		c.syncChange(mm, vpn, 1, k.Now(), m.PageCopy+m.PTEClearPerPage+k.ReplUpdateRange(c, mm, vpn, 1), false, func() {
+			k.Alloc.Put(old.PFN)
+			c.TLB.Insert(c.pcid(mm), vpn, npfn, true)
+			mm.Sem.ReleaseRead()
+			cont()
 		})
 	})
 }

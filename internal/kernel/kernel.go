@@ -171,9 +171,6 @@ func (k *Kernel) Now() sim.Time { return k.Engine.Now() }
 // Run advances the simulation until deadline.
 func (k *Kernel) Run(deadline sim.Time) { k.Engine.RunUntil(deadline) }
 
-// RunIdle advances the simulation until no events remain.
-func (k *Kernel) RunIdle() { k.Engine.Run() }
-
 // MM is the simulated mm_struct: one address space shared by the threads
 // of a process.
 type MM struct {

@@ -229,12 +229,3 @@ func (c *Core) tick(now sim.Time) {
 		c.needResched = true
 	}
 }
-
-// Runnable reports runnable + running threads on the core (for tests).
-func (c *Core) Runnable() int {
-	n := len(c.runq)
-	if c.cur != nil {
-		n++
-	}
-	return n
-}

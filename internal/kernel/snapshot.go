@@ -1,9 +1,6 @@
 package kernel
 
 import (
-	"fmt"
-	"strings"
-
 	"latr/internal/pt"
 	"latr/internal/vm"
 )
@@ -70,44 +67,4 @@ func (k *Kernel) SnapshotMM(mm *MM) MMSnapshot {
 		(mm.PT.MappedHuge()-len(countedHuge))*pt.HugePages
 	s.ReplReplicas, s.ReplStale = k.replSnapshot(mm)
 	return s
-}
-
-// Canonical renders the snapshot as one deterministic line — the raw
-// (absolute-VPN) form used in failure reports; the litmus oracle compares
-// region-relative projections instead, since lazy VA reuse legitimately
-// shifts bases between policies.
-func (s MMSnapshot) Canonical() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "mm%d lazy=%d orphans=%d", s.ID, s.LazyPages, s.Orphans)
-	if s.ReplReplicas != 0 || s.ReplStale != 0 {
-		// Only rendered when a replication layer is live, keeping the
-		// legacy byte format for every non-ptrepl run.
-		fmt.Fprintf(&b, " repl=%d stale=%d", s.ReplReplicas, s.ReplStale)
-	}
-	b.WriteString(" vmas=")
-	for i, v := range s.VMAs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		w := 'r'
-		if v.Writable {
-			w = 'w'
-		}
-		fmt.Fprintf(&b, "[%#x,%#x)%c", uint64(v.Start), uint64(v.End), w)
-	}
-	b.WriteString(" pages=")
-	for i, p := range s.Pages {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		w := byte('r')
-		if p.Writable {
-			w = 'w'
-		}
-		fmt.Fprintf(&b, "%#x:%c", uint64(p.VPN), w)
-		if p.Huge {
-			b.WriteByte('H')
-		}
-	}
-	return b.String()
 }

@@ -307,24 +307,13 @@ func (c *Core) doMprotect(th *Thread, o Op) {
 		}
 		cost := m.SyscallEntry + m.VMAOp + sim.Time(o.pages())*m.PTEClearPerPage + m.InvalidateCost(o.pages()) +
 			k.ReplUpdateRange(c, mm, o.addr(), o.pages())
-		sp := k.Spans.Begin(obs.KindSync, c.ID, o.addr(), o.pages(), t0)
-		if mm.VM != nil {
-			sp.SetLevel(1)
-		}
-		tB := k.Now()
-		c.busy(cost, true, func() {
-			sp.Mark(obs.PhaseInitiate, c.ID, tB, k.Now()-tB)
-			c.SetSpan(sp)
-			// Permission changes must reach the whole system before the
-			// call returns — no lazy option (Table 1).
-			k.policy.SyncChange(c, mm, o.addr(), o.pages(), func() {
-				c.SetSpan(nil)
-				sp.Release(k.Now())
-				mm.Sem.ReleaseWrite()
-				k.met.sysMprotect.Inc()
-				k.met.mprotectLatency.Observe(k.Now() - t0)
-				c.opBoundary()
-			})
+		// Permission changes must reach the whole system before the call
+		// returns — no lazy option (Table 1).
+		c.syncChange(mm, o.addr(), o.pages(), t0, cost, true, func() {
+			mm.Sem.ReleaseWrite()
+			k.met.sysMprotect.Inc()
+			k.met.mprotectLatency.Observe(k.Now() - t0)
+			c.opBoundary()
 		})
 	})
 }
@@ -375,25 +364,14 @@ func (c *Core) doMremap(th *Thread, o Op) {
 		// source clears and the destination installs propagate eagerly.
 		cost := m.SyscallEntry + 2*m.VMAOp + sim.Time(moved)*(m.PTEClearPerPage+m.MmapSetupPerPage) + m.InvalidateCost(o.pages()) +
 			k.ReplUpdateRange(c, mm, o.addr(), o.pages()) + k.ReplUpdateRange(c, mm, newStart, o.pages())
-		sp := k.Spans.Begin(obs.KindSync, c.ID, o.addr(), o.pages(), k.Now())
-		if mm.VM != nil {
-			sp.SetLevel(1)
-		}
-		tB := k.Now()
-		c.busy(cost, true, func() {
-			sp.Mark(obs.PhaseInitiate, c.ID, tB, k.Now()-tB)
-			c.SetSpan(sp)
-			// The old translation must die system-wide before the call
-			// returns: remap is synchronous under every policy (Table 1).
-			k.policy.SyncChange(c, mm, o.addr(), o.pages(), func() {
-				c.SetSpan(nil)
-				sp.Release(k.Now())
-				k.ReleaseVA(mm, o.addr(), o.pages())
-				mm.Sem.ReleaseWrite()
-				th.LastAddr = newStart
-				k.met.sysMremap.Inc()
-				c.opBoundary()
-			})
+		// The old translation must die system-wide before the call
+		// returns.
+		c.syncChange(mm, o.addr(), o.pages(), k.Now(), cost, true, func() {
+			k.ReleaseVA(mm, o.addr(), o.pages())
+			mm.Sem.ReleaseWrite()
+			th.LastAddr = newStart
+			k.met.sysMremap.Inc()
+			c.opBoundary()
 		})
 	})
 }
@@ -402,4 +380,27 @@ func (c *Core) doMremap(th *Thread, o Op) {
 func (c *Core) failSyscall(th *Thread, err error) {
 	th.LastErr = err
 	c.busy(c.k.Cost.SyscallEntry, false, c.then(stepOpBoundary))
+}
+
+// syncChange makes a change to [start, start+pages) of mm coherent before
+// the caller goes on, as Table 1's synchronous rows require: it opens a
+// KindSync span at opened, charges cost on c (with interrupts off when
+// irqOff), runs the installed policy's SyncChange with the span as c's
+// current span, then releases the span and runs tail.
+func (c *Core) syncChange(mm *MM, start pt.VPN, pages int, opened, cost sim.Time, irqOff bool, tail func()) {
+	k := c.k
+	sp := k.Spans.Begin(obs.KindSync, c.ID, start, pages, opened)
+	if mm.VM != nil {
+		sp.SetLevel(1)
+	}
+	tB := k.Now()
+	c.busy(cost, irqOff, func() {
+		sp.Mark(obs.PhaseInitiate, c.ID, tB, k.Now()-tB)
+		c.SetSpan(sp)
+		k.policy.SyncChange(c, mm, start, pages, func() {
+			c.SetSpan(nil)
+			sp.Release(k.Now())
+			tail()
+		})
+	})
 }

@@ -49,10 +49,11 @@ type RunConfig struct {
 	// the replica-layer analogue of the mutant:<m> policies, used by the
 	// oracle-sensitivity tests.
 	ReplMutant string
-	// Deadline caps the simulated run; 0 picks a default generous enough
-	// for every built-in scenario.
-	Deadline sim.Time
 }
+
+// runDeadline caps a scenario's simulated run; it is generous enough for
+// every built-in scenario, so a run still going past it is deadlocked.
+const runDeadline = 200 * sim.Millisecond
 
 // Outcome is the observed result of one (scenario, policy, topology, chaos)
 // run, plus every oracle failure detected.
@@ -545,10 +546,6 @@ func RunScenario(sc *Scenario, cfg RunConfig) Outcome {
 	// before the architectural state converges. Swap runs terminate on the
 	// scenario threads alone — the swapper's kernel thread never exits, so
 	// LiveThreads never reaches zero.
-	deadline := cfg.Deadline
-	if deadline <= 0 {
-		deadline = 200 * sim.Millisecond
-	}
 	running := func() bool {
 		if sc.Swap {
 			return !r.allDone()
@@ -556,7 +553,7 @@ func RunScenario(sc *Scenario, cfg RunConfig) Outcome {
 		return k.LiveThreads() > 0
 	}
 	step := 2 * sim.Millisecond
-	for k.Now() < deadline && running() {
+	for k.Now() < runDeadline && running() {
 		k.Run(k.Now() + step)
 	}
 	if running() {

@@ -30,7 +30,6 @@ import (
 	"latr/internal/obs"
 	"latr/internal/pt"
 	"latr/internal/sim"
-	"latr/internal/topo"
 )
 
 // Config tunes the remote-memory backend. Latency constants come from the
@@ -306,6 +305,3 @@ func (b *Backend) FramesInUse() int64 { return b.framesInUse }
 
 // InFlight reports the number of outstanding writes (for tests).
 func (b *Backend) InFlight() int { return len(b.inflight) }
-
-// NodeOfCore is a small convenience for tests asserting queue placement.
-func (b *Backend) NodeOfCore(id topo.CoreID) topo.NodeID { return b.k.Spec.NodeOf(id) }

@@ -54,9 +54,6 @@ func (t Time) String() string {
 // Seconds converts t to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Micros converts t to floating-point microseconds.
-func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
-
 // event is a queued callback. Nodes are recycled through the engine's free
 // list once dispatched or compacted away; gen distinguishes successive
 // occupants of the same node so stale Timer handles never act on the wrong

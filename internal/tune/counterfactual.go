@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"latr/internal/kernel"
 	"latr/internal/obs"
 	"latr/internal/pt"
 	"latr/internal/sim"
@@ -15,6 +14,10 @@ import (
 // the cells open far fewer spans than this, so nothing is dropped.
 const counterfactualSpanLimit = 8192
 
+// maxDiffSpans caps how many changed spans Render lists; the counts above
+// the list always cover everything.
+const maxDiffSpans = 12
+
 // CounterfactualConfig describes one knob perturbation of a recorded
 // seed: the cell and seed pin the scenario, Knob/Value name the single
 // dimension that changes between the two runs.
@@ -22,15 +25,10 @@ type CounterfactualConfig struct {
 	Cell  Cell
 	Seed  uint64
 	Quick bool
-	// Base is the reference genome; the zero value means paper defaults.
-	Base kernel.Tunables
 	// Knob is the ParamSpace name of the perturbed dimension.
 	Knob string
 	// Value is the perturbed setting (nanoseconds for duration knobs).
 	Value int64
-	// MaxSpans caps how many changed spans the rendered diff lists
-	// (default 12); the counts above the list always cover everything.
-	MaxSpans int
 }
 
 // PhaseDelta is one phase whose execution changed between the runs.
@@ -115,9 +113,9 @@ func keyedSpans(spans []*obs.Span) (map[spanKey]*obs.Span, []spanKey) {
 // phases in reporting order.
 var diffPhases = []obs.Phase{obs.PhaseInitiate, obs.PhaseSend, obs.PhaseInvalidate, obs.PhaseAck, obs.PhaseReclaim, obs.PhaseStore}
 
-// Counterfactual re-runs cfg's recorded seed twice — once with the base
-// genome, once with the single knob perturbed — and diffs the retained
-// coherence spans.
+// Counterfactual re-runs cfg's recorded seed twice — once with the
+// paper-default genome, once with the single knob perturbed — and diffs
+// the retained coherence spans.
 func Counterfactual(cfg CounterfactualConfig) (*Diff, error) {
 	if cfg.Cell.Workload == "" && cfg.Cell.Machine == "" {
 		cfg.Cell = Cell{Workload: "churn", Machine: "2x8"}
@@ -134,7 +132,7 @@ func Counterfactual(cfg CounterfactualConfig) (*Diff, error) {
 		return nil, fmt.Errorf("tune: %s value %s outside [%s, %s]",
 			param.Name, param.Format(cfg.Value), param.Format(param.Min), param.Format(param.Max))
 	}
-	base := space.Repair(cfg.Base.WithDefaults())
+	base := space.Repair(space.Defaults())
 	pert := base
 	param.Set(&pert, cfg.Value)
 	pert = space.Repair(pert)
@@ -243,14 +241,7 @@ func (d *Diff) Render() string {
 		fmt.Fprintf(&b, "  %-10s %dx %v -> %dx %v\n",
 			p.Phase.String()+":", p.BaseCount, p.BaseTotal, p.PertCount, p.PertTotal)
 	}
-	limit := d.Config.MaxSpans
-	if limit <= 0 {
-		limit = 12
-	}
-	shown := len(d.Deltas)
-	if shown > limit {
-		shown = limit
-	}
+	shown := min(len(d.Deltas), maxDiffSpans)
 	fmt.Fprintf(&b, "changed spans (%d of %d shown):\n", shown, len(d.Deltas))
 	for _, sd := range d.Deltas[:shown] {
 		var clauses []string

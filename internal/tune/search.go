@@ -24,18 +24,22 @@ type SearchConfig struct {
 	// budget (8×4).
 	Population  int
 	Generations int
-	// TournamentK is the tournament size for parent selection (default 3).
-	TournamentK int
-	// Elite is how many best candidates survive unchanged (default 1).
-	Elite int
-	// MutationRate is the per-field mutation probability (default 0.25).
-	MutationRate float64
 	// Workers fans fitness evaluation; <=0 means GOMAXPROCS. Results are
 	// identical for every value.
 	Workers int
 	// Cells overrides the evaluation matrix (default Cells(Quick)).
 	Cells []Cell
 }
+
+// The search's selection and variation operators.
+const (
+	// TournamentK is the tournament size for parent selection.
+	TournamentK = 3
+	// Elite is how many best candidates survive unchanged.
+	Elite = 1
+	// MutationRate is the per-field mutation probability.
+	MutationRate = 0.25
+)
 
 func (c SearchConfig) withDefaults() SearchConfig {
 	if c.Population == 0 {
@@ -49,15 +53,6 @@ func (c SearchConfig) withDefaults() SearchConfig {
 		if c.Quick {
 			c.Generations = 3
 		}
-	}
-	if c.TournamentK == 0 {
-		c.TournamentK = 3
-	}
-	if c.Elite == 0 {
-		c.Elite = 1
-	}
-	if c.MutationRate == 0 {
-		c.MutationRate = 0.25
 	}
 	if len(c.Cells) == 0 {
 		c.Cells = Cells(c.Quick)
@@ -151,14 +146,14 @@ func Search(cfg SearchConfig) (*Result, error) {
 
 	for gen := 1; gen <= cfg.Generations; gen++ {
 		next := make([]kernel.Tunables, 0, cfg.Population)
-		for i := 0; i < cfg.Elite && i < len(cur); i++ {
+		for i := 0; i < Elite && i < len(cur); i++ {
 			next = append(next, cur[i].Genome)
 		}
 		for len(next) < cfg.Population {
-			a := tournament(rng, cfg.TournamentK, len(cur))
-			b := tournament(rng, cfg.TournamentK, len(cur))
+			a := tournament(rng, TournamentK, len(cur))
+			b := tournament(rng, TournamentK, len(cur))
 			child := space.Crossover(rng, cur[a].Genome, cur[b].Genome)
-			child = space.Mutate(rng, child, cfg.MutationRate)
+			child = space.Mutate(rng, child, MutationRate)
 			next = append(next, child)
 		}
 		cur = evalAll(next)

@@ -21,8 +21,6 @@ type ApacheConfig struct {
 	// one worker thread per core. Threads of the same process share an mm,
 	// so a munmap must shoot down all cores running that process.
 	Processes int
-	// FilePages is the served file size in pages (10 KB → 3 pages).
-	FilePages int
 	// ParseWork, ServeWork, NetWork are the per-request CPU segments
 	// around the mmap/serve/munmap core.
 	ParseWork, ServeWork, NetWork sim.Time
@@ -34,12 +32,15 @@ func DefaultApacheConfig(cores []topo.CoreID) ApacheConfig {
 	return ApacheConfig{
 		Cores:     cores,
 		Processes: 3,
-		FilePages: 3,
 		ParseWork: 6 * sim.Microsecond,
 		ServeWork: 19 * sim.Microsecond,
 		NetWork:   9 * sim.Microsecond,
 	}
 }
+
+// apacheFilePages is the served file's size in pages: the 10 KB page
+// of §6.2.2.
+const apacheFilePages = 3
 
 // Apache is the workload instance.
 type Apache struct {
@@ -51,7 +52,7 @@ type Apache struct {
 
 // NewApache returns an Apache workload.
 func NewApache(cfg ApacheConfig) *Apache {
-	if len(cfg.Cores) == 0 || cfg.Processes < 1 || cfg.FilePages < 1 {
+	if len(cfg.Cores) == 0 || cfg.Processes < 1 {
 		panic("workload: invalid apache config")
 	}
 	return &Apache{cfg: cfg}
@@ -80,7 +81,7 @@ func (a *Apache) spawnWorker(proc *kernel.Process, core topo.CoreID) {
 			return kernel.Compute(cfg.ParseWork)
 		case 1: // mmap the file (demand-paged, as Apache's mmap is)
 			step = 2
-			return kernel.Mmap(cfg.FilePages, false)
+			return kernel.Mmap(apacheFilePages, false)
 		case 2: // read the mapped file while building the response; the
 			// first touches fault and take mmap_sem shared — which is
 			// where a sibling's munmap-held shootdown wait hurts
@@ -89,13 +90,13 @@ func (a *Apache) spawnWorker(proc *kernel.Process, core topo.CoreID) {
 				// OOM and similar: skip to accounting, no touch.
 				return kernel.Compute(cfg.ServeWork)
 			}
-			return kernel.TouchRange(th.LastAddr, cfg.FilePages, false)
+			return kernel.TouchRange(th.LastAddr, apacheFilePages, false)
 		case 3: // response assembly + syscalls
 			step = 4
 			return kernel.Compute(cfg.ServeWork)
 		case 4: // munmap → the shootdown under test
 			step = 5
-			return kernel.Munmap(th.LastAddr, cfg.FilePages)
+			return kernel.Munmap(th.LastAddr, apacheFilePages)
 		case 5: // network send, then next request
 			step = 0
 			a.requests++
@@ -113,41 +114,31 @@ func (a *Apache) Requests() uint64 { return a.requests }
 // Done always reports false: Apache runs until the experiment deadline.
 func (a *Apache) Done() bool { return false }
 
-// NginxConfig models the Fig 12 nginx_1 case: an event-driven server that
-// serves from a static in-memory cache (sendfile) and thus triggers almost
-// no TLB shootdowns; only periodic log-buffer recycling frees memory.
-type NginxConfig struct {
-	Cores       []topo.CoreID
-	RequestWork sim.Time
-	// LogRecycleEvery frees the log buffer after this many requests.
-	LogRecycleEvery int
-	LogPages        int
-}
-
-// DefaultNginxConfig returns the single-core Fig 12 configuration.
-func DefaultNginxConfig(cores []topo.CoreID) NginxConfig {
-	return NginxConfig{
-		Cores:           cores,
-		RequestWork:     45 * sim.Microsecond,
-		LogRecycleEvery: 2000,
-		LogPages:        16,
-	}
-}
+// The Fig 12 nginx_1 case: an event-driven server that serves from a
+// static in-memory cache (sendfile) and thus triggers almost no TLB
+// shootdowns; only the log buffer, recycled every nginxLogRecycleEvery
+// requests, frees memory.
+const (
+	nginxRequestWork     = 45 * sim.Microsecond
+	nginxLogRecycleEvery = 2000
+	nginxLogPages        = 16
+)
 
 // Nginx is the low-shootdown server workload.
 type Nginx struct {
-	cfg      NginxConfig
+	cores    []topo.CoreID
 	k        *kernel.Kernel
 	requests uint64
 	met      struct{ requests metrics.Counter }
 }
 
-// NewNginx returns an Nginx workload.
-func NewNginx(cfg NginxConfig) *Nginx {
-	if len(cfg.Cores) == 0 {
-		panic("workload: invalid nginx config")
+// NewNginx returns an Nginx workload with one event-loop thread on each
+// of cores.
+func NewNginx(cores []topo.CoreID) *Nginx {
+	if len(cores) == 0 {
+		panic("workload: nginx needs at least one core")
 	}
-	return &Nginx{cfg: cfg}
+	return &Nginx{cores: cores}
 }
 
 // Setup spawns one event-loop thread per core in a single process.
@@ -155,7 +146,7 @@ func (n *Nginx) Setup(k *kernel.Kernel) {
 	n.k = k
 	n.met.requests = k.Metrics.NewCounter("app.requests")
 	proc := k.NewProcess()
-	for _, c := range n.cfg.Cores {
+	for _, c := range n.cores {
 		served := 0
 		step := 0
 		proc.Spawn(c, kernel.Loop(func(th *kernel.Thread) kernel.Op {
@@ -164,16 +155,16 @@ func (n *Nginx) Setup(k *kernel.Kernel) {
 				served++
 				n.requests++
 				n.met.requests.Inc()
-				if n.cfg.LogRecycleEvery > 0 && served%n.cfg.LogRecycleEvery == 0 {
+				if served%nginxLogRecycleEvery == 0 {
 					step = 1
 				}
-				return kernel.Compute(n.cfg.RequestWork)
+				return kernel.Compute(nginxRequestWork)
 			case 1:
 				step = 2
-				return kernel.Mmap(n.cfg.LogPages, true).Populate(-1)
+				return kernel.Mmap(nginxLogPages, true).Populate(-1)
 			case 2:
 				step = 0
-				return kernel.Munmap(th.LastAddr, n.cfg.LogPages)
+				return kernel.Munmap(th.LastAddr, nginxLogPages)
 			default:
 				panic("unreachable")
 			}

@@ -201,8 +201,7 @@ func TestPBZIP2Completes(t *testing.T) {
 }
 
 func TestMetisCompletes(t *testing.T) {
-	cfg := DefaultMetisConfig(coresN(8))
-	w := NewMetis(cfg)
+	w := NewMetis(coresN(8))
 	k, _ := runToCompletion(t, shootdown.NewLinux(), w, false, 10*sim.Second)
 	if k.Metrics.Counter("metis.chunks_mapped") != 8*3 {
 		t.Fatalf("chunks mapped = %d", k.Metrics.Counter("metis.chunks_mapped"))

@@ -41,7 +41,7 @@ var byName = []struct {
 		return NewMicro(MicroConfig{Cores: len(s.cores), Pages: s.pages, Iters: s.iters}), nil
 	}},
 	{"apache", func(s sizing) (Workload, error) { return NewApache(DefaultApacheConfig(s.cores)), nil }},
-	{"nginx", func(s sizing) (Workload, error) { return NewNginx(DefaultNginxConfig(s.cores)), nil }},
+	{"nginx", func(s sizing) (Workload, error) { return NewNginx(s.cores), nil }},
 	{"parsec:", func(s sizing) (Workload, error) {
 		prof, ok := ParsecProfileByName(s.profile)
 		if !ok {
@@ -51,7 +51,7 @@ var byName = []struct {
 	}},
 	{"graph500", func(s sizing) (Workload, error) { return NewGraph500(DefaultGraph500Config(s.cores)), nil }},
 	{"pbzip2", func(s sizing) (Workload, error) { return NewPBZIP2(DefaultPBZIP2Config(s.cores)), nil }},
-	{"metis", func(s sizing) (Workload, error) { return NewMetis(DefaultMetisConfig(s.cores)), nil }},
+	{"metis", func(s sizing) (Workload, error) { return NewMetis(s.cores), nil }},
 	{"ocean", func(s sizing) (Workload, error) { return NewGrid(OceanConfig(s.cores)), nil }},
 	{"fluidanimate", func(s sizing) (Workload, error) { return NewGrid(FluidanimateConfig(s.cores)), nil }},
 }

@@ -20,11 +20,11 @@ func TestByNameBuildsEveryName(t *testing.T) {
 	for name, built := range map[string]Workload{
 		"micro":          NewMicro(MicroConfig{Cores: 4, Pages: 2, Iters: 3}),
 		"apache":         NewApache(DefaultApacheConfig(cl)),
-		"nginx":          NewNginx(DefaultNginxConfig(cl)),
+		"nginx":          NewNginx(cl),
 		"parsec:canneal": NewParsec(canneal, cl),
 		"graph500":       NewGraph500(DefaultGraph500Config(cl)),
 		"pbzip2":         NewPBZIP2(DefaultPBZIP2Config(cl)),
-		"metis":          NewMetis(DefaultMetisConfig(cl)),
+		"metis":          NewMetis(cl),
 		"ocean":          NewGrid(OceanConfig(cl)),
 		"fluidanimate":   NewGrid(FluidanimateConfig(cl)),
 	} {

@@ -16,21 +16,22 @@ import (
 // the hot vertex/edge pages migrate toward the cores that scan them —
 // LATR's lazy sampling removes the shootdown cost from that path.
 type Graph500Config struct {
-	Scale      int // 2^Scale vertices (the paper uses 20; sims default 13)
-	EdgeFactor int // edges per vertex (16 in the reference input)
-	Roots      int // BFS repetitions
-	Cores      []topo.CoreID
-	Seed       uint64
+	Scale int // 2^Scale vertices (the paper uses 20; sims default 13)
+	Roots int // BFS repetitions
+	Cores []topo.CoreID
 }
 
 // DefaultGraph500Config returns a simulation-sized problem.
 func DefaultGraph500Config(cores []topo.CoreID) Graph500Config {
-	return Graph500Config{Scale: 13, EdgeFactor: 16, Roots: 3, Cores: cores, Seed: 42}
+	return Graph500Config{Scale: 13, Roots: 3, Cores: cores}
 }
 
 const (
 	vertsPerPage = 512 // 8-byte level entries
 	edgesPerPage = 512 // 8-byte adjacency entries
+
+	graph500EdgeFactor = 16 // edges per vertex, as in the reference input
+	graph500Seed       = 42 // drives graph generation and root choice
 )
 
 // Graph500 holds the generated graph and the precomputed per-thread page
@@ -75,9 +76,9 @@ func NewGraph500(cfg Graph500Config) *Graph500 {
 // Kronecker generator: endpoints drawn with a quadratic bias toward low
 // vertex ids, giving the heavy-tailed degree distribution BFS cares about).
 func (g *Graph500) generate() {
-	rng := sim.NewRand(g.cfg.Seed)
+	rng := sim.NewRand(graph500Seed)
 	v := 1 << uint(g.cfg.Scale)
-	e := v * g.cfg.EdgeFactor
+	e := v * graph500EdgeFactor
 	g.adj = make([][]int32, v)
 	pick := func() int32 {
 		f := rng.Float64()
@@ -112,7 +113,7 @@ func (g *Graph500) computeTrace() {
 	chunk := (v + threads - 1) / threads
 	ownerOf := func(vertex int32) int { return int(vertex) / chunk }
 
-	rng := sim.NewRand(g.cfg.Seed ^ 0xabcdef)
+	rng := sim.NewRand(graph500Seed ^ 0xabcdef)
 	for r := 0; r < g.cfg.Roots; r++ {
 		root := int32(rng.Intn(v))
 		for len(g.adj[root]) == 0 {

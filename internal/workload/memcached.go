@@ -16,42 +16,39 @@ import (
 // exactly this mix: most requests hit the resident hot set, and the tail
 // is set by fault-path requests serialized behind evictions holding the mm
 // write semaphore (shootdown + RDMA write under Linux, write only under
-// LATR).
+// LATR). The mix itself is the Memcached* constants.
 type MemcachedConfig struct {
 	// Cores run one server worker thread each; all workers share one
 	// process (one mm), as memcached's pthread workers do.
 	Cores []topo.CoreID
-	// Keys is the keyspace size; each value occupies ValuePages pages of
-	// the slab arena.
-	Keys       int
-	ValuePages int
-	// HotKeys is the size of the popular prefix of the keyspace;
-	// HotTrafficPct percent of requests go there. The hot set must fit in
-	// local memory or nothing is "memcached-like" about the run.
-	HotKeys       int
-	HotTrafficPct int
-	// SetPct percent of requests are SETs (write touches); the rest GETs.
-	SetPct int
-	// Think is the per-request CPU cost (parse, hash, respond).
-	Think sim.Time
 	// Seed drives the per-worker key-choice streams.
 	Seed uint64
 }
 
-// DefaultMemcachedConfig returns the case-study shape for the given
-// worker cores: a 4K-key arena at one page per value, a 20% hot set taking
-// 90% of traffic, 10% SETs.
+// The case study's request mix: a 4K-key arena at one page per value, a
+// 20% hot set taking 90% of traffic, 10% SETs. internal/cluster serves
+// the same mix on every node, over a hot set of its own.
+const (
+	// MemcachedKeys is the keyspace size; each value occupies
+	// MemcachedValuePages pages of the slab arena.
+	MemcachedKeys       = 4096
+	MemcachedValuePages = 1
+	// MemcachedHotTrafficPct percent of requests go to the popular prefix
+	// of the keyspace, memcachedHotKeys keys. The hot set must fit in
+	// local memory or nothing is "memcached-like" about the run.
+	MemcachedHotTrafficPct = 90
+	memcachedHotKeys       = 800
+	// MemcachedSetPct percent of requests are SETs (write touches); the
+	// rest are GETs.
+	MemcachedSetPct = 10
+	// MemcachedThink is the per-request CPU cost (parse, hash, respond).
+	MemcachedThink = 10 * sim.Microsecond
+)
+
+// DefaultMemcachedConfig returns the case-study configuration for the
+// given worker cores, at seed 1.
 func DefaultMemcachedConfig(cores []topo.CoreID) MemcachedConfig {
-	return MemcachedConfig{
-		Cores:         cores,
-		Keys:          4096,
-		ValuePages:    1,
-		HotKeys:       800,
-		HotTrafficPct: 90,
-		SetPct:        10,
-		Think:         10 * sim.Microsecond,
-		Seed:          1,
-	}
+	return MemcachedConfig{Cores: cores, Seed: 1}
 }
 
 // Memcached is the workload instance.
@@ -69,10 +66,7 @@ type Memcached struct {
 
 // NewMemcached returns a memcached workload.
 func NewMemcached(cfg MemcachedConfig) *Memcached {
-	if len(cfg.Cores) == 0 || cfg.Keys < 1 || cfg.ValuePages < 1 ||
-		cfg.HotKeys < 1 || cfg.HotKeys > cfg.Keys ||
-		cfg.HotTrafficPct < 0 || cfg.HotTrafficPct > 100 ||
-		cfg.SetPct < 0 || cfg.SetPct > 100 {
+	if len(cfg.Cores) == 0 {
 		panic("workload: invalid memcached config")
 	}
 	return &Memcached{cfg: cfg}
@@ -139,8 +133,7 @@ func LoadArena(p *kernel.Process, core topo.CoreID, pages int, gate *Gate) *Aren
 }
 
 func (m *Memcached) spawnWorker(core topo.CoreID, gate *Gate, id uint64) {
-	cfg := m.cfg
-	rng := sim.NewRand(cfg.Seed<<8 ^ id ^ 0x9e3779b9)
+	rng := sim.NewRand(m.cfg.Seed<<8 ^ id ^ 0x9e3779b9)
 	var t0 sim.Time
 	started := false
 	step := 0
@@ -161,21 +154,21 @@ func (m *Memcached) spawnWorker(core topo.CoreID, gate *Gate, id uint64) {
 			started = true
 			t0 = now
 			var key int
-			if rng.Intn(100) < cfg.HotTrafficPct {
-				key = rng.Intn(cfg.HotKeys)
+			if rng.Intn(100) < MemcachedHotTrafficPct {
+				key = rng.Intn(memcachedHotKeys)
 			} else {
-				key = cfg.HotKeys + rng.Intn(cfg.Keys-cfg.HotKeys)
+				key = memcachedHotKeys + rng.Intn(MemcachedKeys-memcachedHotKeys)
 			}
-			vpn = m.arena.Base + pt.VPN(key*cfg.ValuePages)
-			write = rng.Intn(100) < cfg.SetPct
+			vpn = m.arena.Base + pt.VPN(key*MemcachedValuePages)
+			write = rng.Intn(100) < MemcachedSetPct
 			step = 2
-			return kernel.Compute(cfg.Think / 2)
+			return kernel.Compute(MemcachedThink / 2)
 		case 2: // the value access: hot keys TLB-hit, cold keys major-fault
 			step = 3
-			return kernel.TouchRange(vpn, cfg.ValuePages, write)
+			return kernel.TouchRange(vpn, MemcachedValuePages, write)
 		case 3:
 			step = 1
-			return kernel.Compute(cfg.Think - cfg.Think/2)
+			return kernel.Compute(MemcachedThink - MemcachedThink/2)
 		default:
 			panic("unreachable")
 		}
@@ -199,4 +192,4 @@ func (m *Memcached) Done() bool { return false }
 func (m *Memcached) Latency() *metrics.PercentileHist { return m.k.Metrics.Perc("app.req_latency") }
 
 // ArenaPages reports the slab arena size in pages.
-func (m *Memcached) ArenaPages() int { return m.cfg.Keys * m.cfg.ValuePages }
+func (m *Memcached) ArenaPages() int { return MemcachedKeys * MemcachedValuePages }

@@ -8,39 +8,25 @@ import (
 	"latr/internal/topo"
 )
 
-// MetisConfig models the single-machine MapReduce framework of Fig 11:
+// The Fig 11 job's shape, per mapper and per reducer.
+const (
+	metisChunksPerMapper = 3
+	metisChunkPages      = 24
+	metisColPages        = 4 // intermediate column size (per mapper, per reducer)
+	metisMapWork         = 500 * sim.Microsecond
+	metisReducePasses    = 6
+	metisReduceWork      = 700 * sim.Microsecond
+)
+
+// Metis models the single-machine MapReduce framework of Fig 11:
 // mappers read node-0-resident input and write per-mapper intermediate
 // tables; reducers then make repeated passes over their column across all
 // mappers' tables (cross-socket reads that AutoNUMA migrates) and free the
 // consumed columns (madvise → shootdowns whose sharer sets are real).
-type MetisConfig struct {
-	Cores           []topo.CoreID
-	ChunksPerMapper int
-	ChunkPages      int
-	ColPages        int // intermediate column size (per mapper, per reducer)
-	MapWork         sim.Time
-	ReducePasses    int
-	ReduceWork      sim.Time
-}
-
-// DefaultMetisConfig returns the Fig 11 configuration.
-func DefaultMetisConfig(cores []topo.CoreID) MetisConfig {
-	return MetisConfig{
-		Cores:           cores,
-		ChunksPerMapper: 3,
-		ChunkPages:      24,
-		ColPages:        4,
-		MapWork:         500 * sim.Microsecond,
-		ReducePasses:    6,
-		ReduceWork:      700 * sim.Microsecond,
-	}
-}
-
-// Metis is the workload instance.
 type Metis struct {
-	cfg MetisConfig
-	k   *kernel.Kernel
-	met struct{ chunksMapped, reducePasses metrics.Counter }
+	cores []topo.CoreID
+	k     *kernel.Kernel
+	met   struct{ chunksMapped, reducePasses metrics.Counter }
 
 	interBase []pt.VPN // per-mapper intermediate region base
 	finished  int
@@ -48,12 +34,13 @@ type Metis struct {
 	finishAt  sim.Time
 }
 
-// NewMetis returns the workload.
-func NewMetis(cfg MetisConfig) *Metis {
-	if len(cfg.Cores) == 0 || cfg.ChunksPerMapper <= 0 {
-		panic("workload: invalid metis config")
+// NewMetis returns the workload, with one mapper/reducer thread on each
+// of cores.
+func NewMetis(cores []topo.CoreID) *Metis {
+	if len(cores) == 0 {
+		panic("workload: metis needs at least one core")
 	}
-	return &Metis{cfg: cfg}
+	return &Metis{cores: cores}
 }
 
 // Setup spawns the loader plus one mapper/reducer thread per core.
@@ -61,16 +48,15 @@ func (w *Metis) Setup(k *kernel.Kernel) {
 	w.k = k
 	w.met.chunksMapped = k.Metrics.NewCounter("metis.chunks_mapped")
 	w.met.reducePasses = k.Metrics.NewCounter("metis.reduce_passes")
-	cfg := w.cfg
-	n := len(cfg.Cores)
+	n := len(w.cores)
 	proc := k.NewProcess()
 	gate := NewGate(k)
 	mapDone := NewBarrier(k, n)
 	var input pt.VPN
-	inputPages := n * cfg.ChunksPerMapper * cfg.ChunkPages
+	inputPages := n * metisChunksPerMapper * metisChunkPages
 	w.interBase = make([]pt.VPN, n)
 
-	proc.Spawn(cfg.Cores[0], kernel.Script(
+	proc.Spawn(w.cores[0], kernel.Script(
 		func(*kernel.Thread) kernel.Op {
 			return kernel.Mmap(inputPages, true).Populate(0)
 		},
@@ -82,8 +68,8 @@ func (w *Metis) Setup(k *kernel.Kernel) {
 	))
 
 	w.total = n
-	interPages := n * cfg.ColPages // one column per reducer
-	for i, core := range cfg.Cores {
+	interPages := n * metisColPages // one column per reducer
+	for i, core := range w.cores {
 		i := i
 		chunk := 0
 		pass := 0
@@ -102,13 +88,13 @@ func (w *Metis) Setup(k *kernel.Kernel) {
 				step = 3
 				return kernel.Compute(sim.Microsecond)
 			case 3: // map phase: read an input chunk
-				if chunk >= cfg.ChunksPerMapper {
+				if chunk >= metisChunksPerMapper {
 					step = 6
 					return mapDone.Wait()
 				}
 				step = 4
-				off := (i*cfg.ChunksPerMapper + chunk) * cfg.ChunkPages
-				return kernel.TouchRange(input+pt.VPN(off), cfg.ChunkPages, false)
+				off := (i*metisChunksPerMapper + chunk) * metisChunkPages
+				return kernel.TouchRange(input+pt.VPN(off), metisChunkPages, false)
 			case 4: // emit intermediate entries across all columns
 				step = 5
 				return kernel.TouchRange(w.interBase[i], interPages, true)
@@ -116,9 +102,9 @@ func (w *Metis) Setup(k *kernel.Kernel) {
 				chunk++
 				step = 3
 				w.met.chunksMapped.Inc()
-				return kernel.Compute(cfg.MapWork)
+				return kernel.Compute(metisMapWork)
 			case 6: // reduce phase: pass over column i of every mapper
-				if pass >= cfg.ReducePasses {
+				if pass >= metisReducePasses {
 					step = 8
 					col = 0
 					return kernel.Compute(sim.Microsecond)
@@ -127,14 +113,14 @@ func (w *Metis) Setup(k *kernel.Kernel) {
 					col = 0
 					pass++
 					w.met.reducePasses.Inc()
-					return kernel.Compute(cfg.ReduceWork)
+					return kernel.Compute(metisReduceWork)
 				}
 				step = 7
-				return kernel.TouchRange(w.interBase[col]+pt.VPN(i*cfg.ColPages), cfg.ColPages, false).Repeat(32)
+				return kernel.TouchRange(w.interBase[col]+pt.VPN(i*metisColPages), metisColPages, false).Repeat(32)
 			case 7:
 				col++
 				step = 6
-				return kernel.Compute(cfg.ReduceWork / sim.Time(n))
+				return kernel.Compute(metisReduceWork / sim.Time(n))
 			case 8: // free the consumed columns (true cross-core sharers)
 				if col >= n {
 					w.finished++
@@ -143,9 +129,9 @@ func (w *Metis) Setup(k *kernel.Kernel) {
 					}
 					return kernel.Op{}
 				}
-				addr := w.interBase[col] + pt.VPN(i*cfg.ColPages)
+				addr := w.interBase[col] + pt.VPN(i*metisColPages)
 				col++
-				return kernel.Madvise(addr, cfg.ColPages)
+				return kernel.Madvise(addr, metisColPages)
 			default:
 				panic("unreachable")
 			}

@@ -15,23 +15,21 @@ import (
 // candidates (input blocks read from the far socket) and a steady
 // mmap/munmap stream.
 type PBZIP2Config struct {
-	Blocks       int
-	BlockPages   int // 100 KB blocks → 25 pages
-	OutPages     int // compressed output buffer
-	CompressWork sim.Time
-	Cores        []topo.CoreID
+	Blocks int
+	Cores  []topo.CoreID
 }
 
 // DefaultPBZIP2Config returns the Fig 11 configuration.
 func DefaultPBZIP2Config(cores []topo.CoreID) PBZIP2Config {
-	return PBZIP2Config{
-		Blocks:       96,
-		BlockPages:   25,
-		OutPages:     26,
-		CompressWork: 6 * sim.Millisecond,
-		Cores:        cores,
-	}
+	return PBZIP2Config{Blocks: 96, Cores: cores}
 }
+
+// The shape of one block's work.
+const (
+	pbzip2BlockPages   = 25 // 100 KB blocks
+	pbzip2OutPages     = 26 // compressed output buffer
+	pbzip2CompressWork = 6 * sim.Millisecond
+)
 
 // PBZIP2 is the workload instance.
 type PBZIP2 struct {
@@ -48,7 +46,7 @@ type PBZIP2 struct {
 
 // NewPBZIP2 returns the workload.
 func NewPBZIP2(cfg PBZIP2Config) *PBZIP2 {
-	if cfg.Blocks <= 0 || cfg.BlockPages <= 0 || len(cfg.Cores) == 0 {
+	if cfg.Blocks <= 0 || len(cfg.Cores) == 0 {
 		panic("workload: invalid pbzip2 config")
 	}
 	return &PBZIP2{cfg: cfg}
@@ -65,7 +63,7 @@ func (w *PBZIP2) Setup(k *kernel.Kernel) {
 
 	proc.Spawn(cfg.Cores[0], kernel.Script(
 		func(*kernel.Thread) kernel.Op {
-			return kernel.Mmap(cfg.Blocks*cfg.BlockPages, true).Populate(0)
+			return kernel.Mmap(cfg.Blocks*pbzip2BlockPages, true).Populate(0)
 		},
 		func(th *kernel.Thread) kernel.Op {
 			input = th.LastAddr
@@ -95,20 +93,20 @@ func (w *PBZIP2) Setup(k *kernel.Kernel) {
 				block = w.nextBlock
 				w.nextBlock++
 				step = 2
-				return kernel.TouchRange(input+pt.VPN(block*cfg.BlockPages), cfg.BlockPages, false).Repeat(32)
+				return kernel.TouchRange(input+pt.VPN(block*pbzip2BlockPages), pbzip2BlockPages, false).Repeat(32)
 			case 2: // compress
 				step = 3
-				return kernel.Compute(cfg.CompressWork)
+				return kernel.Compute(pbzip2CompressWork)
 			case 3: // allocate the output buffer
 				step = 4
-				return kernel.Mmap(cfg.OutPages, true).Populate(-1)
+				return kernel.Mmap(pbzip2OutPages, true).Populate(-1)
 			case 4: // write compressed data
 				step = 5
-				return kernel.TouchRange(th.LastAddr, cfg.OutPages, true)
+				return kernel.TouchRange(th.LastAddr, pbzip2OutPages, true)
 			case 5: // hand off and free the buffer
 				step = 1
 				w.met.blocks.Inc()
-				return kernel.Munmap(th.LastAddr, cfg.OutPages)
+				return kernel.Munmap(th.LastAddr, pbzip2OutPages)
 			default:
 				panic("unreachable")
 			}

@@ -184,7 +184,7 @@ func TestApacheThroughputShape(t *testing.T) {
 
 func TestNginxFewShootdowns(t *testing.T) {
 	k := kern16(shootdown.NewLinux())
-	n := NewNginx(DefaultNginxConfig(coresN(1)))
+	n := NewNginx(coresN(1))
 	n.Setup(k)
 	k.Run(200 * sim.Millisecond)
 	if n.Requests() == 0 {

@@ -31,8 +31,6 @@ type (
 	ApacheConfig = workload.ApacheConfig
 	// Apache is the mmap/serve/munmap web server (Figs 1, 9).
 	Apache = workload.Apache
-	// NginxConfig parameterises the low-shootdown event server.
-	NginxConfig = workload.NginxConfig
 	// Nginx is the event-driven server (Fig 12).
 	Nginx = workload.Nginx
 	// ParsecProfile describes one PARSEC benchmark's behaviour.
@@ -47,8 +45,6 @@ type (
 	PBZIP2Config = workload.PBZIP2Config
 	// PBZIP2 is the parallel compression workload (Fig 11).
 	PBZIP2 = workload.PBZIP2
-	// MetisConfig parameterises the MapReduce workload.
-	MetisConfig = workload.MetisConfig
 	// Metis is the single-machine MapReduce workload (Fig 11).
 	Metis = workload.Metis
 	// MemcachedConfig parameterises the KV server of the Infiniswap case
@@ -75,10 +71,9 @@ var (
 	NewApache = workload.NewApache
 	// DefaultApacheConfig is the Fig 9 configuration.
 	DefaultApacheConfig = workload.DefaultApacheConfig
-	// NewNginx builds the event-server workload.
+	// NewNginx builds the event-server workload in its Fig 12
+	// configuration.
 	NewNginx = workload.NewNginx
-	// DefaultNginxConfig is the Fig 12 configuration.
-	DefaultNginxConfig = workload.DefaultNginxConfig
 	// NewParsec builds one PARSEC profile run.
 	NewParsec = workload.NewParsec
 	// ParsecSuite returns the 13 Fig 10 profiles.
@@ -93,10 +88,9 @@ var (
 	NewPBZIP2 = workload.NewPBZIP2
 	// DefaultPBZIP2Config is the Fig 11 configuration.
 	DefaultPBZIP2Config = workload.DefaultPBZIP2Config
-	// NewMetis builds the MapReduce workload.
+	// NewMetis builds the MapReduce workload in its Fig 11
+	// configuration.
 	NewMetis = workload.NewMetis
-	// DefaultMetisConfig is the Fig 11 configuration.
-	DefaultMetisConfig = workload.DefaultMetisConfig
 	// NewMemcached builds the KV server workload.
 	NewMemcached = workload.NewMemcached
 	// DefaultMemcachedConfig is the §6.2 case-study configuration.
