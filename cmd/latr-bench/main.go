@@ -15,10 +15,10 @@
 // each experiment's wall time goes to stderr.
 //
 // Regression gate: -compare re-runs each committed baseline's experiment
-// with the baseline's recorded options and fails when any result cell's
-// text differs. The simulator is deterministic, so identical code
-// reproduces every baseline exactly; a differing cell means the model
-// changed.
+// with the baseline's recorded options and fails when any result cell's or
+// note's text differs. The simulator is deterministic, so identical code
+// reproduces every baseline exactly; a differing cell or note means the
+// model changed.
 //
 //	latr-bench -compare baselines/              # all BENCH_*.json in the dir
 //	latr-bench -compare BENCH_table5.json       # one baseline
@@ -132,7 +132,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 		check     = fs.Bool("check", false, "enable the TLB reuse-invariant checker (slower)")
 		parallel  = fs.Int("parallel", runtime.NumCPU(), "worker pool size for each experiment's independent runs (1 = sequential)")
 		emitJSON  = fs.Bool("json", false, "also write BENCH_<id>.json for each experiment run")
-		compare   = fs.String("compare", "", "regression gate: re-run the experiments recorded in this baseline file (or every BENCH_*.json in this directory) and fail on any differing cell")
+		compare   = fs.String("compare", "", "regression gate: re-run the experiments recorded in this baseline file (or every BENCH_*.json in this directory) and fail on any differing cell or note")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

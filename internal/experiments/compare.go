@@ -3,7 +3,7 @@ package experiments
 // This file is the benchmark regression gate: the machine-readable form of
 // a Table (what `latr-bench -json` writes as BENCH_<id>.json) plus an
 // exact diff against a committed baseline. The gate re-runs the cheap
-// experiments and fails when any cell's text differs.
+// experiments and fails when any cell's or note's text differs.
 
 import (
 	"encoding/json"
@@ -75,7 +75,9 @@ func LoadBenchJSON(path string) (BenchJSON, error) {
 	return b, nil
 }
 
-// CellDiff is one cell whose text differs from the baseline's.
+// CellDiff is one cell, or one note, whose text differs from the
+// baseline's. A note has Row -1, its index in Col, no Column and the label
+// "note <i>"; a missing or extra note reads as "" on its absent side.
 type CellDiff struct {
 	Row, Col int
 	Column   string // column header
@@ -85,15 +87,19 @@ type CellDiff struct {
 }
 
 func (d CellDiff) String() string {
+	if d.Row < 0 {
+		return fmt.Sprintf("%s: baseline %q vs current %q", d.Label, d.Baseline, d.Current)
+	}
 	return fmt.Sprintf("row %q col %q: baseline %q vs current %q", d.Label, d.Column, d.Baseline, d.Current)
 }
 
-// CompareBench diffs current against baseline cell by cell. A structural
-// mismatch — different experiment, run options, GOMAXPROCS, columns, or
-// row or cell counts — is an error (the runs are not comparable); every
-// cell whose text differs comes back as a diff. The engine is
-// deterministic, so identical code reproduces every cell exactly. wall_sec
-// is ignored: host wall-clock is the one non-deterministic field.
+// CompareBench diffs current against baseline cell by cell, then note by
+// note. A structural mismatch — different experiment, run options,
+// GOMAXPROCS, columns, or row or cell counts — is an error (the runs are
+// not comparable); every cell and every note whose text differs, or that
+// only one side has, comes back as a diff. The engine is deterministic, so
+// identical code reproduces every cell and note exactly. wall_sec is
+// ignored: host wall-clock is the one non-deterministic field.
 func CompareBench(baseline, current BenchJSON) ([]CellDiff, error) {
 	if baseline.ID != current.ID {
 		return nil, fmt.Errorf("experiments: comparing %q against baseline %q", current.ID, baseline.ID)
@@ -134,6 +140,18 @@ func CompareBench(baseline, current BenchJSON) ([]CellDiff, error) {
 				d.Column = baseline.Columns[c]
 			}
 			diffs = append(diffs, d)
+		}
+	}
+	for i := range max(len(baseline.Notes), len(current.Notes)) {
+		var was, now string
+		if i < len(baseline.Notes) {
+			was = baseline.Notes[i]
+		}
+		if i < len(current.Notes) {
+			now = current.Notes[i]
+		}
+		if was != now || i >= len(baseline.Notes) || i >= len(current.Notes) {
+			diffs = append(diffs, CellDiff{Row: -1, Col: i, Label: fmt.Sprintf("note %d", i), Baseline: was, Current: now})
 		}
 	}
 	return diffs, nil

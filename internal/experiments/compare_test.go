@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -108,6 +110,40 @@ func TestCompareTextMismatch(t *testing.T) {
 	}
 	if d := diffs[0]; d.Baseline != "linux" || d.Current != "linux-v2" || d.Column != "policy" {
 		t.Errorf("diff = %+v", d)
+	}
+}
+
+// TestCompareNoteDrift: notes are gated like cells. A changed, missing or
+// extra note is one diff labelled with its index, and the cells still match.
+func TestCompareNoteDrift(t *testing.T) {
+	base := baseBench()
+	base.Notes = []string{"search: tournament k=3", "history digest 507bbff3c587310b"}
+	for _, tc := range []struct {
+		name     string
+		notes    []string
+		i        int
+		was, now string
+	}{
+		{"changed", []string{"search: tournament k=2", base.Notes[1]}, 0, base.Notes[0], "search: tournament k=2"},
+		{"missing", base.Notes[:1], 1, base.Notes[1], ""},
+		{"extra", append(slices.Clone(base.Notes), "new"), 2, "", "new"},
+	} {
+		cur := baseBench()
+		cur.Notes = tc.notes
+		diffs, err := CompareBench(base, cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(diffs) != 1 {
+			t.Fatalf("%s note: diffs = %v, want exactly 1", tc.name, diffs)
+		}
+		d, label := diffs[0], fmt.Sprintf("note %d", tc.i)
+		if d.Row != -1 || d.Col != tc.i || d.Label != label || d.Baseline != tc.was || d.Current != tc.now {
+			t.Errorf("%s note: diff = %+v", tc.name, d)
+		}
+		if want := fmt.Sprintf("%s: baseline %q vs current %q", label, tc.was, tc.now); d.String() != want {
+			t.Errorf("%s note: String() = %q, want %q", tc.name, d.String(), want)
+		}
 	}
 }
 

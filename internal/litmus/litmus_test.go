@@ -162,3 +162,16 @@ func TestRunUnknowns(t *testing.T) {
 		t.Error("ScenarioByName invented a scenario")
 	}
 }
+
+// BenchmarkRunScenario runs one litmus scenario end to end, from building
+// its machine to its oracles: basic-mmap-touch under latr on 2x8.
+func BenchmarkRunScenario(b *testing.B) {
+	sc := ScenarioByName("basic-mmap-touch")
+	cfg := RunConfig{Policy: "latr", Topo: "2x8", Seed: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if out := RunScenario(sc, cfg); len(out.Failures) > 0 {
+			b.Fatal(out.Failures)
+		}
+	}
+}

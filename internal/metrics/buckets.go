@@ -15,23 +15,10 @@ type bucketSpan struct {
 	lo int
 }
 
-// add adds o's counts into s.
-func (s *bucketSpan) add(o *bucketSpan, oct, size int) {
-	if len(o.n) == 0 {
-		return
-	}
-	if o.lo < s.lo || o.lo+len(o.n) > s.lo+len(s.n) {
-		s.grow(o.lo, o.lo+len(o.n), oct, size)
-	}
-	for j, c := range o.n {
-		s.n[o.lo-s.lo+j] += c
-	}
-}
-
-// grow makes s cover buckets [first, hi) and returns first's offset in it.
-func (s *bucketSpan) grow(first, hi, oct, size int) int {
-	lo := first - first%oct
-	hi += oct - 1 - (hi-1)%oct
+// grow makes s cover bucket b and returns b's offset in it.
+func (s *bucketSpan) grow(b, oct, size int) int {
+	lo := b - b%oct
+	hi := lo + oct
 	if s.n == nil {
 		lo, hi = lo-oct, hi+oct
 	} else {
@@ -51,5 +38,5 @@ func (s *bucketSpan) grow(first, hi, oct, size int) int {
 		copy(n[s.lo-lo:], s.n)
 	}
 	s.n, s.lo = n, lo
-	return first - lo
+	return b - lo
 }

@@ -69,7 +69,7 @@ func (h *Histogram) Observe(v sim.Time) {
 	if j := uint(i - h.span.lo); j < uint(len(h.span.n)) {
 		h.span.n[j]++
 	} else {
-		h.span.n[h.span.grow(i, i+1, subBuckets, histBuckets)]++
+		h.span.n[h.span.grow(i, subBuckets, histBuckets)]++
 	}
 }
 
@@ -110,22 +110,6 @@ func (h *Histogram) Quantile(q float64) sim.Time {
 		}
 	}
 	return h.max
-}
-
-// Merge adds all of o's samples into h.
-func (h *Histogram) Merge(o *Histogram) {
-	if o.count == 0 {
-		return
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
-	h.span.add(&o.span, subBuckets, histBuckets)
 }
 
 func (h *Histogram) String() string {

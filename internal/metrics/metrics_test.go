@@ -63,29 +63,6 @@ func TestHistogramBucketError(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := &Histogram{}, &Histogram{}
-	for i := 0; i < 100; i++ {
-		a.Observe(100)
-		b.Observe(300)
-	}
-	a.Merge(b)
-	if a.Count() != 200 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if a.Min() != 100 || a.Max() != 300 {
-		t.Fatalf("merged min/max = %v/%v", a.Min(), a.Max())
-	}
-	if m := a.Mean(); m != 200 {
-		t.Fatalf("merged mean = %v", m)
-	}
-	empty := &Histogram{}
-	a.Merge(empty) // no-op
-	if a.Count() != 200 {
-		t.Fatal("merging empty changed count")
-	}
-}
-
 func TestRegistryCounters(t *testing.T) {
 	r := NewRegistry()
 	if r.Counter("x") != 0 {

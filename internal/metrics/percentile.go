@@ -16,8 +16,7 @@ import (
 // octaves split into 8 linear sub-buckets, so every quantile estimate is
 // within ±6.25% of the true sample (the estimate is the midpoint of the
 // bucket holding the target rank). Counts are integers end to end, which
-// makes Digest byte-deterministic across merges, worker counts and
-// platforms.
+// makes Digest byte-deterministic across worker counts and platforms.
 type PercentileHist struct {
 	count uint64
 	sum   uint64 // total nanoseconds; request latencies stay far below overflow
@@ -90,7 +89,7 @@ func (h *PercentileHist) Observe(v sim.Time) {
 	if j := uint(i - h.span.lo); j < uint(len(h.span.n)) {
 		h.span.n[j]++
 	} else {
-		h.span.n[h.span.grow(i, i+1, percSub, percBuckets)]++
+		h.span.n[h.span.grow(i, percSub, percBuckets)]++
 	}
 }
 
@@ -160,25 +159,6 @@ func (h *PercentileHist) P99() sim.Time { return h.Quantile(0.99) }
 
 // P999 returns the 99.9th percentile.
 func (h *PercentileHist) P999() sim.Time { return h.Quantile(0.999) }
-
-// Merge adds all of o's samples into h. Because buckets are integer counts
-// in a fixed layout, merging is exact: a merged histogram is
-// indistinguishable (including Digest) from one that observed every sample
-// directly.
-func (h *PercentileHist) Merge(o *PercentileHist) {
-	if o.count == 0 {
-		return
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
-	h.span.add(&o.span, percSub, percBuckets)
-}
 
 // Digest folds the exact histogram contents — count, sum, extremes, and
 // every non-empty bucket — into an FNV-1a hash. Two histograms digest

@@ -6,47 +6,6 @@ import (
 	"latr/internal/sim"
 )
 
-// TestPercMergeBothEmpty: merging two empty shards stays empty and every
-// accessor remains total — the degenerate case an experiment cell with
-// zero completed requests produces.
-func TestPercMergeBothEmpty(t *testing.T) {
-	var a, b PercentileHist
-	a.Merge(&b)
-	if a.Count() != 0 {
-		t.Fatalf("empty merge produced count %d", a.Count())
-	}
-	if a.Mean() != 0 || a.Min() != 0 || a.Max() != 0 {
-		t.Fatalf("empty merge produced summary %v", a.String())
-	}
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if a.Quantile(q) != 0 {
-			t.Fatalf("empty merge q=%v = %v", q, a.Quantile(q))
-		}
-	}
-	var c PercentileHist
-	if a.Digest() != c.Digest() {
-		t.Fatal("empty-merged digest differs from a fresh empty digest")
-	}
-}
-
-// TestPercMergeIntoEmpty: merging a populated shard into an empty one is
-// exactly the populated shard — including min/max, which must not be
-// polluted by the empty side's zero-value sentinels.
-func TestPercMergeIntoEmpty(t *testing.T) {
-	rng := sim.NewRand(3)
-	var dst, src PercentileHist
-	for i := 0; i < 1000; i++ {
-		src.Observe(rng.Duration(5*sim.Microsecond, 2*sim.Millisecond))
-	}
-	dst.Merge(&src)
-	if dst.Count() != src.Count() || dst.Min() != src.Min() || dst.Max() != src.Max() || dst.Mean() != src.Mean() {
-		t.Fatalf("merge into empty lost the summary: %v vs %v", dst.String(), src.String())
-	}
-	if dst.Digest() != src.Digest() {
-		t.Fatalf("merge into empty digests %016x, want %016x", dst.Digest(), src.Digest())
-	}
-}
-
 // TestPercSingleSample: one observation in the exact-bucket region is
 // reported verbatim by every quantile and by the summary stats.
 func TestPercSingleSample(t *testing.T) {
@@ -63,49 +22,5 @@ func TestPercSingleSample(t *testing.T) {
 		if got := h.Quantile(q); got != v {
 			t.Fatalf("single-sample q=%v = %v, want %v", q, got, sim.Time(v))
 		}
-	}
-}
-
-// TestPercMergeDisjointRanges: merging shards whose sample ranges do not
-// overlap (fast cells vs slow cells) must interleave exactly — the low
-// quantiles come from the fast shard, the high ones from the slow shard,
-// and the result is identical to observing the union directly.
-func TestPercMergeDisjointRanges(t *testing.T) {
-	rng := sim.NewRand(17)
-	var fast, slow, all PercentileHist
-	for i := 0; i < 3000; i++ {
-		v := rng.Duration(sim.Microsecond, 10*sim.Microsecond)
-		fast.Observe(v)
-		all.Observe(v)
-	}
-	for i := 0; i < 1000; i++ {
-		v := rng.Duration(sim.Millisecond, 2*sim.Millisecond)
-		slow.Observe(v)
-		all.Observe(v)
-	}
-	fast.Merge(&slow)
-	if fast.Count() != 4000 {
-		t.Fatalf("merged count = %d, want 4000", fast.Count())
-	}
-	if fast.Min() != all.Min() || fast.Max() != all.Max() {
-		t.Fatalf("merged extremes %v/%v, want %v/%v", fast.Min(), fast.Max(), all.Min(), all.Max())
-	}
-	// 3000 of 4000 samples are under 10µs: the median must sit in the fast
-	// range and p90+ in the slow range.
-	if got := fast.Quantile(0.5); got > 10*sim.Microsecond {
-		t.Fatalf("merged p50 %v landed outside the fast shard's range", got)
-	}
-	for _, q := range []float64{0.9, 0.99} {
-		if got := fast.Quantile(q); got < sim.Millisecond {
-			t.Fatalf("merged q=%v %v landed outside the slow shard's range", q, got)
-		}
-	}
-	for _, q := range []float64{0.25, 0.5, 0.74, 0.9, 0.99} {
-		if fast.Quantile(q) != all.Quantile(q) {
-			t.Fatalf("disjoint merge q=%v: %v != direct %v", q, fast.Quantile(q), all.Quantile(q))
-		}
-	}
-	if fast.Digest() != all.Digest() {
-		t.Fatalf("disjoint merge digest %016x != direct %016x", fast.Digest(), all.Digest())
 	}
 }

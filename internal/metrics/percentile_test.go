@@ -113,41 +113,6 @@ func TestPercQuantileErrorBound(t *testing.T) {
 	}
 }
 
-// TestPercMerge checks that merging two shards is exactly equivalent to
-// observing the union directly — counts, mean, every percentile, and the
-// digest.
-func TestPercMerge(t *testing.T) {
-	rng := sim.NewRand(99)
-	a, b, all := &PercentileHist{}, &PercentileHist{}, &PercentileHist{}
-	for i := 0; i < 5000; i++ {
-		v := rng.Duration(1, 3*sim.Millisecond)
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-		all.Observe(v)
-	}
-	a.Merge(b)
-	if a.Count() != all.Count() || a.Mean() != all.Mean() || a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Fatalf("merge summary mismatch: %v vs %v", a, all)
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
-		if a.Quantile(q) != all.Quantile(q) {
-			t.Fatalf("merge q=%v: %v != %v", q, a.Quantile(q), all.Quantile(q))
-		}
-	}
-	if a.Digest() != all.Digest() {
-		t.Fatalf("merged digest %016x != direct digest %016x", a.Digest(), all.Digest())
-	}
-	// Merging an empty histogram is a no-op.
-	before := a.Digest()
-	a.Merge(&PercentileHist{})
-	if a.Digest() != before {
-		t.Fatalf("merging an empty histogram changed the digest")
-	}
-}
-
 // TestPercDigestDeterminism: identical sample streams digest identically;
 // any difference — one extra sample, a shifted value — changes the digest.
 func TestPercDigestDeterminism(t *testing.T) {

@@ -15,10 +15,15 @@
 // other event goes into a binary min-heap, whose push and pop stay
 // O(log n) in the heap's own size. Dispatch takes whichever of the lane's
 // head and the heap's top comes first, so events fire in exactly the order
-// one heap would give them.
+// one heap would give them. A heap entry being dispatched stays at the root
+// until its callback returns, so the callback's first heap push takes its
+// place with one sift-down instead of a pop and a push.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Time is a point in virtual time, in nanoseconds since the start of the run.
 type Time int64
@@ -59,7 +64,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // occupants of the same node so stale Timer handles never act on the wrong
 // event.
 type event struct {
-	when Time
 	fn   func(now Time)
 	gen  uint32
 	dead bool
@@ -75,9 +79,15 @@ type entry struct {
 }
 
 // before orders entries by (when, seq): time first, then scheduling order,
-// so same-instant events fire FIFO.
+// so same-instant events fire FIFO. It returns the borrow of the 128-bit
+// subtraction (when, seq) − (b.when, b.seq), one data-dependent branch where
+// testing when and then seq takes up to three, and equal times, common in
+// the heap, mispredict both. Reading when as unsigned is exact because every
+// queued when is ≥ 0: At panics below now, now starts at 0 and never falls.
 func (a entry) before(b entry) bool {
-	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.when), uint64(b.when), borrow)
+	return borrow != 0
 }
 
 // Timer is a cancellable handle to a scheduled callback. It is a small
@@ -101,6 +111,10 @@ type Engine struct {
 	now   Time
 	seq   uint64
 	queue []entry // binary min-heap by (when, seq)
+	// hole marks a deferred pop: the heap's root is the entry being
+	// dispatched, whose node is already recycled. A push fills it with one
+	// sift-down; otherwise the pop completes when the callback returns.
+	hole bool
 
 	// lane is a FIFO ring of the entries pushed in time order: its
 	// laneLen entries start at laneHead, and its length is zero or a power
@@ -187,7 +201,7 @@ func (e *Engine) At(t Time, fn func(now Time)) Timer {
 		panic("sim: nil event callback")
 	}
 	id, ev := e.newEvent()
-	ev.when, ev.fn = t, fn
+	ev.fn = fn
 	e.push(entry{when: t, seq: e.seq, id: id})
 	e.seq++
 	return Timer{ev: ev, gen: ev.gen, fn: fn}
@@ -220,8 +234,15 @@ func (e *Engine) Cancel(tm Timer) bool {
 	return true
 }
 
-// queued counts the entries in the heap and the lane, dead ones included.
-func (e *Engine) queued() int { return len(e.queue) + e.laneLen }
+// queued counts the entries in the heap and the lane, dead ones included,
+// and not the hole.
+func (e *Engine) queued() int {
+	n := len(e.queue) + e.laneLen
+	if e.hole {
+		n--
+	}
+	return n
+}
 
 // deadDominates reports whether compaction is due: more than 32 dead
 // entries, and more dead than live.
@@ -234,6 +255,9 @@ func (e *Engine) deadDominates() bool {
 // compare by (when, seq) and both survive compaction untouched, and the
 // lane is filtered in place, in order.
 func (e *Engine) compact() {
+	if e.hole {
+		e.fillHole()
+	}
 	e.compactions++
 	e.compactScanned += uint64(e.queued())
 	live := e.queue[:0]
@@ -262,20 +286,19 @@ func (e *Engine) compact() {
 	e.dead = 0
 }
 
-// dropDeadTop discards the cancelled entry that comes first, at the lane's
-// head (inLane) or the heap's top. When cancelled timers dominate the
+// dropDeadTop discards top, the cancelled entry that comes first, at the
+// lane's head (inLane) or the heap's top. When cancelled timers dominate the
 // queue — mass hedging cancellations — one O(n) compaction replaces O(n)
 // sift-downs instead.
-func (e *Engine) dropDeadTop(inLane bool) {
+func (e *Engine) dropDeadTop(top entry, inLane bool) {
 	if e.deadDominates() {
 		e.compact()
 		return
 	}
-	var top entry
 	if inLane {
-		top = e.popLane()
+		e.popLane()
 	} else {
-		top = e.pop()
+		e.pop()
 	}
 	e.recycle(top.id)
 	e.dead--
@@ -304,28 +327,37 @@ func (e *Engine) Step() bool {
 		if !ok {
 			return false
 		}
-		ev := e.nodes[top.id]
-		if ev.dead {
-			e.dropDeadTop(inLane)
-			continue
+		if ev := e.nodes[top.id]; !ev.dead {
+			e.dispatch(top, inLane, ev)
+			return true
 		}
-		if inLane {
-			e.popLane()
-		} else {
-			e.pop()
-		}
-		if top.when < e.now {
-			panic("sim: time went backwards")
-		}
-		fn := ev.fn
-		// Recycle before running fn so nested At calls can reuse the node;
-		// any Timer still pointing here goes stale at the gen bump, exactly
-		// as a fired event should.
-		e.recycle(top.id)
-		e.now = top.when
-		e.dispatched++
-		fn(e.now)
-		return true
+		e.dropDeadTop(top, inLane)
+	}
+}
+
+// dispatch fires ev, the live node of top, the entry first returned. A heap
+// entry stays at the root as the hole while fn runs, so that fn's first heap
+// push costs one sift-down in place of the pop's sift-down and its own
+// sift-up; if fn pushes nothing there, the pop completes when it returns.
+func (e *Engine) dispatch(top entry, inLane bool, ev *event) {
+	if top.when < e.now {
+		panic("sim: time went backwards")
+	}
+	if inLane {
+		e.popLane()
+	} else {
+		e.hole = true
+	}
+	fn := ev.fn
+	// Recycle before running fn so nested At calls can reuse the node; any
+	// Timer still pointing here goes stale at the gen bump, exactly as a
+	// fired event should.
+	e.recycle(top.id)
+	e.now = top.when
+	e.dispatched++
+	fn(e.now)
+	if e.hole {
+		e.fillHole()
 	}
 }
 
@@ -343,15 +375,15 @@ func (e *Engine) Run() {
 // far-future cancelled timers there was pure overhead.
 func (e *Engine) RunUntil(deadline Time) {
 	for {
-		next, inLane, ok := e.first()
-		if !ok || next.when > deadline {
+		top, inLane, ok := e.first()
+		if !ok || top.when > deadline {
 			break
 		}
-		if e.nodes[next.id].dead {
-			e.dropDeadTop(inLane)
-			continue
+		if ev := e.nodes[top.id]; !ev.dead {
+			e.dispatch(top, inLane, ev)
+		} else {
+			e.dropDeadTop(top, inLane)
 		}
-		e.Step()
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -371,7 +403,7 @@ func (e *Engine) NextLive() (Time, bool) {
 		if !e.nodes[next.id].dead {
 			return next.when, true
 		}
-		e.dropDeadTop(inLane)
+		e.dropDeadTop(next, inLane)
 	}
 }
 
@@ -406,6 +438,9 @@ func (e *Engine) Pending() int { return e.queued() - e.dead }
 // first returns the entry that comes first, dead or live, and whether it
 // heads the lane rather than the heap. ok is false when nothing is queued.
 func (e *Engine) first() (en entry, inLane, ok bool) {
+	if e.hole {
+		e.fillHole()
+	}
 	if e.laneLen > 0 {
 		en = *e.laneAt(0)
 		if len(e.queue) == 0 || en.before(e.queue[0]) {
@@ -423,16 +458,15 @@ func (e *Engine) laneAt(i int) *entry {
 	return &e.lane[(e.laneHead+i)&(len(e.lane)-1)]
 }
 
-// popLane removes and returns the lane's head.
-func (e *Engine) popLane() entry {
-	en := *e.laneAt(0)
+// popLane removes the lane's head.
+func (e *Engine) popLane() {
 	e.laneHead = (e.laneHead + 1) & (len(e.lane) - 1)
 	e.laneLen--
-	return en
 }
 
 // push queues an entry: at the lane's tail when it comes at or after the
-// lane's last entry, in the heap otherwise.
+// lane's last entry, in the heap otherwise, where it fills the hole if there
+// is one.
 func (e *Engine) push(en entry) {
 	if e.laneLen == 0 || en.when >= e.laneAt(e.laneLen-1).when {
 		if e.laneLen == len(e.lane) {
@@ -440,6 +474,12 @@ func (e *Engine) push(en entry) {
 		}
 		*e.laneAt(e.laneLen) = en
 		e.laneLen++
+		return
+	}
+	if e.hole {
+		e.hole = false
+		e.queue[0] = en
+		e.siftDown(0)
 		return
 	}
 	e.queue = append(e.queue, en)
@@ -466,17 +506,21 @@ func (e *Engine) growLane() {
 	e.lane, e.laneHead = ring, 0
 }
 
-// pop removes and returns the heap's minimum entry.
-func (e *Engine) pop() entry {
+// pop removes the heap's minimum entry.
+func (e *Engine) pop() {
 	q := e.queue
-	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
 	e.queue = q[:n]
 	if n > 1 {
 		e.siftDown(0)
 	}
-	return top
+}
+
+// fillHole completes a deferred pop.
+func (e *Engine) fillHole() {
+	e.hole = false
+	e.pop()
 }
 
 // siftDown moves the entry at i down to its place below.

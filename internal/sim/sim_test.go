@@ -2,8 +2,6 @@ package sim
 
 import (
 	"math"
-	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -374,13 +372,30 @@ func (e *Engine) inLane(tm Timer) bool {
 	return false
 }
 
-func TestEngineRandomScheduleMatchesReference(t *testing.T) {
-	// Random At/Cancel/Reschedule traffic interleaved with Step, RunUntil
-	// and NextLive, with cancel bursts that force compaction, must
-	// dispatch in exactly sorted (when, seq) order — checked against a
-	// reference list of the pending events. Staggered periodic timers,
-	// the scheduler ticks' shape, ride along: they fill the lane while
-	// the random traffic lands in both the lane and the heap.
+// refStats counts how often a reference run reached the engine paths that
+// only interleaved traffic exercises.
+type refStats struct {
+	compactions     int // compaction passes
+	laneCompactions int // passes with dead entries in the lane
+	holeCompactions int // passes a callback's Cancel started with the heap's hole open
+	holeFills       int // callback pushes that filled the hole
+	holePendings    int // Pending checks made while the hole was set
+	bothHeld, ties  int // steps with both lane and heap holding entries, and their head ties
+	laneCancels     int
+	laneReschedules int
+}
+
+// runAgainstReference drives one engine with random traffic drawn from seed
+// for the given number of steps, checking it against a reference list of the
+// pending events. From outside it schedules, cancels, reschedules, cancels in
+// bursts that force compaction, and calls Step, RunUntil and NextLive. Every
+// callback acts while it runs: it schedules 0, 1 or 2 events, cancels or
+// reschedules one, or schedules a burst at one far instant and cancels most
+// of it, and then checks Pending. Staggered periodic timers, the scheduler
+// ticks' shape, ride along and fill the lane while the rest lands in both the
+// lane and the heap. Every event must fire at its time, in sorted (when, seq)
+// order, and each Step must fire exactly one.
+func runAgainstReference(t testing.TB, seed uint64, steps int) refStats {
 	type ref struct {
 		when Time
 		seq  uint64
@@ -390,155 +405,250 @@ func TestEngineRandomScheduleMatchesReference(t *testing.T) {
 		chains = 6  // periodic timers kept running
 		period = 40 // their period
 	)
-	var compactions, ties, laneCancels, laneReschedules, laneCompactions, bothHeld int
-	for seed := uint64(1); seed <= 10; seed++ {
-		r := NewRand(seed)
-		e := NewEngine()
-		var pending []ref // the reference: every live scheduled event
-		timers := map[int]Timer{}
-		periodic := map[int]bool{} // ids of the periodic chains' next ticks
-		ticking := true
-		var fired []int
-		nextID := 0
-		// at schedules an event that records its firing and then runs then.
-		at := func(when Time, then func(now Time)) int {
-			id := nextID
-			nextID++
-			pending = append(pending, ref{when, e.Scheduled(), id})
-			timers[id] = e.At(when, func(now Time) {
-				fired = append(fired, id)
-				then(now)
-			})
-			return id
-		}
-		schedule := func(when Time) { at(when, func(Time) {}) }
-		var tick func(when Time)
-		tick = func(when Time) {
-			var id int
-			id = at(when, func(now Time) {
-				delete(periodic, id)
-				if ticking {
-					tick(now + period)
-				}
-			})
-			periodic[id] = true
-		}
-		for j := 0; j < chains; j++ {
-			tick(Time(j * period / chains))
-		}
-		removeAt := func(i int) ref {
-			rf := pending[i]
-			pending = append(pending[:i], pending[i+1:]...)
-			delete(periodic, rf.id)
-			return rf
-		}
-		sortPending := func() {
-			sort.Slice(pending, func(i, j int) bool {
-				a, b := pending[i], pending[j]
-				return a.when < b.when || (a.when == b.when && a.seq < b.seq)
-			})
-		}
-		// expectFired checks the events fired since mark against the
-		// reference events due by deadline (at most max of them), in sorted
-		// (when, seq) order.
-		expectFired := func(mark int, deadline Time, max int) {
-			sortPending()
-			var want []int
-			for len(pending) > 0 && pending[0].when <= deadline && len(want) < max {
-				want = append(want, removeAt(0).id)
-			}
-			if got := fired[mark:]; !slices.Equal(got, want) {
-				t.Fatalf("seed %d: dispatched %v, want %v", seed, got, want)
+	var st refStats
+	r := NewRand(seed)
+	e := NewEngine()
+	var pending []ref // the reference: every live scheduled event
+	timers := map[int]Timer{}
+	periodic := map[int]bool{} // ids of the periodic chains' next ticks
+	ticking := true
+	fired, nextID := 0, 0
+	removeAt := func(i int) ref {
+		rf := pending[i]
+		pending = append(pending[:i], pending[i+1:]...)
+		delete(periodic, rf.id)
+		return rf
+	}
+	// next returns the index of the reference's first event by (when, seq),
+	// or -1 when none is pending.
+	next := func() int {
+		m := -1
+		for i, rf := range pending {
+			if m < 0 || rf.when < pending[m].when || rf.when == pending[m].when && rf.seq < pending[m].seq {
+				m = i
 			}
 		}
-		for step := 0; step < 1500; step++ {
-			if e.laneLen > 0 && len(e.queue) > 0 {
-				bothHeld++
-				if e.laneAt(0).when == e.queue[0].when {
-					ties++
-				}
-			}
-			deadInLane := false
-			for i := 0; i < e.laneLen; i++ {
-				deadInLane = deadInLane || e.nodes[e.laneAt(i).id].dead
-			}
-			passes, _ := e.CompactStats()
-			switch k := r.Intn(11); {
-			case k < 4:
-				if len(periodic) < chains {
-					tick(e.Now() + Time(r.Intn(period)))
-				} else {
-					schedule(e.Now() + Time(r.Intn(50)))
-				}
-			case k < 5 && len(pending) > 0:
-				rf := removeAt(r.Intn(len(pending)))
-				if e.inLane(timers[rf.id]) {
-					laneCancels++
-				}
-				if !e.Cancel(timers[rf.id]) {
-					t.Fatalf("seed %d: Cancel of pending event %d returned false", seed, rf.id)
-				}
-			case k < 6 && len(pending) > 0:
-				i := r.Intn(len(pending))
-				when := e.Now() + Time(r.Intn(50))
-				if e.inLane(timers[pending[i].id]) {
-					laneReschedules++
-				}
-				pending[i].when, pending[i].seq = when, e.Scheduled()
-				timers[pending[i].id] = e.Reschedule(timers[pending[i].id], when)
-			case k < 7:
-				// A burst of far-future timers, nearly all cancelled, so dead
-				// entries dominate the queue and compaction runs.
-				for j := 0; j < 80; j++ {
-					schedule(e.Now() + 1000 + Time(r.Intn(1000)))
-				}
-				for j := 0; j < 72; j++ {
-					rf := removeAt(len(pending) - 1 - r.Intn(8))
-					if e.inLane(timers[rf.id]) {
-						laneCancels++
-					}
-					e.Cancel(timers[rf.id])
-				}
-			case k < 9:
-				mark := len(fired)
-				e.Step()
-				expectFired(mark, 1<<62, 1)
-			case k < 10:
-				mark := len(fired)
-				deadline := e.Now() + Time(r.Intn(40))
-				e.RunUntil(deadline)
-				expectFired(mark, deadline, len(pending))
-			default:
-				got, ok := e.NextLive()
-				sortPending()
-				if ok != (len(pending) > 0) || ok && got != pending[0].when {
-					t.Fatalf("seed %d step %d: NextLive = %v, %v; reference %v", seed, step, got, ok, pending)
-				}
-			}
-			if p, _ := e.CompactStats(); p > passes && deadInLane {
-				laneCompactions++
-			}
-			if e.Pending() != len(pending) {
-				t.Fatalf("seed %d step %d: Pending = %d, reference holds %d", seed, step, e.Pending(), len(pending))
-			}
+		return m
+	}
+	checkPending := func(where string) {
+		if e.Pending() != len(pending) {
+			t.Fatalf("seed %d, %s: Pending = %d, reference holds %d", seed, where, e.Pending(), len(pending))
 		}
-		ticking = false
-		mark := len(fired)
-		e.Run()
-		expectFired(mark, 1<<62, len(pending))
+	}
+	var act func()
+	// at schedules an event that checks it is the reference's next, runs
+	// then and acts.
+	at := func(when Time, then func(now Time)) int {
+		id := nextID
+		nextID++
+		pending = append(pending, ref{when, e.Scheduled(), id})
+		timers[id] = e.At(when, func(now Time) {
+			i := next()
+			if i < 0 || pending[i].id != id || pending[i].when != now {
+				t.Fatalf("seed %d: event %d fired at %v; reference %v", seed, id, now, pending)
+			}
+			removeAt(i)
+			fired++
+			then(now)
+			act()
+		})
+		return id
+	}
+	schedule := func(when Time) {
+		hole := e.hole
+		at(when, func(Time) {})
+		if hole && !e.hole {
+			st.holeFills++
+		}
+	}
+	var tick func(when Time)
+	tick = func(when Time) {
+		var id int
+		id = at(when, func(now Time) {
+			delete(periodic, id)
+			if ticking {
+				tick(now + period)
+			}
+		})
+		periodic[id] = true
+	}
+	cancel := func(i int) {
+		rf := removeAt(i)
+		if e.inLane(timers[rf.id]) {
+			st.laneCancels++
+		}
+		hole := e.hole
 		passes, _ := e.CompactStats()
-		compactions += int(passes)
+		if !e.Cancel(timers[rf.id]) {
+			t.Fatalf("seed %d: Cancel of pending event %d returned false", seed, rf.id)
+		}
+		if p, _ := e.CompactStats(); p > passes && hole {
+			st.holeCompactions++
+		}
 	}
-	t.Logf("%d compactions (%d with dead lane entries), %d steps with both lane and heap holding entries, %d head ties, %d lane cancels, %d lane reschedules",
-		compactions, laneCompactions, bothHeld, ties, laneCancels, laneReschedules)
-	if compactions == 0 || laneCompactions == 0 {
-		t.Fatal("no schedule forced a compaction with dead entries in the lane")
+	reschedule := func(i int) {
+		when := e.Now() + Time(r.Intn(50))
+		if e.inLane(timers[pending[i].id]) {
+			st.laneReschedules++
+		}
+		pending[i].when, pending[i].seq = when, e.Scheduled()
+		timers[pending[i].id] = e.Reschedule(timers[pending[i].id], when)
 	}
-	if bothHeld == 0 || ties == 0 {
+	// burst schedules 80 far-future timers, at instants from when, and
+	// cancels 72 of them in random order, so dead entries dominate the queue
+	// and compaction runs. In a callback the first of them reuses the
+	// dispatched event's node, which the heap's hole still names.
+	burst := func(when func() Time) {
+		n := len(pending)
+		for j := 0; j < 80; j++ {
+			schedule(when())
+		}
+		for j := 0; j < 72; j++ {
+			cancel(n + r.Intn(len(pending)-n))
+		}
+	}
+	act = func() {
+		switch k := r.Intn(64); {
+		case k < 20:
+		case k < 34:
+			schedule(e.Now() + Time(r.Intn(50)))
+		case k < 42:
+			schedule(e.Now() + Time(r.Intn(50)))
+			schedule(e.Now() + Time(r.Intn(50)))
+		case k < 52 && len(pending) > 0:
+			cancel(r.Intn(len(pending)))
+		case k < 62 && len(pending) > 0:
+			reschedule(r.Intn(len(pending)))
+		case k == 63:
+			// One far instant, so the whole burst joins the lane when its
+			// first timer does, and a heap hole stays open through it.
+			far := e.Now() + 1000 + Time(r.Intn(1000))
+			burst(func() Time { return far })
+		}
+		if e.hole {
+			st.holePendings++
+		}
+		checkPending("in a callback")
+	}
+	for j := 0; j < chains; j++ {
+		tick(Time(j * period / chains))
+	}
+	for step := 0; step < steps; step++ {
+		if e.laneLen > 0 && len(e.queue) > 0 {
+			st.bothHeld++
+			if e.laneAt(0).when == e.queue[0].when {
+				st.ties++
+			}
+		}
+		deadInLane := false
+		for i := 0; i < e.laneLen; i++ {
+			deadInLane = deadInLane || e.nodes[e.laneAt(i).id].dead
+		}
+		passes, _ := e.CompactStats()
+		switch k := r.Intn(11); {
+		case k < 4:
+			if len(periodic) < chains {
+				tick(e.Now() + Time(r.Intn(period)))
+			} else {
+				schedule(e.Now() + Time(r.Intn(50)))
+			}
+		case k < 5 && len(pending) > 0:
+			cancel(r.Intn(len(pending)))
+		case k < 6 && len(pending) > 0:
+			reschedule(r.Intn(len(pending)))
+		case k < 7:
+			burst(func() Time { return e.Now() + 1000 + Time(r.Intn(1000)) })
+		case k < 9:
+			mark, want := fired, min(len(pending), 1)
+			if ok := e.Step(); ok != (want == 1) || fired-mark != want {
+				t.Fatalf("seed %d step %d: Step = %v fired %d events, want %d", seed, step, ok, fired-mark, want)
+			}
+		case k < 10:
+			deadline := e.Now() + Time(r.Intn(40))
+			e.RunUntil(deadline)
+			if i := next(); i >= 0 && pending[i].when <= deadline {
+				t.Fatalf("seed %d step %d: RunUntil(%v) left %v pending", seed, step, deadline, pending[i])
+			}
+			if e.Now() != deadline {
+				t.Fatalf("seed %d step %d: clock after RunUntil(%v) = %v", seed, step, deadline, e.Now())
+			}
+		default:
+			got, ok := e.NextLive()
+			i := next()
+			if ok != (i >= 0) || ok && got != pending[i].when {
+				t.Fatalf("seed %d step %d: NextLive = %v, %v; reference %v", seed, step, got, ok, pending)
+			}
+		}
+		if p, _ := e.CompactStats(); p > passes && deadInLane {
+			st.laneCompactions++
+		}
+		checkPending("between steps")
+	}
+	ticking = false
+	e.Run()
+	if len(pending) > 0 {
+		t.Fatalf("seed %d: Run returned with %v pending", seed, pending)
+	}
+	st.compactions = int(e.compactions)
+	return st
+}
+
+func TestEngineRandomScheduleMatchesReference(t *testing.T) {
+	var st refStats
+	for seed := uint64(1); seed <= 10; seed++ {
+		s := runAgainstReference(t, seed, 1500)
+		st.compactions += s.compactions
+		st.laneCompactions += s.laneCompactions
+		st.holeCompactions += s.holeCompactions
+		st.holeFills += s.holeFills
+		st.holePendings += s.holePendings
+		st.bothHeld += s.bothHeld
+		st.ties += s.ties
+		st.laneCancels += s.laneCancels
+		st.laneReschedules += s.laneReschedules
+	}
+	t.Logf("%+v", st)
+	if st.compactions == 0 || st.laneCompactions == 0 || st.holeCompactions == 0 {
+		t.Fatal("no schedule forced a compaction with dead entries in the lane, or from a callback with the heap's hole open")
+	}
+	if st.holeFills == 0 || st.holePendings == 0 {
+		t.Fatal("no callback filled the heap's hole, or read Pending while it was open")
+	}
+	if st.bothHeld == 0 || st.ties == 0 {
 		t.Fatal("the lane and the heap never held entries at once, or never tied at their heads")
 	}
-	if laneCancels == 0 || laneReschedules == 0 {
+	if st.laneCancels == 0 || st.laneReschedules == 0 {
 		t.Fatal("no lane entry was cancelled or rescheduled")
+	}
+}
+
+// FuzzEngineMatchesReference runs the reference test's traffic, callbacks
+// included, from a fuzzed seed and step count.
+func FuzzEngineMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint16(300))
+	f.Add(uint64(0), uint16(0))
+	f.Add(uint64(1<<63+12345), uint16(2000))
+	f.Fuzz(func(t *testing.T, seed uint64, steps uint16) {
+		runAgainstReference(t, seed, int(steps%4096))
+	})
+}
+
+// TestBeforeMatchesTwoFieldOrder checks the borrow compare against the
+// (when, seq) order on every ordered pair of extreme keys.
+func TestBeforeMatchesTwoFieldOrder(t *testing.T) {
+	var es []entry
+	for _, when := range []Time{0, 1, 1 << 62, math.MaxInt64 - 1, math.MaxInt64} {
+		for _, seq := range []uint64{0, 1, 1 << 63, math.MaxUint64} {
+			es = append(es, entry{when: when, seq: seq})
+		}
+	}
+	for _, a := range es {
+		for _, b := range es {
+			want := a.when < b.when || a.when == b.when && a.seq < b.seq
+			if got := a.before(b); got != want {
+				t.Errorf("(%d, %d).before(%d, %d) = %v, want %v", a.when, a.seq, b.when, b.seq, got, want)
+			}
+		}
 	}
 }
 

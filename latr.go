@@ -718,7 +718,8 @@ func Fig3Perfetto(o ExperimentOptions) (string, error) { return experiments.Fig3
 type (
 	// BenchJSON is one experiment's archived machine-readable result.
 	BenchJSON = experiments.BenchJSON
-	// BenchCellDiff is one cell whose text differs from the baseline's.
+	// BenchCellDiff is one cell or note whose text differs from the
+	// baseline's.
 	BenchCellDiff = experiments.CellDiff
 )
 
@@ -731,8 +732,8 @@ func BenchJSONFromTable(t *ExperimentTable, o ExperimentOptions, wallSec float64
 func LoadBenchJSON(path string) (BenchJSON, error) { return experiments.LoadBenchJSON(path) }
 
 // CompareBench diffs a current run against a committed baseline; structural
-// mismatches are errors, and every cell whose text differs comes back as a
-// diff.
+// mismatches are errors, and every cell or note whose text differs comes
+// back as a diff.
 func CompareBench(baseline, current BenchJSON) ([]BenchCellDiff, error) {
 	return experiments.CompareBench(baseline, current)
 }
